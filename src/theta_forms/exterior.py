@@ -121,10 +121,6 @@ class Form:
         return cls({(): Polynomial.one()})
 
     @classmethod
-    def of_poly(cls, p: Polynomial) -> "Form":
-        return cls({(): p})
-
-    @classmethod
     def generator(cls, g: WedgeGen, coeff: Polynomial | None = None) -> "Form":
         return cls({(g,): coeff if coeff is not None else Polynomial.one()})
 
@@ -214,17 +210,6 @@ class Form:
 
     def apply_op(self, op) -> "Form":
         return self.map_coefficients(op.apply)
-
-    def map_generators(self, fn) -> "Form":
-        """Relabel generators through an injective map; recompute signs."""
-        out: dict[WedgeMonomial, Polynomial] = {}
-        for w, p in self.terms.items():
-            sign, ww = wedge_monomial([fn(g) for g in w])
-            if sign == 0:
-                continue
-            q = p if sign > 0 else -p
-            out[ww] = out.get(ww, Polynomial.zero()) + q
-        return Form(out)
 
     def gen_derivation(self, rule) -> "Form":
         """Extend a linear action on generators as a derivation of the wedge.

@@ -136,12 +136,6 @@ class LinOp:
     def commutator(self, other: "LinOp") -> "LinOp":
         return self.compose(other) - other.compose(self)
 
-    def power(self, n: int) -> "LinOp":
-        out = LinOp.identity()
-        for _ in range(n):
-            out = out.compose(self)
-        return out
-
     def __eq__(self, other) -> bool:
         return isinstance(other, LinOp) and self.terms == other.terms
 

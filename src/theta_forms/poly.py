@@ -17,6 +17,7 @@ from .scalars import Scalar
 KINDS = ("X", "Y", "Xbar", "Ybar", "Z")
 _KIND_RANK = {k: i for i, k in enumerate(KINDS)}
 _CONJ_KIND = {"X": "Xbar", "Xbar": "X", "Y": "Ybar", "Ybar": "Y", "Z": "Z"}
+_SORT_KEYS: dict = {}  # VariableId -> sort_key(), computed once per variable
 
 
 class VariableId(NamedTuple):
@@ -25,7 +26,10 @@ class VariableId(NamedTuple):
     col: int
 
     def sort_key(self):
-        return (_KIND_RANK[self.kind], self.col, self.row)
+        key = _SORT_KEYS.get(self)
+        if key is None:
+            key = _SORT_KEYS[self] = (_KIND_RANK[self.kind], self.col, self.row)
+        return key
 
     def conjugate(self) -> "VariableId":
         return VariableId(_CONJ_KIND[self.kind], self.row, self.col)
@@ -69,25 +73,32 @@ Monomial = tuple
 def monomial(pairs: Iterable[tuple[VariableId, int]]) -> Monomial:
     acc: dict[VariableId, int] = {}
     for v, e in pairs:
-        if e:
-            acc[v] = acc.get(v, 0) + e
+        acc[v] = acc.get(v, 0) + e
     items = [(v, e) for v, e in acc.items() if e != 0]
     if any(e < 0 for _, e in items):
         raise ValueError("negative exponent in monomial")
-    items.sort(key=lambda p: p[0].sort_key())
-    return tuple(items)
+    return tuple(sorted(items, key=lambda p: p[0].sort_key()))
 
 
 def monomial_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    return monomial(list(m1) + list(m2))
+    """Product of two canonical monomials: one merge of the sorted tuples."""
+    out, i, j = [], 0, 0
+    while i < len(m1) and j < len(m2):
+        (v1, e1), (v2, e2) = m1[i], m2[j]
+        if v1 == v2:
+            out.append((v1, e1 + e2))
+            i, j = i + 1, j + 1
+        elif v1.sort_key() < v2.sort_key():
+            out.append(m1[i])
+            i += 1
+        else:
+            out.append(m2[j])
+            j += 1
+    return tuple(out) + m1[i:] + m2[j:]
 
 
 def monomial_degree(m: Monomial) -> int:
     return sum(e for _, e in m)
-
-
-def _mono_key(m: Monomial):
-    return tuple((v.sort_key(), e) for v, e in m)
 
 
 class Polynomial:
@@ -97,12 +108,11 @@ class Polynomial:
 
     def __init__(self, terms=None):
         clean = {}
-        if terms:
-            for m, c in terms.items():
-                if not isinstance(c, Scalar):
-                    c = Scalar.of(c)
-                if not c.is_zero():
-                    clean[m] = c
+        for m, c in (terms or {}).items():
+            if not isinstance(c, Scalar):
+                c = Scalar.of(c)
+            if not c.is_zero():
+                clean[m] = c
         self.terms = clean
 
     # -- constructors ------------------------------------------------------
@@ -117,8 +127,6 @@ class Polynomial:
 
     @classmethod
     def constant(cls, c) -> "Polynomial":
-        if not isinstance(c, Scalar):
-            c = Scalar.of(c)
         return cls({(): c})
 
     @classmethod
@@ -130,10 +138,7 @@ class Polynomial:
     def __add__(self, other: "Polynomial") -> "Polynomial":
         out = dict(self.terms)
         for m, c in other.terms.items():
-            if m in out:
-                out[m] = out[m] + c
-            else:
-                out[m] = c
+            out[m] = out[m] + c if m in out else c
         return Polynomial(out)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
@@ -148,12 +153,8 @@ class Polynomial:
         out: dict[Monomial, Scalar] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = monomial_mul(m1, m2)
-                c = c1 * c2
-                if m in out:
-                    out[m] = out[m] + c
-                else:
-                    out[m] = c
+                m, c = monomial_mul(m1, m2), c1 * c2
+                out[m] = out[m] + c if m in out else c
         return Polynomial(out)
 
     __rmul__ = __mul__
@@ -184,15 +185,10 @@ class Polynomial:
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(monomial_degree(m) for m in self.terms)
+        return max((monomial_degree(m) for m in self.terms), default=-1)
 
     def variables(self) -> set[VariableId]:
-        out: set[VariableId] = set()
-        for m in self.terms:
-            out.update(v for v, _ in m)
-        return out
+        return {v for m in self.terms for v, _ in m}
 
     def constant_term(self) -> Scalar:
         return self.terms.get((), Scalar.zero())
@@ -201,7 +197,7 @@ class Polynomial:
         return self.terms.get(m, Scalar.zero())
 
     def sorted_terms(self) -> list[tuple[Monomial, Scalar]]:
-        return sorted(self.terms.items(), key=lambda t: _mono_key(t[0]))
+        return sorted(self.terms.items(), key=lambda t: tuple((v.sort_key(), e) for v, e in t[0]))
 
     # -- calculus and substitution ------------------------------------------
 
@@ -210,24 +206,9 @@ class Polynomial:
         for m, c in self.terms.items():
             for idx, (var, e) in enumerate(m):
                 if var == v:
-                    rest = list(m)
-                    if e == 1:
-                        del rest[idx]
-                    else:
-                        rest[idx] = (var, e - 1)
-                    mm = tuple(rest)
-                    cc = c * e
-                    out[mm] = out.get(mm, Scalar.zero()) + cc
+                    # distinct monomials stay distinct after dividing by v
+                    out[m[:idx] + (((var, e - 1),) if e > 1 else ()) + m[idx + 1:]] = c * e
                     break
-        return Polynomial(out)
-
-    def subs_zero(self, dead) -> "Polynomial":
-        """Set every variable v with dead(v) true to zero."""
-        out: dict[Monomial, Scalar] = {}
-        for m, c in self.terms.items():
-            if any(dead(v) for v, _ in m):
-                continue
-            out[m] = out.get(m, Scalar.zero()) + c
         return Polynomial(out)
 
     def map_variables(self, fn) -> "Polynomial":
@@ -240,11 +221,8 @@ class Polynomial:
 
     def conjugate(self) -> "Polynomial":
         """Complex conjugation: swap X<->Xbar, Y<->Ybar, conjugate Scalars."""
-        out: dict[Monomial, Scalar] = {}
-        for m, c in self.terms.items():
-            mm = monomial([(v.conjugate(), e) for v, e in m])
-            out[mm] = out.get(mm, Scalar.zero()) + c.conjugate()
-        return Polynomial(out)
+        swapped = self.map_variables(VariableId.conjugate)
+        return Polynomial({m: c.conjugate() for m, c in swapped.terms.items()})
 
     def __repr__(self):
         if not self.terms:

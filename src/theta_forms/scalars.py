@@ -1,40 +1,66 @@
 """Exact coefficient arithmetic: Gaussian rationals times Laurent monomials in a formal pi.
 
 Every identity in the symbolic layer is stated over the ring Q(i)[pi, 1/pi],
-where pi is an uninterpreted invertible symbol.  A Scalar is stored as a map
-from pi-exponent to a nonzero Gaussian rational (re, im), both fractions in
-lowest terms.  Zero is the empty map; equality is structural.
+where pi is an uninterpreted invertible symbol.  A Scalar maps each pi-exponent
+k to (re + im*i) / den, held as ints with den > 0, gcd(re, im, den) == 1 and
+(re, im) != (0, 0): one canonical form per value, so zero is the empty map and
+equality is structural.  Each operation restores the invariant with one gcd per
+term.  ``terms`` is a read-only view {k: (re, im)} of lowest-terms Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 
-def _gauss(re, im) -> tuple[Fraction, Fraction]:
-    return (Fraction(re), Fraction(im))
+def _canon(re: int, im: int, den: int):
+    """(re, im, den) reduced to the invariant, or None for zero (den > 0)."""
+    if not (re or im):
+        return None
+    g = gcd(re, im, den)
+    return (re, im, den) if g == 1 else (re // g, im // g, den // g)
+
+
+def _add_term(out: dict, k: int, c) -> None:
+    """out[k] += c for a canonical nonzero c, dropping k when the sum is zero."""
+    t = out.get(k)
+    if t is not None:
+        (a, b, d), (e, f, g) = t, c
+        c = _canon(a + e, b + f, d) if d == g else _canon(a * g + e * d, b * g + f * d, d * g)
+    if c is None:
+        del out[k]
+    else:
+        out[k] = c
 
 
 class Scalar:
     """An element of Q(i)[pi, 1/pi] in canonical form."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("_t",)
 
     def __init__(self, terms=None):
-        # terms: {pi_exponent: (re, im)} with (re, im) != (0, 0)
-        clean = {}
-        if terms:
-            for k, (re, im) in terms.items():
-                re, im = Fraction(re), Fraction(im)
-                if re or im:
-                    clean[int(k)] = (re, im)
-        self.terms = clean
+        # terms: {pi_exponent: (re, im)} with re, im anything Fraction() takes
+        t = {}
+        for k, (re, im) in (terms or {}).items():
+            re, im = Fraction(re), Fraction(im)
+            c = _canon(re.numerator * im.denominator, im.numerator * re.denominator,
+                       re.denominator * im.denominator)
+            if c is not None:
+                t[int(k)] = c
+        self._t = t
+
+    @property
+    def terms(self) -> dict[int, tuple[Fraction, Fraction]]:
+        return {k: (Fraction(a, d), Fraction(b, d)) for k, (a, b, d) in self._t.items()}
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def of(cls, re, im=0, pi_exp: int = 0) -> "Scalar":
-        return cls({pi_exp: _gauss(re, im)})
+        if type(re) is int and type(im) is int:
+            return _raw({int(pi_exp): (re, im, 1)} if re or im else {})
+        return cls({pi_exp: (re, im)})
 
     @classmethod
     def zero(cls) -> "Scalar":
@@ -55,50 +81,45 @@ class Scalar:
     # -- predicates --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._t
 
     def is_rational(self) -> bool:
         """True when the value lies in Q (single pi^0 term, no imaginary part)."""
-        if not self.terms:
-            return True
-        if set(self.terms) != {0}:
-            return False
-        return self.terms[0][1] == 0
+        return not self._t or (self._t.keys() == {0} and self._t[0][1] == 0)
 
     def as_fraction(self) -> Fraction:
-        if self.is_zero():
-            return Fraction(0)
         if not self.is_rational():
             raise ValueError(f"not a plain rational: {self!r}")
-        return self.terms[0][0]
+        re, _, den = self._t.get(0, (0, 0, 1))
+        return Fraction(re, den)
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "Scalar") -> "Scalar":
-        out = dict(self.terms)
-        for k, (re, im) in other.terms.items():
-            r0, i0 = out.get(k, (Fraction(0), Fraction(0)))
-            out[k] = (r0 + re, i0 + im)
-        return Scalar(out)
+        out = dict(self._t)
+        for k, c in other._t.items():
+            _add_term(out, k, c)
+        return _raw(out)
 
     def __sub__(self, other: "Scalar") -> "Scalar":
         return self + (-other)
 
     def __neg__(self) -> "Scalar":
-        return Scalar({k: (-re, -im) for k, (re, im) in self.terms.items()})
+        return _raw({k: (-a, -b, d) for k, (a, b, d) in self._t.items()})
 
     def __mul__(self, other) -> "Scalar":
         if isinstance(other, (int, Fraction)):
             other = Scalar.of(other)
-        out: dict[int, tuple[Fraction, Fraction]] = {}
-        for k1, (a, b) in self.terms.items():
-            for k2, (c, d) in other.terms.items():
-                k = k1 + k2
-                re = a * c - b * d
-                im = a * d + b * c
-                r0, i0 = out.get(k, (Fraction(0), Fraction(0)))
-                out[k] = (r0 + re, i0 + im)
-        return Scalar(out)
+        s, o = self._t, other._t
+        if len(s) == 1 and len(o) == 1:
+            (k1, (a, b, d)), = s.items()
+            (k2, (e, f, g)), = o.items()
+            return _raw({k1 + k2: _canon(a * e - b * f, a * f + b * e, d * g)})
+        out: dict[int, tuple[int, int, int]] = {}
+        for k1, (a, b, d) in s.items():
+            for k2, (e, f, g) in o.items():
+                _add_term(out, k1 + k2, _canon(a * e - b * f, a * f + b * e, d * g))
+        return _raw(out)
 
     __rmul__ = __mul__
 
@@ -109,14 +130,14 @@ class Scalar:
 
     def inverse(self) -> "Scalar":
         """Inverse of a one-term scalar c*pi^k; raises otherwise."""
-        if len(self.terms) != 1:
+        if len(self._t) != 1:
             raise ZeroDivisionError("only monomial scalars are invertible here")
-        (k, (re, im)), = self.terms.items()
-        n = re * re + im * im
-        return Scalar({-k: (re / n, -im / n)})
+        (k, (a, b, d)), = self._t.items()
+        # d / (a + b i) = d (a - b i) / (a^2 + b^2)
+        return _raw({-k: _canon(d * a, -d * b, a * a + b * b)})
 
     def conjugate(self) -> "Scalar":
-        return Scalar({k: (re, -im) for k, (re, im) in self.terms.items()})
+        return _raw({k: (a, -b, d) for k, (a, b, d) in self._t.items()})
 
     def __pow__(self, n: int) -> "Scalar":
         if n < 0:
@@ -131,17 +152,17 @@ class Scalar:
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = Scalar.of(other)
-        return isinstance(other, Scalar) and self.terms == other.terms
+        return isinstance(other, Scalar) and self._t == other._t
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash(frozenset(self._t.items()))
 
     def __repr__(self):
         if self.is_zero():
             return "Scalar(0)"
-        bits = []
-        for k in sorted(self.terms):
-            re, im = self.terms[k]
+        terms, bits = self.terms, []
+        for k in sorted(terms):
+            re, im = terms[k]
             part = f"({re}{'+' if im >= 0 else ''}{im}i)" if im else f"{re}"
             bits.append(part if k == 0 else f"{part}*pi^{k}")
         return "Scalar(" + " + ".join(bits) + ")"
@@ -149,9 +170,9 @@ class Scalar:
     def latex(self) -> str:
         if self.is_zero():
             return "0"
-        bits = []
-        for k in sorted(self.terms):
-            re, im = self.terms[k]
+        terms, bits = self.terms, []
+        for k in sorted(terms):
+            re, im = terms[k]
             if im == 0:
                 coef = str(re)
             elif re == 0:
@@ -167,7 +188,8 @@ class Scalar:
         return " + ".join(bits)
 
 
-ZERO = Scalar.zero()
-ONE = Scalar.one()
-I = Scalar.i_unit()
-PI = Scalar.pi()
+def _raw(t: dict) -> Scalar:
+    """Wrap a term map that already satisfies the invariant, unchecked."""
+    s = object.__new__(Scalar)
+    s._t = t
+    return s

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .exterior import Form, WedgeGen
+from .exterior import Form, WedgeGen, wedge_monomial
 from .forms import GKCochain
 from .models import ModelTag, Signature
 from .poly import Monomial, Polynomial, VariableId, monomial
@@ -30,8 +30,7 @@ def _poly_entries(p: Polynomial) -> list[dict]:
     out = []
     for mono, c in p.sorted_terms():
         mono_json = [[v.token(), e] for v, e in mono]
-        for k in sorted(c.terms):
-            re, im = c.terms[k]
+        for k, (re, im) in sorted(c.terms.items()):
             out.append({"coeff": {"re": str(re), "im": str(im), "piExp": k},
                         "mono": mono_json})
     return out
@@ -72,10 +71,11 @@ def cochain_from_dict(data: dict) -> GKCochain:
     model = ModelTag.from_token(data["model"])
     form = Form.zero()
     for term in data["terms"]:
-        gens = [WedgeGen.from_token(tok) for tok in term["wedge"]]
         poly = _poly_from_entries(term["poly"])
-        coeff_form = Form({tuple(gens): poly}) if gens else Form.of_poly(poly)
-        form = form + coeff_form
+        # canonical generator order with its sign; a repeated generator gives 0
+        sign, w = wedge_monomial(WedgeGen.from_token(tok) for tok in term["wedge"])
+        if sign:
+            form = form + Form({w: poly if sign > 0 else -poly})
     return GKCochain(form, model, sig)
 
 

@@ -96,3 +96,12 @@ def test_thread_cap_env(monkeypatch):
     monkeypatch.setenv("THETA_FORMS_THREADS", "zero")
     with pytest.raises(ValueError):
         main(["calibrate", "--p", "1", "--q", "1", "--r", "1"])
+
+
+def test_verify_report_is_byte_reproducible(tmp_path):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    argv = ["verify", "--suite", "intertwiner", "--out"]
+    assert main(argv + [str(a)]) == 0
+    assert main(argv + [str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+    assert all("seconds" not in s for s in json.loads(a.read_text())["suites"])

@@ -1,6 +1,7 @@
 from hypothesis import given, settings, strategies as st
 
-from theta_forms.poly import Polynomial, VariableId, X, Xbar, Y, monomial
+from theta_forms.poly import (KINDS, Polynomial, VariableId, X, Xbar, Y, monomial,
+                              monomial_mul)
 from theta_forms.scalars import Scalar
 
 x11 = Polynomial.variable(X(1, 1))
@@ -78,3 +79,13 @@ def test_leibniz_rule(a, b):
     lhs = (a * b).partial(v)
     rhs = a.partial(v) * b + a * b.partial(v)
     assert lhs == rhs
+
+
+_any_var = st.builds(VariableId, st.sampled_from(KINDS), st.integers(1, 3), st.integers(1, 3))
+_monomials = st.lists(st.tuples(_any_var, st.integers(1, 3)), max_size=6).map(monomial)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_monomials, _monomials)
+def test_merge_product_matches_dict_and_sort(m1, m2):
+    assert monomial_mul(m1, m2) == monomial(list(m1) + list(m2))

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -56,3 +57,89 @@ def test_ring_axioms(a, b, c):
 @given(scalars, scalars)
 def test_conjugation_is_multiplicative(a, b):
     assert (a * b).conjugate() == a.conjugate() * b.conjugate()
+
+
+def test_canonical_form_is_unique():
+    a = Scalar.of(Fraction(2, 4), Fraction(-6, 8), 3)
+    b = Scalar.of(Fraction(1, 2), Fraction(-3, 4), 3)
+    assert a == b and hash(a) == hash(b)
+    assert (a - a).is_zero() and (a - a).terms == {}
+
+
+# Reference arithmetic on {pi_exp: (re, im)} maps of Fractions: a second,
+# independent implementation that the integer kernel is checked against.
+
+def _ref_clean(t):
+    return {k: (re, im) for k, (re, im) in t.items() if re or im}
+
+
+def _ref_add(x, y):
+    out = dict(x)
+    for k, (re, im) in y.items():
+        r0, i0 = out.get(k, (Fraction(0), Fraction(0)))
+        out[k] = (r0 + re, i0 + im)
+    return _ref_clean(out)
+
+
+def _ref_mul(x, y):
+    out = {}
+    for k1, (a, b) in x.items():
+        for k2, (c, d) in y.items():
+            r0, i0 = out.get(k1 + k2, (Fraction(0), Fraction(0)))
+            out[k1 + k2] = (r0 + a * c - b * d, i0 + a * d + b * c)
+    return _ref_clean(out)
+
+
+def _ref_inverse(x):
+    (k, (re, im)), = x.items()
+    n = re * re + im * im
+    return {-k: (re / n, -im / n)}
+
+
+def _ref_pow(x, n):
+    if n < 0:
+        return _ref_pow(_ref_inverse(x), -n)
+    out = {0: (Fraction(1), Fraction(0))}
+    for _ in range(n):
+        out = _ref_mul(out, x)
+    return out
+
+
+def _check(s: Scalar, ref: dict):
+    """s has the reference value, and its (re, im, den) terms keep the invariant."""
+    for re, im, den in s._t.values():
+        assert den > 0 and gcd(re, im, den) == 1 and (re or im)
+    assert all(type(x) is Fraction for pair in s.terms.values() for x in pair)
+    assert s.terms == ref
+    assert s == Scalar(ref) and hash(s) == hash(Scalar(ref))
+
+
+_wide = st.fractions(min_value=-50, max_value=50, max_denominator=60)
+_maps = st.dictionaries(st.integers(-3, 3), st.tuples(_wide, _wide), max_size=4)
+_monomial_maps = st.builds(lambda k, re, im: {k: (re, im)}, st.integers(-3, 3), _wide,
+                           _wide.filter(bool))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_maps, _maps)
+def test_kernel_matches_fraction_reference(x, y):
+    a, b, rx, ry = Scalar(x), Scalar(y), _ref_clean(x), _ref_clean(y)
+    _check(a, rx)
+    _check(a + b, _ref_add(rx, ry))
+    _check(a - b, _ref_add(rx, {k: (-re, -im) for k, (re, im) in ry.items()}))
+    _check(-a, {k: (-re, -im) for k, (re, im) in rx.items()})
+    _check(a * b, _ref_mul(rx, ry))
+    _check(a.conjugate(), {k: (re, -im) for k, (re, im) in rx.items()})
+    _check(a * 3, _ref_mul(rx, {0: (Fraction(3), Fraction(0))}))
+    _check(a * Fraction(-2, 9), _ref_mul(rx, {0: (Fraction(-2, 9), Fraction(0))}))
+    for n in range(4):
+        _check(a ** n, _ref_pow(rx, n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_monomial_maps, _maps, st.integers(-3, 3))
+def test_inverse_and_powers_match_fraction_reference(x, y, n):
+    a, rx = Scalar(x), _ref_clean(x)
+    _check(a.inverse(), _ref_inverse(rx))
+    _check(a ** n, _ref_pow(rx, n))
+    _check(Scalar(y) * a, _ref_mul(_ref_clean(y), rx))

@@ -1,10 +1,10 @@
 import json
 
-from theta_forms.exterior import Form
+from theta_forms.exterior import Form, WedgeGen
 from theta_forms.forms import (GKCochain, build_km_nabla, build_mixed,
                                build_psi_cup, build_psi_q)
 from theta_forms.models import Signature, fock_model
-from theta_forms.serialize import (cochain_from_json, cochain_to_json,
+from theta_forms.serialize import (cochain_from_dict, cochain_from_json, cochain_to_json,
                                    cochain_to_latex, gram_from_json,
                                    gram_to_json)
 from theta_forms.theta import e8_gram
@@ -60,3 +60,24 @@ def test_gram_round_trip():
     assert data["gram"][0][0] == "2"
     back = gram_from_json(text)
     assert back.entries == e8_gram().entries
+
+
+def test_import_puts_wedges_in_canonical_order():
+    c = build_psi_cup(Signature(2, 2, 1, 0))
+    data = json.loads(cochain_to_json(c))
+    term = data["terms"][1]
+    assert len(term["wedge"]) == 2
+    w = tuple(WedgeGen.from_token(t) for t in term["wedge"])
+    term["wedge"].reverse()
+    back = cochain_from_dict(data)
+    flipped = Form(dict(c.form.terms) | {w: -c.form.terms[w]})
+    assert back.form == flipped
+
+
+def test_import_drops_repeated_generator():
+    c = build_psi_cup(Signature(2, 2, 1, 0))
+    data = json.loads(cochain_to_json(c))
+    w = tuple(WedgeGen.from_token(t) for t in data["terms"][0]["wedge"])
+    data["terms"][0]["wedge"] = [data["terms"][0]["wedge"][0]] * 2
+    back = cochain_from_dict(data)
+    assert back.form == Form({k: p for k, p in c.form.terms.items() if k != w})
