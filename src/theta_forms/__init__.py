@@ -7,8 +7,6 @@ The symbolic layer works over Q(i)[pi, 1/pi] with no floating point; floats
 appear only in the Whittaker exponentials of theta_forms.theta.
 """
 
-import os
-
 from .scalars import Scalar
 from .poly import Polynomial, VariableId, X, Xbar, Y, Ybar, Zvar
 from .operators import LinOp
@@ -32,18 +30,3 @@ from .theta import (BetaMatrix, GramMatrix, WhittakerPoint, e8_gram,
 
 __version__ = "0.1.0"
 
-
-def thread_cap() -> int:
-    """Internal parallelism cap from THETA_FORMS_THREADS (>= 1).
-
-    The current kernels run serially, which always satisfies the cap; the
-    variable is validated here so misconfiguration fails loudly.
-    """
-    raw = os.environ.get("THETA_FORMS_THREADS", "1")
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"THETA_FORMS_THREADS must be an integer, got {raw!r}") from exc
-    if cap < 1:
-        raise ValueError("THETA_FORMS_THREADS must be >= 1")
-    return cap

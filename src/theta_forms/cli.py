@@ -8,9 +8,8 @@ Subcommands:
   export     convert a stored form between json and latex
 
 Identical flags produce byte-identical outputs.  Exit codes: 0 success,
-1 verification failure, 2 flag errors.  THETA_FORMS_THREADS (integer >= 1)
-caps internal parallelism; the current kernels are serial, which satisfies
-any cap, and the value is validated at startup.
+1 verification failure or runtime error, 2 flag errors.  Errors other than
+argparse's own are one JSON line {"error": ...} on stderr.
 """
 
 from __future__ import annotations
@@ -20,11 +19,11 @@ import json
 import sys
 from fractions import Fraction
 
-from . import thread_cap
 from .forms import (build_km_explicit, build_km_nabla, build_mixed,
                     build_psi_cup, build_psi_orth, build_psi_q,
-                    euler_chern_form, GKCochain)
-from .models import ORTHOGONAL, Signature, UNITARY, calibrate_structure, fock_model
+                    euler_chern_form, FactorizationError, GKCochain)
+from .models import (CalibrationError, ORTHOGONAL, Signature, UNITARY,
+                     calibrate_structure, fock_model)
 from .serialize import (cochain_from_json, cochain_to_json, cochain_to_latex,
                         gram_from_json)
 from .suites import SUITES, run_all, run_suite
@@ -64,9 +63,31 @@ def _cmd_build(args) -> int:
     return 0
 
 
+def _error(message: str, code: int) -> int:
+    print(json.dumps({"error": message}), file=sys.stderr)
+    return code
+
+
+def _verify_flag_error(args) -> str | None:
+    """Why the signature flags given to verify would be ignored, if they would."""
+    given = [f"--{f}" for f in "pqrs" if getattr(args, f) is not None]
+    if not given:
+        return None
+    if args.suite != "closedness":
+        return f"{'/'.join(given)} only apply to --suite closedness"
+    if args.p is None or args.q is None:
+        return "--suite closedness takes signature flags only with both --p and --q"
+    if args.s is not None and args.r is None:
+        return "--s needs --r"
+    return None
+
+
 def _cmd_verify(args) -> int:
+    problem = _verify_flag_error(args)
+    if problem:
+        return _error(problem, 2)
     kwargs = {"seed": args.seed}
-    if args.suite == "closedness" and args.p is not None and args.q is not None:
+    if args.p is not None:
         kwargs["signatures"] = [(args.p, args.q)]
         if args.r is not None:
             kwargs["rs_pairs"] = [(args.r, args.s or 0)]
@@ -177,13 +198,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    thread_cap()
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, KeyError, OSError) as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return 1
+    except (ValueError, KeyError, OSError, CalibrationError, FactorizationError) as exc:
+        return _error(str(exc), 1)
 
 
 if __name__ == "__main__":

@@ -37,8 +37,8 @@ from .scalars import Scalar
 from .schur import (enumerate_ssyt, hook_content_dim, is_harmonic,
                     kv_highest_weight, laplacian, partitions_up_to,
                     schur_span_dim)
-from .theta import (GramMatrix, eisenstein_check, naive_rep_numbers,
-                    rep_numbers)
+from .theta import (GramMatrix, eisenstein_check, enumerate_with_norms,
+                    naive_rep_numbers, rep_numbers)
 
 
 @dataclass
@@ -480,7 +480,12 @@ def suite_eisenstein(n_max: int = 6, **_) -> SuiteReport:
              ([[Fraction(3, 2), Fraction(1, 2)], [Fraction(1, 2), Fraction(5, 2)]], 4)]
     for entries, cap in small:
         L = GramMatrix(entries)
-        ok &= rep_numbers(L, cap) == naive_rep_numbers(L, cap)
+        # Three paths: the counting kernel, the box scan and the list enumerator.
+        listed = dict.fromkeys(range(cap + 1), 0)
+        for _, h in enumerate_with_norms(L, cap):
+            if h.denominator == 1:
+                listed[h.numerator] += 1
+        ok &= rep_numbers(L, cap) == naive_rep_numbers(L, cap) == listed
     rep.check(ok, f"Fincke-Pohst agrees with the brute-force oracle on {len(small)} lattices, dim <= 4, n <= 4")
     return rep
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from typing import Callable, Mapping, Sequence
 
 
@@ -34,7 +34,10 @@ class GramMatrix:
                     raise ValueError("gram matrix must be symmetric")
         self.entries = rows
         self.dim = n
-        self._ldl = _ldl(rows)  # also certifies positive definiteness
+        # Factor the coordinate-reversed matrix, so that Fincke-Pohst fixes
+        # x_0 first and meets vectors in lexicographic order.  The pivots
+        # also certify positive definiteness.
+        self._ldl = _ldl([row[::-1] for row in rows[::-1]])
 
     def quad(self, x: Sequence[int]) -> Fraction:
         """x^T L x, exact."""
@@ -105,77 +108,140 @@ def _invert(rows) -> list[list[Fraction]]:
 # Vector enumeration (Fincke-Pohst with exact bound propagation)
 # ---------------------------------------------------------------------------
 
-def _lcm(a: int, b: int) -> int:
-    from math import gcd
-    return a // gcd(a, b) * b
+def _fincke_pohst(L: GramMatrix, max_norm: Fraction):
+    """Exact integer set-up shared by both enumerators.
 
-
-def enumerate_with_norms(L: GramMatrix, max_norm) -> list[tuple[tuple[int, ...], Fraction]]:
-    """All x in Z^n with x^T L x <= 2 * max_norm, with their exact half-norms.
-
-    Fincke-Pohst on the exact LDL factorization, run entirely in integer
-    arithmetic: the per-level identity x^T L x = sum_i d_i (x_i + c_i)^2 is
-    cleared to a common denominator RD, so bound propagation is exact."""
-    max_norm = Fraction(max_norm)
-    if max_norm < 0:
-        raise ValueError("max_norm must be non-negative")
+    With the LDL factorization x^T L x = sum_i d_i (y_i + c_i)^2 in the
+    reversed coordinates y_i = x_{n-1-i}, level i scales y_i + c_i by m[i]
+    (clearing the row's denominators) to u = m[i] y_i + sum_j w[i][j] y_j,
+    and the whole identity by the common denominator rd.  A vector lies in
+    the ball x^T L x <= 2 max_norm exactly when the remainders, starting
+    from rem0 and losing cap[i] * u^2 per level, stay non-negative; its
+    half-norm is (rem0 - remainder) / (2 rd).  Returns (rd, rem0, cap, m, w).
+    """
     bound = 2 * max_norm
     d, u = L._ldl
     n = L.dim
-    m = [1] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            m[i] = _lcm(m[i], u[i][j].denominator)
+    m = [lcm(*(u[i][j].denominator for j in range(i + 1, n))) for i in range(n)]
     w = [[int(u[i][j] * m[i]) for j in range(n)] for i in range(n)]
-    rd = bound.denominator
-    for i in range(n):
-        rd = _lcm(rd, d[i].denominator * m[i] * m[i])
-    scale = [rd // (d[i].denominator * m[i] * m[i]) for i in range(n)]
-    dn = [d[i].numerator for i in range(n)]
+    rd = lcm(bound.denominator, *(d[i].denominator * m[i] * m[i] for i in range(n)))
+    cap = [d[i].numerator * (rd // (d[i].denominator * m[i] * m[i])) for i in range(n)]
     rem0 = bound.numerator * (rd // bound.denominator)
+    return rd, rem0, cap, m, w
 
+
+def enumerate_with_norms(L: GramMatrix, max_norm) -> list[tuple[tuple[int, ...], Fraction]]:
+    """All x in Z^n with x^T L x <= 2 * max_norm, with their exact half-norms,
+    sorted by x.
+
+    Fincke-Pohst on the exact LDL factorization, run entirely in integer
+    arithmetic (see _fincke_pohst).  Levels fix x_0 first and run upwards,
+    so vectors come out in lexicographic order; the last level is a flat
+    loop, and each distinct remainder gets its half-norm Fraction once."""
+    max_norm = Fraction(max_norm)
+    if max_norm < 0:
+        raise ValueError("max_norm must be non-negative")
+    n = L.dim
+    if not n:
+        return [((), Fraction(0))]
+    rd, rem0, cap, m, w = _fincke_pohst(L, max_norm)
     out: list[tuple[tuple[int, ...], Fraction]] = []
-    x = [0] * n
+    append = out.append
+    halves: dict[int, Fraction] = {}
+    y = [0] * n
 
     def descend(i: int, rem: int):
-        if i < 0:
-            out.append((tuple(x), (rem0 - rem) / Fraction(2 * rd)))
-            return
         cn = 0
         wi = w[i]
         for j in range(i + 1, n):
-            if x[j]:
-                cn += wi[j] * x[j]
-        cap = dn[i] * scale[i]
-        k = isqrt(rem // cap)
+            if y[j]:
+                cn += wi[j] * y[j]
+        c = cap[i]
+        k = isqrt(rem // c)
         mi = m[i]
-        lo = -((cn + k) // mi)
-        hi = (k - cn) // mi
-        for t in range(lo, hi + 1):
+        ts = range(-((cn + k) // mi), (k - cn) // mi + 1)
+        if i:
+            for t in ts:
+                uu = t * mi + cn
+                y[i] = t
+                descend(i - 1, rem - c * uu * uu)
+            y[i] = 0
+            return
+        head = tuple(y[:0:-1])
+        for t in ts:
             uu = t * mi + cn
-            x[i] = t
-            descend(i - 1, rem - cap * uu * uu)
-        x[i] = 0
+            r = rem - c * uu * uu
+            h = halves.get(r)
+            if h is None:
+                h = halves[r] = Fraction(rem0 - r, 2 * rd)
+            append((head + (t,), h))
 
     descend(n - 1, rem0)
-    out.sort()
     return out
 
 
 def enumerate_vectors(L: GramMatrix, max_norm) -> list[tuple[int, ...]]:
-    """All x in Z^n with x^T L x <= 2 * max_norm, deterministic order."""
+    """All x in Z^n with x^T L x <= 2 * max_norm, sorted."""
     return [x for x, _ in enumerate_with_norms(L, max_norm)]
+
+
+def _shell_counts(L: GramMatrix, n_max: int) -> dict[int, int]:
+    """r_L(n) for n = 0..n_max from a histogram of integer remainders.
+
+    Builds no vector: x and -x have the same norm, so only vectors whose
+    first nonzero coordinate is positive are enumerated, each counted twice,
+    and the origin once."""
+    if n_max < 0:
+        raise ValueError("n_max must be non-negative")
+    rd, rem0, cap, m, w = _fincke_pohst(L, Fraction(n_max))
+    n = L.dim
+    hist: dict[int, int] = {rem0: 1}
+    get = hist.get
+    y = [0] * n
+
+    def descend(i: int, rem: int):
+        cn = 0
+        wi = w[i]
+        for j in range(i + 1, n):
+            if y[j]:
+                cn += wi[j] * y[j]
+        c = cap[i]
+        k = isqrt(rem // c)
+        mi = m[i]
+        if i:
+            for t in range(-((cn + k) // mi), (k - cn) // mi + 1):
+                uu = t * mi + cn
+                y[i] = t
+                descend(i - 1, rem - c * uu * uu)
+            y[i] = 0
+            return
+        for uu in range(cn - (cn + k) // mi * mi, k + 1, mi):
+            r = rem - c * uu * uu
+            hist[r] = get(r, 0) + 2
+
+    for top in range(n):
+        # Levels above `top` are zero, so y_top runs over a symmetric range.
+        c, mt = cap[top], m[top]
+        for t in range(1, isqrt(rem0 // c) // mt + 1):
+            r = rem0 - c * (t * mt) ** 2
+            if top:
+                y[top] = t
+                descend(top - 1, r)
+            else:
+                hist[r] = get(r, 0) + 2
+        y[top] = 0
+    counts = dict.fromkeys(range(n_max + 1), 0)
+    for r, c in hist.items():
+        # Every leaf has half-norm <= n_max; only integer ones form shells.
+        q, s = divmod(rem0 - r, 2 * rd)
+        if not s:
+            counts[q] += c
+    return counts
 
 
 def rep_numbers(L: GramMatrix, n_max: int) -> dict[int, int]:
     """r_L(n) = #{x : (1/2) x^T L x = n} for integer n = 0..n_max."""
-    if n_max < 0:
-        raise ValueError("n_max must be non-negative")
-    counts = {n: 0 for n in range(n_max + 1)}
-    for _, h in enumerate_with_norms(L, n_max):
-        if h.denominator == 1 and h <= n_max:
-            counts[int(h)] += 1
-    return counts
+    return _shell_counts(L, n_max)
 
 
 def naive_rep_numbers(L: GramMatrix, n_max: int) -> dict[int, int]:
@@ -384,6 +450,29 @@ def whittaker(beta: BetaMatrix, g: WhittakerPoint, weight_dim: int,
     return abs(g.det_a()) ** (weight_dim / 2) * cmath.exp(tr)
 
 
+def _weighted_shells(L: GramMatrix, weights, default, n_max: int) -> dict[int, Fraction]:
+    """Exact sum of the weights over each integer shell n = 0..n_max.  The
+    sums are kept as integer numerators per (shell, denominator), which
+    avoids a Fraction addition per vector."""
+    if isinstance(weights, Mapping):
+        lookup: Callable = lambda v: weights.get(v, default)
+    else:
+        lookup = weights
+    numerators: dict[tuple[int, int], int] = {}
+    get = numerators.get
+    for x, h in enumerate_with_norms(L, n_max):
+        if h.denominator == 1:
+            v = lookup(x)
+            if not isinstance(v, (int, Fraction)):
+                v = Fraction(v)
+            key = (h.numerator, v.denominator)
+            numerators[key] = get(key, 0) + v.numerator
+    shells = dict.fromkeys(range(n_max + 1), Fraction(0))
+    for (n, den), num in numerators.items():
+        shells[n] += Fraction(num, den)
+    return shells
+
+
 def fourier_assemble(L: GramMatrix, weights, g: WhittakerPoint, n_max: int,
                      weight_dim: int | None = None, default=Fraction(0),
                      convention: str = LITERAL) -> dict[int, complex]:
@@ -392,14 +481,12 @@ def fourier_assemble(L: GramMatrix, weights, g: WhittakerPoint, n_max: int,
     the given default) or a callable."""
     if weight_dim is None:
         weight_dim = L.dim
-    if isinstance(weights, Mapping):
-        lookup: Callable = lambda v: weights.get(v, default)
+    if isinstance(weights, Mapping) and not weights:
+        # Every vector weighs `default`, so each shell is default * count.
+        default = Fraction(default)
+        shells = {n: default * r for n, r in _shell_counts(L, n_max).items()}
     else:
-        lookup = weights
-    shells: dict[int, Fraction] = {n: Fraction(0) for n in range(n_max + 1)}
-    for x, h in enumerate_with_norms(L, n_max):
-        if h.denominator == 1 and h <= n_max:
-            shells[int(h)] += Fraction(lookup(x))
+        shells = _weighted_shells(L, weights, default, n_max)
     out = {}
     for n in range(n_max + 1):
         w = whittaker(BetaMatrix.scalar(n), g, weight_dim, convention)

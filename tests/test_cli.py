@@ -2,7 +2,10 @@ import json
 
 import pytest
 
+from theta_forms import cli
 from theta_forms.cli import main
+from theta_forms.forms import FactorizationError
+from theta_forms.models import CalibrationError
 from theta_forms.serialize import cochain_from_json, gram_to_json
 from theta_forms.theta import e8_gram
 
@@ -90,12 +93,30 @@ def test_runtime_error_exit_one(tmp_path):
     assert rc == 1
 
 
-def test_thread_cap_env(monkeypatch):
-    monkeypatch.setenv("THETA_FORMS_THREADS", "4")
-    assert main(["calibrate", "--p", "1", "--q", "1", "--r", "1"]) == 0
-    monkeypatch.setenv("THETA_FORMS_THREADS", "zero")
-    with pytest.raises(ValueError):
-        main(["calibrate", "--p", "1", "--q", "1", "--r", "1"])
+@pytest.mark.parametrize("error", [CalibrationError, FactorizationError])
+def test_library_error_exit_one(monkeypatch, capsys, error):
+    def broken(sig):
+        raise error("no scaling closes the brackets")
+    monkeypatch.setitem(cli.FORM_BUILDERS, "psi-cup", broken)
+    assert main(["build", "--form", "psi-cup"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"error": "no scaling closes the brackets"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["--suite", "restriction", "--p", "2", "--q", "1"],
+    ["--suite", "all", "--p", "2", "--q", "1"],
+    ["--suite", "eisenstein", "--s", "1"],
+    ["--suite", "closedness", "--r", "1"],
+    ["--suite", "closedness", "--p", "2"],
+    ["--suite", "closedness", "--p", "2", "--q", "1", "--s", "1"],
+])
+def test_verify_rejects_ignored_flags(capsys, argv):
+    assert main(["verify"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "error" in json.loads(captured.err)
 
 
 def test_verify_report_is_byte_reproducible(tmp_path):

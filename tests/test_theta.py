@@ -2,6 +2,7 @@ import cmath
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from theta_forms.theta import (BetaMatrix, GramMatrix, WhittakerPoint, e8_gram,
                                eisenstein_check, enumerate_vectors,
@@ -167,3 +168,40 @@ def test_beta_matrix():
         BetaMatrix(((
             (Fraction(1), Fraction(0)), (Fraction(1), Fraction(1))),
             ((Fraction(1), Fraction(1)), (Fraction(1), Fraction(0)))))
+
+
+@st.composite
+def small_grams(draw):
+    """A^T A + I for a small integer A, scaled by a rational diagonal D to
+    D (A^T A + I) D, so that some half-norms are not integers."""
+    n = draw(st.integers(1, 3))
+    a = [[draw(st.integers(-2, 2)) for _ in range(n)] for _ in range(n)]
+    scale = [draw(st.sampled_from((Fraction(1), Fraction(1), Fraction(1, 2), Fraction(2, 3))))
+             for _ in range(n)]
+    return [[(sum(a[k][i] * a[k][j] for k in range(n)) + (i == j)) * scale[i] * scale[j]
+             for j in range(n)] for i in range(n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_grams(), st.integers(0, 4), st.fractions(-3, 3, max_denominator=4))
+def test_counting_kernel_matches_oracle_and_weighted_path(entries, n_max, default):
+    L = GramMatrix(entries)
+    counts = rep_numbers(L, n_max)
+    assert counts == naive_rep_numbers(L, n_max)
+    g = WhittakerPoint.standard(1)
+    assert fourier_assemble(L, lambda x: default, g, n_max) == \
+        fourier_assemble(L, {}, g, n_max, default=default)
+
+
+def test_eisenstein_check_reaches_documented_ceiling():
+    report = eisenstein_check(20)
+    assert report.passed and len(report.rows) == 20
+    assert report.rows[-1] == (20, 240 * sigma3(20), 240 * sigma3(20))
+
+
+def test_enumerate_with_norms_e8_sorted_and_exact():
+    L = e8_gram()
+    listed = enumerate_with_norms(L, 3)
+    assert len(listed) == 1 + 240 + 2160 + 6720
+    assert listed == sorted(listed)
+    assert all(h == L.half_norm(v) for v, h in listed)
