@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .forms import (build_km_explicit, build_km_nabla, build_mixed,
                     build_psi_cup, build_psi_orth, build_psi_q,
@@ -27,8 +26,8 @@ from .models import (CalibrationError, ORTHOGONAL, Signature, UNITARY,
 from .serialize import (cochain_from_json, cochain_to_json, cochain_to_latex,
                         gram_from_json)
 from .suites import SUITES, run_all, run_suite
-from .theta import (WhittakerPoint, eisenstein_check, fourier_assemble,
-                    rep_numbers)
+from .theta import (BetaMatrix, WhittakerPoint, eisenstein_check, rep_numbers,
+                    whittaker)
 
 FORM_BUILDERS = {
     "psi-q": lambda sig: build_psi_q(sig),
@@ -124,11 +123,10 @@ def _cmd_theta(args) -> int:
         return 0 if report.passed else 1
     counts = rep_numbers(L, args.nmax)
     g = WhittakerPoint.standard(1)
-    table = fourier_assemble(L, {}, g, args.nmax, default=Fraction(1),
-                             convention=args.convention)
     rows = []
     for n in range(args.nmax + 1):
-        w = table[n]
+        # Unit weights: the shell sum is the count itself.
+        w = counts[n] * whittaker(BetaMatrix.scalar(n), g, L.dim, args.convention)
         rows.append({"n": n, "count": counts[n],
                      "coefficient": [w.real, w.imag]})
     payload = {"dim": L.dim, "nmax": args.nmax, "convention": args.convention,

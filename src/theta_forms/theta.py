@@ -185,12 +185,12 @@ def enumerate_vectors(L: GramMatrix, max_norm) -> list[tuple[int, ...]]:
     return [x for x, _ in enumerate_with_norms(L, max_norm)]
 
 
-def _shell_counts(L: GramMatrix, n_max: int) -> dict[int, int]:
-    """r_L(n) for n = 0..n_max from a histogram of integer remainders.
+def rep_numbers(L: GramMatrix, n_max: int) -> dict[int, int]:
+    """r_L(n) = #{x : (1/2) x^T L x = n} for integer n = 0..n_max.
 
-    Builds no vector: x and -x have the same norm, so only vectors whose
-    first nonzero coordinate is positive are enumerated, each counted twice,
-    and the origin once."""
+    Counts a histogram of integer remainders and builds no vector: x and -x
+    have the same norm, so only vectors whose first nonzero coordinate is
+    positive are enumerated, each counted twice, and the origin once."""
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
     rd, rem0, cap, m, w = _fincke_pohst(L, Fraction(n_max))
@@ -237,11 +237,6 @@ def _shell_counts(L: GramMatrix, n_max: int) -> dict[int, int]:
         if not s:
             counts[q] += c
     return counts
-
-
-def rep_numbers(L: GramMatrix, n_max: int) -> dict[int, int]:
-    """r_L(n) = #{x : (1/2) x^T L x = n} for integer n = 0..n_max."""
-    return _shell_counts(L, n_max)
 
 
 def naive_rep_numbers(L: GramMatrix, n_max: int) -> dict[int, int]:
@@ -450,29 +445,6 @@ def whittaker(beta: BetaMatrix, g: WhittakerPoint, weight_dim: int,
     return abs(g.det_a()) ** (weight_dim / 2) * cmath.exp(tr)
 
 
-def _weighted_shells(L: GramMatrix, weights, default, n_max: int) -> dict[int, Fraction]:
-    """Exact sum of the weights over each integer shell n = 0..n_max.  The
-    sums are kept as integer numerators per (shell, denominator), which
-    avoids a Fraction addition per vector."""
-    if isinstance(weights, Mapping):
-        lookup: Callable = lambda v: weights.get(v, default)
-    else:
-        lookup = weights
-    numerators: dict[tuple[int, int], int] = {}
-    get = numerators.get
-    for x, h in enumerate_with_norms(L, n_max):
-        if h.denominator == 1:
-            v = lookup(x)
-            if not isinstance(v, (int, Fraction)):
-                v = Fraction(v)
-            key = (h.numerator, v.denominator)
-            numerators[key] = get(key, 0) + v.numerator
-    shells = dict.fromkeys(range(n_max + 1), Fraction(0))
-    for (n, den), num in numerators.items():
-        shells[n] += Fraction(num, den)
-    return shells
-
-
 def fourier_assemble(L: GramMatrix, weights, g: WhittakerPoint, n_max: int,
                      weight_dim: int | None = None, default=Fraction(0),
                      convention: str = LITERAL) -> dict[int, complex]:
@@ -481,12 +453,24 @@ def fourier_assemble(L: GramMatrix, weights, g: WhittakerPoint, n_max: int,
     the given default) or a callable."""
     if weight_dim is None:
         weight_dim = L.dim
-    if isinstance(weights, Mapping) and not weights:
-        # Every vector weighs `default`, so each shell is default * count.
-        default = Fraction(default)
-        shells = {n: default * r for n, r in _shell_counts(L, n_max).items()}
+    if isinstance(weights, Mapping):
+        lookup: Callable = lambda v: weights.get(v, default)
     else:
-        shells = _weighted_shells(L, weights, default, n_max)
+        lookup = weights
+    # Sum integer numerators per (shell, denominator): a Fraction addition
+    # per vector would cost more than the enumeration.
+    sums: dict[tuple[int, int], int] = {}
+    get = sums.get
+    for x, h in enumerate_with_norms(L, n_max):
+        if h.denominator == 1:
+            v = lookup(x)
+            if not isinstance(v, (int, Fraction)):
+                v = Fraction(v)
+            key = (h.numerator, v.denominator)
+            sums[key] = get(key, 0) + v.numerator
+    shells = dict.fromkeys(range(n_max + 1), Fraction(0))
+    for (n, den), num in sums.items():
+        shells[n] += Fraction(num, den)
     out = {}
     for n in range(n_max + 1):
         w = whittaker(BetaMatrix.scalar(n), g, weight_dim, convention)

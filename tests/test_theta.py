@@ -159,6 +159,16 @@ def test_fourier_assemble_dict_weights():
     assert out[0] == 0
 
 
+def test_fourier_assemble_mixed_weight_types():
+    L = GramMatrix([[2]])
+    g = WhittakerPoint.standard(1)
+    weights = {(1,): Fraction(1, 3), (-1,): 0.5, (2,): 2, (-2,): Fraction(1, 6)}
+    out = fourier_assemble(L, weights, g, 4, weight_dim=1)
+    for n, total in ((1, Fraction(5, 6)), (4, Fraction(13, 6))):
+        assert out[n] == complex(total) * whittaker(BetaMatrix.scalar(n), g, 1)
+    assert out[0] == out[2] == out[3] == 0
+
+
 def test_beta_matrix():
     B = BetaMatrix.from_real([[1, 1], [1, 1]])
     assert B.rank() == 1
@@ -188,9 +198,11 @@ def test_counting_kernel_matches_oracle_and_weighted_path(entries, n_max, defaul
     L = GramMatrix(entries)
     counts = rep_numbers(L, n_max)
     assert counts == naive_rep_numbers(L, n_max)
+    # fourier_assemble sums over the list enumerator, not the counting kernel.
     g = WhittakerPoint.standard(1)
-    assert fourier_assemble(L, lambda x: default, g, n_max) == \
-        fourier_assemble(L, {}, g, n_max, default=default)
+    assert fourier_assemble(L, {}, g, n_max, default=default) == {
+        n: complex(default * counts[n]) * whittaker(BetaMatrix.scalar(n), g, L.dim)
+        for n in range(n_max + 1)}
 
 
 def test_eisenstein_check_reaches_documented_ceiling():
