@@ -72,6 +72,16 @@ def wedge_monomial(gens: Iterable[WedgeGen]):
     return sign, tuple(gens)
 
 
+def perm_sign(perm) -> int:
+    """Sign of a permutation given as a sequence, by counting inversions."""
+    sign = 1
+    for i in range(len(perm)):
+        for j in range(i + 1, len(perm)):
+            if perm[i] > perm[j]:
+                sign = -sign
+    return sign
+
+
 def merge_monomials(w1: WedgeMonomial, w2: WedgeMonomial):
     """Merge two canonical monomials; (sign, merged) or (0, ()) on repeats."""
     out = []

@@ -16,11 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
+from math import factorial
 
-from .exterior import Form, WedgeGen, wedge_all, wedge_monomial, xi, xibar
-from .models import (ModelTag, ORTHOGONAL, Signature, UNITARY,
-                     calibrate_structure, fock_model, mixed_model,
-                     upq_op_model)
+from .exterior import (Form, WedgeGen, perm_sign, wedge_all, wedge_monomial,
+                       xi, xibar)
+from .models import (C_MINUS, C_PLUS, CalibrationError, ModelTag, ORTHOGONAL,
+                     Signature, UNITARY, _m_op, calibrate_structure,
+                     fock_model, mixed_model, upq_op_model)
 from .operators import LinOp, op_sum
 from .poly import Polynomial, VariableId, X, Xbar, Y
 from .scalars import Scalar
@@ -59,17 +61,24 @@ class FactorizationError(RuntimeError):
 # psi factors
 # ---------------------------------------------------------------------------
 
-def _psi_factor(sig: Signature, column: int, conjugate: bool, gen_kind) -> Form:
+def _gen_kind(sig: Signature, conjugate: bool = False):
+    """Wedge generator paired with a column variable: xibar for a unitary
+    holomorphic variable, xi for its conjugate and in the orthogonal family."""
+    return xi if conjugate or sig.family == ORTHOGONAL else xibar
+
+
+def _psi_factor(sig: Signature, column: int, conjugate: bool = False) -> Form:
     """sum over (i_1..i_q) of X_{i_1,col} ... X_{i_q,col}
     gen_{i_1,1} ^ ... ^ gen_{i_q,q}; conjugate swaps variables to Xbar."""
     p, q = sig.p, sig.q
     out = Form.zero()
     var = Xbar if conjugate else X
+    gen = _gen_kind(sig, conjugate)
     for idx in product(range(1, p + 1), repeat=q):
         coeff = Polynomial.one()
         for i in idx:
             coeff = coeff * Polynomial.variable(var(i, column))
-        sign, w = wedge_monomial([gen_kind(i, j) for j, i in enumerate(idx, start=1)])
+        sign, w = wedge_monomial([gen(i, j) for j, i in enumerate(idx, start=1)])
         if sign == 0:
             continue
         out = out + Form({w: coeff if sign > 0 else -coeff})
@@ -82,9 +91,17 @@ def build_psi_q(sig: Signature, column: int = 1) -> GKCochain:
         raise ValueError(f"column {column} out of range for r={sig.r}")
     if sig.q < 1:
         raise ValueError("build_psi_q needs q >= 1")
-    gen = xi if sig.family == ORTHOGONAL else xibar
-    form = _psi_factor(sig, column, conjugate=False, gen_kind=gen)
-    return GKCochain(form, fock_model(0), sig)
+    return GKCochain(_psi_factor(sig, column), fock_model(0), sig)
+
+
+def _psi_wedge(sig: Signature) -> GKCochain:
+    """psi_1 ^ ... ^ psi_r ^ psibar_1 ^ ... ^ psibar_s (s = 0 when orthogonal)."""
+    model = fock_model(min(sig.r, sig.s))
+    if sig.q == 0:
+        return GKCochain(Form.unit(), model, sig)
+    blocks = [_psi_factor(sig, k) for k in range(1, sig.r + 1)]
+    blocks += [_psi_factor(sig, k, conjugate=True) for k in range(1, sig.s + 1)]
+    return GKCochain(wedge_all(blocks), model, sig)
 
 
 def build_psi_cup(sig: Signature) -> GKCochain:
@@ -95,14 +112,7 @@ def build_psi_cup(sig: Signature) -> GKCochain:
     alternation."""
     if sig.family != UNITARY:
         raise ValueError("build_psi_cup is the unitary construction; see build_psi_orth")
-    model = fock_model(min(sig.r, sig.s))
-    if sig.q == 0:
-        return GKCochain(Form.unit(), model, sig)
-    blocks = [_psi_factor(sig, k, conjugate=False, gen_kind=xibar)
-              for k in range(1, sig.r + 1)]
-    blocks += [_psi_factor(sig, k, conjugate=True, gen_kind=xi)
-               for k in range(1, sig.s + 1)]
-    return GKCochain(wedge_all(blocks), model, sig)
+    return _psi_wedge(sig)
 
 
 def cup_embed(c: GKCochain, target: Signature, holo_offset: int,
@@ -144,45 +154,30 @@ def build_psi_orth(sig: Signature) -> GKCochain:
     """psi_1 ^ ... ^ psi_r over the real Fock model (orthogonal family)."""
     if sig.family != ORTHOGONAL:
         raise ValueError("build_psi_orth needs the orthogonal family")
-    if sig.q == 0:
-        return GKCochain(Form.unit(), fock_model(0), sig)
-    blocks = [_psi_factor(sig, k, conjugate=False, gen_kind=xi)
-              for k in range(1, sig.r + 1)]
-    return GKCochain(wedge_all(blocks), fock_model(0), sig)
+    return _psi_wedge(sig)
 
 
 # ---------------------------------------------------------------------------
 # Kudla-Millson Schwartz forms
 # ---------------------------------------------------------------------------
 
-_HALF_PI_INV = Scalar.of(Fraction(1, 2), 0, -1)     # 1 / (2 pi)
 _QUARTER_PI_INV = Scalar.of(Fraction(1, 4), 0, -1)  # 1 / (4 pi)
 
 
-def _nabla(sig: Signature, k: int, j: int, conjugate: bool) -> list[tuple[WedgeGen, LinOp]]:
+def _nabla(sig: Signature, k: int, j: int, conjugate: bool = False) -> list[tuple[WedgeGen, LinOp]]:
     """The form-valued operator nabla_{k,j}: wedge gen on the left, creation
-    operator on the coefficients.  Unitary normalization X - (1/2pi) d/dXbar."""
+    operator on the coefficients.  Unitary: M_X = X - (1/2pi) d/dXbar (or its
+    conjugate); orthogonal: real variables, X - (1/4pi) d/dX."""
+    gen = _gen_kind(sig, conjugate)
+    var = Xbar if conjugate else X
     out = []
     for l in range(1, sig.p + 1):
-        if conjugate:
-            gen = xi(l, j)
-            op = LinOp.mul_by(Polynomial.variable(Xbar(l, k))) \
-                - LinOp.partial(X(l, k)).scale(_HALF_PI_INV)
+        v = var(l, k)
+        if sig.family == ORTHOGONAL:
+            op = LinOp.mul_by(Polynomial.variable(v)) - LinOp.partial(v).scale(_QUARTER_PI_INV)
         else:
-            gen = xibar(l, j)
-            op = LinOp.mul_by(Polynomial.variable(X(l, k))) \
-                - LinOp.partial(Xbar(l, k)).scale(_HALF_PI_INV)
-        out.append((gen, op))
-    return out
-
-
-def _nabla_orth(sig: Signature, k: int, j: int) -> list[tuple[WedgeGen, LinOp]]:
-    """Orthogonal analogue: real variables, normalization X - (1/4pi) d/dX."""
-    out = []
-    for l in range(1, sig.p + 1):
-        op = LinOp.mul_by(Polynomial.variable(X(l, k))) \
-            - LinOp.partial(X(l, k)).scale(_QUARTER_PI_INV)
-        out.append((xi(l, j), op))
+            op = _m_op(v)
+        out.append((gen(l, j), op))
     return out
 
 
@@ -196,74 +191,56 @@ def _apply_form_op(pairs: list[tuple[WedgeGen, LinOp]], f: Form) -> Form:
 
 
 def _km_column(sig: Signature, k: int) -> Form:
-    """prod_j nabla_{k,j} nablabar_{k,j} applied to the vacuum (poly 1)."""
+    """prod_j nabla_{k,j} nablabar_{k,j} applied to the vacuum (poly 1); the
+    orthogonal family has no conjugate factor."""
     f = Form.unit()
     for j in range(sig.q, 0, -1):
-        f = _apply_form_op(_nabla(sig, k, j, conjugate=True), f)
-        f = _apply_form_op(_nabla(sig, k, j, conjugate=False), f)
+        if sig.family == UNITARY:
+            f = _apply_form_op(_nabla(sig, k, j, conjugate=True), f)
+        f = _apply_form_op(_nabla(sig, k, j), f)
     return f
 
 
-def _km_column_orth(sig: Signature, k: int) -> Form:
-    f = Form.unit()
-    for j in range(sig.q, 0, -1):
-        f = _apply_form_op(_nabla_orth(sig, k, j), f)
-    return f
-
-
-def build_km_nabla(sig: Signature) -> GKCochain:
-    """Kudla-Millson cochain from the nabla operators applied to the vacuum.
+def _km_cochain(sig: Signature, column) -> GKCochain:
+    """Wedge of one Kudla-Millson column factor per dual-pair column.
 
     Unitary needs r = s (all columns Schrodinger); orthogonal uses r columns
     of the real model.  Coefficients are polynomials with the gaussian
     implicit."""
-    if sig.family == UNITARY:
-        if sig.r != sig.s:
-            raise ValueError("the unitary Kudla-Millson form needs r = s")
-        cols = range(1, sig.r + 1)
-        factors = [_km_column(sig, k) for k in cols]
-        return GKCochain(wedge_all(factors), mixed_model(sig.r), sig)
-    factors = [_km_column_orth(sig, k) for k in range(1, sig.r + 1)]
+    if sig.family == UNITARY and sig.r != sig.s:
+        raise ValueError("the unitary Kudla-Millson form needs r = s")
+    factors = [column(sig, k) for k in range(1, sig.r + 1)]
     return GKCochain(wedge_all(factors), mixed_model(sig.r), sig)
 
 
-def _omega_form(sig: Signature, k: int, j: int, conjugate: bool) -> Form:
-    """omega(k,j) = sum_l X_{l,k} xibar_{l,j} (or the conjugate)."""
-    out = Form.zero()
-    for l in range(1, sig.p + 1):
-        if conjugate:
-            out = out + Form.generator(xi(l, j), Polynomial.variable(Xbar(l, k)))
-        else:
-            out = out + Form.generator(xibar(l, j), Polynomial.variable(X(l, k)))
-    return out
+def build_km_nabla(sig: Signature) -> GKCochain:
+    """Kudla-Millson cochain from the nabla operators applied to the vacuum."""
+    return _km_cochain(sig, _km_column)
 
 
-def _omega_form_orth(sig: Signature, k: int, j: int) -> Form:
+def _omega_form(sig: Signature, k: int, j: int, conjugate: bool = False) -> Form:
+    """omega(k,j) = sum_l X_{l,k} xibar_{l,j} (or the conjugate; xi when
+    orthogonal)."""
+    gen = _gen_kind(sig, conjugate)
+    var = Xbar if conjugate else X
     out = Form.zero()
     for l in range(1, sig.p + 1):
-        out = out + Form.generator(xi(l, j), Polynomial.variable(X(l, k)))
+        out = out + Form.generator(gen(l, j), Polynomial.variable(var(l, k)))
     return out
 
 
 def _big_omega(sig: Signature, i: int, j: int) -> Form:
-    """Omega(i,j) = sum_l xibar_{l,i} ^ xi_{l,j}."""
+    """Omega(i,j) = sum_l xibar_{l,i} ^ xi_{l,j} (xi_{l,i} ^ xi_{l,j} when
+    orthogonal)."""
+    gen = _gen_kind(sig)
     out = Form.zero()
     for l in range(1, sig.p + 1):
-        out = out + Form.generator(xibar(l, i)).wedge(Form.generator(xi(l, j)))
-    return out
-
-
-def _big_omega_orth(sig: Signature, i: int, j: int) -> Form:
-    """Omega(i,j) = sum_l xi_{l,i} ^ xi_{l,j} (orthogonal)."""
-    out = Form.zero()
-    for l in range(1, sig.p + 1):
-        out = out + Form.generator(xi(l, i)).wedge(Form.generator(xi(l, j)))
+        out = out + Form.generator(gen(l, i)).wedge(Form.generator(xi(l, j)))
     return out
 
 
 def _c_unitary(q: int, lam: int) -> Scalar:
     """C(q, lambda) = (-1/2pi)^lambda (q!)^2 / (lambda! ((q-lambda)!)^2)."""
-    from math import factorial
     base = Scalar.of(Fraction(-1, 2), 0, -1) ** lam
     return base * Fraction(factorial(q) ** 2,
                            factorial(lam) * factorial(q - lam) ** 2)
@@ -271,7 +248,6 @@ def _c_unitary(q: int, lam: int) -> Scalar:
 
 def _c_orth(q: int, lam: int) -> Scalar:
     """C(q, lambda) = (-1/4pi)^lambda q! / (2^lambda lambda! (q-2 lambda)!)."""
-    from math import factorial
     base = Scalar.of(Fraction(-1, 4), 0, -1) ** lam
     return base * Fraction(factorial(q),
                            (2 ** lam) * factorial(lam) * factorial(q - 2 * lam))
@@ -280,16 +256,15 @@ def _c_orth(q: int, lam: int) -> Scalar:
 def _km_explicit_column(sig: Signature, k: int) -> Form:
     """Antisymmetrized lambda-sum for one unitary column."""
     q = sig.q
-    from math import factorial
     total = Form.zero()
     for lam in range(q + 1):
         acc = Form.zero()
         for sigma in permutations(range(1, q + 1)):
             for sigbar in permutations(range(1, q + 1)):
-                sgn = _perm_sign(sigma) * _perm_sign(sigbar)
+                sgn = perm_sign(sigma) * perm_sign(sigbar)
                 fac = Form.unit()
                 for t in range(q - lam):
-                    fac = fac.wedge(_omega_form(sig, k, sigma[t], conjugate=False))
+                    fac = fac.wedge(_omega_form(sig, k, sigma[t]))
                     fac = fac.wedge(_omega_form(sig, k, sigbar[t], conjugate=True))
                 for t in range(q - lam, q):
                     fac = fac.wedge(_big_omega(sig, sigma[t], sigbar[t]))
@@ -301,41 +276,26 @@ def _km_explicit_column(sig: Signature, k: int) -> Form:
 
 def _km_explicit_column_orth(sig: Signature, k: int) -> Form:
     q = sig.q
-    from math import factorial
     total = Form.zero()
     for lam in range(q // 2 + 1):
         acc = Form.zero()
         for sigma in permutations(range(1, q + 1)):
-            sgn = _perm_sign(sigma)
+            sgn = perm_sign(sigma)
             fac = Form.unit()
             for t in range(q - 2 * lam):
-                fac = fac.wedge(_omega_form_orth(sig, k, sigma[t]))
+                fac = fac.wedge(_omega_form(sig, k, sigma[t]))
             for t in range(q - 2 * lam, q, 2):
-                fac = fac.wedge(_big_omega_orth(sig, sigma[t], sigma[t + 1]))
+                fac = fac.wedge(_big_omega(sig, sigma[t], sigma[t + 1]))
             acc = acc + fac.scale(sgn)
         norm = Fraction(1, factorial(q))
         total = total + acc.scale(_c_orth(q, lam) * norm)
     return total
 
 
-def _perm_sign(perm) -> int:
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
-
-
 def build_km_explicit(sig: Signature) -> GKCochain:
     """Kudla-Millson cochain from the explicit C(q, lambda) expansion."""
-    if sig.family == UNITARY:
-        if sig.r != sig.s:
-            raise ValueError("the unitary Kudla-Millson form needs r = s")
-        factors = [_km_explicit_column(sig, k) for k in range(1, sig.r + 1)]
-        return GKCochain(wedge_all(factors), mixed_model(sig.r), sig)
-    factors = [_km_explicit_column_orth(sig, k) for k in range(1, sig.r + 1)]
-    return GKCochain(wedge_all(factors), mixed_model(sig.r), sig)
+    return _km_cochain(sig, _km_explicit_column if sig.family == UNITARY
+                       else _km_explicit_column_orth)
 
 
 def build_mixed(sig: Signature) -> GKCochain:
@@ -352,7 +312,7 @@ def build_mixed(sig: Signature) -> GKCochain:
     for k in range(1, sig.s + 1):
         blocks.append(_km_column(sig, k))
     for k in range(sig.s + 1, sig.r + 1):
-        blocks.append(_psi_factor(sig, k, conjugate=False, gen_kind=xibar))
+        blocks.append(_psi_factor(sig, k))
     return GKCochain(wedge_all(blocks), model, sig)
 
 
@@ -361,7 +321,7 @@ def build_mixed(sig: Signature) -> GKCochain:
 # ---------------------------------------------------------------------------
 
 def _pair_ops(sig: Signature, model: ModelTag):
-    """Calibrated operators omega(x+_{ij}) and omega(x-_{ij}) for the model.
+    """Operators omega(x+_{ij}) and omega(x-_{ij}) for the model.
 
     x+_{ij} is the abstract raising vector dual to xi_{ij} (acting by the
     column Laplacians on holomorphic factors); x-_{ij} is dual to xibar_{ij}
@@ -369,13 +329,12 @@ def _pair_ops(sig: Signature, model: ModelTag):
     to xi_{ij}, combines both parts."""
     if sig.q == 0 or sig.r == 0 or sig.p == 0:
         return {}, {}
-    cal = calibrate_structure(sig)
     plus_ops = {}
     minus_ops = {}
     for i in range(1, sig.p + 1):
         for j in range(1, sig.q + 1):
-            mult = upq_op_model(sig, model, "pplus", i, j, cal.c_plus, cal.c_minus)
-            lap = upq_op_model(sig, model, "pminus", i, j, cal.c_plus, cal.c_minus)
+            mult = upq_op_model(sig, model, "pplus", i, j)
+            lap = upq_op_model(sig, model, "pminus", i, j)
             if sig.family == ORTHOGONAL:
                 plus_ops[(i, j)] = mult + lap
             else:
@@ -386,10 +345,10 @@ def _pair_ops(sig: Signature, model: ModelTag):
 
 def gk_differential(c: GKCochain) -> GKCochain:
     """d = sum over the p-basis of (left wedge by the dual generator) after
-    (the calibrated module action on coefficients).  The bracket-contraction
-    term is absent: for a symmetric pair [p, p] lies in k, so its projection
-    to p vanishes identically; the Kostant curvature identity is certified in
-    the verification suites."""
+    (the module action on coefficients, built with C_PLUS and C_MINUS).  The
+    bracket-contraction term is absent: for a symmetric pair [p, p] lies in
+    k, so its projection to p vanishes identically; the Kostant curvature
+    identity is certified in the verification suites."""
     sig, model = c.sig, c.model
     plus_ops, minus_ops = _pair_ops(sig, model)
     out = Form.zero()
@@ -408,13 +367,19 @@ def gk_curvature(c: GKCochain) -> GKCochain:
     """The Kostant curvature sum xi_{ij} ^ xibar_{kl} (delta_jl k_gl_p(i,k)
     - delta_ik k_gl_q(l,j)) c, built from the k-blocks (an independent code
     path from d).  d(d(c)) equals this exactly; it vanishes on K-invariant
-    cochains.  Unitary models only."""
+    cochains.  Unitary models only.
+
+    The comparison is only meaningful if d's constants close the u(p,q)
+    brackets, so this certifies C_PLUS and C_MINUS for the signature first."""
     sig, model = c.sig, c.model
     if sig.family != UNITARY:
         raise ValueError("curvature comparison implemented for the unitary family")
-    if sig.q == 0 or sig.r == 0:
+    if sig.p == 0 or sig.q == 0 or sig.r == 0:
         return GKCochain(Form.zero(), model, sig)
     cal = calibrate_structure(sig)
+    if (cal.c_plus, cal.c_minus) != (C_PLUS, C_MINUS):
+        raise CalibrationError(
+            f"certified constants {cal.c_plus!r}, {cal.c_minus!r} differ from C_PLUS, C_MINUS")
     out = Form.zero()
     for i in range(1, sig.p + 1):
         for j in range(1, sig.q + 1):
@@ -422,9 +387,9 @@ def gk_curvature(c: GKCochain) -> GKCochain:
                 for l in range(1, sig.q + 1):
                     op = LinOp.zero()
                     if j == l:
-                        op = op + upq_op_model(sig, model, "k_gl_p", i, k, cal.c_plus, cal.c_minus)
+                        op = op + upq_op_model(sig, model, "k_gl_p", i, k)
                     if i == k:
-                        op = op - upq_op_model(sig, model, "k_gl_q", l, j, cal.c_plus, cal.c_minus)
+                        op = op - upq_op_model(sig, model, "k_gl_q", l, j)
                     if op.is_zero():
                         continue
                     g = c.form.apply_op(op)
@@ -495,10 +460,7 @@ def _coadjoint_rule(sig: Signature, kappa):
 def _k_module_op(sig: Signature, model: ModelTag, kappa) -> LinOp:
     block, a, b = kappa
     if sig.family == UNITARY:
-        cal = calibrate_structure(sig) if (sig.p and sig.q and sig.r) else None
-        cp = cal.c_plus if cal else Scalar.i_unit()
-        cm = cal.c_minus if cal else Scalar.i_unit()
-        return upq_op_model(sig, model, block, a, b, cp, cm)
+        return upq_op_model(sig, model, block, a, b)
     # orthogonal: antisymmetrized geometric action (no central twist)
     parts = []
     for col in range(1, sig.r + 1):
@@ -530,26 +492,24 @@ def k_invariance_residual(c: GKCochain) -> Form:
 def euler_chern_form(sig: Signature) -> Form:
     """c_q: unitary (1/q!) sum over sigma, sigbar of sgn Omega(...); the
     orthogonal form vanishes for odd q and pairs indices for even q."""
-    from math import factorial
     q = sig.q
     if sig.family == ORTHOGONAL:
         if q % 2:
             return Form.zero()
-        half = q // 2
         acc = Form.zero()
         for sigma in permutations(range(1, q + 1)):
             fac = Form.unit()
             for t in range(0, q, 2):
-                fac = fac.wedge(_big_omega_orth(sig, sigma[t], sigma[t + 1]))
-            acc = acc + fac.scale(_perm_sign(sigma))
-        return acc.scale(Fraction(1, factorial(half)))
+                fac = fac.wedge(_big_omega(sig, sigma[t], sigma[t + 1]))
+            acc = acc + fac.scale(perm_sign(sigma))
+        return acc.scale(Fraction(1, factorial(q // 2)))
     acc = Form.zero()
     for sigma in permutations(range(1, q + 1)):
         for sigbar in permutations(range(1, q + 1)):
             fac = Form.unit()
             for t in range(q):
                 fac = fac.wedge(_big_omega(sig, sigma[t], sigbar[t]))
-            acc = acc + fac.scale(_perm_sign(sigma) * _perm_sign(sigbar))
+            acc = acc + fac.scale(perm_sign(sigma) * perm_sign(sigbar))
     return acc.scale(Fraction(1, factorial(q)))
 
 

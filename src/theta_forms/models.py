@@ -17,17 +17,19 @@ Conventions fixed here and used everywhere downstream:
       k_gl_q(a,b) = (#holomorphic columns) delta_ab + sum_nu Y_{a,nu} d/dY_{b,nu}
       pplus(i,j)  = c_plus  * sum_nu X_{i,nu} Y_{j,nu}          (degree +2)
       pminus(i,j) = c_minus * sum_nu d^2/dX_{i,nu} dY_{j,nu}    (degree -2)
-  with (c_plus, c_minus) determined by calibrate_structure so that the
-  family closes onto gl(p+q) structure constants (this forces
-  c_plus * c_minus = -1; the symmetric representative c_plus = c_minus = i
-  is recorded).  Conjugate columns carry the complex-conjugate operators;
-  intertwined (Schrodinger) columns carry M_V = V - (1/2pi) d/dVbar in
-  place of multiplication by V and plain d/dV in place of d/dz.
+  with the fixed constants c_plus = c_minus = i (C_PLUS, C_MINUS).  The
+  brackets force c_plus * c_minus = -1 and leave the split between the two
+  free; i, i is the symmetric representative.  Every operator is built with
+  these constants.  calibrate_structure certifies them by checking every
+  gl(p+q) bracket; it runs only where identities are checked (the
+  `calibrate` command, the calibration suite and forms.gk_curvature), never
+  on the construction path.  Conjugate columns carry the complex-conjugate
+  operators; intertwined (Schrodinger) columns carry M_V = V - (1/2pi)
+  d/dVbar in place of multiplication by V and plain d/dV in place of d/dz.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -81,6 +83,8 @@ class ModelTag:
     def __post_init__(self):
         if self.which not in ("fock", "schrodinger", "mixed"):
             raise ValueError(f"unknown model {self.which!r}")
+        if self.split < 0:
+            raise ValueError("model split must be non-negative")
 
     def token(self) -> str:
         return f"{self.which}:{self.split}"
@@ -372,9 +376,8 @@ def upq_op_model(sig: Signature, model: ModelTag, block: str, a: int, b: int,
 
 
 def upq_op(sig: Signature, block: str, a: int, b: int) -> LinOp:
-    """Calibrated operator in the pure Fock model on P(M_{p x r} + M_{q x r})."""
-    cal = calibrate_structure(sig)
-    return upq_op_model(sig, FOCK, block, a, b, cal.c_plus, cal.c_minus)
+    """The operator in the pure Fock model on P(M_{p x r} + M_{q x r})."""
+    return upq_op_model(sig, FOCK, block, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -400,8 +403,8 @@ class CalibrationReport:
         return out
 
 
+# gk_curvature certifies the same (p, q, r) once per cochain it checks.
 _CAL_CACHE: dict[tuple[int, int, int], CalibrationReport] = {}
-_CAL_LOCK = threading.Lock()
 
 
 def _abstract_image(sig: Signature, a: int, b: int, c_plus, c_minus) -> LinOp:
@@ -427,9 +430,8 @@ def calibrate_structure(sig: Signature) -> CalibrationReport:
     symmetric representative c_plus = c_minus = i is recorded.  Results are
     cached per (p, q, r)."""
     key = (sig.p, sig.q, sig.r)
-    with _CAL_LOCK:
-        if key in _CAL_CACHE:
-            return _CAL_CACHE[key]
+    if key in _CAL_CACHE:
+        return _CAL_CACHE[key]
     if sig.p < 1 or sig.q < 1 or sig.r < 1:
         raise ValueError("calibration needs p, q, r >= 1")
 
@@ -475,6 +477,5 @@ def calibrate_structure(sig: Signature) -> CalibrationReport:
     verified.append(f"all {checked} elementary brackets of gl({n}) close exactly")
     report = CalibrationReport(sig=sig, c_plus=c_plus, c_minus=c_minus,
                                verified=tuple(verified))
-    with _CAL_LOCK:
-        _CAL_CACHE.setdefault(key, report)
-        return _CAL_CACHE[key]
+    _CAL_CACHE[key] = report
+    return report

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
+from .exterior import perm_sign
 from .models import Signature
 from .operators import LinOp, op_sum
 from .poly import Polynomial, X, Y
@@ -146,12 +147,7 @@ def _det(entries: list[list[Polynomial]]) -> Polynomial:
     n = len(entries)
     out = Polynomial.zero()
     for perm in permutations(range(n)):
-        sign = 1
-        for i in range(n):
-            for j in range(i + 1, n):
-                if perm[i] > perm[j]:
-                    sign = -sign
-        term = Polynomial.constant(sign)
+        term = Polynomial.constant(perm_sign(perm))
         for i in range(n):
             term = term * entries[i][perm[i]]
         out = out + term

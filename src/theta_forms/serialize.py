@@ -53,27 +53,45 @@ def cochain_to_json(c: GKCochain) -> str:
     return json.dumps(cochain_to_dict(c), indent=2, sort_keys=True) + "\n"
 
 
+def _int(x) -> int:
+    if type(x) is not int:
+        raise ValueError(f"expected an integer, got {x!r}")
+    return x
+
+
+def _rational(x) -> Fraction:
+    # a JSON float would import as its inexact binary expansion
+    if type(x) is not str:
+        raise ValueError(f"expected a rational as a string, got {x!r}")
+    return Fraction(x)
+
+
 def _poly_from_entries(entries) -> Polynomial:
     total = Polynomial.zero()
     for ent in entries:
         coeff = ent["coeff"]
-        c = Scalar.of(Fraction(coeff["re"]), Fraction(coeff["im"]),
-                      int(coeff["piExp"]))
-        mono: Monomial = monomial([(VariableId.from_token(tok), int(e))
+        c = Scalar.of(_rational(coeff["re"]), _rational(coeff["im"]),
+                      _int(coeff["piExp"]))
+        mono: Monomial = monomial([(VariableId.from_token(tok), _int(e))
                                    for tok, e in ent["mono"]])
         total = total + Polynomial({mono: c})
     return total
 
 
 def cochain_from_dict(data: dict) -> GKCochain:
-    sd = data["signature"]
-    sig = Signature(sd["p"], sd["q"], sd["r"], sd["s"], sd["family"])
-    model = ModelTag.from_token(data["model"])
+    """Import a cochain, putting each wedge in canonical order with its sign.
+    Any malformed shape or value raises ValueError."""
+    try:
+        sd = data["signature"]
+        sig = Signature(*(_int(sd[k]) for k in "pqrs"), sd["family"])
+        model = ModelTag.from_token(data["model"])
+        terms = [(wedge_monomial(WedgeGen.from_token(tok) for tok in term["wedge"]),
+                  _poly_from_entries(term["poly"])) for term in data["terms"]]
+    except (TypeError, AttributeError, KeyError, IndexError) as exc:
+        raise ValueError(f"malformed cochain JSON: {exc!r}") from exc
     form = Form.zero()
-    for term in data["terms"]:
-        poly = _poly_from_entries(term["poly"])
+    for (sign, w), poly in terms:
         # canonical generator order with its sign; a repeated generator gives 0
-        sign, w = wedge_monomial(WedgeGen.from_token(tok) for tok in term["wedge"])
         if sign:
             form = form + Form({w: poly if sign > 0 else -poly})
     return GKCochain(form, model, sig)

@@ -299,76 +299,6 @@ class BetaMatrix:
                 if re1 != re2 or im1 != -im2:
                     raise ValueError("beta matrix must be hermitian")
 
-    def rank(self) -> int:
-        """Exact rank over Q(i) by fraction Gaussian elimination."""
-        rows = []
-        for row in self.entries:
-            c = {}
-            for j, (re, im) in enumerate(row):
-                if re or im:
-                    c[j] = (re, im)
-            rows.append(c)
-        rank = 0
-        while rows:
-            row = rows.pop(0)
-            if not row:
-                continue
-            key = min(row)
-            piv = row[key]
-            rank += 1
-            rows = [_elim(r, row, key, piv) for r in rows]
-            rows = [r for r in rows if r]
-        return rank
-
-    def is_positive_semidefinite(self) -> bool:
-        """Exact check on the real part for real beta; leading principal
-        minors all >= 0 with a symmetric PSD completion test."""
-        n = self.dim
-        a = [[Fraction(self.entries[i][j][0]) for j in range(n)] for i in range(n)]
-        if any(self.entries[i][j][1] != 0 for i in range(n) for j in range(n)):
-            raise NotImplementedError("psd check implemented for real beta")
-        # exact LDL with pivoting-free PSD tolerance: all pivots >= 0
-        for i in range(n):
-            if a[i][i] < 0:
-                return False
-            if a[i][i] == 0:
-                if any(a[i][j] != 0 for j in range(i + 1, n)):
-                    return False
-                continue
-            for j in range(i + 1, n):
-                f = a[i][j] / a[i][i]
-                for k in range(j, n):
-                    a[j][k] -= f * a[i][k]
-                    a[k][j] = a[j][k]
-        return True
-
-
-def _cdiv(a, b):
-    (ar, ai), (br, bi) = a, b
-    n = br * br + bi * bi
-    return ((ar * br + ai * bi) / n, (ai * br - ar * bi) / n)
-
-
-def _cmul(a, b):
-    (ar, ai), (br, bi) = a, b
-    return (ar * br - ai * bi, ar * bi + ai * br)
-
-
-def _elim(r, pivot_row, key, piv):
-    if key not in r:
-        return r
-    f = _cdiv(r[key], piv)
-    out = dict(r)
-    for k, v in pivot_row.items():
-        fr, fi = _cmul(f, v)
-        cr, ci = out.get(k, (Fraction(0), Fraction(0)))
-        cr, ci = cr - fr, ci - fi
-        if cr or ci:
-            out[k] = (cr, ci)
-        elif k in out:
-            del out[k]
-    return out
-
 
 @dataclass(frozen=True)
 class WhittakerPoint:
@@ -530,8 +460,8 @@ def eisenstein_check(n_max: int, L: GramMatrix | None = None) -> EisensteinRepor
     """One-class genus instance of Siegel-Weil: the theta coefficients of the
     lattice (E8 by default) against the Eisenstein side 240 sigma_3(n).
     Both sides exact integers; a non-E8 lattice reports its mismatches."""
-    if n_max > 20:
-        raise ValueError("desk-scale check: n_max <= 20")
+    if not 1 <= n_max <= 20:
+        raise ValueError("desk-scale check: 1 <= n_max <= 20")
     counts = rep_numbers(L if L is not None else e8_gram(), n_max)
     rows = tuple((n, counts[n], 240 * sigma3(n)) for n in range(1, n_max + 1))
     return EisensteinReport(rows)

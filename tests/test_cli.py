@@ -4,9 +4,9 @@ import pytest
 
 from theta_forms import cli
 from theta_forms.cli import main
-from theta_forms.forms import FactorizationError
-from theta_forms.models import CalibrationError
-from theta_forms.serialize import cochain_from_json, gram_to_json
+from theta_forms.forms import FactorizationError, build_psi_q
+from theta_forms.models import CalibrationError, Signature
+from theta_forms.serialize import cochain_from_json, cochain_to_dict, gram_to_json
 from theta_forms.theta import e8_gram
 
 
@@ -54,6 +54,16 @@ def test_theta_eisenstein(tmp_path, capsys):
     assert "240" in out and "6720" in out
 
 
+def test_theta_eisenstein_rejects_nmax_zero(tmp_path, capsys):
+    gram = tmp_path / "e8.json"
+    gram.write_text(gram_to_json(e8_gram()))
+    rc = main(["theta", "--gram", str(gram), "--nmax", "0", "--check", "eisenstein"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "error" in json.loads(captured.err)
+
+
 def test_theta_table(tmp_path):
     gram = tmp_path / "a1.json"
     gram.write_text(json.dumps({"dim": 1, "gram": [["2"]]}))
@@ -71,6 +81,31 @@ def test_export_latex(tmp_path, capsys):
     rc = main(["export", "--in", str(form), "--format", "latex"])
     assert rc == 0
     assert "\\overline{\\xi}_{1,1}" in capsys.readouterr().out
+
+
+def _psi_q_dict():
+    return cochain_to_dict(build_psi_q(Signature(1, 1, 1, 0)))
+
+
+@pytest.mark.parametrize("data", [
+    {**_psi_q_dict(), "model": 5},
+    {**_psi_q_dict(), "signature": 5},
+    {**_psi_q_dict(), "terms": 5},
+    [_psi_q_dict()],
+    {**_psi_q_dict(), "model": "fock:-3"},
+    {**_psi_q_dict(), "signature": {**_psi_q_dict()["signature"], "p": 1.5}},
+    {**_psi_q_dict(), "terms": [{"wedge": ["xibar:1:1"],
+                                 "poly": [{"coeff": {"re": 0.1, "im": "0", "piExp": 0},
+                                           "mono": [["X:1:1", 1]]}]}]},
+], ids=["model-int", "signature-int", "terms-int", "top-level-list", "negative-split",
+        "fractional-entry", "float-coefficient"])
+def test_export_rejects_malformed_cochain(tmp_path, capsys, data):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert main(["export", "--in", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "error" in json.loads(captured.err)
 
 
 def test_calibrate_prints_report(capsys):

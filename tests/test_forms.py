@@ -11,7 +11,9 @@ from theta_forms.forms import (FactorizationError, GKCochain, SplitSpec,
                                forms_proportional, gk_curvature,
                                gk_differential, k_invariance_residual,
                                restrict_form, strongly_primitive_monomial)
-from theta_forms.models import ORTHOGONAL, Signature, fock_model
+from theta_forms import forms, models
+from theta_forms.models import (ORTHOGONAL, CalibrationError, CalibrationReport,
+                                Signature, fock_model)
 from theta_forms.poly import Polynomial, X, Xbar, Y
 from theta_forms.scalars import Scalar
 
@@ -147,6 +149,24 @@ def test_dd_equals_curvature():
     dd = gk_differential(gk_differential(c))
     assert dd.form == gk_curvature(c).form
     assert not dd.form.is_zero()  # the curvature obstruction is real
+
+
+def test_construction_path_needs_no_calibration(monkeypatch):
+    def refuse(sig):
+        raise AssertionError("calibrate_structure on the construction path")
+    monkeypatch.setattr(forms, "calibrate_structure", refuse)
+    monkeypatch.setattr(models, "calibrate_structure", refuse)
+    c = build_psi_cup(Signature(2, 2, 2, 0))
+    assert gk_differential(c).is_zero()
+    assert k_invariance_residual(c).is_zero()
+
+
+def test_curvature_refuses_uncertified_constants(monkeypatch):
+    sig = Signature(2, 1, 1, 0)
+    other = CalibrationReport(sig, Scalar.of(0, 2), Scalar.of(0, Fraction(1, 2)))
+    monkeypatch.setattr(forms, "calibrate_structure", lambda s: other)
+    with pytest.raises(CalibrationError):
+        gk_curvature(build_psi_cup(sig))
 
 
 def test_dd_zero_on_invariant_forms():

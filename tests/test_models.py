@@ -3,8 +3,9 @@ from itertools import product
 
 import pytest
 
-from theta_forms.models import (FOCK, SCHRODINGER, SchrodingerElement,
-                                Signature, calibrate_structure, fock_model,
+from theta_forms.models import (C_MINUS, C_PLUS, FOCK, SCHRODINGER, ModelTag,
+                                SchrodingerElement, Signature,
+                                calibrate_structure, fock_model,
                                 heisenberg_op, inner_product_rel, intertwine,
                                 ladder_op, sp_op, upq_op, upq_op_model)
 from theta_forms.poly import Polynomial, X, Y, Zvar
@@ -136,6 +137,28 @@ def test_calibration_closes_and_is_cached():
     rep2 = calibrate_structure(Signature(2, 1, 1, 0))
     assert rep1 is rep2
     assert rep1.c_plus * rep1.c_minus == Scalar.of(-1)
+
+
+def test_build_constants_are_the_certified_ones():
+    # the calibration suite's grid: 1 <= q <= p <= 2, 1 <= r <= 2
+    for p, q, r in product((1, 2), (1, 2), (1, 2)):
+        if q <= p:
+            cal = calibrate_structure(Signature(p, q, r, 0))
+            assert (cal.c_plus, cal.c_minus) == (C_PLUS, C_MINUS)
+
+
+@pytest.mark.parametrize("r", [0, 1, 2])
+def test_upq_op_is_the_fock_model_operator(r):
+    sig = Signature(2, 1, r, 0)
+    for block, a, b in [("k_gl_p", 1, 2), ("k_gl_q", 1, 1), ("pplus", 2, 1), ("pminus", 1, 1)]:
+        assert upq_op(sig, block, a, b) == upq_op_model(sig, FOCK, block, a, b)
+
+
+def test_model_tag_rejects_negative_split():
+    with pytest.raises(ValueError):
+        ModelTag("fock", -3)
+    with pytest.raises(ValueError):
+        ModelTag.from_token("mixed:-1")
 
 
 def test_calibration_scale_consistency():

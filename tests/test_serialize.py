@@ -1,9 +1,14 @@
 import json
 
-from theta_forms.exterior import Form, WedgeGen
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from theta_forms.exterior import Form, WedgeGen, perm_sign, wedge_monomial, xi, xibar
 from theta_forms.forms import (GKCochain, build_km_nabla, build_mixed,
                                build_psi_cup, build_psi_q)
-from theta_forms.models import Signature, fock_model
+from theta_forms.models import ORTHOGONAL, UNITARY, Signature, fock_model, mixed_model
+from theta_forms.poly import Polynomial, VariableId, monomial
+from theta_forms.scalars import Scalar
 from theta_forms.serialize import (cochain_from_dict, cochain_from_json, cochain_to_json,
                                    cochain_to_latex, gram_from_json,
                                    gram_to_json)
@@ -81,3 +86,47 @@ def test_import_drops_repeated_generator():
     data["terms"][0]["wedge"] = [data["terms"][0]["wedge"][0]] * 2
     back = cochain_from_dict(data)
     assert back.form == Form({k: p for k, p in c.form.terms.items() if k != w})
+
+
+@st.composite
+def cochains(draw):
+    """Random cochains: wedges over xi/xibar, Gaussian-rational coefficients
+    with several powers of pi, monomials in the four matrix variable kinds."""
+    family = draw(st.sampled_from((UNITARY, ORTHOGONAL)))
+    p, q, r = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    s = 0 if family == ORTHOGONAL else draw(st.integers(0, 2))
+    sig = Signature(p, q, r, s, family)
+    model = draw(st.sampled_from((fock_model(min(r, s)), mixed_model(s))))
+    gens = [g(i, j) for g in (xi, xibar) for i in range(1, p + 1) for j in range(1, q + 1)]
+    variables = [VariableId(kind, i, c) for kind in ("X", "Xbar", "Y", "Ybar")
+                 for i in range(1, 3) for c in range(1, 3)]
+    rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    form = Form.zero()
+    for _ in range(draw(st.integers(0, 4))):
+        sign, w = wedge_monomial(draw(st.lists(st.sampled_from(gens), max_size=4, unique=True)))
+        poly = Polynomial.zero()
+        for _ in range(draw(st.integers(1, 3))):
+            mono = monomial(draw(st.lists(st.tuples(st.sampled_from(variables),
+                                                    st.integers(1, 2)), max_size=3)))
+            coeff = Scalar.zero()
+            for k in draw(st.lists(st.integers(-2, 2), min_size=1, max_size=2, unique=True)):
+                coeff = coeff + Scalar.of(draw(rationals), draw(rationals), k)
+            poly = poly + Polynomial({mono: coeff})
+        form = form + Form({w: poly.scale(sign)})
+    return GKCochain(form, model, sig)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cochains(), st.data())
+def test_round_trip_with_shuffled_wedges(c, data):
+    assert cochain_from_json(cochain_to_json(c)) == c
+    doc = json.loads(cochain_to_json(c))
+    expected = Form.zero()
+    for term in doc["terms"]:
+        w = tuple(WedgeGen.from_token(t) for t in term["wedge"])
+        perm = data.draw(st.permutations(range(len(w))))
+        term["wedge"] = [term["wedge"][i] for i in perm]
+        expected = expected + Form({w: c.form.terms[w].scale(perm_sign(perm))})
+    back = cochain_from_dict(doc)
+    assert back.form == expected
+    assert (back.sig, back.model) == (c.sig, c.model)

@@ -170,10 +170,6 @@ def test_fourier_assemble_mixed_weight_types():
 
 
 def test_beta_matrix():
-    B = BetaMatrix.from_real([[1, 1], [1, 1]])
-    assert B.rank() == 1
-    assert B.is_positive_semidefinite()
-    assert not BetaMatrix.from_real([[1, 2], [2, 1]]).is_positive_semidefinite()
     with pytest.raises(ValueError):
         BetaMatrix(((
             (Fraction(1), Fraction(0)), (Fraction(1), Fraction(1))),
