@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .poly import Polynomial
+from .poly import Polynomial, _Sum
 from .scalars import Scalar
 
 _GEN_KIND_RANK = {"xi": 0, "xibar": 1}
@@ -174,17 +174,13 @@ class Form:
     # -- exterior product ----------------------------------------------------
 
     def wedge(self, other: "Form") -> "Form":
-        out: dict[WedgeMonomial, Polynomial] = {}
+        out = _Sum()
         for w1, p1 in self.terms.items():
             for w2, p2 in other.terms.items():
                 sign, w = merge_monomials(w1, w2)
-                if sign == 0:
-                    continue
-                p = p1 * p2
-                if sign < 0:
-                    p = -p
-                out[w] = out.get(w, Polynomial.zero()) + p
-        return Form(out)
+                if sign:
+                    out.add(w, p1 * p2 if sign > 0 else -(p1 * p2))
+        return Form(out.polys())
 
     # -- queries -------------------------------------------------------------
 
@@ -211,12 +207,7 @@ class Form:
     # -- coefficient-wise transforms ------------------------------------------
 
     def map_coefficients(self, fn) -> "Form":
-        out: dict[WedgeMonomial, Polynomial] = {}
-        for w, p in self.terms.items():
-            q = fn(p)
-            if not q.is_zero():
-                out[w] = out.get(w, Polynomial.zero()) + q
-        return Form(out)
+        return Form({w: fn(p) for w, p in self.terms.items()})
 
     def apply_op(self, op) -> "Form":
         return self.map_coefficients(op.apply)
@@ -226,27 +217,25 @@ class Form:
 
         rule(g) returns a list of (Scalar, WedgeGen) pairs.
         """
-        out = Form.zero()
+        out = _Sum()
         for w, p in self.terms.items():
             for t, g in enumerate(w):
                 for c, g2 in rule(g):
                     sign, ww = wedge_monomial(w[:t] + (g2,) + w[t + 1:])
-                    if sign == 0:
-                        continue
-                    q = p.scale(c if sign > 0 else -c)
-                    out = out + Form({ww: q})
-        return out
+                    if sign:
+                        out.add(ww, p, c if sign > 0 else -c)
+        return Form(out.polys())
 
     def conjugate(self) -> "Form":
         """Swap xi<->xibar and conjugate coefficients; signs recomputed."""
-        out = Form.zero()
+        out = {}
         for w, p in self.terms.items():
+            # conjugation permutes the wedge monomials, so no two terms meet
             sign, ww = wedge_monomial([g.conjugate() for g in w])
-            if sign == 0:
-                continue
-            q = p.conjugate()
-            out = out + Form({ww: q if sign > 0 else -q})
-        return out
+            if sign:
+                q = p.conjugate()
+                out[ww] = q if sign > 0 else -q
+        return Form(out)
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda t: tuple(g.sort_key() for g in t[0]))

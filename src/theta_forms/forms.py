@@ -15,16 +15,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import factorial
 
-from .exterior import (Form, WedgeGen, perm_sign, wedge_all, wedge_monomial,
+from .exterior import (Form, WedgeGen, merge_monomials, perm_sign, wedge_all,
                        xi, xibar)
 from .models import (C_MINUS, C_PLUS, CalibrationError, ModelTag, ORTHOGONAL,
                      Signature, UNITARY, _m_op, calibrate_structure,
                      fock_model, mixed_model, upq_op_model)
 from .operators import LinOp, op_sum
-from .poly import Polynomial, VariableId, X, Xbar, Y
+from .poly import Polynomial, VariableId, X, Xbar, Y, _Sum
 from .scalars import Scalar
 
 
@@ -70,19 +70,17 @@ def _gen_kind(sig: Signature, conjugate: bool = False):
 def _psi_factor(sig: Signature, column: int, conjugate: bool = False) -> Form:
     """sum over (i_1..i_q) of X_{i_1,col} ... X_{i_q,col}
     gen_{i_1,1} ^ ... ^ gen_{i_q,q}; conjugate swaps variables to Xbar."""
-    p, q = sig.p, sig.q
-    out = Form.zero()
+    out = {}
     var = Xbar if conjugate else X
     gen = _gen_kind(sig, conjugate)
-    for idx in product(range(1, p + 1), repeat=q):
+    for idx in product(range(1, sig.p + 1), repeat=sig.q):
         coeff = Polynomial.one()
         for i in idx:
             coeff = coeff * Polynomial.variable(var(i, column))
-        sign, w = wedge_monomial([gen(i, j) for j, i in enumerate(idx, start=1)])
-        if sign == 0:
-            continue
-        out = out + Form({w: coeff if sign > 0 else -coeff})
-    return out
+        # generators gen(i_j, j) have distinct increasing columns j, so the
+        # wedge is already canonical and no two idx share it
+        out[tuple(gen(i, j) for j, i in enumerate(idx, start=1))] = coeff
+    return Form(out)
 
 
 def build_psi_q(sig: Signature, column: int = 1) -> GKCochain:
@@ -162,11 +160,13 @@ def build_psi_orth(sig: Signature) -> GKCochain:
 # ---------------------------------------------------------------------------
 
 _QUARTER_PI_INV = Scalar.of(Fraction(1, 4), 0, -1)  # 1 / (4 pi)
+_ONE = Scalar.one()
 
 
-def _nabla(sig: Signature, k: int, j: int, conjugate: bool = False) -> list[tuple[WedgeGen, LinOp]]:
-    """The form-valued operator nabla_{k,j}: wedge gen on the left, creation
-    operator on the coefficients.  Unitary: M_X = X - (1/2pi) d/dXbar (or its
+def _nabla(sig: Signature, k: int, j: int, conjugate: bool = False) -> list[tuple[tuple, LinOp]]:
+    """The form-valued operator nabla_{k,j}, as (lead, op) pairs for
+    _form_op_sum: wedge gen on the left, creation operator on the
+    coefficients.  Unitary: M_X = X - (1/2pi) d/dXbar (or its
     conjugate); orthogonal: real variables, X - (1/4pi) d/dX."""
     gen = _gen_kind(sig, conjugate)
     var = Xbar if conjugate else X
@@ -177,17 +177,36 @@ def _nabla(sig: Signature, k: int, j: int, conjugate: bool = False) -> list[tupl
             op = LinOp.mul_by(Polynomial.variable(v)) - LinOp.partial(v).scale(_QUARTER_PI_INV)
         else:
             op = _m_op(v)
-        out.append((gen(l, j), op))
+        out.append(((gen(l, j),), op))
     return out
 
 
-def _apply_form_op(pairs: list[tuple[WedgeGen, LinOp]], f: Form) -> Form:
-    out = Form.zero()
-    for gen, op in pairs:
-        g = f.apply_op(op)
-        if not g.is_zero():
-            out = out + Form.generator(gen).wedge(g)
-    return out
+def _form_op_sum(pairs, f: Form) -> Form:
+    """sum over (lead, op) pairs of lead ^ op(f): lead is a canonical wedge
+    monomial (possibly empty), op a LinOp acting on the coefficients.
+
+    Every term goes into one in-place _Sum, with its sign from
+    merge_monomials(lead, w).  Each distinct operator is applied (through
+    LinOp.apply) once per coefficient monomial, and that image serves every
+    lead and wedge term the monomial occurs with; the images of one operator
+    are dropped before the next one starts."""
+    leads: dict = {}   # operator -> its leads, in first-seen order
+    for lead, op in pairs:
+        leads.setdefault(op, []).append(lead)
+    out = _Sum()
+    for op, op_leads in leads.items():
+        images: dict = {}   # monomial -> op(monomial)
+        for lead in op_leads:
+            for w, p in f.terms.items():
+                sign, ww = merge_monomials(lead, w)
+                if not sign:
+                    continue
+                for m, c in p.terms.items():
+                    img = images.get(m)
+                    if img is None:
+                        img = images[m] = op.apply(Polynomial({m: _ONE}))
+                    out.add(ww, img, c if sign > 0 else -c)
+    return Form(out.polys())
 
 
 def _km_column(sig: Signature, k: int) -> Form:
@@ -196,8 +215,8 @@ def _km_column(sig: Signature, k: int) -> Form:
     f = Form.unit()
     for j in range(sig.q, 0, -1):
         if sig.family == UNITARY:
-            f = _apply_form_op(_nabla(sig, k, j, conjugate=True), f)
-        f = _apply_form_op(_nabla(sig, k, j), f)
+            f = _form_op_sum(_nabla(sig, k, j, conjugate=True), f)
+        f = _form_op_sum(_nabla(sig, k, j), f)
     return f
 
 
@@ -223,20 +242,20 @@ def _omega_form(sig: Signature, k: int, j: int, conjugate: bool = False) -> Form
     orthogonal)."""
     gen = _gen_kind(sig, conjugate)
     var = Xbar if conjugate else X
-    out = Form.zero()
-    for l in range(1, sig.p + 1):
-        out = out + Form.generator(gen(l, j), Polynomial.variable(var(l, k)))
-    return out
+    return Form({(gen(l, j),): Polynomial.variable(var(l, k))
+                 for l in range(1, sig.p + 1)})
 
 
 def _big_omega(sig: Signature, i: int, j: int) -> Form:
     """Omega(i,j) = sum_l xibar_{l,i} ^ xi_{l,j} (xi_{l,i} ^ xi_{l,j} when
     orthogonal)."""
     gen = _gen_kind(sig)
-    out = Form.zero()
-    for l in range(1, sig.p + 1):
-        out = out + Form.generator(gen(l, i)).wedge(Form.generator(xi(l, j)))
-    return out
+    out = {}
+    for l in range(1, sig.p + 1):   # distinct rows l give distinct wedges
+        sign, w = merge_monomials((gen(l, i),), (xi(l, j),))
+        if sign:
+            out[w] = Polynomial.constant(sign)
+    return Form(out)
 
 
 def _c_unitary(q: int, lam: int) -> Scalar:
@@ -256,40 +275,34 @@ def _c_orth(q: int, lam: int) -> Scalar:
 def _km_explicit_column(sig: Signature, k: int) -> Form:
     """Antisymmetrized lambda-sum for one unitary column."""
     q = sig.q
-    total = Form.zero()
+    total = _Sum()
     for lam in range(q + 1):
-        acc = Form.zero()
+        weight = _c_unitary(q, lam) * Fraction(1, factorial(q) ** 2)
         for sigma in permutations(range(1, q + 1)):
             for sigbar in permutations(range(1, q + 1)):
-                sgn = perm_sign(sigma) * perm_sign(sigbar)
                 fac = Form.unit()
                 for t in range(q - lam):
                     fac = fac.wedge(_omega_form(sig, k, sigma[t]))
                     fac = fac.wedge(_omega_form(sig, k, sigbar[t], conjugate=True))
                 for t in range(q - lam, q):
                     fac = fac.wedge(_big_omega(sig, sigma[t], sigbar[t]))
-                acc = acc + fac.scale(sgn)
-        norm = Fraction(1, factorial(q) ** 2)
-        total = total + acc.scale(_c_unitary(q, lam) * norm)
-    return total
+                total.add_all(fac.terms, weight * (perm_sign(sigma) * perm_sign(sigbar)))
+    return Form(total.polys())
 
 
 def _km_explicit_column_orth(sig: Signature, k: int) -> Form:
     q = sig.q
-    total = Form.zero()
+    total = _Sum()
     for lam in range(q // 2 + 1):
-        acc = Form.zero()
+        weight = _c_orth(q, lam) * Fraction(1, factorial(q))
         for sigma in permutations(range(1, q + 1)):
-            sgn = perm_sign(sigma)
             fac = Form.unit()
             for t in range(q - 2 * lam):
                 fac = fac.wedge(_omega_form(sig, k, sigma[t]))
             for t in range(q - 2 * lam, q, 2):
                 fac = fac.wedge(_big_omega(sig, sigma[t], sigma[t + 1]))
-            acc = acc + fac.scale(sgn)
-        norm = Fraction(1, factorial(q))
-        total = total + acc.scale(_c_orth(q, lam) * norm)
-    return total
+            total.add_all(fac.terms, weight * perm_sign(sigma))
+    return Form(total.polys())
 
 
 def build_km_explicit(sig: Signature) -> GKCochain:
@@ -320,27 +333,26 @@ def build_mixed(sig: Signature) -> GKCochain:
 # The relative Lie algebra differential
 # ---------------------------------------------------------------------------
 
-def _pair_ops(sig: Signature, model: ModelTag):
-    """Operators omega(x+_{ij}) and omega(x-_{ij}) for the model.
+def _pair_ops(sig: Signature, model: ModelTag) -> list[tuple[tuple, LinOp]]:
+    """(dual generator, omega(x)) pairs over the p-basis for the model.
 
     x+_{ij} is the abstract raising vector dual to xi_{ij} (acting by the
     column Laplacians on holomorphic factors); x-_{ij} is dual to xibar_{ij}
     (acting by multiplication).  Orthogonal family: the single p-block, dual
     to xi_{ij}, combines both parts."""
     if sig.q == 0 or sig.r == 0 or sig.p == 0:
-        return {}, {}
-    plus_ops = {}
-    minus_ops = {}
+        return []
+    plus, minus = [], []
     for i in range(1, sig.p + 1):
         for j in range(1, sig.q + 1):
             mult = upq_op_model(sig, model, "pplus", i, j)
             lap = upq_op_model(sig, model, "pminus", i, j)
             if sig.family == ORTHOGONAL:
-                plus_ops[(i, j)] = mult + lap
+                plus.append(((xi(i, j),), mult + lap))
             else:
-                plus_ops[(i, j)] = lap
-                minus_ops[(i, j)] = mult
-    return plus_ops, minus_ops
+                plus.append(((xi(i, j),), lap))
+                minus.append(((xibar(i, j),), mult))
+    return plus + minus
 
 
 def gk_differential(c: GKCochain) -> GKCochain:
@@ -348,26 +360,20 @@ def gk_differential(c: GKCochain) -> GKCochain:
     (the module action on coefficients, built with C_PLUS and C_MINUS).  The
     bracket-contraction term is absent: for a symmetric pair [p, p] lies in
     k, so its projection to p vanishes identically; the Kostant curvature
-    identity is certified in the verification suites."""
-    sig, model = c.sig, c.model
-    plus_ops, minus_ops = _pair_ops(sig, model)
-    out = Form.zero()
-    for (i, j), op in plus_ops.items():
-        g = c.form.apply_op(op)
-        if not g.is_zero():
-            out = out + Form.generator(xi(i, j)).wedge(g)
-    for (i, j), op in minus_ops.items():
-        g = c.form.apply_op(op)
-        if not g.is_zero():
-            out = out + Form.generator(xibar(i, j)).wedge(g)
-    return GKCochain(out, model, sig)
+    identity is certified in the verification suites.
+
+    d, gk_curvature and the operator half of k_invariance_residual share one
+    kernel, _form_op_sum, which applies each operator once per coefficient
+    monomial and accumulates the sum in place."""
+    return GKCochain(_form_op_sum(_pair_ops(c.sig, c.model), c.form), c.model, c.sig)
 
 
 def gk_curvature(c: GKCochain) -> GKCochain:
     """The Kostant curvature sum xi_{ij} ^ xibar_{kl} (delta_jl k_gl_p(i,k)
     - delta_ik k_gl_q(l,j)) c, built from the k-blocks (an independent code
     path from d).  d(d(c)) equals this exactly; it vanishes on K-invariant
-    cochains.  Unitary models only.
+    cochains.  Unitary models only.  The sum runs through d's kernel,
+    _form_op_sum, with the two-generator leads xi_{ij} ^ xibar_{kl}.
 
     The comparison is only meaningful if d's constants close the u(p,q)
     brackets, so this certifies C_PLUS and C_MINUS for the signature first."""
@@ -380,24 +386,19 @@ def gk_curvature(c: GKCochain) -> GKCochain:
     if (cal.c_plus, cal.c_minus) != (C_PLUS, C_MINUS):
         raise CalibrationError(
             f"certified constants {cal.c_plus!r}, {cal.c_minus!r} differ from C_PLUS, C_MINUS")
-    out = Form.zero()
-    for i in range(1, sig.p + 1):
-        for j in range(1, sig.q + 1):
-            for k in range(1, sig.p + 1):
-                for l in range(1, sig.q + 1):
-                    op = LinOp.zero()
-                    if j == l:
-                        op = op + upq_op_model(sig, model, "k_gl_p", i, k)
-                    if i == k:
-                        op = op - upq_op_model(sig, model, "k_gl_q", l, j)
-                    if op.is_zero():
-                        continue
-                    g = c.form.apply_op(op)
-                    if g.is_zero():
-                        continue
-                    lead = Form.generator(xi(i, j)).wedge(Form.generator(xibar(k, l)))
-                    out = out + lead.wedge(g)
-    return GKCochain(out, model, sig)
+    rp, rq = range(1, sig.p + 1), range(1, sig.q + 1)
+    gl_p = {(i, k): upq_op_model(sig, model, "k_gl_p", i, k) for i, k in product(rp, repeat=2)}
+    gl_q = {(l, j): upq_op_model(sig, model, "k_gl_q", l, j) for l, j in product(rq, repeat=2)}
+    pairs = []
+    for i, j, k, l in product(rp, rq, rp, rq):
+        op = LinOp.zero()
+        if j == l:
+            op = op + gl_p[(i, k)]
+        if i == k:
+            op = op - gl_q[(l, j)]
+        if not op.is_zero():
+            pairs.append(((xi(i, j), xibar(k, l)), op))
+    return GKCochain(_form_op_sum(pairs, c.form), model, sig)
 
 
 # ---------------------------------------------------------------------------
@@ -407,22 +408,12 @@ def gk_curvature(c: GKCochain) -> GKCochain:
 def _k_basis(sig: Signature):
     """Basis of the complexified k with labels, unitary: all elementary
     gl(p) and gl(q) matrices; orthogonal: antisymmetric pairs."""
-    out = []
+    rp, rq = range(1, sig.p + 1), range(1, sig.q + 1)
     if sig.family == UNITARY:
-        for a in range(1, sig.p + 1):
-            for b in range(1, sig.p + 1):
-                out.append(("k_gl_p", a, b))
-        for a in range(1, sig.q + 1):
-            for b in range(1, sig.q + 1):
-                out.append(("k_gl_q", a, b))
-    else:
-        for a in range(1, sig.p + 1):
-            for b in range(a + 1, sig.p + 1):
-                out.append(("so_p", a, b))
-        for a in range(1, sig.q + 1):
-            for b in range(a + 1, sig.q + 1):
-                out.append(("so_q", a, b))
-    return out
+        return ([("k_gl_p", a, b) for a, b in product(rp, repeat=2)]
+                + [("k_gl_q", a, b) for a, b in product(rq, repeat=2)])
+    return ([("so_p", a, b) for a, b in combinations(rp, 2)]
+            + [("so_q", a, b) for a, b in combinations(rq, 2)])
 
 
 def _coadjoint_rule(sig: Signature, kappa):
@@ -462,14 +453,11 @@ def _k_module_op(sig: Signature, model: ModelTag, kappa) -> LinOp:
     if sig.family == UNITARY:
         return upq_op_model(sig, model, block, a, b)
     # orthogonal: antisymmetrized geometric action (no central twist)
+    var = X if block == "so_p" else Y
     parts = []
     for col in range(1, sig.r + 1):
-        if block == "so_p":
-            parts.append(-(LinOp.mul_by(Polynomial.variable(X(b, col))).compose(LinOp.partial(X(a, col)))))
-            parts.append(LinOp.mul_by(Polynomial.variable(X(a, col))).compose(LinOp.partial(X(b, col))))
-        else:
-            parts.append(-(LinOp.mul_by(Polynomial.variable(Y(b, col))).compose(LinOp.partial(Y(a, col)))))
-            parts.append(LinOp.mul_by(Polynomial.variable(Y(a, col))).compose(LinOp.partial(Y(b, col))))
+        parts.append(-(LinOp.mul_by(Polynomial.variable(var(b, col))).compose(LinOp.partial(var(a, col)))))
+        parts.append(LinOp.mul_by(Polynomial.variable(var(a, col))).compose(LinOp.partial(var(b, col))))
     return op_sum(parts)
 
 
@@ -479,7 +467,8 @@ def k_invariance_residual(c: GKCochain) -> Form:
     worst = Form.zero()
     for kappa in _k_basis(c.sig):
         op = _k_module_op(c.sig, c.model, kappa)
-        res = c.form.apply_op(op) + c.form.gen_derivation(_coadjoint_rule(c.sig, kappa))
+        res = (_form_op_sum([((), op)], c.form)
+               + c.form.gen_derivation(_coadjoint_rule(c.sig, kappa)))
         if res.max_term_count() > worst.max_term_count():
             worst = res
     return worst
@@ -496,31 +485,28 @@ def euler_chern_form(sig: Signature) -> Form:
     if sig.family == ORTHOGONAL:
         if q % 2:
             return Form.zero()
-        acc = Form.zero()
+        acc = _Sum()
+        norm = Scalar.of(Fraction(1, factorial(q // 2)))
         for sigma in permutations(range(1, q + 1)):
             fac = Form.unit()
             for t in range(0, q, 2):
                 fac = fac.wedge(_big_omega(sig, sigma[t], sigma[t + 1]))
-            acc = acc + fac.scale(perm_sign(sigma))
-        return acc.scale(Fraction(1, factorial(q // 2)))
-    acc = Form.zero()
+            acc.add_all(fac.terms, norm * perm_sign(sigma))
+        return Form(acc.polys())
+    acc = _Sum()
+    norm = Scalar.of(Fraction(1, factorial(q)))
     for sigma in permutations(range(1, q + 1)):
         for sigbar in permutations(range(1, q + 1)):
             fac = Form.unit()
             for t in range(q):
                 fac = fac.wedge(_big_omega(sig, sigma[t], sigbar[t]))
-            acc = acc + fac.scale(perm_sign(sigma) * perm_sign(sigbar))
-    return acc.scale(Fraction(1, factorial(q)))
+            acc.add_all(fac.terms, norm * (perm_sign(sigma) * perm_sign(sigbar)))
+    return Form(acc.polys())
 
 
 def evaluate_at_zero(c: GKCochain) -> Form:
     """Set all model variables to zero (the constant term of each coefficient)."""
-    out = {}
-    for w, p in c.form.terms.items():
-        const = p.constant_term()
-        if not const.is_zero():
-            out[w] = Polynomial.constant(const)
-    return Form(out)
+    return Form({w: Polynomial.constant(p.constant_term()) for w, p in c.form.terms.items()})
 
 
 def forms_proportional(f: Form, g: Form):

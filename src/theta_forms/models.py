@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .operators import LinOp, op_sum
-from .poly import Polynomial, VariableId, X, Xbar, Y, Ybar, Zvar
+from .poly import Polynomial, VariableId, X, Xbar, Y, Ybar, Zvar, _Sum
 from .scalars import Scalar
 
 
@@ -226,7 +226,7 @@ def sp_op(model: ModelTag, block: str, j: int, k: int, dim: int) -> LinOp:
 def intertwine(fock_elem: Polynomial, dim: int) -> SchrodingerElement:
     """Image of a Fock polynomial in z_1..z_N under the unique intertwiner
     sending 1 to the vacuum; z^m goes to (-A-)^m applied to the vacuum."""
-    out = Polynomial.zero()
+    out = _Sum()
     for mono, c in fock_elem.terms.items():
         img = Polynomial.constant(c)
         for v, e in mono:
@@ -235,8 +235,8 @@ def intertwine(fock_elem: Polynomial, dim: int) -> SchrodingerElement:
             neg_am = LinOp.mul_by(Polynomial.variable(v)).scale(_4PI) - LinOp.partial(v)
             for _ in range(e):
                 img = neg_am.apply(img)
-        out = out + img
-    return SchrodingerElement(out)
+        out.add(None, img)
+    return SchrodingerElement(out.total())
 
 
 def _double_factorial(n: int) -> int:
@@ -317,16 +317,9 @@ def upq_op_model(sig: Signature, model: ModelTag, block: str, a: int, b: int,
                  c_plus: Scalar = C_PLUS, c_minus: Scalar = C_MINUS) -> LinOp:
     """The u(p,q) operator for the given block, summed over all columns of
     the model.  Blocks: k_gl_p(a,b), k_gl_q(a,b), pplus(i,j), pminus(i,j)."""
-    p, q = sig.p, sig.q
-    if block in ("k_gl_p",):
-        if not (1 <= a <= p and 1 <= b <= p):
-            raise IndexError("k_gl_p index out of range")
-    elif block in ("k_gl_q",):
-        if not (1 <= a <= q and 1 <= b <= q):
-            raise IndexError("k_gl_q index out of range")
-    else:
-        if not (1 <= a <= p and 1 <= b <= q):
-            raise IndexError("p-block index out of range")
+    rows, cols = {"k_gl_p": (sig.p, sig.p), "k_gl_q": (sig.q, sig.q)}.get(block, (sig.p, sig.q))
+    if not (1 <= a <= rows and 1 <= b <= cols):
+        raise IndexError(f"{block} index out of range")
     cbar_plus = c_plus.conjugate()
     cbar_minus = c_minus.conjugate()
     parts = []

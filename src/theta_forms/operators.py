@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable
 
-from .poly import Monomial, Polynomial, VariableId, monomial
+from .poly import Monomial, Polynomial, VariableId, _Sum, monomial
 from .scalars import Scalar
 
 # A derivative multi-index reuses the Monomial encoding: sorted
@@ -82,12 +82,12 @@ class LinOp:
     # -- action and algebra --------------------------------------------------
 
     def apply(self, f: Polynomial) -> Polynomial:
-        out = Polynomial.zero()
+        out = _Sum()
         for D, m in self.terms.items():
             df = _apply_deriv(D, f)
             if not df.is_zero():
-                out = out + m * df
-        return out
+                out.add(None, m * df)
+        return out.total()
 
     def __add__(self, other: "LinOp") -> "LinOp":
         out = dict(self.terms)
@@ -121,17 +121,15 @@ class LinOp:
 
         (m1 D1)(m2 D2) f = m1 * sum_{beta<=D1} C(D1,beta) (D^beta m2) * (D^{D1-beta} D2 f)
         """
-        out: dict[DerivIndex, Polynomial] = {}
+        out = _Sum()
         for D1, m1 in self.terms.items():
             for D2, m2 in other.terms.items():
                 for beta, coef, rest in _sub_indices(D1):
                     dm2 = _apply_deriv(beta, m2)
                     if dm2.is_zero():
                         continue
-                    mult = m1 * dm2 * coef
-                    D = monomial(list(rest) + list(D2))
-                    out[D] = out.get(D, Polynomial.zero()) + mult
-        return LinOp(out)
+                    out.add(monomial(list(rest) + list(D2)), m1 * dm2 * coef)
+        return LinOp(out.polys())
 
     def commutator(self, other: "LinOp") -> "LinOp":
         return self.compose(other) - other.compose(self)
@@ -152,7 +150,7 @@ class LinOp:
         Order inside a term: multiplications are performed after the
         derivatives, mirroring the normal form.
         """
-        out = LinOp.zero()
+        out = _Sum()
         for D, m in self.terms.items():
             for mono, c in m.terms.items():
                 op = LinOp.scalar(c)
@@ -162,8 +160,8 @@ class LinOp:
                 for v, k in D:
                     for _ in range(k):
                         op = op.compose(deriv_image(v))
-                out = out + op
-        return out
+                out.add_all(op.terms)
+        return LinOp(out.polys())
 
     def __repr__(self):
         if not self.terms:
@@ -177,7 +175,7 @@ class LinOp:
 
 
 def op_sum(ops: Iterable[LinOp]) -> LinOp:
-    out = LinOp.zero()
+    out = _Sum()
     for op in ops:
-        out = out + op
-    return out
+        out.add_all(op.terms)
+    return LinOp(out.polys())

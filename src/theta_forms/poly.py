@@ -233,3 +233,38 @@ class Polynomial:
                             for v, e in m) or "1"
             bits.append(f"({c!r})*{mono}")
         return "Poly(" + " + ".join(bits) + ")"
+
+
+class _Sum:
+    """In-place sum of keyed polynomials, {key: {Monomial: Scalar}}: n adds
+    cost the terms added, not n copies of the total.  The key is a wedge
+    (Form), a derivative index (LinOp) or None (one Polynomial)."""
+
+    __slots__ = ("acc",)
+
+    def __init__(self):
+        self.acc: dict = {}
+
+    def add(self, key, p: Polynomial, c: Scalar | None = None) -> None:
+        """acc[key] += c * p (c = 1 when None), dropping cancelled terms."""
+        inner = self.acc.setdefault(key, {})
+        for m, a in p.terms.items():
+            if c is not None:
+                a = a * c
+            b = inner.get(m)
+            if b is not None:
+                a = b + a
+                if a.is_zero():
+                    del inner[m]
+                    continue
+            inner[m] = a
+
+    def add_all(self, terms: dict, c: Scalar | None = None) -> None:
+        for key, p in terms.items():
+            self.add(key, p, c)
+
+    def polys(self) -> dict:
+        return {k: Polynomial(inner) for k, inner in self.acc.items()}
+
+    def total(self) -> Polynomial:
+        return Polynomial(self.acc.get(None))

@@ -5,7 +5,8 @@ where pi is an uninterpreted invertible symbol.  A Scalar maps each pi-exponent
 k to (re + im*i) / den, held as ints with den > 0, gcd(re, im, den) == 1 and
 (re, im) != (0, 0): one canonical form per value, so zero is the empty map and
 equality is structural.  Each operation restores the invariant with one gcd per
-term.  ``terms`` is a read-only view {k: (re, im)} of lowest-terms Fractions.
+term.  ``terms`` is a read-only view {k: (re, im)} of lowest-terms Fractions;
+repr, LaTeX and JSON format straight from the integer triples.
 """
 
 from __future__ import annotations
@@ -20,6 +21,12 @@ def _canon(re: int, im: int, den: int):
         return None
     g = gcd(re, im, den)
     return (re, im, den) if g == 1 else (re // g, im // g, den // g)
+
+
+def _ratio(n: int, d: int) -> str:
+    """str(Fraction(n, d)) for d > 0, without building the Fraction."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
 def _add_term(out: dict, k: int, c) -> None:
@@ -53,6 +60,11 @@ class Scalar:
     @property
     def terms(self) -> dict[int, tuple[Fraction, Fraction]]:
         return {k: (Fraction(a, d), Fraction(b, d)) for k, (a, b, d) in self._t.items()}
+
+    def _text_terms(self) -> list[tuple[int, int, int, str, str]]:
+        """(pi_exp, re, im, str(re/den), str(im/den)) by increasing pi_exp;
+        the ints give the signs, each ratio is reduced on its own."""
+        return [(k, a, b, _ratio(a, d), _ratio(b, d)) for k, (a, b, d) in sorted(self._t.items())]
 
     # -- constructors ------------------------------------------------------
 
@@ -123,11 +135,6 @@ class Scalar:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other) -> "Scalar":
-        if isinstance(other, (int, Fraction)):
-            return self * Scalar.of(Fraction(1, 1) / Fraction(other))
-        return self * other.inverse()
-
     def inverse(self) -> "Scalar":
         """Inverse of a one-term scalar c*pi^k; raises otherwise."""
         if len(self._t) != 1:
@@ -160,25 +167,23 @@ class Scalar:
     def __repr__(self):
         if self.is_zero():
             return "Scalar(0)"
-        terms, bits = self.terms, []
-        for k in sorted(terms):
-            re, im = terms[k]
-            part = f"({re}{'+' if im >= 0 else ''}{im}i)" if im else f"{re}"
+        bits = []
+        for k, _, im, re_s, im_s in self._text_terms():
+            part = f"({re_s}{'+' if im > 0 else ''}{im_s}i)" if im else re_s
             bits.append(part if k == 0 else f"{part}*pi^{k}")
         return "Scalar(" + " + ".join(bits) + ")"
 
     def latex(self) -> str:
         if self.is_zero():
             return "0"
-        terms, bits = self.terms, []
-        for k in sorted(terms):
-            re, im = terms[k]
+        bits = []
+        for k, re, im, re_s, im_s in self._text_terms():
             if im == 0:
-                coef = str(re)
+                coef = re_s
             elif re == 0:
-                coef = f"{im} i"
+                coef = f"{im_s} i"
             else:
-                coef = f"({re} {'+' if im > 0 else '-'} {abs(im)} i)"
+                coef = f"({re_s} {'+' if im > 0 else '-'} {im_s.lstrip('-')} i)"
             if k == 0:
                 bits.append(coef)
             elif k == 1:

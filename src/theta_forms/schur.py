@@ -22,7 +22,7 @@ from itertools import permutations
 from .exterior import perm_sign
 from .models import Signature
 from .operators import LinOp, op_sum
-from .poly import Polynomial, X, Y
+from .poly import Polynomial, X, Y, _Sum
 
 
 # ---------------------------------------------------------------------------
@@ -56,9 +56,6 @@ class Partition:
             return Partition()
         return Partition(tuple(sum(1 for p in self.parts if p >= j)
                                for j in range(1, self.parts[0] + 1)))
-
-    def column_heights(self) -> list[int]:
-        return list(self.conjugate().parts)
 
 
 EMPTY_PARTITION = Partition()
@@ -145,13 +142,13 @@ def hook_content_dim(shape: Partition, n: int) -> int:
 
 def _det(entries: list[list[Polynomial]]) -> Polynomial:
     n = len(entries)
-    out = Polynomial.zero()
+    out = _Sum()
     for perm in permutations(range(n)):
         term = Polynomial.constant(perm_sign(perm))
         for i in range(n):
             term = term * entries[i][perm[i]]
-        out = out + term
-    return out
+        out.add(None, term)
+    return out.total()
 
 
 def minor_x(rows: list[int], sig: Signature) -> Polynomial:
@@ -190,10 +187,6 @@ def delta_T(T: Tableau, sig: Signature, target: str = "x") -> Polynomial:
         else:
             raise ValueError(f"unknown minor target {target!r}")
     return out
-
-
-def _principal_column(j: int) -> Tableau:
-    return Tableau(Partition((1,) * j), tuple((i,) for i in range(1, j + 1)))
 
 
 def kv_highest_weight(lam: Partition, mu: Partition, sig: Signature) -> Polynomial:

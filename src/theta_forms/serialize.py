@@ -21,7 +21,7 @@ from fractions import Fraction
 from .exterior import Form, WedgeGen, wedge_monomial
 from .forms import GKCochain
 from .models import ModelTag, Signature
-from .poly import Monomial, Polynomial, VariableId, monomial
+from .poly import Monomial, Polynomial, VariableId, _Sum, monomial
 from .scalars import Scalar
 from .theta import GramMatrix
 
@@ -30,8 +30,8 @@ def _poly_entries(p: Polynomial) -> list[dict]:
     out = []
     for mono, c in p.sorted_terms():
         mono_json = [[v.token(), e] for v, e in mono]
-        for k, (re, im) in sorted(c.terms.items()):
-            out.append({"coeff": {"re": str(re), "im": str(im), "piExp": k},
+        for k, _, _, re, im in c._text_terms():
+            out.append({"coeff": {"re": re, "im": im, "piExp": k},
                         "mono": mono_json})
     return out
 
@@ -67,15 +67,15 @@ def _rational(x) -> Fraction:
 
 
 def _poly_from_entries(entries) -> Polynomial:
-    total = Polynomial.zero()
+    total = _Sum()
     for ent in entries:
         coeff = ent["coeff"]
         c = Scalar.of(_rational(coeff["re"]), _rational(coeff["im"]),
                       _int(coeff["piExp"]))
         mono: Monomial = monomial([(VariableId.from_token(tok), _int(e))
                                    for tok, e in ent["mono"]])
-        total = total + Polynomial({mono: c})
-    return total
+        total.add(None, Polynomial({mono: c}))
+    return total.total()
 
 
 def cochain_from_dict(data: dict) -> GKCochain:
@@ -89,12 +89,12 @@ def cochain_from_dict(data: dict) -> GKCochain:
                   _poly_from_entries(term["poly"])) for term in data["terms"]]
     except (TypeError, AttributeError, KeyError, IndexError) as exc:
         raise ValueError(f"malformed cochain JSON: {exc!r}") from exc
-    form = Form.zero()
+    form = _Sum()
     for (sign, w), poly in terms:
         # canonical generator order with its sign; a repeated generator gives 0
         if sign:
-            form = form + Form({w: poly if sign > 0 else -poly})
-    return GKCochain(form, model, sig)
+            form.add(w, poly if sign > 0 else -poly)
+    return GKCochain(Form(form.polys()), model, sig)
 
 
 def cochain_from_json(text: str) -> GKCochain:
@@ -124,12 +124,8 @@ def _poly_tex(p: Polynomial) -> str:
         return "0"
     bits = []
     for mono, c in p.sorted_terms():
-        coeff = c.latex()
         mt = _mono_tex(mono)
-        if mt:
-            bits.append(f"\\left({coeff}\\right) {mt}")
-        else:
-            bits.append(f"\\left({coeff}\\right)")
+        bits.append(f"\\left({c.latex()}\\right)" + (f" {mt}" if mt else ""))
     return " + ".join(bits)
 
 
@@ -144,10 +140,7 @@ def cochain_to_latex(c: GKCochain) -> str:
     bits = []
     for w, p in c.form.sorted_terms():
         wedge = " \\wedge ".join(_gen_tex(g) for g in w)
-        if wedge:
-            bits.append(f"\\left[{_poly_tex(p)}\\right] \\, {wedge}")
-        else:
-            bits.append(f"\\left[{_poly_tex(p)}\\right]")
+        bits.append(f"\\left[{_poly_tex(p)}\\right]" + (f" \\, {wedge}" if wedge else ""))
     return " + ".join(bits)
 
 

@@ -1,0 +1,44 @@
+"""The benchmark's full-size construct pass, run in-process: every check it
+makes must hold.  That covers the JSON and LaTeX SHA-256 digests recorded in
+perfbench/expected.json, the JSON round trip, d == 0 on the closed forms,
+km_nabla == km_explicit, K-invariance and the seeded d(d(c)) == curvature.
+
+perfbench/workloads.py is compiled from its source and run without writing
+anything under perfbench/."""
+
+import types
+from pathlib import Path
+
+import pytest
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def load_workloads() -> types.ModuleType:
+    module = types.ModuleType("perfbench_workloads")
+    module.__file__ = str(WORKLOADS)
+    exec(compile(WORKLOADS.read_text(encoding="utf-8"), str(WORKLOADS), "exec"), module.__dict__)
+    return module
+
+
+class StubClock:
+    """The lap/counts interface of perfbench's reference clock, timing nothing."""
+
+    def __init__(self):
+        self.laps: list[str] = []
+        self.counts: dict[str, int] = {}
+
+    def lap(self, name: str):
+        self.laps.append(name)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_full_construct_pass_has_no_failed_check(seed):
+    workloads = load_workloads()
+    checks, clock = workloads.Checks(), StubClock()
+    workloads.construct(seed, "full", checks, clock)
+    assert checks.failures == []
+    ladder = workloads.LADDER["full"]
+    # json, latex and round trip per item, plus d == 0, nabla == explicit, K-invariance
+    assert checks.attempted >= 3 * len(ladder) + len(workloads.seeded_cochains(seed, "full"))
+    assert len(clock.laps) == len(ladder) + len(workloads.seeded_cochains(seed, "full"))

@@ -143,3 +143,47 @@ def test_inverse_and_powers_match_fraction_reference(x, y, n):
     _check(a.inverse(), _ref_inverse(rx))
     _check(a ** n, _ref_pow(rx, n))
     _check(Scalar(y) * a, _ref_mul(_ref_clean(y), rx))
+
+
+def _ref_repr(s: Scalar) -> str:
+    """repr built from the Fraction view."""
+    if s.is_zero():
+        return "Scalar(0)"
+    bits = []
+    for k, (re, im) in sorted(s.terms.items()):
+        part = f"({re}{'+' if im >= 0 else ''}{im}i)" if im else f"{re}"
+        bits.append(part if k == 0 else f"{part}*pi^{k}")
+    return "Scalar(" + " + ".join(bits) + ")"
+
+
+def _ref_latex(s: Scalar) -> str:
+    """latex() built from the Fraction view."""
+    if s.is_zero():
+        return "0"
+    bits = []
+    for k, (re, im) in sorted(s.terms.items()):
+        if im == 0:
+            coef = str(re)
+        elif re == 0:
+            coef = f"{im} i"
+        else:
+            coef = f"({re} {'+' if im > 0 else '-'} {abs(im)} i)"
+        bits.append(coef if k == 0 else f"{coef} \\pi" if k == 1 else f"{coef} \\pi^{{{k}}}")
+    return " + ".join(bits)
+
+
+def test_text_reduces_each_component():
+    # (1 + 2i) / 2 is canonical as a triple, but re/den = 1/2 and im/den = 1
+    s = Scalar.of(Fraction(1, 2), 1)
+    assert s._t == {0: (1, 2, 2)}
+    assert repr(s) == "Scalar((1/2+1i))"
+    assert s.latex() == "(1/2 + 1 i)"
+    assert repr(Scalar.of(Fraction(-3, 4), Fraction(-1, 2), -2)) == "Scalar((-3/4-1/2i)*pi^-2)"
+
+
+@settings(max_examples=150, deadline=None)
+@given(_maps)
+def test_text_matches_fraction_reference(x):
+    s = Scalar(x)
+    assert repr(s) == _ref_repr(s)
+    assert s.latex() == _ref_latex(s)

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -130,3 +131,12 @@ def test_round_trip_with_shuffled_wedges(c, data):
     back = cochain_from_dict(doc)
     assert back.form == expected
     assert (back.sig, back.model) == (c.sig, c.model)
+
+
+def test_json_coefficients_reduce_each_component():
+    # gcd(re, im, den) = 1 for (1 + 2i) / 2, yet re/den = 1/2 and im/den = 1
+    c = GKCochain(Form({(): Polynomial.constant(Scalar.of(Fraction(1, 2), 1, -1))}),
+                  fock_model(0), Signature(1, 1, 0, 0))
+    (term,) = json.loads(cochain_to_json(c))["terms"]
+    assert term["poly"] == [{"coeff": {"re": "1/2", "im": "1", "piExp": -1}, "mono": []}]
+    assert cochain_to_latex(c) == "\\left[\\left((1/2 + 1 i) \\pi^{-1}\\right)\\right]"
