@@ -30,7 +30,7 @@ from .theta import (BetaMatrix, WhittakerPoint, eisenstein_check, rep_numbers,
                     whittaker)
 
 FORM_BUILDERS = {
-    "psi-q": lambda sig: build_psi_q(sig),
+    "psi-q": build_psi_q,
     "psi-cup": build_psi_cup,
     "psi-orth": build_psi_orth,
     "km-nabla": build_km_nabla,

@@ -20,9 +20,8 @@ from math import factorial
 
 from .exterior import (Form, WedgeGen, merge_monomials, perm_sign, wedge_all,
                        xi, xibar)
-from .models import (C_MINUS, C_PLUS, CalibrationError, ModelTag, ORTHOGONAL,
-                     Signature, UNITARY, _m_op, calibrate_structure,
-                     fock_model, mixed_model, upq_op_model)
+from .models import (ModelTag, ORTHOGONAL, Signature, UNITARY, _m_op,
+                     calibrate_structure, fock_model, mixed_model, upq_op_model)
 from .operators import LinOp, op_sum
 from .poly import Polynomial, VariableId, X, Xbar, Y, _Sum
 from .scalars import Scalar
@@ -113,8 +112,7 @@ def build_psi_cup(sig: Signature) -> GKCochain:
     return _psi_wedge(sig)
 
 
-def cup_embed(c: GKCochain, target: Signature, holo_offset: int,
-              conj_offset: int) -> Form:
+def cup_embed(c: GKCochain, holo_offset: int, conj_offset: int) -> Form:
     """Relabel dual-pair columns into a larger signature: holomorphic
     variable columns shift by holo_offset, conjugate ones by conj_offset.
     (Wedge generators carry no dual-pair column and do not move.)"""
@@ -136,8 +134,8 @@ def cup_product(c1: GKCochain, c2: GKCochain) -> GKCochain:
     if (s1.p, s1.q, s1.family) != (s2.p, s2.q, s2.family):
         raise ValueError("cup factors must share (p, q) and family")
     sig = Signature(s1.p, s1.q, s1.r + s2.r, s1.s + s2.s, s1.family)
-    f1 = cup_embed(c1, sig, 0, 0)
-    f2 = cup_embed(c2, sig, s1.r, s1.s)
+    f1 = cup_embed(c1, 0, 0)
+    f2 = cup_embed(c2, s1.r, s1.s)
     return GKCochain(f1.wedge(f2), fock_model(min(sig.r, sig.s)), sig)
 
 
@@ -375,17 +373,15 @@ def gk_curvature(c: GKCochain) -> GKCochain:
     cochains.  Unitary models only.  The sum runs through d's kernel,
     _form_op_sum, with the two-generator leads xi_{ij} ^ xibar_{kl}.
 
-    The comparison is only meaningful if d's constants close the u(p,q)
-    brackets, so this certifies C_PLUS and C_MINUS for the signature first."""
+    The comparison is only meaningful if d's operators close the gl(p+q)
+    brackets, so calibrate_structure certifies them for the signature first
+    (it raises CalibrationError otherwise)."""
     sig, model = c.sig, c.model
     if sig.family != UNITARY:
         raise ValueError("curvature comparison implemented for the unitary family")
     if sig.p == 0 or sig.q == 0 or sig.r == 0:
         return GKCochain(Form.zero(), model, sig)
-    cal = calibrate_structure(sig)
-    if (cal.c_plus, cal.c_minus) != (C_PLUS, C_MINUS):
-        raise CalibrationError(
-            f"certified constants {cal.c_plus!r}, {cal.c_minus!r} differ from C_PLUS, C_MINUS")
+    calibrate_structure(sig)
     rp, rq = range(1, sig.p + 1), range(1, sig.q + 1)
     gl_p = {(i, k): upq_op_model(sig, model, "k_gl_p", i, k) for i, k in product(rp, repeat=2)}
     gl_q = {(l, j): upq_op_model(sig, model, "k_gl_q", l, j) for l, j in product(rq, repeat=2)}

@@ -19,18 +19,19 @@ Conventions fixed here and used everywhere downstream:
       pminus(i,j) = c_minus * sum_nu d^2/dX_{i,nu} dY_{j,nu}    (degree -2)
   with the fixed constants c_plus = c_minus = i (C_PLUS, C_MINUS).  The
   brackets force c_plus * c_minus = -1 and leave the split between the two
-  free; i, i is the symmetric representative.  Every operator is built with
-  these constants.  calibrate_structure certifies them by checking every
-  gl(p+q) bracket; it runs only where identities are checked (the
-  `calibrate` command, the calibration suite and forms.gk_curvature), never
-  on the construction path.  Conjugate columns carry the complex-conjugate
-  operators; intertwined (Schrodinger) columns carry M_V = V - (1/2pi)
-  d/dVbar in place of multiplication by V and plain d/dV in place of d/dz.
+  free; i, i is the symmetric representative.  upq_op_model is the one
+  definition of these operators.  calibrate_structure certifies the very
+  Fock-model operators it builds by checking every gl(p+q) bracket; it runs
+  only where identities are checked (the `calibrate` command, the
+  calibration suite and forms.gk_curvature), never on the construction path.
+  Conjugate columns carry the complex-conjugate operators; intertwined
+  (Schrodinger) columns carry M_V = V - (1/2pi) d/dVbar in place of
+  multiplication by V and plain d/dV in place of d/dz.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .operators import LinOp, op_sum
@@ -313,15 +314,30 @@ def _m_op(v: VariableId) -> LinOp:
     return _mult(v) - LinOp.partial(v.conjugate()).scale(Scalar.of(Fraction(1, 2), 0, -1))
 
 
+def _mul_pair(u: VariableId, v: VariableId, intertwined: bool) -> LinOp:
+    """Creation by u*v: multiplication on Fock columns, M_u M_v on
+    intertwined (Schrodinger) columns."""
+    if intertwined:
+        return _m_op(u).compose(_m_op(v))
+    return LinOp.mul_by(Polynomial.variable(u) * Polynomial.variable(v))
+
+
+def _dd(u: VariableId, v: VariableId) -> LinOp:
+    return LinOp.partial(u).compose(LinOp.partial(v))
+
+
 def upq_op_model(sig: Signature, model: ModelTag, block: str, a: int, b: int,
                  c_plus: Scalar = C_PLUS, c_minus: Scalar = C_MINUS) -> LinOp:
     """The u(p,q) operator for the given block, summed over all columns of
-    the model.  Blocks: k_gl_p(a,b), k_gl_q(a,b), pplus(i,j), pminus(i,j)."""
+    the model.  Blocks: k_gl_p(a,b), k_gl_q(a,b), pplus(i,j), pminus(i,j).
+
+    This is the one definition of the family: d, the curvature, the
+    K-residual and calibrate_structure's certificate all build through it
+    with the defaults C_PLUS, C_MINUS.  Other constants are accepted only to
+    probe the free split between them."""
     rows, cols = {"k_gl_p": (sig.p, sig.p), "k_gl_q": (sig.q, sig.q)}.get(block, (sig.p, sig.q))
     if not (1 <= a <= rows and 1 <= b <= cols):
         raise IndexError(f"{block} index out of range")
-    cbar_plus = c_plus.conjugate()
-    cbar_minus = c_minus.conjugate()
     parts = []
     for col, kind in enumerate(column_kinds(sig, model), start=1):
         holo = kind in ("pure", "doubled", "schrodinger")
@@ -344,25 +360,15 @@ def upq_op_model(sig: Signature, model: ModelTag, block: str, a: int, b: int,
                     op = op - LinOp.identity()
                 parts.append(op)
         elif block == "pplus":
-            if intertwined:
-                parts.append(_m_op(X(a, col)).compose(_m_op(Y(b, col))).scale(c_plus))
-                parts.append(LinOp.partial(Xbar(a, col)).compose(LinOp.partial(Ybar(b, col))).scale(cbar_minus))
-            else:
-                if holo:
-                    parts.append(LinOp.mul_by(
-                        Polynomial.variable(X(a, col)) * Polynomial.variable(Y(b, col))).scale(c_plus))
-                if conj:
-                    parts.append(LinOp.partial(Xbar(a, col)).compose(LinOp.partial(Ybar(b, col))).scale(cbar_minus))
+            if holo:
+                parts.append(_mul_pair(X(a, col), Y(b, col), intertwined).scale(c_plus))
+            if conj:
+                parts.append(_dd(Xbar(a, col), Ybar(b, col)).scale(c_minus.conjugate()))
         elif block == "pminus":
-            if intertwined:
-                parts.append(LinOp.partial(X(a, col)).compose(LinOp.partial(Y(b, col))).scale(c_minus))
-                parts.append(_m_op(Xbar(a, col)).compose(_m_op(Ybar(b, col))).scale(cbar_plus))
-            else:
-                if holo:
-                    parts.append(LinOp.partial(X(a, col)).compose(LinOp.partial(Y(b, col))).scale(c_minus))
-                if conj:
-                    parts.append(LinOp.mul_by(
-                        Polynomial.variable(Xbar(a, col)) * Polynomial.variable(Ybar(b, col))).scale(cbar_plus))
+            if holo:
+                parts.append(_dd(X(a, col), Y(b, col)).scale(c_minus))
+            if conj:
+                parts.append(_mul_pair(Xbar(a, col), Ybar(b, col), intertwined).scale(c_plus.conjugate()))
         else:
             raise ValueError(f"unknown u(p,q) block {block!r}")
     return op_sum(parts)
@@ -374,24 +380,22 @@ def upq_op(sig: Signature, block: str, a: int, b: int) -> LinOp:
 
 
 # ---------------------------------------------------------------------------
-# Calibration: pin (c_plus, c_minus) and certify the bracket relations
+# Calibration: certify the bracket relations of the operators d is built from
 # ---------------------------------------------------------------------------
 
 class CalibrationError(RuntimeError):
-    """Raised when no scaling of the p-blocks closes the bracket relations —
+    """Raised when the u(p,q) operators fail a gl(p+q) bracket relation —
     this signals an implementation bug, not bad input data."""
 
 
 @dataclass(frozen=True)
 class CalibrationReport:
     sig: Signature
-    c_plus: Scalar
-    c_minus: Scalar
-    verified: tuple[str, ...] = field(default_factory=tuple)
+    verified: tuple[str, ...]
 
     def lines(self) -> list[str]:
         out = [f"calibration p={self.sig.p} q={self.sig.q} r={self.sig.r}: "
-               f"c_plus={self.c_plus!r} c_minus={self.c_minus!r}"]
+               f"c_plus={C_PLUS!r} c_minus={C_MINUS!r}"]
         out.extend(f"  verified {v}" for v in self.verified)
         return out
 
@@ -400,62 +404,35 @@ class CalibrationReport:
 _CAL_CACHE: dict[tuple[int, int, int], CalibrationReport] = {}
 
 
-def _abstract_image(sig: Signature, a: int, b: int, c_plus, c_minus) -> LinOp:
+def _abstract_image(sig: Signature, a: int, b: int) -> LinOp:
     """Phi(E_{a,b}) for the (p+q) x (p+q) elementary matrix, under the fixed
     labeling: gl(p) block -> k_gl_p, gl(q) block -> k_gl_q,
     E_{i,p+j} -> pminus(i,j), E_{p+j,i} -> pplus(i,j)."""
     p = sig.p
     if a <= p and b <= p:
-        return upq_op_model(sig, FOCK, "k_gl_p", a, b, c_plus, c_minus)
+        return upq_op(sig, "k_gl_p", a, b)
     if a > p and b > p:
-        return upq_op_model(sig, FOCK, "k_gl_q", a - p, b - p, c_plus, c_minus)
+        return upq_op(sig, "k_gl_q", a - p, b - p)
     if a <= p < b:
-        return upq_op_model(sig, FOCK, "pminus", a, b - p, c_plus, c_minus)
-    return upq_op_model(sig, FOCK, "pplus", b, a - p, c_plus, c_minus)
+        return upq_op(sig, "pminus", a, b - p)
+    return upq_op(sig, "pplus", b, a - p)
 
 
 def calibrate_structure(sig: Signature) -> CalibrationReport:
-    """Determine (c_plus, c_minus) making Phi a Lie algebra homomorphism onto
-    the u(p,q) operator family, and certify every bracket [E_ab, E_cd].
-
-    The product c_plus * c_minus is forced; the scale between the two is free
-    (rescaling c_plus by t and c_minus by 1/t preserves all brackets), and the
-    symmetric representative c_plus = c_minus = i is recorded.  Results are
+    """Certify that Phi is a Lie algebra homomorphism onto the u(p,q)
+    operators exactly as upq_op builds them (with C_PLUS, C_MINUS): every
+    bracket [E_ab, E_cd] of gl(p+q) must close.  [E_{1,p+1}, E_{p+1,1}]
+    alone pins c_plus * c_minus = -1; the split between the two is free.
+    Raises CalibrationError on the first bracket that fails.  Results are
     cached per (p, q, r)."""
     key = (sig.p, sig.q, sig.r)
     if key in _CAL_CACHE:
         return _CAL_CACHE[key]
     if sig.p < 1 or sig.q < 1 or sig.r < 1:
         raise ValueError("calibration needs p, q, r >= 1")
-
-    # Force the product from one mixed bracket, starting at the ansatz shape
-    # i * (z z) and i * (dd): [pminus(1,1), pplus(1,1)] must equal
-    # Phi(E_{1,p+1} E_{p+1,1} bracket) = k_gl_p(1,1) - k_gl_q(1,1).
-    one = Scalar.one()
-    target = (upq_op_model(sig, FOCK, "k_gl_p", 1, 1, one, one)
-              - upq_op_model(sig, FOCK, "k_gl_q", 1, 1, one, one))
-    raw = upq_op_model(sig, FOCK, "pminus", 1, 1, one, one).commutator(
-        upq_op_model(sig, FOCK, "pplus", 1, 1, one, one))
-    product = None
-    for cand in (Scalar.of(-1), Scalar.of(1), Scalar.of(0, 1), Scalar.of(0, -1)):
-        if raw.scale(cand) == target:
-            product = cand
-            break
-    if product is None:
-        raise CalibrationError("no scalar makes [pminus, pplus] close onto the k blocks")
-    if product != Scalar.of(-1):
-        raise CalibrationError(f"unexpected bracket normalization {product!r}")
-    c_plus = Scalar.i_unit()
-    c_minus = Scalar.i_unit()   # i * i = -1 = forced product
-
-    # Certify the whole family on elementary matrices.
     n = sig.p + sig.q
-    verified = []
-    img = {}
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            img[(a, b)] = _abstract_image(sig, a, b, c_plus, c_minus)
-    checked = 0
+    img = {(a, b): _abstract_image(sig, a, b)
+           for a in range(1, n + 1) for b in range(1, n + 1)}
     for (a, b), op1 in img.items():
         for (c, d), op2 in img.items():
             expect = LinOp.zero()
@@ -466,9 +443,7 @@ def calibrate_structure(sig: Signature) -> CalibrationReport:
             if op1.commutator(op2) != expect:
                 raise CalibrationError(
                     f"bracket [E{a}{b}, E{c}{d}] fails to close for p={sig.p} q={sig.q} r={sig.r}")
-            checked += 1
-    verified.append(f"all {checked} elementary brackets of gl({n}) close exactly")
-    report = CalibrationReport(sig=sig, c_plus=c_plus, c_minus=c_minus,
-                               verified=tuple(verified))
+    report = CalibrationReport(
+        sig, (f"all {len(img) ** 2} elementary brackets of gl({n}) close exactly",))
     _CAL_CACHE[key] = report
     return report

@@ -59,11 +59,12 @@ def _int(x) -> int:
     return x
 
 
-def _rational(x) -> Fraction:
-    # a JSON float would import as its inexact binary expansion
+def _rational(x) -> str:
+    # a JSON float would import as its inexact binary expansion; the string
+    # itself goes to Scalar.of, which parses it once
     if type(x) is not str:
         raise ValueError(f"expected a rational as a string, got {x!r}")
-    return Fraction(x)
+    return x
 
 
 def _poly_from_entries(entries) -> Polynomial:
@@ -87,7 +88,7 @@ def cochain_from_dict(data: dict) -> GKCochain:
         model = ModelTag.from_token(data["model"])
         terms = [(wedge_monomial(WedgeGen.from_token(tok) for tok in term["wedge"]),
                   _poly_from_entries(term["poly"])) for term in data["terms"]]
-    except (TypeError, AttributeError, KeyError, IndexError) as exc:
+    except (TypeError, AttributeError, KeyError, IndexError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed cochain JSON: {exc!r}") from exc
     form = _Sum()
     for (sign, w), poly in terms:
@@ -155,11 +156,14 @@ def gram_to_json(L: GramMatrix) -> str:
 
 
 def gram_from_dict(data: dict) -> GramMatrix:
-    n = int(data["dim"])
-    rows = data["gram"]
-    if len(rows) != n:
-        raise ValueError("gram row count does not match dim")
-    return GramMatrix([[Fraction(str(x)) for x in row] for row in rows])
+    """Any malformed shape or value raises ValueError."""
+    try:
+        rows = data["gram"]
+        if len(rows) != int(data["dim"]):
+            raise ValueError("gram row count does not match dim")
+        return GramMatrix([[Fraction(str(x)) for x in row] for row in rows])
+    except (TypeError, AttributeError, KeyError, IndexError, ZeroDivisionError) as exc:
+        raise ValueError(f"malformed gram JSON: {exc!r}") from exc
 
 
 def gram_from_json(text: str) -> GramMatrix:

@@ -60,20 +60,10 @@ class SuiteReport:
         return {"suite": self.name, "passed": self.passed, "lines": self.lines}
 
 
-def _timed(fn):
-    def wrapper(*args, **kwargs) -> SuiteReport:
-        t0 = perf_counter()
-        rep = fn(*args, **kwargs)
-        rep.seconds = perf_counter() - t0
-        return rep
-    return wrapper
-
-
 # ---------------------------------------------------------------------------
 # 1. oscillator relations
 # ---------------------------------------------------------------------------
 
-@_timed
 def suite_oscillator_relations(n_max: int = 3, **_) -> SuiteReport:
     rep = SuiteReport("oscillator-relations")
     minus_4pi = LinOp.identity().scale(Scalar.of(-4, 0, 1))
@@ -128,7 +118,6 @@ def _z_poly(exps) -> Polynomial:
     return out
 
 
-@_timed
 def suite_intertwiner(**_) -> SuiteReport:
     rep = SuiteReport("intertwiner")
     rep.check(intertwine(Polynomial.one(), 1).poly == Polynomial.one(),
@@ -192,7 +181,6 @@ def suite_intertwiner(**_) -> SuiteReport:
 # 3. harmonicity
 # ---------------------------------------------------------------------------
 
-@_timed
 def suite_harmonic(size_cap: int = 3, dim_cap: int = 3, **_) -> SuiteReport:
     rep = SuiteReport("harmonic")
     count = 0
@@ -222,7 +210,6 @@ def suite_harmonic(size_cap: int = 3, dim_cap: int = 3, **_) -> SuiteReport:
 # 4. Schur span dimension
 # ---------------------------------------------------------------------------
 
-@_timed
 def suite_schur_dim(size_cap: int = 3, p_cap: int = 3, **_) -> SuiteReport:
     rep = SuiteReport("schur-dim")
     ok = True
@@ -270,7 +257,6 @@ def _random_one_term_cochain(rng: random.Random, sig: Signature) -> GKCochain | 
     return GKCochain(Form({w: Polynomial({mono: coeff})}), fock_model(0), sig)
 
 
-@_timed
 def suite_closedness(seed: int = 0, signatures=None, rs_pairs=None, dd_samples: int = 20, **_) -> SuiteReport:
     rep = SuiteReport("closedness")
     sigs = signatures or CLOSEDNESS_SIGNATURES
@@ -326,7 +312,6 @@ def suite_closedness(seed: int = 0, signatures=None, rs_pairs=None, dd_samples: 
 # 6. cup products
 # ---------------------------------------------------------------------------
 
-@_timed
 def suite_cup(signatures=None, **_) -> SuiteReport:
     rep = SuiteReport("cup")
     sigs = signatures or CLOSEDNESS_SIGNATURES
@@ -367,7 +352,6 @@ def suite_cup(signatures=None, **_) -> SuiteReport:
 # 7. Kudla-Millson equality
 # ---------------------------------------------------------------------------
 
-@_timed
 def suite_km_equality(**_) -> SuiteReport:
     rep = SuiteReport("km-equality")
     for (p, q, r) in ((1, 1, 1), (2, 1, 1), (1, 2, 1)):
@@ -404,7 +388,6 @@ def suite_km_equality(**_) -> SuiteReport:
 # 8. restriction
 # ---------------------------------------------------------------------------
 
-@_timed
 def suite_restriction(**_) -> SuiteReport:
     rep = SuiteReport("restriction")
     c21 = build_psi_q(Signature(2, 1, 1, 0))
@@ -429,7 +412,6 @@ def suite_restriction(**_) -> SuiteReport:
 # 9. K-invariance
 # ---------------------------------------------------------------------------
 
-@_timed
 def suite_k_invariance(**_) -> SuiteReport:
     rep = SuiteReport("k-invariance")
     cases = []
@@ -465,7 +447,6 @@ def suite_k_invariance(**_) -> SuiteReport:
 # 10. Eisenstein / theta
 # ---------------------------------------------------------------------------
 
-@_timed
 def suite_eisenstein(n_max: int = 6, **_) -> SuiteReport:
     rep = SuiteReport("eisenstein")
     report = eisenstein_check(n_max)
@@ -494,7 +475,6 @@ def suite_eisenstein(n_max: int = 6, **_) -> SuiteReport:
 # 11. calibration
 # ---------------------------------------------------------------------------
 
-@_timed
 def suite_calibration(p_cap: int = 2, q_cap: int = 2, r_cap: int = 2, **_) -> SuiteReport:
     rep = SuiteReport("calibration")
     for p in range(1, p_cap + 1):
@@ -534,7 +514,10 @@ SUITES = {
 def run_suite(name: str, **kwargs) -> SuiteReport:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    return SUITES[name](**kwargs)
+    t0 = perf_counter()
+    rep = SUITES[name](**kwargs)
+    rep.seconds = perf_counter() - t0
+    return rep
 
 
 def run_all(seed: int = 0) -> list[SuiteReport]:

@@ -1,7 +1,9 @@
-"""The benchmark's full-size construct pass, run in-process: every check it
-makes must hold.  That covers the JSON and LaTeX SHA-256 digests recorded in
-perfbench/expected.json, the JSON round trip, d == 0 on the closed forms,
-km_nabla == km_explicit, K-invariance and the seeded d(d(c)) == curvature.
+"""The benchmark's full-size construct and verify-all passes, run in-process:
+every check they make must hold.  That covers the JSON and LaTeX SHA-256
+digests recorded in perfbench/expected.json, the JSON round trip, d == 0 on
+the closed forms, km_nabla == km_explicit, K-invariance, the seeded
+d(d(c)) == curvature, and every suite's verdict and the SHA-256 of its lines
+(the calibration lines included).
 
 perfbench/workloads.py is compiled from its source and run without writing
 anything under perfbench/."""
@@ -42,3 +44,13 @@ def test_full_construct_pass_has_no_failed_check(seed):
     # json, latex and round trip per item, plus d == 0, nabla == explicit, K-invariance
     assert checks.attempted >= 3 * len(ladder) + len(workloads.seeded_cochains(seed, "full"))
     assert len(clock.laps) == len(ladder) + len(workloads.seeded_cochains(seed, "full"))
+
+
+def test_full_verify_all_pass_has_no_failed_check():
+    workloads = load_workloads()
+    checks, clock = workloads.Checks(), StubClock()
+    workloads.verify_all(0, "full", checks, clock)
+    assert checks.failures == []
+    # verdict and lines digest per suite
+    assert checks.attempted == 2 * len(workloads.suites.SUITES)
+    assert len(clock.laps) == len(workloads.suites.SUITES)

@@ -97,8 +97,11 @@ def _psi_q_dict():
     {**_psi_q_dict(), "terms": [{"wedge": ["xibar:1:1"],
                                  "poly": [{"coeff": {"re": 0.1, "im": "0", "piExp": 0},
                                            "mono": [["X:1:1", 1]]}]}]},
+    {**_psi_q_dict(), "terms": [{"wedge": ["xibar:1:1"],
+                                 "poly": [{"coeff": {"re": "1/0", "im": "0", "piExp": 0},
+                                           "mono": [["X:1:1", 1]]}]}]},
 ], ids=["model-int", "signature-int", "terms-int", "top-level-list", "negative-split",
-        "fractional-entry", "float-coefficient"])
+        "fractional-entry", "float-coefficient", "zero-denominator"])
 def test_export_rejects_malformed_cochain(tmp_path, capsys, data):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
@@ -111,7 +114,23 @@ def test_export_rejects_malformed_cochain(tmp_path, capsys, data):
 def test_calibrate_prints_report(capsys):
     rc = main(["calibrate", "--p", "1", "--q", "1", "--r", "1"])
     assert rc == 0
-    assert "verified" in capsys.readouterr().out
+    assert capsys.readouterr().out == (
+        "calibration p=1 q=1 r=1: c_plus=Scalar((0+1i)) c_minus=Scalar((0+1i))\n"
+        "  verified all 16 elementary brackets of gl(2) close exactly\n")
+
+
+@pytest.mark.parametrize("data", [
+    {"dim": 1, "gram": [["1/0"]]},
+    {"dim": 1, "gram": 5},
+    [{"dim": 1, "gram": [["2"]]}],
+], ids=["zero-denominator", "gram-int", "top-level-list"])
+def test_theta_rejects_malformed_gram(tmp_path, capsys, data):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert main(["theta", "--gram", str(bad), "--nmax", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "error" in json.loads(captured.err)
 
 
 def test_flag_errors_exit_two():

@@ -12,8 +12,7 @@ from theta_forms.forms import (FactorizationError, GKCochain, SplitSpec,
                                gk_differential, k_invariance_residual,
                                restrict_form, strongly_primitive_monomial)
 from theta_forms import forms, models
-from theta_forms.models import (ORTHOGONAL, CalibrationError, CalibrationReport,
-                                Signature, fock_model)
+from theta_forms.models import ORTHOGONAL, CalibrationError, Signature, fock_model
 from theta_forms.poly import Polynomial, X, Xbar, Y
 from theta_forms.scalars import Scalar
 
@@ -161,10 +160,14 @@ def test_construction_path_needs_no_calibration(monkeypatch):
     assert k_invariance_residual(c).is_zero()
 
 
-def test_curvature_refuses_uncertified_constants(monkeypatch):
+def test_certificate_checks_the_operators_d_uses(monkeypatch):
+    # c_plus * c_minus = 2i * i = -2 breaks [pminus, pplus]; the certificate
+    # must see it through upq_op's defaults, and gk_curvature must refuse
+    monkeypatch.setattr(models.upq_op_model, "__defaults__", (Scalar.of(0, 2), Scalar.of(0, 1)))
+    monkeypatch.setattr(models, "_CAL_CACHE", {})
     sig = Signature(2, 1, 1, 0)
-    other = CalibrationReport(sig, Scalar.of(0, 2), Scalar.of(0, Fraction(1, 2)))
-    monkeypatch.setattr(forms, "calibrate_structure", lambda s: other)
+    with pytest.raises(CalibrationError):
+        models.calibrate_structure(sig)
     with pytest.raises(CalibrationError):
         gk_curvature(build_psi_cup(sig))
 
