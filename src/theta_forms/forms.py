@@ -374,14 +374,14 @@ def gk_curvature(c: GKCochain) -> GKCochain:
     _form_op_sum, with the two-generator leads xi_{ij} ^ xibar_{kl}.
 
     The comparison is only meaningful if d's operators close the gl(p+q)
-    brackets, so calibrate_structure certifies them for the signature first
-    (it raises CalibrationError otherwise)."""
+    brackets, so calibrate_structure certifies them for the signature and
+    model first (it raises CalibrationError otherwise)."""
     sig, model = c.sig, c.model
     if sig.family != UNITARY:
         raise ValueError("curvature comparison implemented for the unitary family")
     if sig.p == 0 or sig.q == 0 or sig.r == 0:
         return GKCochain(Form.zero(), model, sig)
-    calibrate_structure(sig)
+    calibrate_structure(sig, model)
     rp, rq = range(1, sig.p + 1), range(1, sig.q + 1)
     gl_p = {(i, k): upq_op_model(sig, model, "k_gl_p", i, k) for i, k in product(rp, repeat=2)}
     gl_q = {(l, j): upq_op_model(sig, model, "k_gl_q", l, j) for l, j in product(rq, repeat=2)}

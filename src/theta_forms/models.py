@@ -20,10 +20,13 @@ Conventions fixed here and used everywhere downstream:
   with the fixed constants c_plus = c_minus = i (C_PLUS, C_MINUS).  The
   brackets force c_plus * c_minus = -1 and leave the split between the two
   free; i, i is the symmetric representative.  upq_op_model is the one
-  definition of these operators.  calibrate_structure certifies the very
-  Fock-model operators it builds by checking every gl(p+q) bracket; it runs
-  only where identities are checked (the `calibrate` command, the
-  calibration suite and forms.gk_curvature), never on the construction path.
+  definition of these operators; each one is built once per process and
+  shared by every caller (d, the curvature, the K-residual and the
+  certificate), and schur.laplacian likewise builds each Delta_ij once.
+  calibrate_structure certifies the very operators of the model it is
+  given by checking every gl(p+q) bracket; it runs only where identities
+  are checked (the `calibrate` command, the calibration suite and
+  forms.gk_curvature), never on the construction path.
   Conjugate columns carry the complex-conjugate operators; intertwined
   (Schrodinger) columns carry M_V = V - (1/2pi) d/dVbar in place of
   multiplication by V and plain d/dV in place of d/dz.
@@ -326,6 +329,12 @@ def _dd(u: VariableId, v: VariableId) -> LinOp:
     return LinOp.partial(u).compose(LinOp.partial(v))
 
 
+# Every operator of the family is built once per process and shared: a
+# LinOp is an immutable value.  The key carries the constants, so probing
+# other constants builds fresh operators.
+_UPQ_CACHE: dict[tuple, LinOp] = {}
+
+
 def upq_op_model(sig: Signature, model: ModelTag, block: str, a: int, b: int,
                  c_plus: Scalar = C_PLUS, c_minus: Scalar = C_MINUS) -> LinOp:
     """The u(p,q) operator for the given block, summed over all columns of
@@ -334,10 +343,24 @@ def upq_op_model(sig: Signature, model: ModelTag, block: str, a: int, b: int,
     This is the one definition of the family: d, the curvature, the
     K-residual and calibrate_structure's certificate all build through it
     with the defaults C_PLUS, C_MINUS.  Other constants are accepted only to
-    probe the free split between them."""
-    rows, cols = {"k_gl_p": (sig.p, sig.p), "k_gl_q": (sig.q, sig.q)}.get(block, (sig.p, sig.q))
+    probe the free split between them.  Each operator is built on the first
+    request and returned from _UPQ_CACHE after that."""
+    shape = {"k_gl_p": (sig.p, sig.p), "k_gl_q": (sig.q, sig.q),
+             "pplus": (sig.p, sig.q), "pminus": (sig.p, sig.q)}.get(block)
+    if shape is None:
+        raise ValueError(f"unknown u(p,q) block {block!r}")
+    rows, cols = shape
     if not (1 <= a <= rows and 1 <= b <= cols):
         raise IndexError(f"{block} index out of range")
+    key = (sig, model, block, a, b, c_plus, c_minus)
+    op = _UPQ_CACHE.get(key)
+    if op is None:
+        op = _UPQ_CACHE[key] = _build_upq_op(*key)
+    return op
+
+
+def _build_upq_op(sig: Signature, model: ModelTag, block: str, a: int, b: int,
+                  c_plus: Scalar, c_minus: Scalar) -> LinOp:
     parts = []
     for col, kind in enumerate(column_kinds(sig, model), start=1):
         holo = kind in ("pure", "doubled", "schrodinger")
@@ -364,13 +387,11 @@ def upq_op_model(sig: Signature, model: ModelTag, block: str, a: int, b: int,
                 parts.append(_mul_pair(X(a, col), Y(b, col), intertwined).scale(c_plus))
             if conj:
                 parts.append(_dd(Xbar(a, col), Ybar(b, col)).scale(c_minus.conjugate()))
-        elif block == "pminus":
+        else:
             if holo:
                 parts.append(_dd(X(a, col), Y(b, col)).scale(c_minus))
             if conj:
                 parts.append(_mul_pair(Xbar(a, col), Ybar(b, col), intertwined).scale(c_plus.conjugate()))
-        else:
-            raise ValueError(f"unknown u(p,q) block {block!r}")
     return op_sum(parts)
 
 
@@ -400,38 +421,39 @@ class CalibrationReport:
         return out
 
 
-# gk_curvature certifies the same (p, q, r) once per cochain it checks.
-_CAL_CACHE: dict[tuple[int, int, int], CalibrationReport] = {}
+# gk_curvature asks for the same certificate once per cochain it checks.
+_CAL_CACHE: dict[tuple, CalibrationReport] = {}
 
 
-def _abstract_image(sig: Signature, a: int, b: int) -> LinOp:
+def _abstract_image(sig: Signature, model: ModelTag, a: int, b: int) -> LinOp:
     """Phi(E_{a,b}) for the (p+q) x (p+q) elementary matrix, under the fixed
     labeling: gl(p) block -> k_gl_p, gl(q) block -> k_gl_q,
     E_{i,p+j} -> pminus(i,j), E_{p+j,i} -> pplus(i,j)."""
     p = sig.p
     if a <= p and b <= p:
-        return upq_op(sig, "k_gl_p", a, b)
+        return upq_op_model(sig, model, "k_gl_p", a, b)
     if a > p and b > p:
-        return upq_op(sig, "k_gl_q", a - p, b - p)
+        return upq_op_model(sig, model, "k_gl_q", a - p, b - p)
     if a <= p < b:
-        return upq_op(sig, "pminus", a, b - p)
-    return upq_op(sig, "pplus", b, a - p)
+        return upq_op_model(sig, model, "pminus", a, b - p)
+    return upq_op_model(sig, model, "pplus", b, a - p)
 
 
-def calibrate_structure(sig: Signature) -> CalibrationReport:
+def calibrate_structure(sig: Signature, model: ModelTag = FOCK) -> CalibrationReport:
     """Certify that Phi is a Lie algebra homomorphism onto the u(p,q)
-    operators exactly as upq_op builds them (with C_PLUS, C_MINUS): every
-    bracket [E_ab, E_cd] of gl(p+q) must close.  [E_{1,p+1}, E_{p+1,1}]
-    alone pins c_plus * c_minus = -1; the split between the two is free.
-    Raises CalibrationError on the first bracket that fails.  Results are
-    cached per (p, q, r)."""
-    key = (sig.p, sig.q, sig.r)
-    if key in _CAL_CACHE:
-        return _CAL_CACHE[key]
+    operators exactly as upq_op_model builds them in the given model (with
+    C_PLUS, C_MINUS): every bracket [E_ab, E_cd] of gl(p+q) must close.
+    [E_{1,p+1}, E_{p+1,1}] alone pins c_plus * c_minus = -1; the split
+    between the two is free.  Raises CalibrationError on the first bracket
+    that fails.  Results are cached per (p, q, r, column kinds): the
+    operators depend on (p, q, column kinds) alone, and r labels the report."""
     if sig.p < 1 or sig.q < 1 or sig.r < 1:
         raise ValueError("calibration needs p, q, r >= 1")
+    key = (sig.p, sig.q, sig.r, tuple(column_kinds(sig, model)))
+    if key in _CAL_CACHE:
+        return _CAL_CACHE[key]
     n = sig.p + sig.q
-    img = {(a, b): _abstract_image(sig, a, b)
+    img = {(a, b): _abstract_image(sig, model, a, b)
            for a in range(1, n + 1) for b in range(1, n + 1)}
     for (a, b), op1 in img.items():
         for (c, d), op2 in img.items():
@@ -442,7 +464,8 @@ def calibrate_structure(sig: Signature) -> CalibrationReport:
                 expect = expect - img[(c, b)]
             if op1.commutator(op2) != expect:
                 raise CalibrationError(
-                    f"bracket [E{a}{b}, E{c}{d}] fails to close for p={sig.p} q={sig.q} r={sig.r}")
+                    f"bracket [E{a}{b}, E{c}{d}] fails to close for p={sig.p} q={sig.q} "
+                    f"r={sig.r} s={sig.s} model {model.token()}")
     report = CalibrationReport(
         sig, (f"all {len(img) ** 2} elementary brackets of gl({n}) close exactly",))
     _CAL_CACHE[key] = report

@@ -45,7 +45,10 @@ def _sub_indices(D: DerivIndex):
 
 
 class LinOp:
-    """Canonical linear operator: {DerivIndex: multiplier Polynomial}."""
+    """Canonical linear operator: {DerivIndex: multiplier Polynomial}.
+
+    An immutable value: nothing writes to .terms after construction, so one
+    operator may be cached and shared by any number of callers."""
 
     __slots__ = ("terms",)
 
@@ -128,7 +131,8 @@ class LinOp:
                     dm2 = _apply_deriv(beta, m2)
                     if dm2.is_zero():
                         continue
-                    out.add(monomial(list(rest) + list(D2)), m1 * dm2 * coef)
+                    out.add(monomial(list(rest) + list(D2)), m1 * dm2,
+                            None if coef == 1 else Scalar.of(coef))
         return LinOp(out.polys())
 
     def commutator(self, other: "LinOp") -> "LinOp":

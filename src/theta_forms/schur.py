@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import permutations
 
 from .exterior import perm_sign
@@ -214,8 +215,9 @@ def kv_highest_weight(lam: Partition, mu: Partition, sig: Signature) -> Polynomi
 # Laplacians and harmonicity
 # ---------------------------------------------------------------------------
 
+@cache
 def laplacian(i: int, j: int, sig: Signature) -> LinOp:
-    """Delta_ij = sum_nu d^2 / dX_{i,nu} dY_{j,nu}."""
+    """Delta_ij = sum_nu d^2 / dX_{i,nu} dY_{j,nu}, built once per process."""
     if not (1 <= i <= sig.p and 1 <= j <= sig.q):
         raise IndexError("laplacian index out of range")
     return op_sum(LinOp.partial(X(i, nu)).compose(LinOp.partial(Y(j, nu)))

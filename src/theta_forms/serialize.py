@@ -155,13 +155,29 @@ def gram_to_json(L: GramMatrix) -> str:
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
+def _list(x) -> list:
+    # a string would be read one character at a time
+    if type(x) is not list:
+        raise ValueError(f"expected a list, got {x!r}")
+    return x
+
+
+def _gram_entry(x) -> str:
+    # bool is an int subclass and a float is inexact: neither is an entry
+    if type(x) is int:
+        return str(x)
+    if type(x) is not str:
+        raise ValueError(f"expected a gram entry as an integer or a string, got {x!r}")
+    return x
+
+
 def gram_from_dict(data: dict) -> GramMatrix:
     """Any malformed shape or value raises ValueError."""
     try:
-        rows = data["gram"]
-        if len(rows) != int(data["dim"]):
+        rows = _list(data["gram"])
+        if len(rows) != _int(data["dim"]):
             raise ValueError("gram row count does not match dim")
-        return GramMatrix([[Fraction(str(x)) for x in row] for row in rows])
+        return GramMatrix([[Fraction(_gram_entry(x)) for x in _list(row)] for row in rows])
     except (TypeError, AttributeError, KeyError, IndexError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed gram JSON: {exc!r}") from exc
 

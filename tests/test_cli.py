@@ -123,7 +123,15 @@ def test_calibrate_prints_report(capsys):
     {"dim": 1, "gram": [["1/0"]]},
     {"dim": 1, "gram": 5},
     [{"dim": 1, "gram": [["2"]]}],
-], ids=["zero-denominator", "gram-int", "top-level-list"])
+    {"dim": 1.9, "gram": [["2"]]},
+    {"dim": True, "gram": [["2"]]},
+    {"dim": "1", "gram": [["2"]]},
+    {"dim": 2, "gram": ["21", "12"]},
+    {"dim": 1, "gram": "2"},
+    {"dim": 1, "gram": [[2.0]]},
+    {"dim": 1, "gram": [[True]]},
+], ids=["zero-denominator", "gram-int", "top-level-list", "dim-float", "dim-bool",
+        "dim-string", "string-rows", "string-gram", "float-entry", "bool-entry"])
 def test_theta_rejects_malformed_gram(tmp_path, capsys, data):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))

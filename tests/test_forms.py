@@ -12,7 +12,9 @@ from theta_forms.forms import (FactorizationError, GKCochain, SplitSpec,
                                gk_differential, k_invariance_residual,
                                restrict_form, strongly_primitive_monomial)
 from theta_forms import forms, models
-from theta_forms.models import ORTHOGONAL, CalibrationError, Signature, fock_model
+from theta_forms.models import (ORTHOGONAL, CalibrationError, Signature, fock_model,
+                                mixed_model)
+from theta_forms.operators import LinOp
 from theta_forms.poly import Polynomial, X, Xbar, Y
 from theta_forms.scalars import Scalar
 
@@ -170,6 +172,21 @@ def test_certificate_checks_the_operators_d_uses(monkeypatch):
         models.calibrate_structure(sig)
     with pytest.raises(CalibrationError):
         gk_curvature(build_psi_cup(sig))
+
+
+def test_certificate_covers_the_intertwined_columns(monkeypatch):
+    # M_V differentiating in V instead of Vbar breaks [k_gl_p, pplus] on a
+    # Schrodinger column only; the Fock columns the split-0 certificate sees
+    # are untouched, so only a certificate of the mixed model itself catches it
+    def wrong_m_op(v):
+        return models._mult(v) - LinOp.partial(v).scale(Scalar.of(Fraction(1, 2), 0, -1))
+    monkeypatch.setattr(models, "_m_op", wrong_m_op)
+    monkeypatch.setattr(models, "_UPQ_CACHE", {})
+    monkeypatch.setattr(models, "_CAL_CACHE", {})
+    sig = Signature(2, 1, 1, 1)
+    models.calibrate_structure(sig)
+    with pytest.raises(CalibrationError):
+        gk_curvature(GKCochain(Form({(xi(1, 1),): x(1, 1)}), mixed_model(1), sig))
 
 
 def test_dd_zero_on_invariant_forms():

@@ -3,11 +3,15 @@ from itertools import product
 
 import pytest
 
+from theta_forms import models
+from theta_forms.exterior import Form, xi, xibar
+from theta_forms.forms import (GKCochain, build_mixed, build_psi_cup, gk_curvature,
+                               gk_differential, k_invariance_residual)
 from theta_forms.models import (C_MINUS, C_PLUS, FOCK, SCHRODINGER, ModelTag,
                                 SchrodingerElement, Signature,
                                 calibrate_structure, fock_model,
                                 heisenberg_op, inner_product_rel, intertwine,
-                                ladder_op, sp_op, upq_op, upq_op_model)
+                                ladder_op, mixed_model, sp_op, upq_op, upq_op_model)
 from theta_forms.poly import Polynomial, X, Y, Zvar
 from theta_forms.scalars import Scalar
 from theta_forms.schur import Partition, kv_highest_weight
@@ -144,6 +148,79 @@ def test_upq_op_is_the_fock_model_operator(r):
     sig = Signature(2, 1, r, 0)
     for block, a, b in [("k_gl_p", 1, 2), ("k_gl_q", 1, 1), ("pplus", 2, 1), ("pminus", 1, 1)]:
         assert upq_op(sig, block, a, b) == upq_op_model(sig, FOCK, block, a, b)
+
+
+def test_unknown_block_is_rejected_at_every_signature():
+    for sig in (Signature(2, 1, 0, 0), Signature(2, 1, 1, 0)):
+        with pytest.raises(ValueError):
+            upq_op_model(sig, FOCK, "bogus", 1, 1)
+    assert not any(key[2] == "bogus" for key in models._UPQ_CACHE)
+
+
+def _upq_requests(sig):
+    """Every (block, a, b) of the family at the signature."""
+    p, q = sig.p, sig.q
+    return ([("k_gl_p", a, b) for a, b in product(range(1, p + 1), repeat=2)]
+            + [("k_gl_q", a, b) for a, b in product(range(1, q + 1), repeat=2)]
+            + [(block, i, j) for block in ("pplus", "pminus")
+               for i, j in product(range(1, p + 1), range(1, q + 1))])
+
+
+def test_upq_op_model_builds_each_operator_once():
+    sig = Signature(2, 1, 1, 1)
+    for model in (FOCK, fock_model(1), mixed_model(1)):
+        for block, a, b in _upq_requests(sig):
+            assert upq_op_model(sig, model, block, a, b) is upq_op_model(sig, model, block, a, b)
+    # other constants are another key, not the cached operator
+    cp, cm = Scalar.of(0, 2), Scalar.of(0, Fraction(1, 2))
+    assert upq_op_model(sig, FOCK, "pplus", 1, 1, cp, cm) != upq_op_model(sig, FOCK, "pplus", 1, 1)
+
+
+def test_cached_operators_equal_fresh_builds():
+    for p, q, r, s in product(range(1, 4), range(1, 3), range(3), range(3)):
+        sig = Signature(p, q, r, s)
+        for which, split in product(("fock", "mixed"), range(max(r, s) + 1)):
+            model = ModelTag(which, split)
+            for block, a, b in _upq_requests(sig):
+                assert upq_op_model(sig, model, block, a, b) == models._build_upq_op(
+                    sig, model, block, a, b, C_PLUS, C_MINUS), (sig, model, block, a, b)
+
+
+def test_cached_operators_survive_the_identity_checks(monkeypatch):
+    monkeypatch.setattr(models, "_UPQ_CACHE", {})
+    sig = Signature(2, 1, 1, 1)
+    x11 = Polynomial.variable(X(1, 1))
+    cochains = [build_psi_cup(Signature(2, 2, 1, 0)), build_mixed(sig),
+                GKCochain(Form({(xi(1, 1),): x11, (xibar(2, 1),): x11 * x11}), fock_model(1), sig),
+                GKCochain(Form({(xi(2, 1),): x11}), mixed_model(1), sig)]
+    for c in cochains:
+        gk_differential(gk_differential(c))
+        gk_curvature(c)
+        k_invariance_residual(c)
+    assert len(models._UPQ_CACHE) > 0
+    for key, op in models._UPQ_CACHE.items():
+        assert op == models._build_upq_op(*key), key
+
+
+@pytest.mark.parametrize("sig,model", [
+    (Signature(2, 1, 1, 1), fock_model(1)), (Signature(2, 1, 1, 1), mixed_model(1)),
+    (Signature(2, 2, 2, 2), mixed_model(2)), (Signature(2, 1, 2, 2), fock_model(2)),
+    (Signature(3, 2, 2, 1), mixed_model(1)), (Signature(3, 2, 1, 1), fock_model(1)),
+], ids=lambda v: f"{v.p}{v.q}{v.r}{v.s}" if isinstance(v, Signature) else v.token())
+def test_calibration_certifies_each_model(sig, model):
+    rep = calibrate_structure(sig, model)
+    assert rep is calibrate_structure(sig, model)
+    assert rep is not calibrate_structure(sig)
+    n = sig.p + sig.q
+    assert rep.verified == (f"all {n ** 4} elementary brackets of gl({n}) close exactly",)
+
+
+def test_calibration_report_names_the_requested_r():
+    # split 2 doubles both columns at r = 1 and at r = 2: the same operators,
+    # but each report must print its own signature
+    calibrate_structure(Signature(2, 1, 1, 2), fock_model(2))
+    rep = calibrate_structure(Signature(2, 1, 2, 2), fock_model(2))
+    assert rep.lines()[0].startswith("calibration p=2 q=1 r=2:")
 
 
 def test_model_tag_rejects_negative_split():

@@ -86,6 +86,7 @@ def test_laplacian_examples():
     assert laplacian(1, 1, sig).apply(Polynomial.variable(X(1, 1)) ** 2).is_zero()
     with pytest.raises(IndexError):
         laplacian(2, 1, sig)
+    assert laplacian(1, 1, sig) is laplacian(1, 1, Signature(1, 1, 1, 0))
 
 
 def test_is_harmonic_examples():

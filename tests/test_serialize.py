@@ -68,6 +68,11 @@ def test_gram_round_trip():
     assert back.entries == e8_gram().entries
 
 
+def test_gram_accepts_integer_and_string_entries():
+    L = gram_from_json(json.dumps({"dim": 2, "gram": [[2, "1"], ["1", 2]]}))
+    assert L.entries == ((2, 1), (1, 2))
+
+
 def test_import_puts_wedges_in_canonical_order():
     c = build_psi_cup(Signature(2, 2, 1, 0))
     data = json.loads(cochain_to_json(c))
