@@ -26,8 +26,8 @@ from .models import (CalibrationError, ORTHOGONAL, Signature, UNITARY,
 from .serialize import (cochain_from_json, cochain_to_json, cochain_to_latex,
                         gram_from_json)
 from .suites import SUITES, run_all, run_suite
-from .theta import (BetaMatrix, WhittakerPoint, eisenstein_check, rep_numbers,
-                    whittaker)
+from .theta import (NMAX_CEILING, BetaMatrix, WhittakerPoint, eisenstein_check,
+                    rep_numbers, whittaker)
 
 FORM_BUILDERS = {
     "psi-q": build_psi_q,
@@ -114,6 +114,9 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_theta(args) -> int:
+    if args.check is None and args.nmax > NMAX_CEILING:
+        # eisenstein_check bounds the check path with its own message
+        raise ValueError(f"desk-scale table: n_max <= {NMAX_CEILING}")
     with open(args.gram, "r", encoding="utf-8") as fh:
         L = gram_from_json(fh.read())
     if args.check == "eisenstein":

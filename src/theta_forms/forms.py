@@ -23,8 +23,8 @@ from .exterior import (Form, WedgeGen, merge_monomials, perm_sign, wedge_all,
 from .models import (ModelTag, ORTHOGONAL, Signature, UNITARY, _m_op,
                      calibrate_structure, fock_model, mixed_model, upq_op_model)
 from .operators import LinOp, op_sum
-from .poly import Polynomial, VariableId, X, Xbar, Y, _Sum
-from .scalars import Scalar
+from .poly import Polynomial, VariableId, X, Xbar, Y, _Sum, _poly
+from .scalars import Scalar, _mac, _reduce, _rows
 
 
 @dataclass(frozen=True)
@@ -183,28 +183,34 @@ def _form_op_sum(pairs, f: Form) -> Form:
     """sum over (lead, op) pairs of lead ^ op(f): lead is a canonical wedge
     monomial (possibly empty), op a LinOp acting on the coefficients.
 
-    Every term goes into one in-place _Sum, with its sign from
-    merge_monomials(lead, w).  Each distinct operator is applied (through
-    LinOp.apply) once per coefficient monomial, and that image serves every
-    lead and wedge term the monomial occurs with; the images of one operator
-    are dropped before the next one starts."""
+    Leads are grouped by operator.  Each distinct operator is applied
+    (through LinOp.apply) once per coefficient monomial; the image is
+    flattened once into rows (scalars._rows), which serve every lead and
+    wedge term the monomial occurs with, and the images of one operator are
+    dropped before the next one starts.  Products go into one unreduced
+    triple accumulator per wedge, {(monomial, pi_exp): (re, im, den)}, with
+    the sign of merge_monomials(lead, w) folded in (scalars._mac); each entry
+    is reduced once at the end.  No Scalar is built per product."""
     leads: dict = {}   # operator -> its leads, in first-seen order
     for lead, op in pairs:
         leads.setdefault(op, []).append(lead)
-    out = _Sum()
+    acc: dict = {}   # wedge -> {(monomial, pi_exp): (re, im, den)}
     for op, op_leads in leads.items():
-        images: dict = {}   # monomial -> op(monomial)
+        images: dict = {}   # monomial -> rows of op(monomial)
         for lead in op_leads:
             for w, p in f.terms.items():
                 sign, ww = merge_monomials(lead, w)
                 if not sign:
                     continue
+                inner = acc.setdefault(ww, {})
                 for m, c in p.terms.items():
-                    img = images.get(m)
-                    if img is None:
-                        img = images[m] = op.apply(Polynomial({m: _ONE}))
-                    out.add(ww, img, c if sign > 0 else -c)
-    return Form(out.polys())
+                    rows = images.get(m)
+                    if rows is None:
+                        rows = images[m] = _rows(op.apply(Polynomial({m: _ONE})).terms.items())
+                    _mac(inner, c, rows, sign)
+    # pop each accumulator as its polynomial is built, so the two never
+    # coexist in full
+    return Form({w: _poly(_reduce(acc.pop(w))) for w in list(acc)})
 
 
 def _km_column(sig: Signature, k: int) -> Form:

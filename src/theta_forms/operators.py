@@ -10,24 +10,39 @@ are decided by structural equality.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, perm
 from typing import Iterable
 
-from .poly import Monomial, Polynomial, VariableId, _Sum, monomial
-from .scalars import Scalar
+from .poly import (Monomial, Polynomial, VariableId, _Sum, _poly, monomial,
+                   monomial_mul)
+from .scalars import Scalar, _mac, _reduce, _rows
 
 # A derivative multi-index reuses the Monomial encoding: sorted
 # ((VariableId, order>0), ...).
 DerivIndex = Monomial
 
 
-def _apply_deriv(D: DerivIndex, f: Polynomial) -> Polynomial:
+def _deriv_mono(D: DerivIndex, m: Monomial):
+    """D applied to the monomial m: (falling-factorial int coefficient,
+    reduced monomial), or None when an order exceeds its exponent (or the
+    variable is absent) and the image is zero."""
+    if not D:
+        return 1, m
+    coef, out = 1, list(m)
     for v, k in D:
-        for _ in range(k):
-            f = f.partial(v)
-            if f.is_zero():
-                return f
-    return f
+        for idx, (w, e) in enumerate(out):
+            if w == v:
+                break
+        else:
+            return None
+        if e < k:
+            return None
+        coef *= perm(e, k)
+        if e == k:
+            del out[idx]
+        else:
+            out[idx] = (v, e - k)
+    return coef, tuple(out)
 
 
 def _sub_indices(D: DerivIndex):
@@ -85,12 +100,19 @@ class LinOp:
     # -- action and algebra --------------------------------------------------
 
     def apply(self, f: Polynomial) -> Polynomial:
-        out = _Sum()
-        for D, m in self.terms.items():
-            df = _apply_deriv(D, f)
-            if not df.is_zero():
-                out.add(None, m * df)
-        return out.total()
+        """sum over terms (D, m) of m * (D f), straight on the monomials: each
+        term's derivative image of each monomial of f (_deriv_mono) is merged
+        with every multiplier monomial, and the products go into one
+        unreduced triple accumulator (scalars._mac), reduced once at the end."""
+        acc: dict = {}   # (monomial, pi_exp) -> (re, im, den)
+        for D, mult in self.terms.items():
+            for m, c in f.terms.items():
+                r = _deriv_mono(D, m)
+                if r is not None:
+                    n, dm = r
+                    _mac(acc, c, _rows((monomial_mul(m2, dm), c2)
+                                       for m2, c2 in mult.terms.items()), n)
+        return _poly(_reduce(acc))
 
     def __add__(self, other: "LinOp") -> "LinOp":
         out = dict(self.terms)
@@ -128,11 +150,14 @@ class LinOp:
         for D1, m1 in self.terms.items():
             for D2, m2 in other.terms.items():
                 for beta, coef, rest in _sub_indices(D1):
-                    dm2 = _apply_deriv(beta, m2)
-                    if dm2.is_zero():
-                        continue
-                    out.add(monomial(list(rest) + list(D2)), m1 * dm2,
-                            None if coef == 1 else Scalar.of(coef))
+                    dm2 = {}   # D^beta m2; distinct monomials stay distinct
+                    for m, c in m2.terms.items():
+                        r = _deriv_mono(beta, m)
+                        if r is not None:
+                            dm2[r[1]] = c if r[0] == 1 else c * r[0]
+                    if dm2:
+                        out.add(monomial(list(rest) + list(D2)), m1 * Polynomial(dm2),
+                                None if coef == 1 else Scalar.of(coef))
         return LinOp(out.polys())
 
     def commutator(self, other: "LinOp") -> "LinOp":

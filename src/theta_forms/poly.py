@@ -235,10 +235,27 @@ class Polynomial:
         return "Poly(" + " + ".join(bits) + ")"
 
 
+def _poly(terms: dict) -> Polynomial:
+    """Wrap a {Monomial: nonzero Scalar} map as a Polynomial, unchecked."""
+    p = object.__new__(Polynomial)
+    p.terms = terms
+    return p
+
+
 class _Sum:
     """In-place sum of keyed polynomials, {key: {Monomial: Scalar}}: n adds
     cost the terms added, not n copies of the total.  The key is a wedge
-    (Form), a derivative index (LinOp) or None (one Polynomial)."""
+    (Form), a derivative index (LinOp) or None (one Polynomial).
+
+    Each add multiplies and sums Scalar objects, one canonical value per
+    step, which suits the cold paths (wedge, compose, JSON import).  The
+    form-operator kernel (forms._form_op_sum) keeps its own accumulator of
+    unreduced integer triples (scalars._mac, scalars._reduce): it
+    flattens each operator image once and reuses those rows for every lead
+    and wedge term, with the sign folded into the integers, which an add
+    taking a Polynomial and a Scalar cannot do.  Switching this class to
+    triples for every caller was measured slower on the construct
+    workload than the kernel's own accumulator."""
 
     __slots__ = ("acc",)
 

@@ -198,3 +198,57 @@ def _raw(t: dict) -> Scalar:
     s = object.__new__(Scalar)
     s._t = t
     return s
+
+
+# -- unreduced triple accumulators ------------------------------------------
+# A multiply-accumulate that runs many products into one sum keeps its
+# entries {(key, pi_exp): (re, im, den)} unreduced and reduces each once at
+# the end, instead of building a canonical Scalar per product.
+
+def _rows(pairs) -> list:
+    """[(key, pi_exp, re, im, den)] for an iterable of (key, Scalar): the
+    triples flattened once, to be reused by many _mac calls."""
+    return [(m, k, a, b, d) for m, s in pairs for k, (a, b, d) in s._t.items()]
+
+
+def _mac(acc: dict, c: Scalar, rows: list, n: int = 1) -> None:
+    """acc[(key, k + k2)] += n * c * (re + im i) / den for each row
+    (key, k2, re, im, den) of _rows, term by term of c.  Numerators add when
+    the denominators match and one gcd finds the common denominator
+    otherwise; a sum that cancels drops its key."""
+    get = acc.get
+    for k1, (a, b, d) in c._t.items():
+        if n != 1:
+            a, b = n * a, n * b
+        for m, k2, e, f, g in rows:
+            key = (m, k1 + k2)
+            re, im, den = a * e - b * f, a * f + b * e, d * g
+            t = get(key)
+            if t is None:
+                acc[key] = (re, im, den)
+                continue
+            x, y, z = t
+            if z != den:
+                h = gcd(z, den)
+                u, v = den // h, z // h
+                x, y, z, re, im = x * u, y * u, z * u, re * v, im * v
+            x, y = x + re, y + im
+            if x or y:
+                acc[key] = (x, y, z)
+            else:
+                del acc[key]
+
+
+def _reduce(acc: dict) -> dict:
+    """{key: Scalar} of a _mac accumulator: each triple reduced once to the
+    invariant; keys whose every term is zero are absent."""
+    out: dict = {}
+    for (m, k), (re, im, den) in acc.items():
+        c = _canon(re, im, den)
+        if c is not None:
+            t = out.get(m)
+            if t is None:
+                out[m] = {k: c}
+            else:
+                t[k] = c
+    return {m: _raw(t) for m, t in out.items()}

@@ -456,12 +456,15 @@ class EisensteinReport:
         return out
 
 
+NMAX_CEILING = 20   # desk-scale limit of the theta command and the eisenstein check
+
+
 def eisenstein_check(n_max: int, L: GramMatrix | None = None) -> EisensteinReport:
     """One-class genus instance of Siegel-Weil: the theta coefficients of the
     lattice (E8 by default) against the Eisenstein side 240 sigma_3(n).
     Both sides exact integers; a non-E8 lattice reports its mismatches."""
-    if not 1 <= n_max <= 20:
-        raise ValueError("desk-scale check: 1 <= n_max <= 20")
+    if not 1 <= n_max <= NMAX_CEILING:
+        raise ValueError(f"desk-scale check: 1 <= n_max <= {NMAX_CEILING}")
     counts = rep_numbers(L if L is not None else e8_gram(), n_max)
     rows = tuple((n, counts[n], 240 * sigma3(n)) for n in range(1, n_max + 1))
     return EisensteinReport(rows)

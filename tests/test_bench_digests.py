@@ -3,11 +3,18 @@ every check they make must hold.  That covers the JSON and LaTeX SHA-256
 digests recorded in perfbench/expected.json, the JSON round trip, d == 0 on
 the closed forms, km_nabla == km_explicit, K-invariance, the seeded
 d(d(c)) == curvature, and every suite's verdict and the SHA-256 of its lines
-(the calibration lines included).
+(the calibration lines included).  The traced passes run as the benchmark
+runs them, in a worker subprocess, so the tracer's wiring check
+(a call recorded at every layer boundary each workload is predicted to cross,
+``operators.apply`` among them) is part of the test suite.
 
 perfbench/workloads.py is compiled from its source and run without writing
-anything under perfbench/."""
+anything under perfbench/; the worker runs under ``python -B`` for the same
+reason."""
 
+import json
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -15,7 +22,8 @@ import pytest
 
 from theta_forms import models, schur
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+WORKLOADS = PERFBENCH / "workloads.py"
 
 
 def load_workloads() -> types.ModuleType:
@@ -62,3 +70,14 @@ def test_full_verify_all_pass_has_no_failed_check(monkeypatch):
         # verdict and lines digest per suite
         assert checks.attempted == 2 * len(workloads.suites.SUITES)
         assert len(clock.laps) == len(workloads.suites.SUITES)
+
+
+@pytest.mark.parametrize("workload", ["verify-all", "construct", "theta-e8"])
+def test_traced_worker_has_no_failed_check(workload):
+    proc = subprocess.run(
+        [sys.executable, "-B", str(PERFBENCH / "worker.py"), "--workload", workload,
+         "--seed", "0", "--size", "tiny", "--trace"],
+        capture_output=True, text=True, timeout=120, check=True)
+    result = json.loads(proc.stdout)
+    assert result["failed"] == 0, result["failures"]
+    assert result["attempted"] > 0

@@ -64,6 +64,28 @@ def test_theta_eisenstein_rejects_nmax_zero(tmp_path, capsys):
     assert captured.err.count("\n") == 1 and "error" in json.loads(captured.err)
 
 
+def test_theta_table_rejects_nmax_above_ceiling(tmp_path, capsys):
+    # The gram file does not exist: the flag is rejected before it is read,
+    # so before any enumeration.
+    rc = main(["theta", "--gram", str(tmp_path / "missing.json"), "--nmax", "21"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert json.loads(captured.err) == {"error": "desk-scale table: n_max <= 20"}
+
+
+def test_theta_eisenstein_rejects_nmax_above_ceiling(tmp_path, capsys):
+    gram = tmp_path / "e8.json"
+    gram.write_text(gram_to_json(e8_gram()))
+    rc = main(["theta", "--gram", str(gram), "--nmax", "21", "--check", "eisenstein"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert json.loads(captured.err) == {"error": "desk-scale check: 1 <= n_max <= 20"}
+
+
 def test_theta_table(tmp_path):
     gram = tmp_path / "a1.json"
     gram.write_text(json.dumps({"dim": 1, "gram": [["2"]]}))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from theta_forms import forms
-from theta_forms.exterior import Form, wedge_monomial, xi, xibar
+from theta_forms.exterior import Form, merge_monomials, wedge_monomial, xi, xibar
 from theta_forms.forms import (GKCochain, build_psi_cup, build_psi_orth,
                                gk_curvature, gk_differential, k_invariance_residual)
 from theta_forms.models import (ORTHOGONAL, UNITARY, Signature, fock_model,
@@ -142,3 +142,22 @@ def test_closed_forms_cancel_to_the_zero_form():
               build_psi_orth(Signature(3, 2, 2, 0, ORTHOGONAL))):
         assert gk_differential(c).form.terms == {}
         assert k_invariance_residual(c).terms == {}
+
+
+def test_kernel_images_go_through_linop_apply(monkeypatch):
+    """One LinOp.apply call per (operator, coefficient monomial) the sum
+    meets: the operators.apply layer boundary sees every kernel image."""
+    c = build_psi_cup(Signature(2, 2, 1, 1))
+    pairs = forms._pair_ops(c.sig, c.model)
+    expected = {(op, m) for lead, op in pairs for w, p in c.form.terms.items()
+                if merge_monomials(lead, w)[0] for m in p.terms}
+    calls = []
+    apply = LinOp.apply
+
+    def counted(op, f):
+        calls.append((op, *f.terms))
+        return apply(op, f)
+
+    monkeypatch.setattr(LinOp, "apply", counted)
+    assert gk_differential(c).form.terms == {}
+    assert len(calls) == len(expected) and set(calls) == expected
