@@ -17,7 +17,18 @@ from .scalars import Scalar
 KINDS = ("X", "Y", "Xbar", "Ybar", "Z")
 _KIND_RANK = {k: i for i, k in enumerate(KINDS)}
 _CONJ_KIND = {"X": "Xbar", "Xbar": "X", "Y": "Ybar", "Ybar": "Y", "Z": "Z"}
-_SORT_KEYS: dict = {}  # VariableId -> sort_key(), computed once per variable
+
+
+class _SortKeys(dict):
+    """VariableId -> (kind rank, col, row), filled in on first lookup, so the
+    hot loops index it directly instead of calling sort_key()."""
+
+    def __missing__(self, v):
+        key = self[v] = (_KIND_RANK[v.kind], v.col, v.row)
+        return key
+
+
+_SORT_KEYS = _SortKeys()
 
 
 class VariableId(NamedTuple):
@@ -26,10 +37,7 @@ class VariableId(NamedTuple):
     col: int
 
     def sort_key(self):
-        key = _SORT_KEYS.get(self)
-        if key is None:
-            key = _SORT_KEYS[self] = (_KIND_RANK[self.kind], self.col, self.row)
-        return key
+        return _SORT_KEYS[self]
 
     def conjugate(self) -> "VariableId":
         return VariableId(_CONJ_KIND[self.kind], self.row, self.col)
@@ -77,18 +85,18 @@ def monomial(pairs: Iterable[tuple[VariableId, int]]) -> Monomial:
     items = [(v, e) for v, e in acc.items() if e != 0]
     if any(e < 0 for _, e in items):
         raise ValueError("negative exponent in monomial")
-    return tuple(sorted(items, key=lambda p: p[0].sort_key()))
+    return tuple(sorted(items, key=lambda p: _SORT_KEYS[p[0]]))
 
 
 def monomial_mul(m1: Monomial, m2: Monomial) -> Monomial:
     """Product of two canonical monomials: one merge of the sorted tuples."""
-    out, i, j = [], 0, 0
+    out, i, j, keys = [], 0, 0, _SORT_KEYS
     while i < len(m1) and j < len(m2):
         (v1, e1), (v2, e2) = m1[i], m2[j]
         if v1 == v2:
             out.append((v1, e1 + e2))
             i, j = i + 1, j + 1
-        elif v1.sort_key() < v2.sort_key():
+        elif keys[v1] < keys[v2]:
             out.append(m1[i])
             i += 1
         else:
@@ -197,7 +205,8 @@ class Polynomial:
         return self.terms.get(m, Scalar.zero())
 
     def sorted_terms(self) -> list[tuple[Monomial, Scalar]]:
-        return sorted(self.terms.items(), key=lambda t: tuple((v.sort_key(), e) for v, e in t[0]))
+        keys = _SORT_KEYS
+        return sorted(self.terms.items(), key=lambda t: tuple((keys[v], e) for v, e in t[0]))
 
     # -- calculus and substitution ------------------------------------------
 
@@ -248,7 +257,7 @@ class _Sum:
     (Form), a derivative index (LinOp) or None (one Polynomial).
 
     Each add multiplies and sums Scalar objects, one canonical value per
-    step, which suits the cold paths (wedge, compose, JSON import).  The
+    step, which suits the cold paths (wedge, compose, models).  The
     form-operator kernel (forms._form_op_sum) keeps its own accumulator of
     unreduced integer triples (scalars._mac, scalars._reduce): it
     flattens each operator image once and reuses those rows for every lead

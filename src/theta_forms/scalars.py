@@ -200,6 +200,9 @@ def _raw(t: dict) -> Scalar:
     return s
 
 
+_ONE = _raw({0: (1, 0, 1)})
+
+
 # -- unreduced triple accumulators ------------------------------------------
 # A multiply-accumulate that runs many products into one sum keeps its
 # entries {(key, pi_exp): (re, im, den)} unreduced and reduces each once at
@@ -237,6 +240,12 @@ def _mac(acc: dict, c: Scalar, rows: list, n: int = 1) -> None:
                 acc[key] = (x, y, z)
             else:
                 del acc[key]
+
+
+def _mac_ratios(acc: dict, rows: list, n: int) -> None:
+    """acc[(key, k)] += n * (re + im i) for each row (key, k, re, im) with
+    re and im as (numerator, denominator) pairs, denominators nonzero."""
+    _mac(acc, _ONE, [(m, k, n * a * d, n * c * b, b * d) for m, k, (a, b), (c, d) in rows])
 
 
 def _reduce(acc: dict) -> dict:

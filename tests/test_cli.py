@@ -152,8 +152,13 @@ def test_calibrate_prints_report(capsys):
     {"dim": 1, "gram": "2"},
     {"dim": 1, "gram": [[2.0]]},
     {"dim": 1, "gram": [[True]]},
+    {"dim": 1, "gram": [["1e400"]]},
+    {"dim": 1, "gram": [["0.5"]]},
+    {"dim": 1, "gram": [[" 1 "]]},
+    {"dim": 1, "gram": [["1_0"]]},
 ], ids=["zero-denominator", "gram-int", "top-level-list", "dim-float", "dim-bool",
-        "dim-string", "string-rows", "string-gram", "float-entry", "bool-entry"])
+        "dim-string", "string-rows", "string-gram", "float-entry", "bool-entry",
+        "exponent-entry", "decimal-entry", "spaced-entry", "underscore-entry"])
 def test_theta_rejects_malformed_gram(tmp_path, capsys, data):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
@@ -210,3 +215,42 @@ def test_verify_report_is_byte_reproducible(tmp_path):
     assert main(argv + [str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
     assert all("seconds" not in s for s in json.loads(a.read_text())["suites"])
+
+
+_ROUND_TRIP_SIGS = [(2, 2, 1, 1), (2, 1, 2, 0), (3, 2, 1, 1)]
+# psi-orth needs the orthogonal family; the unitary Kudla-Millson forms need r = s
+_REJECTED = ({("psi-orth", sig) for sig in _ROUND_TRIP_SIGS}
+             | {("km-nabla", (2, 1, 2, 0)), ("km-explicit", (2, 1, 2, 0))})
+
+
+@pytest.mark.parametrize("sig", _ROUND_TRIP_SIGS, ids=lambda sig: ",".join(map(str, sig)))
+@pytest.mark.parametrize("form", sorted(cli.FORM_BUILDERS))
+def test_export_reproduces_build_byte_for_byte(tmp_path, capsys, form, sig):
+    flags = ["--form", form] + [x for f, v in zip("pqrs", sig) for x in (f"--{f}", str(v))]
+    built = tmp_path / "built.json"
+    rc = main(["build"] + flags + ["--out", str(built)])
+    if (form, sig) in _REJECTED:
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "error" in json.loads(captured.err)
+        return
+    assert rc == 0
+    assert main(["export", "--in", str(built), "--format", "json"]) == 0
+    assert capsys.readouterr().out == built.read_text()
+    assert main(["build"] + flags + ["--format", "latex"]) == 0
+    latex = capsys.readouterr().out
+    assert main(["export", "--in", str(built), "--format", "latex"]) == 0
+    assert capsys.readouterr().out == latex
+
+
+@pytest.mark.parametrize("value", ["1e400", "0.5", " 1 ", "1_0"])
+def test_export_rejects_rationals_outside_the_grammar(tmp_path, capsys, value):
+    data = _psi_q_dict()
+    data["terms"][0]["poly"][0]["coeff"]["im"] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert main(["export", "--in", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "error" in json.loads(captured.err)

@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -145,3 +146,165 @@ def test_json_coefficients_reduce_each_component():
     (term,) = json.loads(cochain_to_json(c))["terms"]
     assert term["poly"] == [{"coeff": {"re": "1/2", "im": "1", "piExp": -1}, "mono": []}]
     assert cochain_to_latex(c) == "\\left[\\left((1/2 + 1 i) \\pi^{-1}\\right)\\right]"
+
+
+# ---------------------------------------------------------------------------
+# The direct writer against json.dumps
+# ---------------------------------------------------------------------------
+
+def _dict_writer(c: GKCochain) -> str:
+    """The generic writer cochain_to_json replaced: build the document as a
+    dict, then json.dumps it.  Coefficients come from the public
+    Scalar.terms, as lowest-terms Fractions per component."""
+    sig = c.sig
+    terms = []
+    for w, p in c.form.sorted_terms():
+        entries = []
+        for mono, s in p.sorted_terms():
+            mono_json = [[v.token(), e] for v, e in mono]
+            for k, (re, im) in sorted(s.terms.items()):
+                entries.append({"coeff": {"re": str(re), "im": str(im), "piExp": k},
+                                "mono": mono_json})
+        terms.append({"wedge": [g.token() for g in w], "poly": entries})
+    data = {"signature": {"p": sig.p, "q": sig.q, "r": sig.r, "s": sig.s,
+                          "family": sig.family},
+            "model": c.model.token(), "terms": terms}
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+def _assert_json_layout(c: GKCochain) -> str:
+    text = cochain_to_json(c)
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+    assert text == _dict_writer(c)
+    return text
+
+
+@settings(max_examples=80, deadline=None)
+@given(cochains())
+def test_writer_emits_the_json_dumps_layout(c):
+    _assert_json_layout(c)
+
+
+def _cochain(terms: dict) -> GKCochain:
+    return GKCochain(Form(terms), mixed_model(1), Signature(2, 1, 1, 1))
+
+
+def test_writer_explicit_cases():
+    zero = _cochain({})
+    assert json.loads(_assert_json_layout(zero))["terms"] == []
+    assert _assert_json_layout(zero).endswith('  "terms": []\n}\n')
+    # an empty wedge with the constant monomial beside a degree-2 monomial
+    mono = monomial([(VariableId("X", 1, 1), 1), (VariableId("Ybar", 1, 1), 2)])
+    unit = Polynomial({(): Scalar.of(Fraction(-1, 3)), mono: Scalar.one()})
+    (term,) = json.loads(_assert_json_layout(_cochain({(): unit})))["terms"]
+    assert term["wedge"] == []
+    assert [e["mono"] for e in term["poly"]] == [[], [["X:1:1", 1], ["Ybar:1:1", 2]]]
+    # several pi exponents on one monomial: one entry each, by increasing
+    # exponent, all with the same mono
+    s = Scalar.of(1, 0, 2) + Scalar.of(Fraction(1, 2), -1, -1) + Scalar.of(0, 5, 0)
+    w = (xi(1, 1), xibar(2, 1))
+    text = _assert_json_layout(_cochain({w: Polynomial({mono: s}), (): unit}))
+    term = json.loads(text)["terms"][1]
+    assert term["wedge"] == ["xi:1:1", "xibar:2:1"]
+    assert [e["coeff"] for e in term["poly"]] == [
+        {"re": "1/2", "im": "-1", "piExp": -1},
+        {"re": "0", "im": "5", "piExp": 0},
+        {"re": "1", "im": "0", "piExp": 2}]
+    assert all(e["mono"] == [["X:1:1", 1], ["Ybar:1:1", 2]] for e in term["poly"])
+
+
+# ---------------------------------------------------------------------------
+# The reader on non-canonical documents
+# ---------------------------------------------------------------------------
+
+def _doc(*terms) -> dict:
+    return {"signature": {"p": 2, "q": 1, "r": 1, "s": 1, "family": "unitary"},
+            "model": "mixed:1",
+            "terms": [{"wedge": w, "poly": [{"coeff": {"re": re, "im": im, "piExp": k},
+                                             "mono": mono} for re, im, k, mono in entries]}
+                      for w, entries in terms]}
+
+
+X11, Y11, X21 = (Polynomial.variable(VariableId(*v))
+                 for v in (("X", 1, 1), ("Y", 1, 1), ("X", 2, 1)))
+XI = Form.generator(xi(1, 1))
+XIBAR = Form.generator(xibar(1, 1))
+
+
+def _read(*terms) -> Form:
+    back = cochain_from_dict(_doc(*terms))
+    assert (back.sig, back.model) == (Signature(2, 1, 1, 1), mixed_model(1))
+    return back.form
+
+
+def test_reader_sorts_and_merges_monomials():
+    # an unsorted mono
+    form = _read((["xi:1:1"], [("1", "0", 0, [["Y:1:1", 1], ["X:1:1", 2]])]))
+    assert form == XI * (X11 ** 2 * Y11)
+    # a repeated variable, and exponent 0
+    form = _read((["xi:1:1"], [("1", "0", 0, [["X:1:1", 1], ["Y:1:1", 0], ["X:1:1", 2]])]))
+    assert form == XI * X11 ** 3
+
+
+def test_reader_reduces_rationals_and_sums_entries():
+    half_i = Scalar.of(Fraction(1, 2), Fraction(-3, 2), 1)
+    form = _read((["xi:1:1"], [("2/4", "-6/4", 1, [["X:1:1", 1]])]))
+    assert form == XI * X11.scale(half_i)
+    # duplicate entries add up, also across an unreduced spelling
+    form = _read((["xi:1:1"], [("1/2", "0", 0, [["X:1:1", 1]]),
+                               ("2/4", "0", 0, [["X:1:1", 1]]),
+                               ("1", "1", -1, [])]))
+    assert form == XI * (X11 + Polynomial.constant(Scalar.of(1, 1, -1)))
+
+
+def test_reader_drops_terms_that_cancel():
+    form = _read((["xi:1:1"], [("1/3", "2", 0, [["X:1:1", 1]]),
+                               ("-1/3", "-2", 0, [["X:1:1", 1]]),
+                               ("5", "0", 0, [["X:2:1", 1]])]),
+                 (["xibar:1:1"], [("1", "0", 0, []), ("-1", "0", 0, [])]))
+    assert form == XI * X21.scale(5)
+    assert form.terms.keys() == {(xi(1, 1),)}
+    for poly in form.terms.values():
+        assert all(not c.is_zero() for c in poly.terms.values())
+
+
+def test_reader_sorts_wedges_with_their_sign():
+    # xibar ^ xi = -(xi ^ xibar); two spellings of one wedge sum; a repeated
+    # generator is zero
+    form = _read((["xibar:1:1", "xi:1:1"], [("1", "0", 0, [["X:1:1", 1]])]),
+                 (["xi:1:1", "xibar:1:1"], [("3", "0", 0, [["Y:1:1", 1]])]),
+                 (["xi:1:1", "xi:1:1"], [("7", "0", 0, [])]))
+    assert form == XI.wedge(XIBAR) * (Y11.scale(3) - X11)
+    form = _read((["xibar:1:1", "xi:1:1"], [("1", "0", 0, [])]),
+                 (["xi:1:1", "xibar:1:1"], [("1", "0", 0, [])]))
+    assert form.is_zero()
+
+
+@pytest.mark.parametrize("text", ["3", "-1/2", "2/4", "-0", "007/10"])
+def test_rational_grammar_accepts(text):
+    form = _read(([], [(text, text, 0, [])]))
+    q = Fraction(text)
+    assert form == Form.unit() * Scalar.of(q, q)
+
+
+@pytest.mark.parametrize("value", [
+    "0.5", "1e400", "1E2", " 1 ", "1 ", "1_0", "+1", "1/-2", "1/0", "-1/00", "", "/2", "1/",
+    "1//2", "١", "1\n", "inf", "nan", 0.5, 1, True, None, ["1"]])
+def test_rational_grammar_rejects(value):
+    with pytest.raises(ValueError):
+        cochain_from_dict(_doc(([], [(value, "0", 0, [])])))
+    with pytest.raises(ValueError):
+        cochain_from_dict(_doc(([], [("0", value, 0, [])])))
+    if type(value) is not int:
+        with pytest.raises(ValueError):
+            gram_from_json(json.dumps({"dim": 1, "gram": [[value]]}))
+
+
+@pytest.mark.parametrize("mono", [[["X:1:1", True]], [["X:1:1", False]], [["X:1:1", 1.0]],
+                                  [["X:1:1", "1"]], "X:1:1", [["X:1:1"]]])
+def test_reader_rejects_malformed_mono_after_a_good_one(mono):
+    # the per-cochain monomial cache must not let an equal-valued but
+    # ill-typed exponent through
+    good = ("1", "0", 0, [["X:1:1", 1]])
+    with pytest.raises(ValueError):
+        cochain_from_dict(_doc((["xi:1:1"], [good, ("1", "0", 0, mono)])))
