@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .poly import Polynomial, _Sum
+from .poly import Polynomial, _mac_poly, _mac_prod, _polys, parse_index
 from .scalars import Scalar
 
 _GEN_KIND_RANK = {"xi": 0, "xibar": 1}
@@ -38,7 +38,7 @@ class WedgeGen(NamedTuple):
         kind, row, col = tok.split(":")
         if kind not in _GEN_KIND_RANK:
             raise ValueError(f"unknown wedge generator kind {kind!r}")
-        return cls(kind, int(row), int(col))
+        return cls(kind, parse_index(row), parse_index(col))
 
 
 def xi(i: int, j: int) -> WedgeGen:
@@ -174,13 +174,13 @@ class Form:
     # -- exterior product ----------------------------------------------------
 
     def wedge(self, other: "Form") -> "Form":
-        out = _Sum()
+        acc: dict = {}
         for w1, p1 in self.terms.items():
             for w2, p2 in other.terms.items():
                 sign, w = merge_monomials(w1, w2)
                 if sign:
-                    out.add(w, p1 * p2 if sign > 0 else -(p1 * p2))
-        return Form(out.polys())
+                    _mac_prod(acc, w, p1, p2, sign)
+        return Form(_polys(acc))
 
     # -- queries -------------------------------------------------------------
 
@@ -217,14 +217,14 @@ class Form:
 
         rule(g) returns a list of (Scalar, WedgeGen) pairs.
         """
-        out = _Sum()
+        acc: dict = {}
         for w, p in self.terms.items():
             for t, g in enumerate(w):
                 for c, g2 in rule(g):
                     sign, ww = wedge_monomial(w[:t] + (g2,) + w[t + 1:])
                     if sign:
-                        out.add(ww, p, c if sign > 0 else -c)
-        return Form(out.polys())
+                        _mac_poly(acc, ww, p, c, sign)
+        return Form(_polys(acc))
 
     def conjugate(self) -> "Form":
         """Swap xi<->xibar and conjugate coefficients; signs recomputed."""

@@ -23,8 +23,8 @@ from .exterior import (Form, WedgeGen, merge_monomials, perm_sign, wedge_all,
 from .models import (ModelTag, ORTHOGONAL, Signature, UNITARY, _m_op,
                      calibrate_structure, fock_model, mixed_model, upq_op_model)
 from .operators import LinOp, op_sum
-from .poly import Polynomial, VariableId, X, Xbar, Y, _Sum, _poly
-from .scalars import Scalar, _mac, _reduce, _rows
+from .poly import Polynomial, VariableId, X, Xbar, Y, _mac_poly, _poly, _polys
+from .scalars import _ONE, Scalar, _mac, _reduce, _rows
 
 
 @dataclass(frozen=True)
@@ -158,7 +158,6 @@ def build_psi_orth(sig: Signature) -> GKCochain:
 # ---------------------------------------------------------------------------
 
 _QUARTER_PI_INV = Scalar.of(Fraction(1, 4), 0, -1)  # 1 / (4 pi)
-_ONE = Scalar.one()
 
 
 def _nabla(sig: Signature, k: int, j: int, conjugate: bool = False) -> list[tuple[tuple, LinOp]]:
@@ -276,43 +275,52 @@ def _c_orth(q: int, lam: int) -> Scalar:
                            (2 ** lam) * factorial(lam) * factorial(q - 2 * lam))
 
 
+def _lambda_sum(sig: Signature, k: int, lam: int) -> Form:
+    """The signed permutation sum of one column at one lambda.  Unitary:
+    sum over sigma, sigbar of sgn sigma sgn sigbar times the wedge of
+    omega(k,sigma_t) ^ omegabar(k,sigbar_t) for t < q - lambda and
+    Omega(sigma_t, sigbar_t) after.  Orthogonal: sum over sigma of sgn sigma
+    times omega(k,sigma_t) for t < q - 2 lambda and Omega(sigma_t, sigma_t+1)
+    on the remaining pairs."""
+    q = sig.q
+    perms = list(permutations(range(1, q + 1)))
+    acc: dict = {}
+    if sig.family == UNITARY:
+        for sigma, sigbar in product(perms, perms):
+            fac = wedge_all([f for t in range(q - lam)
+                             for f in (_omega_form(sig, k, sigma[t]),
+                                       _omega_form(sig, k, sigbar[t], conjugate=True))]
+                            + [_big_omega(sig, sigma[t], sigbar[t]) for t in range(q - lam, q)])
+            for w, p in fac.terms.items():
+                _mac_poly(acc, w, p, n=perm_sign(sigma) * perm_sign(sigbar))
+    else:
+        for sigma in perms:
+            fac = wedge_all([_omega_form(sig, k, sigma[t]) for t in range(q - 2 * lam)]
+                            + [_big_omega(sig, sigma[t], sigma[t + 1])
+                               for t in range(q - 2 * lam, q, 2)])
+            for w, p in fac.terms.items():
+                _mac_poly(acc, w, p, n=perm_sign(sigma))
+    return Form(_polys(acc))
+
+
 def _km_explicit_column(sig: Signature, k: int) -> Form:
-    """Antisymmetrized lambda-sum for one unitary column."""
+    """Sum over lambda of C(q, lambda) / (q!)^2 (unitary) or C(q, lambda) / q!
+    (orthogonal) times the lambda-sum of column k."""
     q = sig.q
-    total = _Sum()
-    for lam in range(q + 1):
-        weight = _c_unitary(q, lam) * Fraction(1, factorial(q) ** 2)
-        for sigma in permutations(range(1, q + 1)):
-            for sigbar in permutations(range(1, q + 1)):
-                fac = Form.unit()
-                for t in range(q - lam):
-                    fac = fac.wedge(_omega_form(sig, k, sigma[t]))
-                    fac = fac.wedge(_omega_form(sig, k, sigbar[t], conjugate=True))
-                for t in range(q - lam, q):
-                    fac = fac.wedge(_big_omega(sig, sigma[t], sigbar[t]))
-                total.add_all(fac.terms, weight * (perm_sign(sigma) * perm_sign(sigbar)))
-    return Form(total.polys())
-
-
-def _km_explicit_column_orth(sig: Signature, k: int) -> Form:
-    q = sig.q
-    total = _Sum()
-    for lam in range(q // 2 + 1):
-        weight = _c_orth(q, lam) * Fraction(1, factorial(q))
-        for sigma in permutations(range(1, q + 1)):
-            fac = Form.unit()
-            for t in range(q - 2 * lam):
-                fac = fac.wedge(_omega_form(sig, k, sigma[t]))
-            for t in range(q - 2 * lam, q, 2):
-                fac = fac.wedge(_big_omega(sig, sigma[t], sigma[t + 1]))
-            total.add_all(fac.terms, weight * perm_sign(sigma))
-    return Form(total.polys())
+    if sig.family == UNITARY:
+        weights = [_c_unitary(q, lam) * Fraction(1, factorial(q) ** 2) for lam in range(q + 1)]
+    else:
+        weights = [_c_orth(q, lam) * Fraction(1, factorial(q)) for lam in range(q // 2 + 1)]
+    acc: dict = {}
+    for lam, weight in enumerate(weights):
+        for w, p in _lambda_sum(sig, k, lam).terms.items():
+            _mac_poly(acc, w, p, weight)
+    return Form(_polys(acc))
 
 
 def build_km_explicit(sig: Signature) -> GKCochain:
     """Kudla-Millson cochain from the explicit C(q, lambda) expansion."""
-    return _km_cochain(sig, _km_explicit_column if sig.family == UNITARY
-                       else _km_explicit_column_orth)
+    return _km_cochain(sig, _km_explicit_column)
 
 
 def build_mixed(sig: Signature) -> GKCochain:
@@ -368,7 +376,7 @@ def gk_differential(c: GKCochain) -> GKCochain:
 
     d, gk_curvature and the operator half of k_invariance_residual share one
     kernel, _form_op_sum, which applies each operator once per coefficient
-    monomial and accumulates the sum in place."""
+    monomial."""
     return GKCochain(_form_op_sum(_pair_ops(c.sig, c.model), c.form), c.model, c.sig)
 
 
@@ -481,29 +489,14 @@ def k_invariance_residual(c: GKCochain) -> Form:
 # ---------------------------------------------------------------------------
 
 def euler_chern_form(sig: Signature) -> Form:
-    """c_q: unitary (1/q!) sum over sigma, sigbar of sgn Omega(...); the
-    orthogonal form vanishes for odd q and pairs indices for even q."""
+    """c_q, the extreme term of the Kudla-Millson lambda-sum (only Omega
+    factors, so no column index): unitary (1/q!) times the lambda = q sum,
+    orthogonal (1/(q/2)!) times the lambda = q/2 sum, and zero for odd q."""
     q = sig.q
-    if sig.family == ORTHOGONAL:
-        if q % 2:
-            return Form.zero()
-        acc = _Sum()
-        norm = Scalar.of(Fraction(1, factorial(q // 2)))
-        for sigma in permutations(range(1, q + 1)):
-            fac = Form.unit()
-            for t in range(0, q, 2):
-                fac = fac.wedge(_big_omega(sig, sigma[t], sigma[t + 1]))
-            acc.add_all(fac.terms, norm * perm_sign(sigma))
-        return Form(acc.polys())
-    acc = _Sum()
-    norm = Scalar.of(Fraction(1, factorial(q)))
-    for sigma in permutations(range(1, q + 1)):
-        for sigbar in permutations(range(1, q + 1)):
-            fac = Form.unit()
-            for t in range(q):
-                fac = fac.wedge(_big_omega(sig, sigma[t], sigbar[t]))
-            acc.add_all(fac.terms, norm * (perm_sign(sigma) * perm_sign(sigbar)))
-    return Form(acc.polys())
+    if sig.family == ORTHOGONAL and q % 2:
+        return Form.zero()
+    lam = q if sig.family == UNITARY else q // 2
+    return _lambda_sum(sig, 1, lam).scale(Fraction(1, factorial(lam)))
 
 
 def evaluate_at_zero(c: GKCochain) -> Form:

@@ -38,7 +38,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .operators import LinOp, op_sum
-from .poly import Polynomial, VariableId, X, Xbar, Y, Ybar, Zvar, _Sum
+from .poly import (Polynomial, VariableId, X, Xbar, Y, Ybar, Zvar, _mac_poly, _polys,
+                   parse_index)
 from .scalars import Scalar
 
 
@@ -96,7 +97,7 @@ class ModelTag:
     @classmethod
     def from_token(cls, tok: str) -> "ModelTag":
         which, split = tok.split(":")
-        return cls(which, int(split))
+        return cls(which, parse_index(split, 0))
 
 
 FOCK = ModelTag("fock", 0)
@@ -204,23 +205,21 @@ def sp_op(model: ModelTag, block: str, j: int, k: int, dim: int) -> LinOp:
     """
     if not (1 <= j <= dim and 1 <= k <= dim):
         raise IndexError("sp_op index out of range")
-    z = {i: _zmul(i) for i in (j, k)}
-    d = {i: _zd(i) for i in (j, k)}
-    if block == "k11":
-        op = (z[k].compose(d[j]) + d[j].compose(z[k])).scale(Scalar.of(0, -1))
-    elif block == "p20":
-        op = z[j].compose(z[k]).scale(_I)
-    elif block == "p02":
-        op = d[j].compose(d[k]).scale(Scalar.of(0, 4))
-    else:
-        raise ValueError(f"unknown sp block {block!r}")
     if model.which == "fock":
-        return op
-    if model.which == "schrodinger":
-        zimg = lambda v: LinOp.mul_by(Polynomial.variable(v)).scale(_4PI) - LinOp.partial(v)
-        dimg = lambda v: LinOp.partial(v).scale(Scalar.of(Fraction(1, 4), 0, -1))
-        return op.substitute(zimg, dimg)
-    raise ValueError("sp_op is defined for the scalar fock/schrodinger models")
+        z = {i: _zmul(i) for i in (j, k)}
+        d = {i: _zd(i) for i in (j, k)}
+    elif model.which == "schrodinger":
+        z = {i: _zmul(i).scale(_4PI) - _zd(i) for i in (j, k)}
+        d = {i: _zd(i).scale(Scalar.of(Fraction(1, 4), 0, -1)) for i in (j, k)}
+    else:
+        raise ValueError("sp_op is defined for the scalar fock/schrodinger models")
+    if block == "k11":
+        return (z[k].compose(d[j]) + d[j].compose(z[k])).scale(Scalar.of(0, -1))
+    if block == "p20":
+        return z[j].compose(z[k]).scale(_I)
+    if block == "p02":
+        return d[j].compose(d[k]).scale(Scalar.of(0, 4))
+    raise ValueError(f"unknown sp block {block!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -230,17 +229,17 @@ def sp_op(model: ModelTag, block: str, j: int, k: int, dim: int) -> LinOp:
 def intertwine(fock_elem: Polynomial, dim: int) -> SchrodingerElement:
     """Image of a Fock polynomial in z_1..z_N under the unique intertwiner
     sending 1 to the vacuum; z^m goes to (-A-)^m applied to the vacuum."""
-    out = _Sum()
+    acc: dict = {None: {}}
     for mono, c in fock_elem.terms.items():
-        img = Polynomial.constant(c)
+        img = Polynomial.one()
         for v, e in mono:
             if v.kind != "Z" or v.row > dim:
                 raise ValueError(f"not a Fock variable of dimension {dim}: {v}")
             neg_am = LinOp.mul_by(Polynomial.variable(v)).scale(_4PI) - LinOp.partial(v)
             for _ in range(e):
                 img = neg_am.apply(img)
-        out.add(None, img)
-    return SchrodingerElement(out.total())
+        _mac_poly(acc, None, img, c)
+    return SchrodingerElement(_polys(acc)[None])
 
 
 def _double_factorial(n: int) -> int:

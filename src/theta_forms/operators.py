@@ -13,8 +13,8 @@ from fractions import Fraction
 from math import comb, perm
 from typing import Iterable
 
-from .poly import (Monomial, Polynomial, VariableId, _Sum, _poly, monomial,
-                   monomial_mul)
+from .poly import (Monomial, Polynomial, VariableId, _mac_poly, _poly, _polys,
+                   monomial, monomial_mul)
 from .scalars import Scalar, _mac, _reduce, _rows
 
 # A derivative multi-index reuses the Monomial encoding: sorted
@@ -93,10 +93,6 @@ class LinOp:
     def partial(cls, v: VariableId, order: int = 1) -> "LinOp":
         return cls({monomial([(v, order)]): Polynomial.one()})
 
-    @classmethod
-    def scalar(cls, c) -> "LinOp":
-        return cls({(): Polynomial.constant(c)})
-
     # -- action and algebra --------------------------------------------------
 
     def apply(self, f: Polynomial) -> Polynomial:
@@ -145,20 +141,22 @@ class LinOp:
         """self after other, re-normalized by Leibniz.
 
         (m1 D1)(m2 D2) f = m1 * sum_{beta<=D1} C(D1,beta) (D^beta m2) * (D^{D1-beta} D2 f)
-        """
-        out = _Sum()
+
+        Each product of a term of m1 with a term of D^beta m2 goes into the
+        triple accumulator with C(D1,beta) times the falling factorial of
+        D^beta as its int factor."""
+        acc: dict = {}
         for D1, m1 in self.terms.items():
             for D2, m2 in other.terms.items():
                 for beta, coef, rest in _sub_indices(D1):
-                    dm2 = {}   # D^beta m2; distinct monomials stay distinct
+                    inner = acc.setdefault(monomial_mul(rest, D2), {})
                     for m, c in m2.terms.items():
                         r = _deriv_mono(beta, m)
                         if r is not None:
-                            dm2[r[1]] = c if r[0] == 1 else c * r[0]
-                    if dm2:
-                        out.add(monomial(list(rest) + list(D2)), m1 * Polynomial(dm2),
-                                None if coef == 1 else Scalar.of(coef))
-        return LinOp(out.polys())
+                            n, dm = r
+                            _mac(inner, c, _rows((monomial_mul(mu, dm), cu)
+                                                 for mu, cu in m1.terms.items()), coef * n)
+        return LinOp(_polys(acc))
 
     def commutator(self, other: "LinOp") -> "LinOp":
         return self.compose(other) - other.compose(self)
@@ -172,26 +170,6 @@ class LinOp:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def substitute(self, var_image, deriv_image) -> "LinOp":
-        """Rebuild the operator replacing every multiplication by v with the
-        operator var_image(v) and every d/dv with deriv_image(v).
-
-        Order inside a term: multiplications are performed after the
-        derivatives, mirroring the normal form.
-        """
-        out = _Sum()
-        for D, m in self.terms.items():
-            for mono, c in m.terms.items():
-                op = LinOp.scalar(c)
-                for v, e in mono:
-                    for _ in range(e):
-                        op = op.compose(var_image(v))
-                for v, k in D:
-                    for _ in range(k):
-                        op = op.compose(deriv_image(v))
-                out.add_all(op.terms)
-        return LinOp(out.polys())
-
     def __repr__(self):
         if not self.terms:
             return "LinOp(0)"
@@ -204,7 +182,8 @@ class LinOp:
 
 
 def op_sum(ops: Iterable[LinOp]) -> LinOp:
-    out = _Sum()
+    acc: dict = {}
     for op in ops:
-        out.add_all(op.terms)
-    return LinOp(out.polys())
+        for D, p in op.terms.items():
+            _mac_poly(acc, D, p)
+    return LinOp(_polys(acc))

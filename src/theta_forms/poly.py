@@ -9,10 +9,11 @@ canonical forms and downstream wedge signs are reproducible bit for bit.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .scalars import Scalar
+from .scalars import _ONE, Scalar, _mac, _reduce, _rows
 
 KINDS = ("X", "Y", "Xbar", "Ybar", "Z")
 _KIND_RANK = {k: i for i, k in enumerate(KINDS)}
@@ -50,7 +51,17 @@ class VariableId(NamedTuple):
         kind, row, col = tok.split(":")
         if kind not in KINDS:
             raise ValueError(f"unknown variable kind {kind!r}")
-        return cls(kind, int(row), int(col))
+        return cls(kind, parse_index(row), parse_index(col))
+
+
+def parse_index(text: str, least: int = 1) -> int:
+    """A row, column or model split inside a token: ASCII digits without
+    sign, spaces, underscores or leading zeros (0|[1-9][0-9]*), at least
+    `least` (1 for rows and columns, 0 for a split)."""
+    # re caches the compiled pattern on first use, not at import
+    if re.fullmatch(r"0|[1-9][0-9]*", text) is None or int(text) < least:
+        raise ValueError(f"expected an index 0|[1-9][0-9]* of at least {least}, got {text!r}")
+    return int(text)
 
 
 def X(i: int, nu: int) -> VariableId:
@@ -158,12 +169,9 @@ class Polynomial:
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction, Scalar)):
             return self.scale(other)
-        out: dict[Monomial, Scalar] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m, c = monomial_mul(m1, m2), c1 * c2
-                out[m] = out[m] + c if m in out else c
-        return Polynomial(out)
+        acc: dict = {}
+        _mac_prod(acc, None, self, other)
+        return _polys(acc)[None]
 
     __rmul__ = __mul__
 
@@ -251,46 +259,26 @@ def _poly(terms: dict) -> Polynomial:
     return p
 
 
-class _Sum:
-    """In-place sum of keyed polynomials, {key: {Monomial: Scalar}}: n adds
-    cost the terms added, not n copies of the total.  The key is a wedge
-    (Form), a derivative index (LinOp) or None (one Polynomial).
+# -- sums of products ---------------------------------------------------------
+# Every sum of products in the symbolic layer (wedge, compose, Polynomial
+# products, the lambda-sums, determinants) accumulates into
+# {key: {(monomial, pi_exp): (re, im, den)}}: unreduced integer triples
+# (scalars._mac) with each sign or combinatorial factor as the int n, one
+# monomial_mul per product, and one reduction per entry at the end.
 
-    Each add multiplies and sums Scalar objects, one canonical value per
-    step, which suits the cold paths (wedge, compose, models).  The
-    form-operator kernel (forms._form_op_sum) keeps its own accumulator of
-    unreduced integer triples (scalars._mac, scalars._reduce): it
-    flattens each operator image once and reuses those rows for every lead
-    and wedge term, with the sign folded into the integers, which an add
-    taking a Polynomial and a Scalar cannot do.  Switching this class to
-    triples for every caller was measured slower on the construct
-    workload than the kernel's own accumulator."""
+def _mac_poly(acc: dict, key, p: Polynomial, c: Scalar = _ONE, n: int = 1) -> None:
+    """acc[key] += n * c * p."""
+    _mac(acc.setdefault(key, {}), c, _rows(p.terms.items()), n)
 
-    __slots__ = ("acc",)
 
-    def __init__(self):
-        self.acc: dict = {}
+def _mac_prod(acc: dict, key, p1: Polynomial, p2: Polynomial, n: int = 1) -> None:
+    """acc[key] += n * p1 * p2."""
+    inner = acc.setdefault(key, {})
+    for m1, c1 in p1.terms.items():
+        _mac(inner, c1, _rows((monomial_mul(m1, m2), c2) for m2, c2 in p2.terms.items()), n)
 
-    def add(self, key, p: Polynomial, c: Scalar | None = None) -> None:
-        """acc[key] += c * p (c = 1 when None), dropping cancelled terms."""
-        inner = self.acc.setdefault(key, {})
-        for m, a in p.terms.items():
-            if c is not None:
-                a = a * c
-            b = inner.get(m)
-            if b is not None:
-                a = b + a
-                if a.is_zero():
-                    del inner[m]
-                    continue
-            inner[m] = a
 
-    def add_all(self, terms: dict, c: Scalar | None = None) -> None:
-        for key, p in terms.items():
-            self.add(key, p, c)
-
-    def polys(self) -> dict:
-        return {k: Polynomial(inner) for k, inner in self.acc.items()}
-
-    def total(self) -> Polynomial:
-        return Polynomial(self.acc.get(None))
+def _polys(acc: dict) -> dict:
+    """{key: Polynomial} of an accumulator; a key whose sum cancelled maps to
+    the zero polynomial."""
+    return {key: _poly(_reduce(inner)) for key, inner in acc.items()}

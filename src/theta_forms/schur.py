@@ -23,7 +23,7 @@ from itertools import permutations
 from .exterior import perm_sign
 from .models import Signature
 from .operators import LinOp, op_sum
-from .poly import Polynomial, X, Y, _Sum
+from .poly import Polynomial, X, Y, _mac_prod, _polys
 
 
 # ---------------------------------------------------------------------------
@@ -142,14 +142,16 @@ def hook_content_dim(shape: Partition, n: int) -> int:
 # ---------------------------------------------------------------------------
 
 def _det(entries: list[list[Polynomial]]) -> Polynomial:
+    """Leibniz expansion; each permutation's last factor and sign go into
+    the triple accumulator."""
     n = len(entries)
-    out = _Sum()
+    acc: dict = {None: {}}
     for perm in permutations(range(n)):
-        term = Polynomial.constant(perm_sign(perm))
-        for i in range(n):
+        term = Polynomial.one()
+        for i in range(n - 1):
             term = term * entries[i][perm[i]]
-        out.add(None, term)
-    return out.total()
+        _mac_prod(acc, None, term, entries[n - 1][perm[n - 1]], perm_sign(perm))
+    return _polys(acc)[None]
 
 
 def minor_x(rows: list[int], sig: Signature) -> Polynomial:

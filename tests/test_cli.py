@@ -254,3 +254,24 @@ def test_export_rejects_rationals_outside_the_grammar(tmp_path, capsys, value):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and "error" in json.loads(captured.err)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("var", "X: 1:1_0"), ("var", "Y:١:9"), ("var", "X:01:1"),
+    ("gen", "xi:+1:01"), ("gen", "xibar: 1:1"),
+    ("model", "fock: 2"), ("model", "fock:00")])
+def test_export_rejects_indices_outside_the_grammar(tmp_path, capsys, field, value):
+    data = _psi_q_dict()
+    term = data["terms"][0]
+    if field == "var":
+        term["poly"][0]["mono"] = [[value, 1]]
+    elif field == "gen":
+        term["wedge"] = [value]
+    else:
+        data["model"] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert main(["export", "--in", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "error" in json.loads(captured.err)

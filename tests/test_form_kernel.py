@@ -2,12 +2,14 @@
 K-residual, against the plain loop it replaced: each sum rebuilt term by term
 as ``out = out + lead ^ f.apply_op(op)``."""
 
+import random
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from theta_forms import forms
+from theta_forms import forms, suites
 from theta_forms.exterior import Form, merge_monomials, wedge_monomial, xi, xibar
-from theta_forms.forms import (GKCochain, build_psi_cup, build_psi_orth,
+from theta_forms.forms import (GKCochain, build_psi_cup, build_psi_orth, cup_embed,
                                gk_curvature, gk_differential, k_invariance_residual)
 from theta_forms.models import (ORTHOGONAL, UNITARY, Signature, fock_model,
                                 mixed_model, upq_op_model)
@@ -161,3 +163,29 @@ def test_kernel_images_go_through_linop_apply(monkeypatch):
     monkeypatch.setattr(LinOp, "apply", counted)
     assert gk_differential(c).form.terms == {}
     assert len(calls) == len(expected) and set(calls) == expected
+
+
+def test_leibniz_rule_on_column_products():
+    """A second path for d on products: for one-term fock:0 cochains c1 at
+    (p, q, r1, 0) and c2 at (p, q, r2, 0), c2 moved to columns r1+1.. by
+    cup_embed, d(c1 ^ c2) = d(c1) ^ c2 + (-1)^deg(c1) c1 ^ d(c2), with each
+    factor's d taken in its own signature."""
+    rng = random.Random(11)
+    checked = nonzero = 0
+    while checked < 40:
+        p, q = rng.randint(1, 3), rng.randint(1, 2)
+        sig1, sig2 = (Signature(p, q, rng.randint(1, 2), 0) for _ in range(2))
+        c1 = suites._random_one_term_cochain(rng, sig1)
+        c2 = suites._random_one_term_cochain(rng, sig2)
+        if c1 is None or c2 is None:
+            continue
+        sig = Signature(p, q, sig1.r + sig2.r, 0)
+        e2 = cup_embed(c2, sig1.r, 0)
+        lhs = gk_differential(GKCochain(c1.form.wedge(e2), fock_model(0), sig)).form
+        (deg,) = c1.form.degrees()
+        d2 = cup_embed(gk_differential(c2), sig1.r, 0)
+        rhs = gk_differential(c1).form.wedge(e2) + c1.form.wedge(d2).scale((-1) ** deg)
+        assert lhs == rhs
+        checked += 1
+        nonzero += not lhs.is_zero()
+    assert nonzero >= 10

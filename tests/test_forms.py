@@ -1,8 +1,10 @@
 from fractions import Fraction
+from itertools import permutations
+from math import factorial
 
 import pytest
 
-from theta_forms.exterior import Form, xi, xibar
+from theta_forms.exterior import Form, perm_sign, xi, xibar
 from theta_forms.forms import (FactorizationError, GKCochain, SplitSpec,
                                build_km_explicit, build_km_nabla, build_mixed,
                                build_psi_cup, build_psi_orth, build_psi_q,
@@ -262,6 +264,40 @@ def test_chern_unitary_q1():
     cq = euler_chern_form(sig)
     for l in (1, 2):
         assert cq.coefficient([xibar(l, 1), xi(l, 1)]) == Polynomial.one()
+
+
+def ref_euler_chern_form(sig: Signature) -> Form:
+    """The direct permutation loop: unitary (1/q!) sum over sigma, sigbar of
+    sgn sigma sgn sigbar Omega(sigma_1, sigbar_1) ^ ... ^ Omega(sigma_q,
+    sigbar_q); orthogonal (1/(q/2)!) sum over sigma of sgn sigma times the
+    wedge of Omega(sigma_t, sigma_t+1) over consecutive pairs."""
+    q = sig.q
+    out = Form.zero()
+    if sig.family == ORTHOGONAL:
+        for sigma in permutations(range(1, q + 1)):
+            fac = Form.unit()
+            for t in range(0, q, 2):
+                fac = fac.wedge(forms._big_omega(sig, sigma[t], sigma[t + 1]))
+            out = out + fac.scale(Fraction(perm_sign(sigma), factorial(q // 2)))
+        return out
+    for sigma in permutations(range(1, q + 1)):
+        for sigbar in permutations(range(1, q + 1)):
+            fac = Form.unit()
+            for t in range(q):
+                fac = fac.wedge(forms._big_omega(sig, sigma[t], sigbar[t]))
+            out = out + fac.scale(Fraction(perm_sign(sigma) * perm_sign(sigbar), factorial(q)))
+    return out
+
+
+@pytest.mark.parametrize("sig", [
+    Signature(1, 1, 1, 0), Signature(2, 1, 1, 0), Signature(2, 2, 1, 0),
+    Signature(3, 2, 1, 0), Signature(3, 3, 1, 0),
+    Signature(2, 2, 1, 0, ORTHOGONAL), Signature(3, 2, 1, 0, ORTHOGONAL),
+    Signature(2, 4, 1, 0, ORTHOGONAL)], ids=str)
+def test_chern_is_the_extreme_lambda_term(sig):
+    cq = euler_chern_form(sig)
+    assert not cq.is_zero()
+    assert cq == ref_euler_chern_form(sig)
 
 
 def test_km_at_zero_proportional_to_chern():

@@ -81,10 +81,11 @@ def test_sp_grading():
 
 
 def test_sp_schrodinger_intertwined():
-    # the Schrodinger sp operators are the Fock ones through the dictionary
-    for block in ("k11", "p20", "p02"):
-        fop = sp_op(FOCK, block, 1, 2, 2)
-        sop = sp_op(SCHRODINGER, block, 1, 2, 2)
+    # the Schrodinger sp operators are the Fock ones through the dictionary;
+    # j == k carries the delta term of k11
+    for block, (j, k) in product(("k11", "p20", "p02"), ((1, 2), (2, 1), (1, 1), (2, 2))):
+        fop = sp_op(FOCK, block, j, k, 2)
+        sop = sp_op(SCHRODINGER, block, j, k, 2)
         for exps in product(range(3), repeat=2):
             if sum(exps) > 3:
                 continue

@@ -1,9 +1,12 @@
+import ast
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import theta_forms
 from theta_forms.scalars import Scalar
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=8)
@@ -187,3 +190,14 @@ def test_text_matches_fraction_reference(x):
     s = Scalar(x)
     assert repr(s) == _ref_repr(s)
     assert s.latex() == _ref_latex(s)
+
+
+def test_triples_stay_behind_scalars_module():
+    """Only scalars.py reads a Scalar's integer triples (the ._t attribute);
+    every other module goes through its methods and accumulators."""
+    src = Path(theta_forms.__file__).parent
+    readers = sorted(f"{path.name}:{node.lineno}" for path in src.glob("*.py")
+                     if path.name != "scalars.py"
+                     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                     if isinstance(node, ast.Attribute) and node.attr == "_t")
+    assert readers == []

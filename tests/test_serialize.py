@@ -308,3 +308,35 @@ def test_reader_rejects_malformed_mono_after_a_good_one(mono):
     good = ("1", "0", 0, [["X:1:1", 1]])
     with pytest.raises(ValueError):
         cochain_from_dict(_doc((["xi:1:1"], [good, ("1", "0", 0, mono)])))
+
+
+# One ASCII grammar for the indices inside tokens: rows and columns
+# [1-9][0-9]*, the model split 0|[1-9][0-9]*.
+LAX_VARIABLES = ["X: 1:1", "X:1:1_0", "Y:١:1", "X:01:1", "X:+1:1", "X:1:-1", "X:0:1", "X:1:"]
+LAX_GENERATORS = ["xi:+1:01", "xi: 1:1", "xi:1:١", "xi:0:1", "xibar:1:1 "]
+LAX_MODELS = ["fock: 2", "mixed:01", "mixed:+1", "mixed:١", "mixed:-1", "mixed:"]
+
+
+@pytest.mark.parametrize("tok", LAX_VARIABLES)
+def test_reader_rejects_lax_variable_indices(tok):
+    with pytest.raises(ValueError):
+        cochain_from_json(json.dumps(_doc((["xi:1:1"], [("1", "0", 0, [[tok, 1]])]))))
+
+
+@pytest.mark.parametrize("tok", LAX_GENERATORS)
+def test_reader_rejects_lax_generator_indices(tok):
+    with pytest.raises(ValueError):
+        cochain_from_json(json.dumps(_doc(([tok], [("1", "0", 0, [])]))))
+
+
+@pytest.mark.parametrize("tok", LAX_MODELS)
+def test_reader_rejects_lax_model_splits(tok):
+    with pytest.raises(ValueError):
+        cochain_from_json(json.dumps({**_doc(([], [("1", "0", 0, [])])), "model": tok}))
+
+
+def test_reader_accepts_plain_indices():
+    back = cochain_from_json(json.dumps({**_doc((["xi:2:1"], [("1", "0", 0, [["X:10:1", 1]])])),
+                                         "model": "fock:0"}))
+    assert back.model == fock_model(0)
+    assert back.form == Form.generator(xi(2, 1), Polynomial.variable(VariableId("X", 10, 1)))
