@@ -52,14 +52,17 @@ def _write(text: str, out: str | None):
         sys.stdout.write(text)
 
 
-def _cmd_build(args) -> int:
-    sig = _signature(args)
-    cochain = FORM_BUILDERS[args.form](sig)
+def _write_cochain(cochain: GKCochain, args) -> int:
+    """Write a cochain as args.format (json or latex) to args.out or stdout."""
     if args.format == "json":
         _write(cochain_to_json(cochain), args.out)
     else:
         _write(cochain_to_latex(cochain) + "\n", args.out)
     return 0
+
+
+def _cmd_build(args) -> int:
+    return _write_cochain(FORM_BUILDERS[args.form](_signature(args)), args)
 
 
 def _error(message: str, code: int) -> int:
@@ -106,8 +109,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    sig = _signature(args)
-    cal = calibrate_structure(sig)
+    if args.family != UNITARY:
+        return _error("calibrate certifies the unitary u(p,q) operators only; "
+                      "there is no o(p,q) certificate", 2)
+    cal = calibrate_structure(_signature(args))
     for line in cal.lines():
         print(line)
     return 0
@@ -141,11 +146,7 @@ def _cmd_theta(args) -> int:
 def _cmd_export(args) -> int:
     with open(args.infile, "r", encoding="utf-8") as fh:
         cochain = cochain_from_json(fh.read())
-    if args.format == "json":
-        _write(cochain_to_json(cochain), args.out)
-    else:
-        _write(cochain_to_latex(cochain) + "\n", args.out)
-    return 0
+    return _write_cochain(cochain, args)
 
 
 def _add_signature_flags(sub, defaults=True):

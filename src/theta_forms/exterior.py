@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .poly import Polynomial, _mac_poly, _mac_prod, _polys, parse_index
+from .poly import Polynomial, TermMap, _mac_poly, _mac_prod, _polys, parse_index
 from .scalars import Scalar
 
 _GEN_KIND_RANK = {"xi": 0, "xibar": 1}
@@ -109,22 +109,10 @@ def bidegree(w: WedgeMonomial) -> tuple[int, int]:
     return (a, len(w) - a)
 
 
-class Form:
-    """Exterior-algebra element with Polynomial coefficients."""
+class Form(TermMap):
+    """Exterior-algebra element: {wedge monomial: nonzero Polynomial}."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for w, p in terms.items():
-                if not p.is_zero():
-                    clean[w] = p
-        self.terms = clean
-
-    @classmethod
-    def zero(cls) -> "Form":
-        return cls()
+    __slots__ = ()
 
     @classmethod
     def unit(cls) -> "Form":
@@ -133,20 +121,6 @@ class Form:
     @classmethod
     def generator(cls, g: WedgeGen, coeff: Polynomial | None = None) -> "Form":
         return cls({(g,): coeff if coeff is not None else Polynomial.one()})
-
-    # -- linear structure ----------------------------------------------------
-
-    def __add__(self, other: "Form") -> "Form":
-        out = dict(self.terms)
-        for w, p in other.terms.items():
-            out[w] = out.get(w, Polynomial.zero()) + p
-        return Form(out)
-
-    def __sub__(self, other: "Form") -> "Form":
-        return self + (-other)
-
-    def __neg__(self) -> "Form":
-        return Form({w: -p for w, p in self.terms.items()})
 
     def scale(self, c) -> "Form":
         if isinstance(c, (int, Fraction)):
@@ -161,15 +135,6 @@ class Form:
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Form) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     # -- exterior product ----------------------------------------------------
 

@@ -22,8 +22,8 @@ from .exterior import (Form, WedgeGen, merge_monomials, perm_sign, wedge_all,
                        xi, xibar)
 from .models import (ModelTag, ORTHOGONAL, Signature, UNITARY, _m_op,
                      calibrate_structure, fock_model, mixed_model, upq_op_model)
-from .operators import LinOp, op_sum
-from .poly import Polynomial, VariableId, X, Xbar, Y, _mac_poly, _poly, _polys
+from .operators import LinOp
+from .poly import Polynomial, VariableId, X, Xbar, _mac_poly, _poly, _polys
 from .scalars import _ONE, Scalar, _mac, _reduce, _rows
 
 
@@ -261,20 +261,6 @@ def _big_omega(sig: Signature, i: int, j: int) -> Form:
     return Form(out)
 
 
-def _c_unitary(q: int, lam: int) -> Scalar:
-    """C(q, lambda) = (-1/2pi)^lambda (q!)^2 / (lambda! ((q-lambda)!)^2)."""
-    base = Scalar.of(Fraction(-1, 2), 0, -1) ** lam
-    return base * Fraction(factorial(q) ** 2,
-                           factorial(lam) * factorial(q - lam) ** 2)
-
-
-def _c_orth(q: int, lam: int) -> Scalar:
-    """C(q, lambda) = (-1/4pi)^lambda q! / (2^lambda lambda! (q-2 lambda)!)."""
-    base = Scalar.of(Fraction(-1, 4), 0, -1) ** lam
-    return base * Fraction(factorial(q),
-                           (2 ** lam) * factorial(lam) * factorial(q - 2 * lam))
-
-
 def _lambda_sum(sig: Signature, k: int, lam: int) -> Form:
     """The signed permutation sum of one column at one lambda.  Unitary:
     sum over sigma, sigbar of sgn sigma sgn sigbar times the wedge of
@@ -305,12 +291,16 @@ def _lambda_sum(sig: Signature, k: int, lam: int) -> Form:
 
 def _km_explicit_column(sig: Signature, k: int) -> Form:
     """Sum over lambda of C(q, lambda) / (q!)^2 (unitary) or C(q, lambda) / q!
-    (orthogonal) times the lambda-sum of column k."""
+    (orthogonal) times the lambda-sum of column k, the factorials of q
+    cancelled: C(q, lambda) is (-1/2pi)^lambda (q!)^2 / (lambda! ((q-lambda)!)^2)
+    unitary and (-1/4pi)^lambda q! / (2^lambda lambda! (q-2 lambda)!) orthogonal."""
     q = sig.q
     if sig.family == UNITARY:
-        weights = [_c_unitary(q, lam) * Fraction(1, factorial(q) ** 2) for lam in range(q + 1)]
+        weights = [Scalar.of(Fraction(-1, 2) ** lam / (factorial(lam) * factorial(q - lam) ** 2),
+                             0, -lam) for lam in range(q + 1)]
     else:
-        weights = [_c_orth(q, lam) * Fraction(1, factorial(q)) for lam in range(q // 2 + 1)]
+        weights = [Scalar.of(Fraction(-1, 8) ** lam / (factorial(lam) * factorial(q - 2 * lam)),
+                             0, -lam) for lam in range(q // 2 + 1)]
     acc: dict = {}
     for lam, weight in enumerate(weights):
         for w, p in _lambda_sum(sig, k, lam).terms.items():
@@ -416,19 +406,23 @@ def gk_curvature(c: GKCochain) -> GKCochain:
 # ---------------------------------------------------------------------------
 
 def _k_basis(sig: Signature):
-    """Basis of the complexified k with labels, unitary: all elementary
-    gl(p) and gl(q) matrices; orthogonal: antisymmetric pairs."""
+    """Basis of the complexified k as (block, a, b, antisymmetric) labels
+    over the gl(p) and gl(q) blocks of upq_op_model.  Unitary: every
+    elementary matrix E_ab.  Orthogonal: so(p) + so(q) is the antisymmetric
+    part, one E_ab - E_ba for each a < b.  Orthogonal coefficients carry no
+    conjugate variables, so the conjugate half of each block acts by zero."""
     rp, rq = range(1, sig.p + 1), range(1, sig.q + 1)
     if sig.family == UNITARY:
-        return ([("k_gl_p", a, b) for a, b in product(rp, repeat=2)]
-                + [("k_gl_q", a, b) for a, b in product(rq, repeat=2)])
-    return ([("so_p", a, b) for a, b in combinations(rp, 2)]
-            + [("so_q", a, b) for a, b in combinations(rq, 2)])
+        pairs_p, pairs_q, anti = product(rp, repeat=2), product(rq, repeat=2), False
+    else:
+        pairs_p, pairs_q, anti = combinations(rp, 2), combinations(rq, 2), True
+    return ([("k_gl_p", a, b, anti) for a, b in pairs_p]
+            + [("k_gl_q", a, b, anti) for a, b in pairs_q])
 
 
-def _coadjoint_rule(sig: Signature, kappa):
-    """Action of a k-basis element on wedge generators, as Scalar combos."""
-    block, a, b = kappa
+def _gl_rule(block: str, a: int, b: int):
+    """Coadjoint action of the elementary matrix E_ab of the gl(p) or gl(q)
+    block on wedge generators, as (Scalar, WedgeGen) pairs."""
     one = Scalar.one()
 
     def rule(g: WedgeGen):
@@ -438,37 +432,32 @@ def _coadjoint_rule(sig: Signature, kappa):
                 out.append((-one, xi(b, g.col)))
             if g.kind == "xibar" and g.row == b:
                 out.append((one, xibar(a, g.col)))
-        elif block == "k_gl_q":
+        else:
             if g.kind == "xi" and g.col == b:
                 out.append((one, xi(g.row, a)))
             if g.kind == "xibar" and g.col == a:
                 out.append((-one, xibar(g.row, b)))
-        elif block == "so_p":
-            if g.row == a:
-                out.append((-one, WedgeGen(g.kind, b, g.col)))
-            if g.row == b:
-                out.append((one, WedgeGen(g.kind, a, g.col)))
-        elif block == "so_q":
-            if g.col == b:
-                out.append((one, WedgeGen(g.kind, g.row, a)))
-            if g.col == a:
-                out.append((-one, WedgeGen(g.kind, g.row, b)))
         return out
 
     return rule
 
 
+def _coadjoint_rule(sig: Signature, kappa):
+    """Action of a k-basis element on wedge generators: gl_rule(a, b), minus
+    gl_rule(b, a) when antisymmetric."""
+    block, a, b, anti = kappa
+    rule = _gl_rule(block, a, b)
+    if not anti:
+        return rule
+    twin = _gl_rule(block, b, a)
+    return lambda g: rule(g) + [(-c, g2) for c, g2 in twin(g)]
+
+
 def _k_module_op(sig: Signature, model: ModelTag, kappa) -> LinOp:
-    block, a, b = kappa
-    if sig.family == UNITARY:
-        return upq_op_model(sig, model, block, a, b)
-    # orthogonal: antisymmetrized geometric action (no central twist)
-    var = X if block == "so_p" else Y
-    parts = []
-    for col in range(1, sig.r + 1):
-        parts.append(-(LinOp.mul_by(Polynomial.variable(var(b, col))).compose(LinOp.partial(var(a, col)))))
-        parts.append(LinOp.mul_by(Polynomial.variable(var(a, col))).compose(LinOp.partial(var(b, col))))
-    return op_sum(parts)
+    """upq_op_model(a, b), minus upq_op_model(b, a) when antisymmetric."""
+    block, a, b, anti = kappa
+    op = upq_op_model(sig, model, block, a, b)
+    return op - upq_op_model(sig, model, block, b, a) if anti else op
 
 
 def k_invariance_residual(c: GKCochain) -> Form:

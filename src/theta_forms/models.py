@@ -21,8 +21,9 @@ Conventions fixed here and used everywhere downstream:
   brackets force c_plus * c_minus = -1 and leave the split between the two
   free; i, i is the symmetric representative.  upq_op_model is the one
   definition of these operators; each one is built once per process and
-  shared by every caller (d, the curvature, the K-residual and the
-  certificate), and schur.laplacian likewise builds each Delta_ij once.
+  shared by every caller (d, the curvature, the certificate and the
+  K-residual of both families, where so(p) + so(q) is the antisymmetric
+  part k_gl(a,b) - k_gl(b,a)), and schur.laplacian builds each Delta_ij once.
   calibrate_structure certifies the very operators of the model it is
   given by checking every gl(p+q) bracket; it runs only where identities
   are checked (the `calibrate` command, the calibration suite and
@@ -39,7 +40,7 @@ from fractions import Fraction
 
 from .operators import LinOp, op_sum
 from .poly import (Polynomial, VariableId, X, Xbar, Y, Ybar, Zvar, _mac_poly, _polys,
-                   parse_index)
+                   monomial_mul, parse_index)
 from .scalars import Scalar
 
 
@@ -264,13 +265,8 @@ def inner_product_rel(a: SchrodingerElement, b: SchrodingerElement) -> Scalar:
     total = Scalar.zero()
     for m1, c1 in a.poly.terms.items():
         for m2, c2 in b.poly.terms.items():
-            exps: dict[VariableId, int] = {}
-            for v, e in m1:
-                exps[v] = exps.get(v, 0) + e
-            for v, e in m2:
-                exps[v] = exps.get(v, 0) + e
             factor = c1 * c2.conjugate()
-            for e in exps.values():
+            for _, e in monomial_mul(m1, m2):
                 factor = factor * _moment(e)
                 if factor.is_zero():
                     break

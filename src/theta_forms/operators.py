@@ -13,8 +13,8 @@ from fractions import Fraction
 from math import comb, perm
 from typing import Iterable
 
-from .poly import (Monomial, Polynomial, VariableId, _mac_poly, _poly, _polys,
-                   monomial, monomial_mul)
+from .poly import (Monomial, Polynomial, TermMap, VariableId, _mac_poly, _poly,
+                   _polys, monomial, monomial_mul)
 from .scalars import Scalar, _mac, _reduce, _rows
 
 # A derivative multi-index reuses the Monomial encoding: sorted
@@ -59,27 +59,15 @@ def _sub_indices(D: DerivIndex):
     return splits
 
 
-class LinOp:
-    """Canonical linear operator: {DerivIndex: multiplier Polynomial}.
+class LinOp(TermMap):
+    """Canonical linear operator: {DerivIndex: nonzero multiplier Polynomial}.
 
-    An immutable value: nothing writes to .terms after construction, so one
-    operator may be cached and shared by any number of callers."""
+    An immutable value, so one operator may be cached and shared by any
+    number of callers."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for D, p in terms.items():
-                if not p.is_zero():
-                    clean[D] = p
-        self.terms = clean
+    __slots__ = ()
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "LinOp":
-        return cls()
 
     @classmethod
     def identity(cls) -> "LinOp":
@@ -109,18 +97,6 @@ class LinOp:
                     _mac(acc, c, _rows((monomial_mul(m2, dm), c2)
                                        for m2, c2 in mult.terms.items()), n)
         return _poly(_reduce(acc))
-
-    def __add__(self, other: "LinOp") -> "LinOp":
-        out = dict(self.terms)
-        for D, p in other.terms.items():
-            out[D] = out.get(D, Polynomial.zero()) + p
-        return LinOp(out)
-
-    def __sub__(self, other: "LinOp") -> "LinOp":
-        return self + (-other)
-
-    def __neg__(self) -> "LinOp":
-        return LinOp({D: -p for D, p in self.terms.items()})
 
     def __mul__(self, other) -> "LinOp":
         if isinstance(other, (int, Fraction, Scalar)):
@@ -160,15 +136,6 @@ class LinOp:
 
     def commutator(self, other: "LinOp") -> "LinOp":
         return self.compose(other) - other.compose(self)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LinOp) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __repr__(self):
         if not self.terms:

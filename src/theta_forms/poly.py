@@ -120,10 +120,48 @@ def monomial_degree(m: Monomial) -> int:
     return sum(e for _, e in m)
 
 
-class Polynomial:
-    """Immutable canonical polynomial: {Monomial: nonzero Scalar}."""
+class TermMap:
+    """A finite linear combination {key: nonzero coefficient}: the one linear
+    structure behind Polynomial (Scalar coefficients), Form and LinOp
+    (Polynomial coefficients).  A value: nothing writes to .terms after
+    construction.  Equality is type-strict, so a Form never equals a LinOp
+    or a Polynomial with the same terms."""
 
     __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        self.terms = {k: c for k, c in (terms or {}).items() if not c.is_zero()}
+
+    @classmethod
+    def zero(cls):
+        return cls()
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            out[k] = out[k] + c if k in out else c
+        return type(self)(out)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return type(self)({k: -c for k, c in self.terms.items()})
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+
+class Polynomial(TermMap):
+    """Immutable canonical polynomial: {Monomial: nonzero Scalar}."""
+
+    __slots__ = ()
 
     def __init__(self, terms=None):
         clean = {}
@@ -135,10 +173,6 @@ class Polynomial:
         self.terms = clean
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "Polynomial":
-        return cls()
 
     @classmethod
     def one(cls) -> "Polynomial":
@@ -153,18 +187,6 @@ class Polynomial:
         return cls({monomial([(v, 1)]): Scalar.one()})
 
     # -- ring operations ---------------------------------------------------
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out[m] + c if m in out else c
-        return Polynomial(out)
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial({m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction, Scalar)):
@@ -188,16 +210,7 @@ class Polynomial:
             out = out * self
         return out
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Polynomial) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset((m, c) for m, c in self.terms.items()))
-
     # -- queries -----------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""

@@ -141,6 +141,16 @@ def test_calibrate_prints_report(capsys):
         "  verified all 16 elementary brackets of gl(2) close exactly\n")
 
 
+def test_calibrate_rejects_the_orthogonal_family(capsys):
+    """There is no o(p,q) certificate: the family flag is refused, not
+    answered with the unitary gl(p+q) report."""
+    rc = main(["calibrate", "--family", "orthogonal", "--p", "2", "--q", "1", "--r", "1"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "error" in json.loads(captured.err)
+
+
 @pytest.mark.parametrize("data", [
     {"dim": 1, "gram": [["1/0"]]},
     {"dim": 1, "gram": 5},

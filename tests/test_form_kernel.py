@@ -3,18 +3,22 @@ K-residual, against the plain loop it replaced: each sum rebuilt term by term
 as ``out = out + lead ^ f.apply_op(op)``."""
 
 import random
+from itertools import combinations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from theta_forms import forms, suites
-from theta_forms.exterior import Form, merge_monomials, wedge_monomial, xi, xibar
-from theta_forms.forms import (GKCochain, build_psi_cup, build_psi_orth, cup_embed,
-                               gk_curvature, gk_differential, k_invariance_residual)
+from theta_forms.exterior import (Form, WedgeGen, merge_monomials, wedge_monomial, xi,
+                                  xibar)
+from theta_forms.forms import (GKCochain, build_km_nabla, build_psi_cup, build_psi_orth,
+                               cup_embed, gk_curvature, gk_differential,
+                               k_invariance_residual)
 from theta_forms.models import (ORTHOGONAL, UNITARY, Signature, fock_model,
                                 mixed_model, upq_op_model)
-from theta_forms.operators import LinOp
-from theta_forms.poly import Polynomial, VariableId, monomial
+from theta_forms.operators import LinOp, op_sum
+from theta_forms.poly import X, Y, Polynomial, VariableId, monomial
 from theta_forms.scalars import Scalar
 
 KINDS = ("fock", "mixed", "orthogonal")
@@ -23,10 +27,13 @@ KINDS = ("fock", "mixed", "orthogonal")
 @st.composite
 def cochains(draw, kind):
     """Multi-term cochains: up to five wedge terms, each with a few monomials
-    of degree <= 4 and Gaussian-rational coefficients times pi^-1..pi^1."""
+    of degree <= 4 and Gaussian-rational coefficients times pi^-1..pi^1.
+    Orthogonal cochains (real X, Y variables only) live in fock:0, or in
+    mixed:r for kind "orthogonal-mixed"."""
     p, q, r = draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(st.integers(1, 2))
-    if kind == "orthogonal":
-        sig, model = Signature(p, q, r, 0, ORTHOGONAL), fock_model(0)
+    if kind in ("orthogonal", "orthogonal-mixed"):
+        sig = Signature(p, q, r, 0, ORTHOGONAL)
+        model = fock_model(0) if kind == "orthogonal" else mixed_model(r)
     else:
         s = draw(st.integers(0, r)) if kind == "fock" else r
         sig = Signature(p, q, r, s, UNITARY)
@@ -189,3 +196,91 @@ def test_leibniz_rule_on_column_products():
         checked += 1
         nonzero += not lhs.is_zero()
     assert nonzero >= 10
+
+
+# -- the orthogonal K-action against its hand-built so(p) + so(q) form ---------
+# The hand-built operator and coadjoint rule below are the definitions the
+# library used before so(p) + so(q) was read off as the antisymmetric part of
+# the certified gl(p) + gl(q) blocks (forms._k_basis).
+
+def ref_so_op(sig: Signature, block: str, a: int, b: int) -> LinOp:
+    """sum over columns of X_a d/dX_b - X_b d/dX_a (Y for so(q))."""
+    var = X if block == "so_p" else Y
+    parts = []
+    for col in range(1, sig.r + 1):
+        parts.append(-(LinOp.mul_by(Polynomial.variable(var(b, col))).compose(LinOp.partial(var(a, col)))))
+        parts.append(LinOp.mul_by(Polynomial.variable(var(a, col))).compose(LinOp.partial(var(b, col))))
+    return op_sum(parts)
+
+
+def ref_so_rule(block: str, a: int, b: int):
+    one = Scalar.one()
+
+    def rule(g: WedgeGen):
+        out = []
+        if block == "so_p":
+            if g.row == a:
+                out.append((-one, WedgeGen(g.kind, b, g.col)))
+            if g.row == b:
+                out.append((one, WedgeGen(g.kind, a, g.col)))
+        else:
+            if g.col == b:
+                out.append((one, WedgeGen(g.kind, g.row, a)))
+            if g.col == a:
+                out.append((-one, WedgeGen(g.kind, g.row, b)))
+        return out
+
+    return rule
+
+
+def ref_so_basis(sig: Signature):
+    return ([("so_p", a, b) for a, b in combinations(range(1, sig.p + 1), 2)]
+            + [("so_q", a, b) for a, b in combinations(range(1, sig.q + 1), 2)])
+
+
+def ref_orth_k_residual(c: GKCochain) -> Form:
+    worst = Form.zero()
+    for block, a, b in ref_so_basis(c.sig):
+        res = (c.form.apply_op(ref_so_op(c.sig, block, a, b))
+               + ref_gen_derivation(c.form, ref_so_rule(block, a, b)))
+        if res.max_term_count() > worst.max_term_count():
+            worst = res
+    return worst
+
+
+def assert_orthogonal_k_action_matches(c: GKCochain):
+    """Each k-basis element acts as its hand-built twin, operator half and
+    coadjoint half separately, and the residuals agree."""
+    basis = forms._k_basis(c.sig)
+    assert [(("so_p" if blk == "k_gl_p" else "so_q"), a, b, anti)
+            for blk, a, b, anti in basis] == [(*kappa, True) for kappa in ref_so_basis(c.sig)]
+    for kappa, (block, a, b) in zip(basis, ref_so_basis(c.sig)):
+        op, ref_op = forms._k_module_op(c.sig, c.model, kappa), ref_so_op(c.sig, block, a, b)
+        if c.model == fock_model(0):
+            assert op == ref_op
+        assert c.form.apply_op(op) == c.form.apply_op(ref_op)
+        assert (c.form.gen_derivation(forms._coadjoint_rule(c.sig, kappa))
+                == ref_gen_derivation(c.form, ref_so_rule(block, a, b)))
+    res = k_invariance_residual(c)
+    assert res == ref_orth_k_residual(c)
+    return res
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["orthogonal", "orthogonal-mixed"]).flatmap(cochains))
+def test_orthogonal_k_action_matches_the_hand_built_so_action(c):
+    assert_orthogonal_k_action_matches(c)
+
+
+@pytest.mark.parametrize("p,q,r", [(2, 2, 1), (3, 2, 1)])
+def test_orthogonal_km_nabla_is_k_invariant_under_both_actions(p, q, r):
+    c = build_km_nabla(Signature(p, q, r, 0, ORTHOGONAL))
+    assert c.model == mixed_model(r)
+    assert assert_orthogonal_k_action_matches(c).is_zero()
+
+
+@pytest.mark.parametrize("model", [fock_model(0), mixed_model(1)], ids=lambda m: m.token())
+def test_non_invariant_orthogonal_cochain_has_the_same_nonzero_residual(model):
+    c = GKCochain(Form({(xi(1, 1),): Polynomial.variable(X(1, 1))}), model,
+                  Signature(2, 2, 1, 0, ORTHOGONAL))
+    assert not assert_orthogonal_k_action_matches(c).is_zero()

@@ -300,6 +300,34 @@ def test_chern_is_the_extreme_lambda_term(sig):
     assert cq == ref_euler_chern_form(sig)
 
 
+def _c_unitary(q: int, lam: int) -> Scalar:
+    """C(q, lambda) = (-1/2pi)^lambda (q!)^2 / (lambda! ((q-lambda)!)^2)."""
+    base = Scalar.of(Fraction(-1, 2), 0, -1) ** lam
+    return base * Fraction(factorial(q) ** 2, factorial(lam) * factorial(q - lam) ** 2)
+
+
+def _c_orth(q: int, lam: int) -> Scalar:
+    """C(q, lambda) = (-1/4pi)^lambda q! / (2^lambda lambda! (q-2 lambda)!)."""
+    base = Scalar.of(Fraction(-1, 4), 0, -1) ** lam
+    return base * Fraction(factorial(q), (2 ** lam) * factorial(lam) * factorial(q - 2 * lam))
+
+
+@pytest.mark.parametrize("family", ["unitary", ORTHOGONAL])
+@pytest.mark.parametrize("q", [0, 1, 2, 3, 4])
+def test_km_explicit_weights_are_c_q_lambda_over_the_factorials(monkeypatch, family, q):
+    """_km_explicit_column weighs the lambda-sum by C(q, lambda) / (q!)^2
+    (unitary) or C(q, lambda) / q! (orthogonal): read each weight off by
+    replacing the lambda-sum with the marker X(1, lambda + 1)."""
+    monkeypatch.setattr(forms, "_lambda_sum", lambda sig, k, lam: Form.unit().scale(x(1, lam + 1)))
+    col = forms._km_explicit_column(Signature(1, q, 1, 0, family), 1)
+    if family == ORTHOGONAL:
+        expect = [_c_orth(q, lam) * Fraction(1, factorial(q)) for lam in range(q // 2 + 1)]
+    else:
+        expect = [_c_unitary(q, lam) * Fraction(1, factorial(q) ** 2) for lam in range(q + 1)]
+    assert col == Form.unit().scale(sum((x(1, lam + 1).scale(c) for lam, c in enumerate(expect)),
+                                        Polynomial.zero()))
+
+
 def test_km_at_zero_proportional_to_chern():
     sig = Signature(1, 1, 1, 1)
     at0 = evaluate_at_zero(build_km_nabla(sig))
