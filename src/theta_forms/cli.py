@@ -112,8 +112,14 @@ def _cmd_calibrate(args) -> int:
     if args.family != UNITARY:
         return _error("calibrate certifies the unitary u(p,q) operators only; "
                       "there is no o(p,q) certificate", 2)
-    cal = calibrate_structure(_signature(args))
-    for line in cal.lines():
+    # certify the model psi-cup is built and differentiated in at this
+    # signature; the header names s and that model only when s > 0
+    sig = _signature(args)
+    model = fock_model(min(sig.r, sig.s))
+    head, *rest = calibrate_structure(sig, model).lines()
+    if sig.s:
+        head = head.replace(":", f" s={sig.s} model {model.token()}:", 1)
+    for line in [head, *rest]:
         print(line)
     return 0
 

@@ -439,8 +439,16 @@ def calibrate_structure(sig: Signature, model: ModelTag = FOCK) -> CalibrationRe
     operators exactly as upq_op_model builds them in the given model (with
     C_PLUS, C_MINUS): every bracket [E_ab, E_cd] of gl(p+q) must close.
     [E_{1,p+1}, E_{p+1,1}] alone pins c_plus * c_minus = -1; the split
-    between the two is free.  Raises CalibrationError on the first bracket
-    that fails.  Results are cached per (p, q, r, column kinds): the
+    between the two is free.
+
+    Each unordered pair of images is compared once and the diagonal is
+    skipped, which still certifies every ordered bracket: [y, x] is term for
+    term -[x, y] (LinOp.commutator), the expected side
+    delta_bc E_ad - delta_da E_cb is antisymmetric under (a,b) <-> (c,d),
+    and [x, x] is zero on both sides.  x runs in row-major order and y over
+    the images after it; a pair fails in both orders or in neither, so the
+    CalibrationError names the first failing bracket of the full ordered
+    scan.  Results are cached per (p, q, r, column kinds): the
     operators depend on (p, q, column kinds) alone, and r labels the report."""
     if sig.p < 1 or sig.q < 1 or sig.r < 1:
         raise ValueError("calibration needs p, q, r >= 1")
@@ -450,8 +458,9 @@ def calibrate_structure(sig: Signature, model: ModelTag = FOCK) -> CalibrationRe
     n = sig.p + sig.q
     img = {(a, b): _abstract_image(sig, model, a, b)
            for a in range(1, n + 1) for b in range(1, n + 1)}
-    for (a, b), op1 in img.items():
-        for (c, d), op2 in img.items():
+    pairs = list(img.items())
+    for i, ((a, b), op1) in enumerate(pairs):
+        for (c, d), op2 in pairs[i + 1:]:
             expect = LinOp.zero()
             if b == c:
                 expect = expect + img[(a, d)]

@@ -46,7 +46,8 @@ def _deriv_mono(D: DerivIndex, m: Monomial):
 
 
 def _sub_indices(D: DerivIndex):
-    """All (beta, multinomial coefficient, D-beta) splittings of D."""
+    """All (beta, multinomial coefficient, D-beta) splittings of D, the
+    beta = 0 splitting (), 1, D first."""
     splits = [((), 1, ())]
     for v, k in D:
         new = []
@@ -57,6 +58,28 @@ def _sub_indices(D: DerivIndex):
                 new.append((part_b, coef * comb(k, b), part_r))
         splits = new
     return splits
+
+
+def _leibniz(acc: dict, A: "LinOp", B: "LinOp", sign: int, leading: bool) -> None:
+    """acc += sign * (A after B), re-normalized by Leibniz:
+
+    (m1 D1)(m2 D2) f = m1 * sum_{beta<=D1} C(D1,beta) (D^beta m2) * (D^{D1-beta} D2 f)
+
+    Each product of a term of m1 with a term of D^beta m2 goes into the
+    triple accumulator acc[D^{D1-beta} D2] with sign * C(D1,beta) times the
+    falling factorial of D^beta as its int factor.  leading=False leaves out
+    the beta = 0 terms m1 m2 D1 D2."""
+    for D1, m1 in A.terms.items():
+        splits = _sub_indices(D1)[0 if leading else 1:]
+        for D2, m2 in B.terms.items():
+            for beta, coef, rest in splits:
+                inner = acc.setdefault(monomial_mul(rest, D2), {})
+                for m, c in m2.terms.items():
+                    r = _deriv_mono(beta, m)
+                    if r is not None:
+                        n, dm = r
+                        _mac(inner, c, _rows((monomial_mul(mu, dm), cu)
+                                             for mu, cu in m1.terms.items()), sign * coef * n)
 
 
 class LinOp(TermMap):
@@ -114,28 +137,21 @@ class LinOp(TermMap):
         return LinOp({D: p.scale(c) for D, p in self.terms.items()})
 
     def compose(self, other: "LinOp") -> "LinOp":
-        """self after other, re-normalized by Leibniz.
-
-        (m1 D1)(m2 D2) f = m1 * sum_{beta<=D1} C(D1,beta) (D^beta m2) * (D^{D1-beta} D2 f)
-
-        Each product of a term of m1 with a term of D^beta m2 goes into the
-        triple accumulator with C(D1,beta) times the falling factorial of
-        D^beta as its int factor."""
+        """self after other, re-normalized by Leibniz (_leibniz)."""
         acc: dict = {}
-        for D1, m1 in self.terms.items():
-            for D2, m2 in other.terms.items():
-                for beta, coef, rest in _sub_indices(D1):
-                    inner = acc.setdefault(monomial_mul(rest, D2), {})
-                    for m, c in m2.terms.items():
-                        r = _deriv_mono(beta, m)
-                        if r is not None:
-                            n, dm = r
-                            _mac(inner, c, _rows((monomial_mul(mu, dm), cu)
-                                                 for mu, cu in m1.terms.items()), coef * n)
+        _leibniz(acc, self, other, 1, True)
         return LinOp(_polys(acc))
 
     def commutator(self, other: "LinOp") -> "LinOp":
-        return self.compose(other) - other.compose(self)
+        """[self, other] = self.compose(other) - other.compose(self), term for
+        term, computed without the beta = 0 Leibniz terms: those are
+        m1 m2 D1 D2 in self after other and m2 m1 D2 D1 in other after self,
+        the same products under the same derivative key, so they cancel
+        exactly and only the terms that differentiate a multiplier remain."""
+        acc: dict = {}
+        _leibniz(acc, self, other, 1, False)
+        _leibniz(acc, other, self, -1, False)
+        return LinOp(_polys(acc))
 
     def __repr__(self):
         if not self.terms:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import isqrt, lcm
 from typing import Callable, Mapping, Sequence
 
@@ -241,7 +242,11 @@ def rep_numbers(L: GramMatrix, n_max: int) -> dict[int, int]:
 
 def naive_rep_numbers(L: GramMatrix, n_max: int) -> dict[int, int]:
     """Independent brute-force oracle: full box scan with direct evaluation
-    of the quadratic form (no Cholesky recursion).  Small dimensions only."""
+    of the quadratic form (no Cholesky recursion).  Small dimensions only.
+
+    The Gram matrix is scaled once by the lcm D of its denominators, so each
+    point is an int x^T (D L) x, which is 2 n D exactly when the half-norm
+    is the integer n."""
     inv_diag = L.inverse_diagonal()
     bounds = []
     for idx in range(L.dim):
@@ -250,18 +255,15 @@ def naive_rep_numbers(L: GramMatrix, n_max: int) -> dict[int, int]:
         while k * k * b2.denominator > b2.numerator:
             k -= 1
         bounds.append(k)
+    D = lcm(*(x.denominator for row in L.entries for x in row))
+    M = [[int(x * D) for x in row] for row in L.entries]
     counts = {n: 0 for n in range(n_max + 1)}
-
-    def scan(i: int, vec: list[int]):
-        if i == L.dim:
-            h = L.half_norm(vec)
-            if h.denominator == 1 and 0 <= h <= n_max:
-                counts[int(h)] += 1
-            return
-        for t in range(-bounds[i], bounds[i] + 1):
-            scan(i + 1, vec + [t])
-
-    scan(0, [])
+    for vec in product(*(range(-b, b + 1) for b in bounds)):
+        qD = sum(xi * sum(m * xj for m, xj in zip(row, vec) if xj)
+                 for xi, row in zip(vec, M) if xi)
+        n, rem = divmod(qD, 2 * D)
+        if not rem and n <= n_max:
+            counts[n] += 1
     return counts
 
 

@@ -141,6 +141,22 @@ def test_calibrate_prints_report(capsys):
         "  verified all 16 elementary brackets of gl(2) close exactly\n")
 
 
+def test_calibrate_certifies_the_model_psi_cup_is_built_in(capsys, monkeypatch):
+    """--s is not ignored: at s > 0 the certificate covers the columns
+    psi-cup is built and differentiated over, and the header says so."""
+    assert main(["build", "--form", "psi-cup", "--p", "1", "--q", "1", "--r", "1", "--s", "5"]) == 0
+    built = json.loads(capsys.readouterr().out)["model"]
+    certified = []
+    real = cli.calibrate_structure
+    monkeypatch.setattr(cli, "calibrate_structure",
+                        lambda sig, model: certified.append((sig, model.token())) or real(sig, model))
+    assert main(["calibrate", "--p", "1", "--q", "1", "--r", "1", "--s", "5"]) == 0
+    assert certified == [(Signature(1, 1, 1, 5), built)] and built == "fock:1"
+    assert capsys.readouterr().out == (
+        "calibration p=1 q=1 r=1 s=5 model fock:1: c_plus=Scalar((0+1i)) c_minus=Scalar((0+1i))\n"
+        "  verified all 16 elementary brackets of gl(2) close exactly\n")
+
+
 def test_calibrate_rejects_the_orthogonal_family(capsys):
     """There is no o(p,q) certificate: the family flag is refused, not
     answered with the unitary gl(p+q) report."""

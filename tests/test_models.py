@@ -7,11 +7,12 @@ from theta_forms import models
 from theta_forms.exterior import Form, xi, xibar
 from theta_forms.forms import (GKCochain, build_mixed, build_psi_cup, gk_curvature,
                                gk_differential, k_invariance_residual)
-from theta_forms.models import (C_MINUS, C_PLUS, FOCK, SCHRODINGER, ModelTag,
-                                SchrodingerElement, Signature,
+from theta_forms.models import (C_MINUS, C_PLUS, FOCK, SCHRODINGER, CalibrationError,
+                                ModelTag, SchrodingerElement, Signature,
                                 calibrate_structure, fock_model,
                                 heisenberg_op, inner_product_rel, intertwine,
                                 ladder_op, mixed_model, sp_op, upq_op, upq_op_model)
+from theta_forms.operators import LinOp
 from theta_forms.poly import Polynomial, X, Y, Zvar
 from theta_forms.scalars import Scalar
 from theta_forms.schur import Partition, kv_highest_weight
@@ -259,3 +260,51 @@ def test_signature_validation():
         Signature(2, 1, 1, 1, "orthogonal")
     with pytest.raises(ValueError):
         Signature(1, 1, 1, 0, "symplectic")
+
+
+@pytest.mark.parametrize("sig,model", [(Signature(2, 1, 1, 0), FOCK),
+                                       (Signature(2, 2, 1, 1), mixed_model(1))],
+                         ids=["2110-fock0", "2211-mixed1"])
+def test_commutator_of_gl_images_is_the_difference_of_compositions(sig, model):
+    n = sig.p + sig.q
+    img = [models._abstract_image(sig, model, a, b)
+           for a, b in product(range(1, n + 1), repeat=2)]
+    for x, y in product(img, repeat=2):
+        assert x.commutator(y) == x.compose(y) - y.compose(x)
+
+
+def test_calibration_compares_each_unordered_pair_once(monkeypatch):
+    sig, model = Signature(2, 2, 1, 1), fock_model(1)
+    n = sig.p + sig.q
+    labels = {id(models._abstract_image(sig, model, a, b)): (a, b)
+              for a, b in product(range(1, n + 1), repeat=2)}
+    seen = []
+    commutator = LinOp.commutator
+
+    def record(self, other):
+        seen.append((labels[id(self)], labels[id(other)]))
+        return commutator(self, other)
+
+    monkeypatch.setattr(LinOp, "commutator", record)
+    monkeypatch.setattr(models, "_CAL_CACHE", {})
+    calibrate_structure(sig, model)
+    assert len(seen) == len(set(seen))
+    for x, y in product(labels.values(), repeat=2):
+        assert ((x, y) in seen) + ((y, x) in seen) == (x != y), (x, y)
+
+
+@pytest.mark.parametrize("sig,model,bracket", [
+    (Signature(2, 1, 1, 0), FOCK, "[E13, E31]"),
+    (Signature(3, 2, 2, 0), FOCK, "[E14, E41]"),
+    (Signature(2, 2, 1, 1), fock_model(1), "[E13, E31]"),
+], ids=["2110", "3220", "2211"])
+def test_calibration_names_the_first_failing_bracket(monkeypatch, sig, model, bracket):
+    # c_plus * c_minus = 2i * i = -2 breaks [pminus, pplus]; the first ordered
+    # bracket of the n^4 scan that fails is the one reported
+    monkeypatch.setattr(models.upq_op_model, "__defaults__", (Scalar.of(0, 2), Scalar.of(0, 1)))
+    monkeypatch.setattr(models, "_UPQ_CACHE", {})
+    monkeypatch.setattr(models, "_CAL_CACHE", {})
+    with pytest.raises(CalibrationError) as err:
+        calibrate_structure(sig, model)
+    assert str(err.value) == (f"bracket {bracket} fails to close for p={sig.p} q={sig.q} "
+                              f"r={sig.r} s={sig.s} model {model.token()}")

@@ -114,12 +114,12 @@ def _polys(draw, max_terms=4):
 
 
 @st.composite
-def _linops(draw):
-    """Up to three terms; derivative orders up to 4 on one or two variables,
-    each with a multi-term multiplier."""
+def _linops(draw, max_order=4):
+    """Up to three terms; derivative orders up to max_order on one or two
+    variables, each with a multi-term multiplier."""
     terms = {}
     for _ in range(draw(st.integers(1, 3))):
-        D = monomial(draw(st.lists(st.tuples(st.sampled_from(_VARS), st.integers(1, 4)),
+        D = monomial(draw(st.lists(st.tuples(st.sampled_from(_VARS), st.integers(1, max_order)),
                                    max_size=2)))
         terms[D] = draw(_polys(max_terms=3))
     return LinOp(terms)
@@ -154,3 +154,13 @@ def test_apply_high_orders():
     for order in (4, 5):
         assert LinOp({monomial([(X(1, 1), order)]): mult}).apply(f).is_zero()
     assert LinOp({monomial([(Xbar(1, 1), 1)]): mult}).apply(f).is_zero()
+
+
+@settings(max_examples=80, deadline=None)
+@given(_linops(max_order=2), _linops(max_order=2))
+def test_commutator_is_the_difference_of_compositions(a, b):
+    # commutator leaves out the beta = 0 Leibniz terms; the result must still
+    # be term for term the difference of the two full compositions
+    assert a.commutator(b) == a.compose(b) - b.compose(a)
+    assert b.commutator(a) == -a.commutator(b)
+    assert a.commutator(a).is_zero()

@@ -1,5 +1,7 @@
 import cmath
 from fractions import Fraction
+from itertools import product
+from math import ceil, isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -213,3 +215,22 @@ def test_enumerate_with_norms_e8_sorted_and_exact():
     assert len(listed) == 1 + 240 + 2160 + 6720
     assert listed == sorted(listed)
     assert all(h == L.half_norm(v) for v, h in listed)
+
+
+def _half_norm_count(L: GramMatrix, n_max: int) -> dict[int, int]:
+    """Box scan with GramMatrix.half_norm in Fractions, over a box one wider
+    than |x_i| <= sqrt(2 n_max (L^-1)_ii) needs."""
+    bounds = [isqrt(ceil(2 * n_max * v)) + 1 for v in L.inverse_diagonal()]
+    counts = dict.fromkeys(range(n_max + 1), 0)
+    for x in product(*(range(-b, b + 1) for b in bounds)):
+        h = L.half_norm(x)
+        if h.denominator == 1 and h <= n_max:
+            counts[h.numerator] += 1
+    return counts
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_grams(), st.integers(0, 4))
+def test_integer_scaled_oracle_matches_half_norm_count(entries, n_max):
+    L = GramMatrix(entries)
+    assert naive_rep_numbers(L, n_max) == _half_norm_count(L, n_max)
