@@ -4,8 +4,6 @@ numbers against the divisor-sum side, and the Whittaker-weighted Fourier
 assembly at rank one.
 """
 
-from fractions import Fraction
-
 from theta_forms import (BetaMatrix, WhittakerPoint, e8_gram,
                          eisenstein_check, enumerate_vectors, fourier_assemble,
                          rep_numbers, whittaker)
@@ -27,7 +25,7 @@ for n in (0, 1, 2):
     print(f"  n={n}: literal={lit:.6g}  classical={cla:.6g}")
 
 print("\nrank-one Fourier assembly with unit weights (n <= 3):")
-table = fourier_assemble(E8, {}, g, 3, default=Fraction(1))
+table = fourier_assemble(E8, lambda x: 1, g, 3)
 counts = rep_numbers(E8, 3)
 for n in range(4):
     print(f"  n={n}: shell count {counts[n]}, coefficient {table[n]:.6g}")

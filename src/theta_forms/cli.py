@@ -115,16 +115,14 @@ def _cmd_calibrate(args) -> int:
     # certify the model psi-cup is built and differentiated in at this
     # signature; the header names s and that model only when s > 0
     sig = _signature(args)
-    model = fock_model(min(sig.r, sig.s))
-    head, *rest = calibrate_structure(sig, model).lines()
-    if sig.s:
-        head = head.replace(":", f" s={sig.s} model {model.token()}:", 1)
-    for line in [head, *rest]:
+    for line in calibrate_structure(sig, fock_model(min(sig.r, sig.s))).lines():
         print(line)
     return 0
 
 
 def _cmd_theta(args) -> int:
+    if args.check is not None and args.convention is not None:
+        return _error("--convention applies to the theta table, not to --check", 2)
     if args.check is None and args.nmax > NMAX_CEILING:
         # eisenstein_check bounds the check path with its own message
         raise ValueError(f"desk-scale table: n_max <= {NMAX_CEILING}")
@@ -132,18 +130,18 @@ def _cmd_theta(args) -> int:
         L = gram_from_json(fh.read())
     if args.check == "eisenstein":
         report = eisenstein_check(args.nmax, L)
-        for line in report.lines():
-            print(line)
+        _write("".join(line + "\n" for line in report.lines()), args.out)
         return 0 if report.passed else 1
+    convention = args.convention or "literal"
     counts = rep_numbers(L, args.nmax)
     g = WhittakerPoint.standard(1)
     rows = []
     for n in range(args.nmax + 1):
         # Unit weights: the shell sum is the count itself.
-        w = counts[n] * whittaker(BetaMatrix.scalar(n), g, L.dim, args.convention)
+        w = counts[n] * whittaker(BetaMatrix.scalar(n), g, L.dim, convention)
         rows.append({"n": n, "count": counts[n],
                      "coefficient": [w.real, w.imag]})
-    payload = {"dim": L.dim, "nmax": args.nmax, "convention": args.convention,
+    payload = {"dim": L.dim, "nmax": args.nmax, "convention": convention,
                "rows": rows}
     _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     return 0
@@ -155,11 +153,11 @@ def _cmd_export(args) -> int:
     return _write_cochain(cochain, args)
 
 
-def _add_signature_flags(sub, defaults=True):
-    sub.add_argument("--p", type=int, default=1 if defaults else None)
-    sub.add_argument("--q", type=int, default=1 if defaults else None)
-    sub.add_argument("--r", type=int, default=1 if defaults else None)
-    sub.add_argument("--s", type=int, default=0 if defaults else None)
+def _add_signature_flags(sub):
+    sub.add_argument("--p", type=int, default=1)
+    sub.add_argument("--q", type=int, default=1)
+    sub.add_argument("--r", type=int, default=1)
+    sub.add_argument("--s", type=int, default=0)
     sub.add_argument("--family", choices=[UNITARY, ORTHOGONAL], default=UNITARY)
 
 
@@ -193,7 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--gram", required=True)
     t.add_argument("--nmax", type=int, default=6)
     t.add_argument("--check", choices=["eisenstein"], default=None)
-    t.add_argument("--convention", choices=["literal", "classical"], default="literal")
+    # None, not "literal": --check rejects the flag only if it was given
+    t.add_argument("--convention", choices=["literal", "classical"], default=None)
     t.add_argument("--out", default=None)
     t.set_defaults(fn=_cmd_theta)
 

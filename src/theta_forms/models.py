@@ -20,23 +20,28 @@ Conventions fixed here and used everywhere downstream:
   with the fixed constants c_plus = c_minus = i (C_PLUS, C_MINUS).  The
   brackets force c_plus * c_minus = -1 and leave the split between the two
   free; i, i is the symmetric representative.  upq_op_model is the one
-  definition of these operators; each one is built once per process and
-  shared by every caller (d, the curvature, the certificate and the
-  K-residual of both families, where so(p) + so(q) is the antisymmetric
-  part k_gl(a,b) - k_gl(b,a)), and schur.laplacian builds each Delta_ij once.
-  calibrate_structure certifies the very operators of the model it is
-  given by checking every gl(p+q) bracket; it runs only where identities
-  are checked (the `calibrate` command, the calibration suite and
-  forms.gk_curvature), never on the construction path.
+  definition of these operators, shared by every caller (d, the curvature,
+  the certificate and the K-residual of both families, where so(p) + so(q)
+  is the antisymmetric part k_gl(a,b) - k_gl(b,a)).  calibrate_structure
+  certifies the very operators of the model it is given by checking every
+  gl(p+q) bracket; it runs only where identities are checked (the
+  `calibrate` command, the calibration suite and forms.gk_curvature),
+  never on the construction path.
   Conjugate columns carry the complex-conjugate operators; intertwined
   (Schrodinger) columns carry M_V = V - (1/2pi) d/dVbar in place of
   multiplication by V and plain d/dV in place of d/dz.
+
+* upq_op_model, calibrate_structure and schur.laplacian are functools.cache
+  functions of the values they build from: each operator, certificate and
+  Delta_ij is built on its first request and shared after that, and
+  cache_info() counts the builds (misses) and reuses (hits).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .operators import LinOp, op_sum
 from .poly import (Polynomial, VariableId, X, Xbar, Y, Ybar, Zvar, _mac_poly, _polys,
@@ -324,12 +329,7 @@ def _dd(u: VariableId, v: VariableId) -> LinOp:
     return LinOp.partial(u).compose(LinOp.partial(v))
 
 
-# Every operator of the family is built once per process and shared: a
-# LinOp is an immutable value.  The key carries the constants, so probing
-# other constants builds fresh operators.
-_UPQ_CACHE: dict[tuple, LinOp] = {}
-
-
+@cache
 def upq_op_model(sig: Signature, model: ModelTag, block: str, a: int, b: int,
                  c_plus: Scalar = C_PLUS, c_minus: Scalar = C_MINUS) -> LinOp:
     """The u(p,q) operator for the given block, summed over all columns of
@@ -339,7 +339,8 @@ def upq_op_model(sig: Signature, model: ModelTag, block: str, a: int, b: int,
     K-residual and calibrate_structure's certificate all build through it
     with the defaults C_PLUS, C_MINUS.  Other constants are accepted only to
     probe the free split between them.  Each operator is built on the first
-    request and returned from _UPQ_CACHE after that."""
+    request for its arguments and shared after that (a LinOp is an immutable
+    value); passing the constants explicitly is another cache entry."""
     shape = {"k_gl_p": (sig.p, sig.p), "k_gl_q": (sig.q, sig.q),
              "pplus": (sig.p, sig.q), "pminus": (sig.p, sig.q)}.get(block)
     if shape is None:
@@ -347,15 +348,6 @@ def upq_op_model(sig: Signature, model: ModelTag, block: str, a: int, b: int,
     rows, cols = shape
     if not (1 <= a <= rows and 1 <= b <= cols):
         raise IndexError(f"{block} index out of range")
-    key = (sig, model, block, a, b, c_plus, c_minus)
-    op = _UPQ_CACHE.get(key)
-    if op is None:
-        op = _UPQ_CACHE[key] = _build_upq_op(*key)
-    return op
-
-
-def _build_upq_op(sig: Signature, model: ModelTag, block: str, a: int, b: int,
-                  c_plus: Scalar, c_minus: Scalar) -> LinOp:
     parts = []
     for col, kind in enumerate(column_kinds(sig, model), start=1):
         holo = kind in ("pure", "doubled", "schrodinger")
@@ -407,17 +399,16 @@ class CalibrationError(RuntimeError):
 @dataclass(frozen=True)
 class CalibrationReport:
     sig: Signature
+    model: ModelTag
     verified: tuple[str, ...]
 
     def lines(self) -> list[str]:
-        out = [f"calibration p={self.sig.p} q={self.sig.q} r={self.sig.r}: "
+        sig = self.sig
+        named = f" s={sig.s} model {self.model.token()}" if sig.s else ""
+        out = [f"calibration p={sig.p} q={sig.q} r={sig.r}{named}: "
                f"c_plus={C_PLUS!r} c_minus={C_MINUS!r}"]
         out.extend(f"  verified {v}" for v in self.verified)
         return out
-
-
-# gk_curvature asks for the same certificate once per cochain it checks.
-_CAL_CACHE: dict[tuple, CalibrationReport] = {}
 
 
 def _abstract_image(sig: Signature, model: ModelTag, a: int, b: int) -> LinOp:
@@ -434,7 +425,8 @@ def _abstract_image(sig: Signature, model: ModelTag, a: int, b: int) -> LinOp:
     return upq_op_model(sig, model, "pplus", b, a - p)
 
 
-def calibrate_structure(sig: Signature, model: ModelTag = FOCK) -> CalibrationReport:
+@cache
+def calibrate_structure(sig: Signature, model: ModelTag) -> CalibrationReport:
     """Certify that Phi is a Lie algebra homomorphism onto the u(p,q)
     operators exactly as upq_op_model builds them in the given model (with
     C_PLUS, C_MINUS): every bracket [E_ab, E_cd] of gl(p+q) must close.
@@ -448,13 +440,10 @@ def calibrate_structure(sig: Signature, model: ModelTag = FOCK) -> CalibrationRe
     and [x, x] is zero on both sides.  x runs in row-major order and y over
     the images after it; a pair fails in both orders or in neither, so the
     CalibrationError names the first failing bracket of the full ordered
-    scan.  Results are cached per (p, q, r, column kinds): the
-    operators depend on (p, q, column kinds) alone, and r labels the report."""
+    scan.  Cached per (signature, model), which the report names; model has
+    no default, so no caller splits a cache entry in two."""
     if sig.p < 1 or sig.q < 1 or sig.r < 1:
         raise ValueError("calibration needs p, q, r >= 1")
-    key = (sig.p, sig.q, sig.r, tuple(column_kinds(sig, model)))
-    if key in _CAL_CACHE:
-        return _CAL_CACHE[key]
     n = sig.p + sig.q
     img = {(a, b): _abstract_image(sig, model, a, b)
            for a in range(1, n + 1) for b in range(1, n + 1)}
@@ -470,7 +459,5 @@ def calibrate_structure(sig: Signature, model: ModelTag = FOCK) -> CalibrationRe
                 raise CalibrationError(
                     f"bracket [E{a}{b}, E{c}{d}] fails to close for p={sig.p} q={sig.q} "
                     f"r={sig.r} s={sig.s} model {model.token()}")
-    report = CalibrationReport(
-        sig, (f"all {len(img) ** 2} elementary brackets of gl({n}) close exactly",))
-    _CAL_CACHE[key] = report
-    return report
+    return CalibrationReport(
+        sig, model, (f"all {len(img) ** 2} elementary brackets of gl({n}) close exactly",))

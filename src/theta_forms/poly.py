@@ -22,7 +22,9 @@ _CONJ_KIND = {"X": "Xbar", "Xbar": "X", "Y": "Ybar", "Ybar": "Y", "Z": "Z"}
 
 class _SortKeys(dict):
     """VariableId -> (kind rank, col, row), filled in on first lookup, so the
-    hot loops index it directly instead of calling sort_key()."""
+    hot loops index it directly instead of calling sort_key().  It stays a
+    dict rather than a functools.cache function: monomial_mul's merge loop
+    would pay a call per lookup."""
 
     def __missing__(self, v):
         key = self[v] = (_KIND_RANK[v.kind], v.col, v.row)

@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from functools import cache
 
 from .exterior import Form, WedgeGen, wedge_monomial
 from .forms import GKCochain
@@ -116,38 +117,26 @@ def _rational(x) -> tuple[int, int]:
     return int(num), den
 
 
-class _Memo(dict):
-    """fn(x) by x, computed on the first lookup of x."""
-
-    def __init__(self, fn):
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, x):
-        y = self[x] = self.fn(x)
-        return y
-
-
 def _form_from_terms(terms) -> Form:
     """One pass over the "terms" list.  Per-cochain caches map each token to
     its WedgeGen or VariableId, each rational string to its integer pair and
     each mono list (by its repr, which tells 1 from 1.0 and true) to its
     canonical monomial; coefficients are summed per wedge as integer
     triples."""
-    gens, variables = _Memo(WedgeGen.from_token), _Memo(VariableId.from_token)
-    rationals = _Memo(_rational)
+    gens, variables = cache(WedgeGen.from_token), cache(VariableId.from_token)
+    rationals = cache(_rational)
     monos: dict = {}
     sums: dict = {}  # canonical wedge -> triple accumulator
     for term in _list(terms):
-        sign, w = wedge_monomial([gens[tok] for tok in _list(term["wedge"])])
+        sign, w = wedge_monomial([gens(tok) for tok in _list(term["wedge"])])
         rows = []
         for ent in _list(term["poly"]):
             coeff, mono = ent["coeff"], ent["mono"]
             key = repr(mono)
             m = monos.get(key)
             if m is None:
-                m = monos[key] = monomial([(variables[tok], _int(e)) for tok, e in _list(mono)])
-            rows.append((m, _int(coeff["piExp"]), rationals[coeff["re"]], rationals[coeff["im"]]))
+                m = monos[key] = monomial([(variables(tok), _int(e)) for tok, e in _list(mono)])
+            rows.append((m, _int(coeff["piExp"]), rationals(coeff["re"]), rationals(coeff["im"])))
         # a repeated generator gives 0, but the entries are still checked
         if sign:
             _mac_ratios(sums.setdefault(w, {}), rows, sign)

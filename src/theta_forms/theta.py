@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import isqrt, lcm
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 
 # ---------------------------------------------------------------------------
@@ -377,25 +377,18 @@ def whittaker(beta: BetaMatrix, g: WhittakerPoint, weight_dim: int,
     return abs(g.det_a()) ** (weight_dim / 2) * cmath.exp(tr)
 
 
-def fourier_assemble(L: GramMatrix, weights, g: WhittakerPoint, n_max: int,
-                     weight_dim: int | None = None, default=Fraction(0),
-                     convention: str = LITERAL) -> dict[int, complex]:
-    """Rank-one Fourier skeleton: coefficient(n) = (sum of weights over the
-    norm-n shell) * W_n(g').  weights is a mapping vector -> rational (with
-    the given default) or a callable."""
-    if weight_dim is None:
-        weight_dim = L.dim
-    if isinstance(weights, Mapping):
-        lookup: Callable = lambda v: weights.get(v, default)
-    else:
-        lookup = weights
+def fourier_assemble(L: GramMatrix, weight: Callable, g: WhittakerPoint,
+                     n_max: int) -> dict[int, complex]:
+    """Rank-one Fourier skeleton: coefficient(n) = (sum of weight(x) over the
+    norm-n shell) * W_n(g'), literal convention, weight dimension L.dim.
+    weight(x) is an int, a Fraction or anything Fraction accepts."""
     # Sum integer numerators per (shell, denominator): a Fraction addition
     # per vector would cost more than the enumeration.
     sums: dict[tuple[int, int], int] = {}
     get = sums.get
     for x, h in enumerate_with_norms(L, n_max):
         if h.denominator == 1:
-            v = lookup(x)
+            v = weight(x)
             if not isinstance(v, (int, Fraction)):
                 v = Fraction(v)
             key = (h.numerator, v.denominator)
@@ -403,11 +396,8 @@ def fourier_assemble(L: GramMatrix, weights, g: WhittakerPoint, n_max: int,
     shells = dict.fromkeys(range(n_max + 1), Fraction(0))
     for (n, den), num in sums.items():
         shells[n] += Fraction(num, den)
-    out = {}
-    for n in range(n_max + 1):
-        w = whittaker(BetaMatrix.scalar(n), g, weight_dim, convention)
-        out[n] = complex(shells[n]) * w
-    return out
+    return {n: complex(shells[n]) * whittaker(BetaMatrix.scalar(n), g, L.dim)
+            for n in range(n_max + 1)}
 
 
 # ---------------------------------------------------------------------------

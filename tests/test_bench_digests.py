@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from theta_forms import models, schur
+from theta_forms import schur
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 WORKLOADS = PERFBENCH / "workloads.py"
@@ -56,12 +56,10 @@ def test_full_construct_pass_has_no_failed_check(seed):
     assert len(clock.laps) == len(ladder) + len(workloads.seeded_cochains(seed, "full"))
 
 
-def test_full_verify_all_pass_has_no_failed_check(monkeypatch):
+def test_full_verify_all_pass_has_no_failed_check(fresh_operators):
     workloads = load_workloads()
     # cold: the operator, Laplacian and certificate caches start empty; warm:
     # the second pass reads every one of them back
-    monkeypatch.setattr(models, "_UPQ_CACHE", {})
-    monkeypatch.setattr(models, "_CAL_CACHE", {})
     schur.laplacian.cache_clear()
     for phase in ("cold", "warm"):
         checks, clock = workloads.Checks(), StubClock()

@@ -96,6 +96,43 @@ def test_theta_table(tmp_path):
     assert payload["rows"][1]["count"] == 2
 
 
+@pytest.mark.parametrize("convention", [[], ["--convention", "literal"],
+                                        ["--convention", "classical"]])
+def test_theta_table_names_its_convention(tmp_path, capsys, convention):
+    gram = tmp_path / "a1.json"
+    gram.write_text(json.dumps({"dim": 1, "gram": [["2"]]}))
+    assert main(["theta", "--gram", str(gram), "--nmax", "2"] + convention) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["convention"] == (convention[1] if convention else "literal")
+
+
+def test_theta_check_writes_its_report_to_out(tmp_path, capsys):
+    gram = tmp_path / "e8.json"
+    gram.write_text(gram_to_json(e8_gram()))
+    argv = ["theta", "--gram", str(gram), "--nmax", "3", "--check", "eisenstein"]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "report.txt"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == printed and "6720" in printed
+
+
+@pytest.mark.parametrize("convention", ["literal", "classical"])
+def test_theta_check_rejects_convention(tmp_path, capsys, convention):
+    """The check compares counts and never reads a Whittaker convention, so
+    the flag is refused rather than ignored."""
+    gram = tmp_path / "e8.json"
+    gram.write_text(gram_to_json(e8_gram()))
+    out = tmp_path / "report.txt"
+    rc = main(["theta", "--gram", str(gram), "--nmax", "3", "--check", "eisenstein",
+               "--convention", convention, "--out", str(out)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.count("\n") == 1 and "error" in json.loads(captured.err)
+
+
 def test_export_latex(tmp_path, capsys):
     form = tmp_path / "f.json"
     assert main(["build", "--form", "psi-q", "--p", "1", "--q", "1", "--r", "1",

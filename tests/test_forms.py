@@ -14,8 +14,8 @@ from theta_forms.forms import (FactorizationError, GKCochain, SplitSpec,
                                gk_differential, k_invariance_residual,
                                restrict_form, strongly_primitive_monomial)
 from theta_forms import forms, models
-from theta_forms.models import (ORTHOGONAL, CalibrationError, Signature, fock_model,
-                                mixed_model)
+from theta_forms.models import (FOCK, ORTHOGONAL, CalibrationError, Signature,
+                                fock_model, mixed_model)
 from theta_forms.operators import LinOp
 from theta_forms.poly import Polynomial, X, Xbar, Y
 from theta_forms.scalars import Scalar
@@ -155,7 +155,7 @@ def test_dd_equals_curvature():
 
 
 def test_construction_path_needs_no_calibration(monkeypatch):
-    def refuse(sig):
+    def refuse(sig, model):
         raise AssertionError("calibrate_structure on the construction path")
     monkeypatch.setattr(forms, "calibrate_structure", refuse)
     monkeypatch.setattr(models, "calibrate_structure", refuse)
@@ -164,29 +164,27 @@ def test_construction_path_needs_no_calibration(monkeypatch):
     assert k_invariance_residual(c).is_zero()
 
 
-def test_certificate_checks_the_operators_d_uses(monkeypatch):
+def test_certificate_checks_the_operators_d_uses(monkeypatch, fresh_operators):
     # c_plus * c_minus = 2i * i = -2 breaks [pminus, pplus]; the certificate
     # must see it through upq_op's defaults, and gk_curvature must refuse
-    monkeypatch.setattr(models.upq_op_model, "__defaults__", (Scalar.of(0, 2), Scalar.of(0, 1)))
-    monkeypatch.setattr(models, "_CAL_CACHE", {})
+    monkeypatch.setattr(models.upq_op_model.__wrapped__, "__defaults__",
+                        (Scalar.of(0, 2), Scalar.of(0, 1)))
     sig = Signature(2, 1, 1, 0)
     with pytest.raises(CalibrationError):
-        models.calibrate_structure(sig)
+        models.calibrate_structure(sig, FOCK)
     with pytest.raises(CalibrationError):
         gk_curvature(build_psi_cup(sig))
 
 
-def test_certificate_covers_the_intertwined_columns(monkeypatch):
+def test_certificate_covers_the_intertwined_columns(monkeypatch, fresh_operators):
     # M_V differentiating in V instead of Vbar breaks [k_gl_p, pplus] on a
     # Schrodinger column only; the Fock columns the split-0 certificate sees
     # are untouched, so only a certificate of the mixed model itself catches it
     def wrong_m_op(v):
         return models._mult(v) - LinOp.partial(v).scale(Scalar.of(Fraction(1, 2), 0, -1))
     monkeypatch.setattr(models, "_m_op", wrong_m_op)
-    monkeypatch.setattr(models, "_UPQ_CACHE", {})
-    monkeypatch.setattr(models, "_CAL_CACHE", {})
     sig = Signature(2, 1, 1, 1)
-    models.calibrate_structure(sig)
+    models.calibrate_structure(sig, FOCK)
     with pytest.raises(CalibrationError):
         gk_curvature(GKCochain(Form({(xi(1, 1),): x(1, 1)}), mixed_model(1), sig))
 

@@ -139,8 +139,8 @@ def test_upq_central_shift():
 
 def test_calibration_closes_and_is_cached():
     sig = Signature(2, 1, 1, 0)
-    rep1 = calibrate_structure(sig)
-    rep2 = calibrate_structure(Signature(2, 1, 1, 0))
+    rep1 = calibrate_structure(sig, FOCK)
+    rep2 = calibrate_structure(Signature(2, 1, 1, 0), FOCK)
     assert rep1 is rep2
     assert C_PLUS * C_MINUS == Scalar.of(-1)
 
@@ -152,11 +152,12 @@ def test_upq_op_is_the_fock_model_operator(r):
         assert upq_op(sig, block, a, b) == upq_op_model(sig, FOCK, block, a, b)
 
 
-def test_unknown_block_is_rejected_at_every_signature():
+def test_unknown_block_is_rejected_at_every_signature(fresh_operators):
     for sig in (Signature(2, 1, 0, 0), Signature(2, 1, 1, 0)):
         with pytest.raises(ValueError):
             upq_op_model(sig, FOCK, "bogus", 1, 1)
-    assert not any(key[2] == "bogus" for key in models._UPQ_CACHE)
+    # a rejected request stores nothing
+    assert upq_op_model.cache_info().currsize == 0
 
 
 def _upq_requests(sig):
@@ -184,12 +185,11 @@ def test_cached_operators_equal_fresh_builds():
         for which, split in product(("fock", "mixed"), range(max(r, s) + 1)):
             model = ModelTag(which, split)
             for block, a, b in _upq_requests(sig):
-                assert upq_op_model(sig, model, block, a, b) == models._build_upq_op(
-                    sig, model, block, a, b, C_PLUS, C_MINUS), (sig, model, block, a, b)
+                assert upq_op_model(sig, model, block, a, b) == upq_op_model.__wrapped__(
+                    sig, model, block, a, b), (sig, model, block, a, b)
 
 
-def test_cached_operators_survive_the_identity_checks(monkeypatch):
-    monkeypatch.setattr(models, "_UPQ_CACHE", {})
+def test_cached_operators_survive_the_identity_checks(fresh_operators):
     sig = Signature(2, 1, 1, 1)
     x11 = Polynomial.variable(X(1, 1))
     cochains = [build_psi_cup(Signature(2, 2, 1, 0)), build_mixed(sig),
@@ -199,9 +199,17 @@ def test_cached_operators_survive_the_identity_checks(monkeypatch):
         gk_differential(gk_differential(c))
         gk_curvature(c)
         k_invariance_residual(c)
-    assert len(models._UPQ_CACHE) > 0
-    for key, op in models._UPQ_CACHE.items():
-        assert op == models._build_upq_op(*key), key
+    built = upq_op_model.cache_info().currsize
+    assert built > 0
+    # compare every request the checks could have made with a fresh build;
+    # as many hits as cached operators means each of them was compared
+    hits = upq_op_model.cache_info().hits
+    for s in (Signature(2, 2, 1, 0), sig):
+        for model in (FOCK, fock_model(1), mixed_model(1)):
+            for block, a, b in _upq_requests(s):
+                key = (s, model, block, a, b)
+                assert upq_op_model(*key) == upq_op_model.__wrapped__(*key), key
+    assert upq_op_model.cache_info().hits - hits == built
 
 
 @pytest.mark.parametrize("sig,model", [
@@ -212,7 +220,7 @@ def test_cached_operators_survive_the_identity_checks(monkeypatch):
 def test_calibration_certifies_each_model(sig, model):
     rep = calibrate_structure(sig, model)
     assert rep is calibrate_structure(sig, model)
-    assert rep is not calibrate_structure(sig)
+    assert rep is not calibrate_structure(sig, FOCK)
     n = sig.p + sig.q
     assert rep.verified == (f"all {n ** 4} elementary brackets of gl({n}) close exactly",)
 
@@ -222,7 +230,7 @@ def test_calibration_report_names_the_requested_r():
     # but each report must print its own signature
     calibrate_structure(Signature(2, 1, 1, 2), fock_model(2))
     rep = calibrate_structure(Signature(2, 1, 2, 2), fock_model(2))
-    assert rep.lines()[0].startswith("calibration p=2 q=1 r=2:")
+    assert rep.lines()[0].startswith("calibration p=2 q=1 r=2 s=2 model fock:2:")
 
 
 def test_model_tag_rejects_negative_split():
@@ -273,7 +281,7 @@ def test_commutator_of_gl_images_is_the_difference_of_compositions(sig, model):
         assert x.commutator(y) == x.compose(y) - y.compose(x)
 
 
-def test_calibration_compares_each_unordered_pair_once(monkeypatch):
+def test_calibration_compares_each_unordered_pair_once(monkeypatch, fresh_operators):
     sig, model = Signature(2, 2, 1, 1), fock_model(1)
     n = sig.p + sig.q
     labels = {id(models._abstract_image(sig, model, a, b)): (a, b)
@@ -286,7 +294,6 @@ def test_calibration_compares_each_unordered_pair_once(monkeypatch):
         return commutator(self, other)
 
     monkeypatch.setattr(LinOp, "commutator", record)
-    monkeypatch.setattr(models, "_CAL_CACHE", {})
     calibrate_structure(sig, model)
     assert len(seen) == len(set(seen))
     for x, y in product(labels.values(), repeat=2):
@@ -298,13 +305,28 @@ def test_calibration_compares_each_unordered_pair_once(monkeypatch):
     (Signature(3, 2, 2, 0), FOCK, "[E14, E41]"),
     (Signature(2, 2, 1, 1), fock_model(1), "[E13, E31]"),
 ], ids=["2110", "3220", "2211"])
-def test_calibration_names_the_first_failing_bracket(monkeypatch, sig, model, bracket):
+def test_calibration_names_the_first_failing_bracket(monkeypatch, fresh_operators, sig, model,
+                                                    bracket):
     # c_plus * c_minus = 2i * i = -2 breaks [pminus, pplus]; the first ordered
     # bracket of the n^4 scan that fails is the one reported
-    monkeypatch.setattr(models.upq_op_model, "__defaults__", (Scalar.of(0, 2), Scalar.of(0, 1)))
-    monkeypatch.setattr(models, "_UPQ_CACHE", {})
-    monkeypatch.setattr(models, "_CAL_CACHE", {})
+    monkeypatch.setattr(upq_op_model.__wrapped__, "__defaults__", (Scalar.of(0, 2), Scalar.of(0, 1)))
     with pytest.raises(CalibrationError) as err:
         calibrate_structure(sig, model)
     assert str(err.value) == (f"bracket {bracket} fails to close for p={sig.p} q={sig.q} "
                               f"r={sig.r} s={sig.s} model {model.token()}")
+
+
+def test_calibration_is_cached_per_signature_and_model(fresh_operators):
+    info = calibrate_structure.cache_info
+    sig, sig_s = Signature(2, 1, 1, 0), Signature(2, 1, 1, 2)
+    for key in [(sig, FOCK), (sig_s, fock_model(1)), (sig_s, mixed_model(1))]:
+        misses, hits = info().misses, info().hits
+        rep = calibrate_structure(*key)
+        assert (info().misses, info().hits) == (misses + 1, hits)
+        assert calibrate_structure(*key) is rep
+        assert (info().misses, info().hits) == (misses + 1, hits + 1)
+        assert (rep.sig, rep.model) == key
+    # the header names s and the model only when s > 0
+    assert calibrate_structure(sig, FOCK).lines()[0].startswith("calibration p=2 q=1 r=1: ")
+    assert calibrate_structure(sig_s, mixed_model(1)).lines()[0].startswith(
+        "calibration p=2 q=1 r=1 s=2 model mixed:1: ")

@@ -130,7 +130,7 @@ def test_whittaker_b_independence_at_beta_zero():
 def test_fourier_assemble_counts():
     L = GramMatrix([[2]])
     g = WhittakerPoint.standard(1)
-    out = fourier_assemble(L, {}, g, 2, weight_dim=1, default=Fraction(1))
+    out = fourier_assemble(L, lambda x: Fraction(1), g, 2)
     w1 = whittaker(BetaMatrix.scalar(1), g, 1)
     assert abs(out[1] - 2 * w1) < 1e-14
 
@@ -138,15 +138,15 @@ def test_fourier_assemble_counts():
 def test_fourier_assemble_zero_weights():
     L = GramMatrix([[2]])
     g = WhittakerPoint.standard(1)
-    out = fourier_assemble(L, {}, g, 2, weight_dim=1)
+    out = fourier_assemble(L, lambda x: Fraction(0), g, 2)
     assert all(v == 0 for v in out.values())
 
 
 def test_fourier_assemble_linear_in_weights():
     L = GramMatrix([[2]])
     g = WhittakerPoint.standard(1)
-    base = fourier_assemble(L, {}, g, 3, weight_dim=1, default=Fraction(1))
-    tripled = fourier_assemble(L, {}, g, 3, weight_dim=1, default=Fraction(3))
+    base = fourier_assemble(L, lambda x: Fraction(1), g, 3)
+    tripled = fourier_assemble(L, lambda x: Fraction(3), g, 3)
     for n in base:
         assert abs(tripled[n] - 3 * base[n]) < 1e-12
 
@@ -155,7 +155,7 @@ def test_fourier_assemble_dict_weights():
     L = GramMatrix([[2]])
     g = WhittakerPoint.standard(1)
     weights = {(1,): Fraction(5), (-1,): Fraction(5)}
-    out = fourier_assemble(L, weights, g, 1, weight_dim=1)
+    out = fourier_assemble(L, lambda x: weights.get(x, 0), g, 1)
     w1 = whittaker(BetaMatrix.scalar(1), g, 1)
     assert abs(out[1] - 10 * w1) < 1e-14
     assert out[0] == 0
@@ -165,7 +165,7 @@ def test_fourier_assemble_mixed_weight_types():
     L = GramMatrix([[2]])
     g = WhittakerPoint.standard(1)
     weights = {(1,): Fraction(1, 3), (-1,): 0.5, (2,): 2, (-2,): Fraction(1, 6)}
-    out = fourier_assemble(L, weights, g, 4, weight_dim=1)
+    out = fourier_assemble(L, lambda x: weights.get(x, 0), g, 4)
     for n, total in ((1, Fraction(5, 6)), (4, Fraction(13, 6))):
         assert out[n] == complex(total) * whittaker(BetaMatrix.scalar(n), g, 1)
     assert out[0] == out[2] == out[3] == 0
@@ -198,7 +198,7 @@ def test_counting_kernel_matches_oracle_and_weighted_path(entries, n_max, defaul
     assert counts == naive_rep_numbers(L, n_max)
     # fourier_assemble sums over the list enumerator, not the counting kernel.
     g = WhittakerPoint.standard(1)
-    assert fourier_assemble(L, {}, g, n_max, default=default) == {
+    assert fourier_assemble(L, lambda x: default, g, n_max) == {
         n: complex(default * counts[n]) * whittaker(BetaMatrix.scalar(n), g, L.dim)
         for n in range(n_max + 1)}
 
