@@ -122,13 +122,6 @@ class Form(TermMap):
     def generator(cls, g: WedgeGen, coeff: Polynomial | None = None) -> "Form":
         return cls({(g,): coeff if coeff is not None else Polynomial.one()})
 
-    def scale(self, c) -> "Form":
-        if isinstance(c, (int, Fraction)):
-            c = Scalar.of(c)
-        if isinstance(c, Scalar):
-            return Form({w: p.scale(c) for w, p in self.terms.items()})
-        return Form({w: p * c for w, p in self.terms.items()})  # Polynomial
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Scalar, Polynomial)):
             return self.scale(other)

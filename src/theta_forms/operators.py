@@ -9,13 +9,12 @@ are decided by structural equality.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb, perm
 from typing import Iterable
 
 from .poly import (Monomial, Polynomial, TermMap, VariableId, _mac_poly, _poly,
                    _polys, monomial, monomial_mul)
-from .scalars import Scalar, _mac, _reduce, _rows
+from .scalars import _mac, _reduce, _rows
 
 # A derivative multi-index reuses the Monomial encoding: sorted
 # ((VariableId, order>0), ...).
@@ -120,21 +119,6 @@ class LinOp(TermMap):
                     _mac(acc, c, _rows((monomial_mul(m2, dm), c2)
                                        for m2, c2 in mult.terms.items()), n)
         return _poly(_reduce(acc))
-
-    def __mul__(self, other) -> "LinOp":
-        if isinstance(other, (int, Fraction, Scalar)):
-            return self.scale(other)
-        return self.compose(other)
-
-    def __rmul__(self, other) -> "LinOp":
-        if isinstance(other, (int, Fraction, Scalar)):
-            return self.scale(other)
-        return NotImplemented
-
-    def scale(self, c) -> "LinOp":
-        if not isinstance(c, Scalar):
-            c = Scalar.of(c)
-        return LinOp({D: p.scale(c) for D, p in self.terms.items()})
 
     def compose(self, other: "LinOp") -> "LinOp":
         """self after other, re-normalized by Leibniz (_leibniz)."""

@@ -21,10 +21,10 @@ _CONJ_KIND = {"X": "Xbar", "Xbar": "X", "Y": "Ybar", "Ybar": "Y", "Z": "Z"}
 
 
 class _SortKeys(dict):
-    """VariableId -> (kind rank, col, row), filled in on first lookup, so the
-    hot loops index it directly instead of calling sort_key().  It stays a
-    dict rather than a functools.cache function: monomial_mul's merge loop
-    would pay a call per lookup."""
+    """VariableId -> (kind rank, col, row), filled in on first lookup: the
+    one variable order, indexed directly by the hot loops.  It stays a dict
+    rather than a functools.cache function: monomial_mul's merge loop would
+    pay a call per lookup."""
 
     def __missing__(self, v):
         key = self[v] = (_KIND_RANK[v.kind], v.col, v.row)
@@ -38,9 +38,6 @@ class VariableId(NamedTuple):
     kind: str
     row: int
     col: int
-
-    def sort_key(self):
-        return _SORT_KEYS[self]
 
     def conjugate(self) -> "VariableId":
         return VariableId(_CONJ_KIND[self.kind], self.row, self.col)
@@ -159,6 +156,13 @@ class TermMap:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def scale(self, c):
+        """Every coefficient times c: a Scalar (an int or Fraction is taken
+        as one) or, for Form and LinOp coefficients, a Polynomial."""
+        if isinstance(c, (int, Fraction)):
+            c = Scalar.of(c)
+        return type(self)({k: v * c for k, v in self.terms.items()})
+
 
 class Polynomial(TermMap):
     """Immutable canonical polynomial: {Monomial: nonzero Scalar}."""
@@ -198,11 +202,6 @@ class Polynomial(TermMap):
         return _polys(acc)[None]
 
     __rmul__ = __mul__
-
-    def scale(self, c) -> "Polynomial":
-        if not isinstance(c, Scalar):
-            c = Scalar.of(c)
-        return Polynomial({m: c0 * c for m, c0 in self.terms.items()})
 
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:

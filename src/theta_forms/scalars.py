@@ -95,16 +95,6 @@ class Scalar:
     def is_zero(self) -> bool:
         return not self._t
 
-    def is_rational(self) -> bool:
-        """True when the value lies in Q (single pi^0 term, no imaginary part)."""
-        return not self._t or (self._t.keys() == {0} and self._t[0][1] == 0)
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"not a plain rational: {self!r}")
-        re, _, den = self._t.get(0, (0, 0, 1))
-        return Fraction(re, den)
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "Scalar") -> "Scalar":

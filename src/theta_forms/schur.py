@@ -80,9 +80,6 @@ class Tableau:
         if any(v <= 0 for r in self.rows for v in r):
             raise ValueError("entries must be positive")
 
-    def max_entry(self) -> int:
-        return max((v for r in self.rows for v in r), default=0)
-
     def column(self, l: int) -> list[int]:
         """Entries of column l (1-indexed), top to bottom."""
         return [row[l - 1] for row in self.rows if len(row) >= l]
@@ -238,45 +235,33 @@ def is_harmonic(P: Polynomial, sig: Signature) -> bool:
 # Exact rank of the Delta_T span
 # ---------------------------------------------------------------------------
 
-def exact_rank(rows: list[dict]) -> int:
-    """Rank over Q of sparse rows {key: Fraction}; fraction-exact elimination."""
-    rows = [dict(r) for r in rows if r]
+def exact_rank(polys: list[Polynomial]) -> int:
+    """Rank over Q of the polynomials as vectors of rationals: one
+    coordinate per (monomial, pi exponent, 0 for the real part / 1 for the
+    imaginary part), read from Scalar.terms.  So p and i*p count as
+    independent; on rational polynomials this is also the rank over Q(i).
+    Fraction-exact elimination; each pivot is its row's first key."""
+    rows = [row for row in ({(m, k, part): x for m, c in p.terms.items()
+                             for k, parts in c.terms.items()
+                             for part, x in enumerate(parts) if x} for p in polys) if row]
     rank = 0
     while rows:
         pivot_row = rows.pop(0)
-        if not pivot_row:
-            continue
-        key = min(pivot_row, key=_stable_key)
-        piv = pivot_row[key]
+        key, piv = next(iter(pivot_row.items()))
         rank += 1
         reduced = []
         for r in rows:
             if key in r:
                 factor = r[key] / piv
-                new = dict(r)
+                r = dict(r)
                 for k, v in pivot_row.items():
-                    new[k] = new.get(k, Fraction(0)) - factor * v
-                    if new[k] == 0:
-                        del new[k]
-                r = new
+                    r[k] = r.get(k, 0) - factor * v
+                    if not r[k]:
+                        del r[k]
             if r:
                 reduced.append(r)
         rows = reduced
     return rank
-
-
-def _stable_key(k):
-    return repr(k)
-
-
-def _rational_rows(polys: list[Polynomial]) -> list[dict]:
-    rows = []
-    for p in polys:
-        row = {}
-        for mono, c in p.terms.items():
-            row[mono] = c.as_fraction()
-        rows.append(row)
-    return rows
 
 
 def schur_span_dim(lam: Partition, sig: Signature) -> int:
@@ -286,7 +271,7 @@ def schur_span_dim(lam: Partition, sig: Signature) -> int:
         raise ValueError("l(lambda) must be <= p")
     tabs = enumerate_ssyt(lam, sig.p)
     polys = [delta_T(T, sig, "x") for T in tabs]
-    return exact_rank(_rational_rows(polys))
+    return exact_rank(polys)
 
 
 def partitions_up_to(max_size: int, max_len: int | None = None) -> list[Partition]:

@@ -18,9 +18,12 @@ Rationals (a coefficient's "re"/"im", a Gram entry given as a string) follow
 one strict grammar on import: ASCII ``-?[0-9]+(/[0-9]+)?`` with a nonzero
 denominator, such as "3", "-1/2" or "2/4".  Exponents, decimal points,
 spaces and underscores are rejected, as are JSON floats; a Gram entry may
-also be a JSON integer.  Import puts everything else in canonical form:
-monomials are sorted and merged, wedges sorted with their sign, equal
-entries summed and cancelled terms dropped.
+also be a JSON integer.  Every index must fit the signature, as in a built
+cochain: generator rows <= p and columns <= q, X/Xbar rows <= p, Y/Ybar rows
+<= q, columns <= max(r, s), no Z, no conjugates in the orthogonal family,
+and a fock or mixed model with split <= r.  Import puts everything else in
+canonical form: monomials are sorted and merged, wedges sorted with their
+sign, equal entries summed and cancelled terms dropped.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from functools import cache
 
 from .exterior import Form, WedgeGen, wedge_monomial
 from .forms import GKCochain
-from .models import ModelTag, Signature
+from .models import UNITARY, ModelTag, Signature
 from .poly import Monomial, Polynomial, VariableId, _poly, monomial
 from .scalars import _mac_ratios, _reduce
 from .theta import GramMatrix
@@ -117,13 +120,31 @@ def _rational(x) -> tuple[int, int]:
     return int(num), den
 
 
-def _form_from_terms(terms) -> Form:
+def _form_from_terms(terms, sig: Signature) -> Form:
     """One pass over the "terms" list.  Per-cochain caches map each token to
-    its WedgeGen or VariableId, each rational string to its integer pair and
-    each mono list (by its repr, which tells 1 from 1.0 and true) to its
-    canonical monomial; coefficients are summed per wedge as integer
-    triples."""
-    gens, variables = cache(WedgeGen.from_token), cache(VariableId.from_token)
+    its WedgeGen or VariableId, checked once against the signature, each
+    rational string to its integer pair and each mono list (by its repr,
+    which tells 1 from 1.0 and true) to its canonical monomial; coefficients
+    are summed per wedge as integer triples."""
+    unitary = sig.family == UNITARY
+    # largest row per variable kind: none for Z, nor for orthogonal conjugates
+    max_row = {"X": sig.p, "Y": sig.q, **({"Xbar": sig.p, "Ybar": sig.q} if unitary else {})}
+    cols = max(sig.r, sig.s)
+
+    @cache
+    def gens(tok):
+        g = WedgeGen.from_token(tok)
+        if g.row > sig.p or g.col > sig.q or not (unitary or g.kind == "xi"):
+            raise ValueError(f"wedge generator {tok!r} outside the signature {sig}")
+        return g
+
+    @cache
+    def variables(tok):
+        v = VariableId.from_token(tok)
+        if v.row > max_row.get(v.kind, 0) or v.col > cols:
+            raise ValueError(f"variable {tok!r} outside the signature {sig}")
+        return v
+
     rationals = cache(_rational)
     monos: dict = {}
     sums: dict = {}  # canonical wedge -> triple accumulator
@@ -150,7 +171,9 @@ def cochain_from_dict(data: dict) -> GKCochain:
         sd = data["signature"]
         sig = Signature(*(_int(sd[k]) for k in "pqrs"), sd["family"])
         model = ModelTag.from_token(data["model"])
-        form = _form_from_terms(data["terms"])
+        if model.which == "schrodinger" or model.split > sig.r:
+            raise ValueError(f"model {model.token()!r} is not a matrix model of {sig}")
+        form = _form_from_terms(data["terms"], sig)
     except (TypeError, AttributeError, KeyError, IndexError) as exc:
         raise ValueError(f"malformed cochain JSON: {exc!r}") from exc
     return GKCochain(form, model, sig)

@@ -1,12 +1,15 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from theta_forms import cli
 from theta_forms.cli import main
-from theta_forms.forms import FactorizationError, build_psi_q
-from theta_forms.models import CalibrationError, Signature
-from theta_forms.serialize import cochain_from_json, cochain_to_dict, gram_to_json
+from theta_forms.forms import FactorizationError, build_psi_cup, build_psi_orth, build_psi_q
+from theta_forms.models import ORTHOGONAL, UNITARY, CalibrationError, Signature
+from theta_forms.serialize import (cochain_from_json, cochain_to_dict, cochain_to_json,
+                                   gram_to_json)
 from theta_forms.theta import e8_gram
 
 
@@ -338,3 +341,63 @@ def test_export_rejects_indices_outside_the_grammar(tmp_path, capsys, field, val
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and "error" in json.loads(captured.err)
+
+
+def _outside(doc, field, value):
+    """A built document with one index moved outside its signature."""
+    data = cochain_to_dict(build_psi_cup(Signature(2, 1, 2, 0)) if doc == "psi-cup"
+                           else build_psi_orth(Signature(2, 1, 1, 0, ORTHOGONAL)))
+    term = data["terms"][0]
+    if field == "wedge":
+        term["wedge"] = [value]
+    elif field == "var":
+        term["poly"][0]["mono"] = [[value, 1]]
+    elif field == "model":
+        data["model"] = value
+    else:
+        data["signature"][field] = value
+    return data
+
+
+@pytest.mark.parametrize("doc, field, value", [
+    ("psi-cup", "wedge", "xi:9:9"), ("psi-cup", "wedge", "xibar:1:2"),
+    ("psi-cup", "var", "X:7:1"), ("psi-cup", "var", "Y:1:5"), ("psi-cup", "var", "Z:1:1"),
+    ("psi-cup", "var", "Ybar:2:1"),
+    ("psi-cup", "model", "mixed:99"), ("psi-cup", "model", "schrodinger:0"),
+    ("psi-cup", "family", ORTHOGONAL), ("psi-cup", "p", 0),
+    ("psi-orth", "var", "Xbar:1:1"), ("psi-orth", "var", "X:1:2"),
+    ("psi-orth", "wedge", "xibar:1:1"), ("psi-orth", "model", "fock:2"), ("psi-orth", "p", 0),
+], ids=str)
+def test_export_rejects_indices_outside_the_signature(tmp_path, capsys, doc, field, value):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_outside(doc, field, value)))
+    assert main(["export", "--in", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    # rejected for its index, not for its shape or grammar
+    assert "Signature(" in json.loads(captured.err)["error"]
+
+
+def test_every_built_cochain_imports_within_its_signature():
+    """Every builder over p <= 3, q <= 2, r, s <= 2 in both families: each
+    cochain the library builds passes the import checks and round-trips."""
+    built = 0
+    for family in (UNITARY, ORTHOGONAL):
+        for p, q, r, s in ((p, q, r, s) for p in range(4) for q in range(3) for r in range(3)
+                           for s in (range(3) if family == UNITARY else (0,))):
+            for name, builder in sorted(cli.FORM_BUILDERS.items()):
+                try:
+                    c = builder(Signature(p, q, r, s, family))
+                except ValueError:
+                    continue
+                assert cochain_from_json(cochain_to_json(c)) == c, (name, c.sig)
+                built += 1
+    assert built > 500
+
+
+def test_every_documented_environment_variable_is_read():
+    root = Path(__file__).resolve().parent.parent
+    documented = set(re.findall(r"THETA_FORMS_[A-Z0-9_]+", (root / "README.md").read_text()))
+    source = "".join(f.read_text() for f in (root / "src").rglob("*.py"))
+    assert {name for name in documented if name not in source} == set()

@@ -1,10 +1,14 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from theta_forms.models import Signature, upq_op
-from theta_forms.poly import Polynomial, X, Y
+from theta_forms.poly import Polynomial, X, Y, monomial
 from theta_forms.scalars import Scalar
 from theta_forms.schur import (Partition, Tableau, delta_T, enumerate_ssyt,
-                               hook_content_dim, is_harmonic,
+                               exact_rank, hook_content_dim, is_harmonic,
                                kv_highest_weight, laplacian, partitions_up_to,
                                schur_span_dim)
 
@@ -125,3 +129,78 @@ def test_kv_weight_vector_property():
         assert upq_op(sig, "k_gl_q", a, a).apply(vec) == vec.scale(Scalar.of(expected))
     assert upq_op(sig, "k_gl_p", 2, 1).apply(vec).is_zero()
     assert upq_op(sig, "k_gl_q", 2, 1).apply(vec).is_zero()
+
+
+# Oracle: the dict-row elimination exact_rank ran before it took polynomials,
+# pivoting on the smallest key by repr, over rows built the way the
+# intertwiner suite built them by hand.
+def _oracle_rows(polys):
+    rows = []
+    for p in polys:
+        row = {}
+        for m, c in p.terms.items():
+            for k, (re, im) in c.terms.items():
+                if re:
+                    row[(m, k, "re")] = re
+                if im:
+                    row[(m, k, "im")] = im
+        rows.append(row)
+    return rows
+
+
+def _oracle_rank(rows):
+    rows = [dict(r) for r in rows if r]
+    rank = 0
+    while rows:
+        pivot_row = rows.pop(0)
+        key = min(pivot_row, key=repr)
+        piv = pivot_row[key]
+        rank += 1
+        reduced = []
+        for r in rows:
+            if key in r:
+                factor = r[key] / piv
+                new = dict(r)
+                for k, v in pivot_row.items():
+                    new[k] = new.get(k, Fraction(0)) - factor * v
+                    if new[k] == 0:
+                        del new[k]
+                r = new
+            if r:
+                reduced.append(r)
+        rows = reduced
+    return rank
+
+
+_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+_coeffs = st.builds(Scalar.of, _rationals, _rationals, st.integers(-1, 1))
+_monos = st.lists(st.tuples(st.sampled_from([X(1, 1), X(2, 1), Y(1, 1)]), st.integers(1, 2)),
+                  max_size=2).map(monomial)
+_polys = st.dictionaries(_monos, _coeffs, max_size=3).map(Polynomial)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_polys, min_size=1, max_size=4), st.data())
+def test_exact_rank_matches_the_dict_row_oracle(base, data):
+    """Planted dependencies: rational combinations of the base rows add no
+    rank; the shuffled list has the oracle's rank, at most len(base)."""
+    polys = list(base)
+    for _ in range(data.draw(st.integers(0, 3))):
+        combo = Polynomial.zero()
+        for p in base:
+            combo = combo + p.scale(data.draw(_rationals))
+        polys.append(combo)
+    polys = data.draw(st.permutations(polys))
+    rank = exact_rank(polys)
+    assert rank == _oracle_rank(_oracle_rows(polys))
+    assert rank == exact_rank(base) <= len(base)
+
+
+def test_exact_rank_is_the_rank_over_q_of_real_and_imaginary_parts():
+    p = Polynomial.variable(X(1, 1)) + Polynomial.constant(Scalar.pi(-1))
+    q = Polynomial.variable(Y(1, 1)).scale(Scalar.of(Fraction(1, 3), 2, 1))
+    assert exact_rank([p, p.scale(2), p + q]) == 2
+    assert exact_rank([p, p.scale(Scalar.i_unit())]) == 2
+    assert exact_rank([p, p.scale(Scalar.pi())]) == 2
+    assert exact_rank([Polynomial.zero(), p, -p]) == 1
+    assert exact_rank([]) == 0

@@ -103,10 +103,14 @@ def cochains(draw):
     p, q, r = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(0, 2))
     s = 0 if family == ORTHOGONAL else draw(st.integers(0, 2))
     sig = Signature(p, q, r, s, family)
-    model = draw(st.sampled_from((fock_model(min(r, s)), mixed_model(s))))
-    gens = [g(i, j) for g in (xi, xibar) for i in range(1, p + 1) for j in range(1, q + 1)]
-    variables = [VariableId(kind, i, c) for kind in ("X", "Xbar", "Y", "Ybar")
-                 for i in range(1, 3) for c in range(1, 3)]
+    model = draw(st.sampled_from((fock_model(min(r, s)), mixed_model(min(r, s)))))
+    # every index within the signature, conjugates only in the unitary family
+    unitary = family == UNITARY
+    gens = [g(i, j) for g in ((xi, xibar) if unitary else (xi,))
+            for i in range(1, p + 1) for j in range(1, q + 1)]
+    variables = [VariableId(kind, i, c) for kind in (("X", "Xbar", "Y", "Ybar") if unitary else "XY")
+                 for i in range(1, (p if kind[0] == "X" else q) + 1)
+                 for c in range(1, max(r, s) + 1)] or [None]
     rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
     form = Form.zero()
     for _ in range(draw(st.integers(0, 4))):
@@ -114,7 +118,8 @@ def cochains(draw):
         poly = Polynomial.zero()
         for _ in range(draw(st.integers(1, 3))):
             mono = monomial(draw(st.lists(st.tuples(st.sampled_from(variables),
-                                                    st.integers(1, 2)), max_size=3)))
+                                                    st.integers(1, 2)),
+                                          max_size=3 if variables[0] else 0)))
             coeff = Scalar.zero()
             for k in draw(st.lists(st.integers(-2, 2), min_size=1, max_size=2, unique=True)):
                 coeff = coeff + Scalar.of(draw(rationals), draw(rationals), k)
@@ -336,7 +341,8 @@ def test_reader_rejects_lax_model_splits(tok):
 
 
 def test_reader_accepts_plain_indices():
-    back = cochain_from_json(json.dumps({**_doc((["xi:2:1"], [("1", "0", 0, [["X:10:1", 1]])])),
-                                         "model": "fock:0"}))
+    doc = _doc((["xi:2:1"], [("1", "0", 0, [["X:10:1", 1]])]))
+    doc["signature"]["p"] = 10
+    back = cochain_from_json(json.dumps({**doc, "model": "fock:0"}))
     assert back.model == fock_model(0)
     assert back.form == Form.generator(xi(2, 1), Polynomial.variable(VariableId("X", 10, 1)))

@@ -1,6 +1,6 @@
 """The one linear structure behind Polynomial, Form and LinOp (poly.TermMap):
-sums, differences and negations keep the subclass and drop cancelled keys,
-equal values hash equal, and equality never crosses types."""
+sums, differences, negations and scaling keep the subclass and drop
+cancelled keys, equal values hash equal, and equality never crosses types."""
 
 import pytest
 from hypothesis import given, settings
@@ -76,6 +76,36 @@ def test_equality_is_type_strict(terms):
     assert LinOp(terms) != Form(terms)
 
 
+# Gaussian coefficients with non-unit denominators and powers of pi
+factors = st.one_of(st.integers(-3, 3), rationals,
+                    st.builds(Scalar.of, rationals, rationals, st.integers(-2, 2)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(values, factors)
+def test_scale_keeps_the_subclass_and_scales_term_by_term(a, c):
+    out = a.scale(c)
+    assert type(out) is type(a)
+    assert_canonical(out)
+    sc = c if isinstance(c, Scalar) else Scalar.of(c)
+    # a Polynomial coefficient is multiplied as a product of polynomials,
+    # not through scale
+    expected = {k: v * sc if type(a) is Polynomial else v * Polynomial.constant(sc)
+                for k, v in a.terms.items()}
+    assert out.terms == {k: v for k, v in expected.items() if not v.is_zero()}
+    if c == 0:
+        assert out.is_zero()
+
+
+@settings(max_examples=40, deadline=None)
+@given(forms, polys)
+def test_a_form_scales_by_a_polynomial(f, p):
+    out = f.scale(p)
+    assert type(out) is Form
+    assert out == Form({w: q * p for w, q in f.terms.items()})
+    assert f * p == out
+
+
 def test_zero_values_of_different_types_differ():
     assert Polynomial() != Form()
     assert Form() != LinOp() and LinOp() != Polynomial.zero()
@@ -92,5 +122,6 @@ def test_zero_coefficients_are_dropped_on_construction():
 @pytest.mark.parametrize("cls", [Polynomial, Form, LinOp])
 def test_linear_structure_is_defined_once(cls):
     own = set(vars(cls))
-    assert not own & {"__add__", "__sub__", "__neg__", "__eq__", "__hash__", "is_zero", "zero"}
+    assert not own & {"__add__", "__sub__", "__neg__", "__eq__", "__hash__", "is_zero", "zero",
+                      "scale"}
     assert cls.__slots__ == ()
