@@ -6,8 +6,8 @@ form, checks the canonical commutators, sends Fock monomials through the
 intertwiner, and prints a few relative inner products.
 """
 
-from theta_forms import (Polynomial, Scalar, SchrodingerElement, Zvar,
-                         inner_product_rel, intertwine, ladder_op)
+from theta_forms import (Polynomial, Scalar, Zvar, inner_product_rel,
+                         intertwine, ladder_op)
 
 N = 2
 one = Polynomial.one()
@@ -25,7 +25,7 @@ print("\n== intertwiner: Fock monomials to polynomial-times-gaussian ==")
 z1 = Polynomial.variable(Zvar(1))
 z2 = Polynomial.variable(Zvar(2))
 for name, mono in [("1", one), ("z1", z1), ("z1^2", z1 ** 2), ("z1 z2", z1 * z2)]:
-    print(f"  T({name}) = {intertwine(mono, N).poly!r} * gaussian")
+    print(f"  T({name}) = {intertwine(mono, N)!r} * gaussian")
 
 print("\n== orthogonality of the ladder-generated states ==")
 def state(m1, m2):
@@ -34,7 +34,7 @@ def state(m1, m2):
         p = ladder_op("Aminus", 1, N).apply(p)
     for _ in range(m2):
         p = ladder_op("Aminus", 2, N).apply(p)
-    return SchrodingerElement(p)
+    return p
 
 for a in [(0, 0), (1, 0), (2, 0), (1, 1)]:
     for b in [(0, 0), (1, 0), (0, 1)]:

@@ -7,9 +7,10 @@ products attached to partitions, and checks harmonicity and the diagonal
 weights of the resulting vectors.
 """
 
-from theta_forms import (Partition, Signature, Tableau, delta_T,
+from theta_forms import (FOCK, Partition, Signature, Tableau, delta_T,
                          enumerate_ssyt, hook_content_dim, is_harmonic,
-                         kv_highest_weight, laplacian, schur_span_dim, upq_op)
+                         kv_highest_weight, laplacian, schur_span_dim,
+                         upq_op_model)
 
 shape = Partition((2, 1))
 tabs = enumerate_ssyt(shape, 3)
@@ -37,9 +38,9 @@ print("  Delta_11 applied:", laplacian(1, 1, sig).apply(vec))
 
 print("\ndiagonal k-operator eigenvalues:")
 for a in range(1, sig.p + 1):
-    out = upq_op(sig, "k_gl_p", a, a).apply(vec)
+    out = upq_op_model(sig, FOCK, "k_gl_p", a, a).apply(vec)
     ratio = "0" if vec.is_zero() else next(iter(out.terms.values()), None)
     print(f"  k_gl_p({a},{a}):", ratio)
 for b in range(1, sig.q + 1):
-    out = upq_op(sig, "k_gl_q", b, b).apply(vec)
+    out = upq_op_model(sig, FOCK, "k_gl_q", b, b).apply(vec)
     print(f"  k_gl_q({b},{b}):", next(iter(out.terms.values()), None))

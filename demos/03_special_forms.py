@@ -5,8 +5,8 @@ K-invariance, and the non-vanishing of the minimal K-type coefficient.
 """
 
 from theta_forms import (Signature, build_psi_cup, build_psi_q,
-                         coefficient_at, gk_differential,
-                         k_invariance_residual, strongly_primitive_monomial)
+                         gk_differential, k_invariance_residual,
+                         strongly_primitive_monomial)
 from theta_forms.forms import cup_product, cup_sign
 from theta_forms.serialize import cochain_to_latex
 
@@ -30,7 +30,7 @@ print("\nwedge of two one-column forms equals the two-column form:",
 
 mono = strongly_primitive_monomial(sig2)
 print("\nminimal K-type wedge coefficient (a determinant):")
-print("  ", coefficient_at(cup, mono))
+print("  ", cup.form.coefficient(mono))
 
 too_many = build_psi_cup(Signature(2, 1, 3, 0))
 print("\nthree columns on a two-row space vanish:", too_many.form.is_zero())

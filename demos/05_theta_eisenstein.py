@@ -5,12 +5,12 @@ assembly at rank one.
 """
 
 from theta_forms import (BetaMatrix, WhittakerPoint, e8_gram,
-                         eisenstein_check, enumerate_vectors, fourier_assemble,
-                         rep_numbers, whittaker)
+                         eisenstein_check, enumerate_with_norms,
+                         fourier_assemble, rep_numbers, whittaker)
 
 E8 = e8_gram()
 print("E8 gram: dim", E8.dim, "det", E8.determinant())
-roots = [v for v in enumerate_vectors(E8, 1) if any(v)]
+roots = [v for v, _ in enumerate_with_norms(E8, 1) if any(v)]
 print("root count:", len(roots))
 
 print("\nrepresentation numbers vs 240 sigma_3(n):")

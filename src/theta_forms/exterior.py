@@ -9,11 +9,9 @@ chosen per call site.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 from .poly import Polynomial, TermMap, _mac_poly, _mac_prod, _polys, parse_index
-from .scalars import Scalar
 
 _GEN_KIND_RANK = {"xi": 0, "xibar": 1}
 _GEN_CONJ = {"xi": "xibar", "xibar": "xi"}
@@ -118,17 +116,6 @@ class Form(TermMap):
     def unit(cls) -> "Form":
         return cls({(): Polynomial.one()})
 
-    @classmethod
-    def generator(cls, g: WedgeGen, coeff: Polynomial | None = None) -> "Form":
-        return cls({(g,): coeff if coeff is not None else Polynomial.one()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Scalar, Polynomial)):
-            return self.scale(other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
     # -- exterior product ----------------------------------------------------
 
     def wedge(self, other: "Form") -> "Form":
@@ -153,9 +140,6 @@ class Form(TermMap):
     def bidegree_support(self) -> set[tuple[int, int]]:
         return {bidegree(w) for w in self.terms}
 
-    def degrees(self) -> set[int]:
-        return {len(w) for w in self.terms}
-
     def bidegree_part(self, a: int, b: int) -> "Form":
         return Form({w: p for w, p in self.terms.items() if bidegree(w) == (a, b)})
 
@@ -166,9 +150,6 @@ class Form(TermMap):
 
     def map_coefficients(self, fn) -> "Form":
         return Form({w: fn(p) for w, p in self.terms.items()})
-
-    def apply_op(self, op) -> "Form":
-        return self.map_coefficients(op.apply)
 
     def gen_derivation(self, rule) -> "Form":
         """Extend a linear action on generators as a derivation of the wedge.

@@ -33,12 +33,6 @@ class GKCochain:
     model: ModelTag
     sig: Signature
 
-    def is_zero(self) -> bool:
-        return self.form.is_zero()
-
-    def bidegree_support(self):
-        return self.form.bidegree_support()
-
 
 @dataclass(frozen=True)
 class SplitSpec:
@@ -542,11 +536,6 @@ def restrict_form(c: GKCochain, split: SplitSpec) -> GKCochain:
             if v.kind in ("X", "Xbar") else v)
         out[ww] = pp
     return GKCochain(Form(out), c.model, new_sig)
-
-
-def coefficient_at(c: GKCochain, gens) -> Polynomial:
-    """Exact coefficient polynomial at a wedge monomial (any gen order)."""
-    return c.form.coefficient(list(gens))
 
 
 def strongly_primitive_monomial(sig: Signature):

@@ -2,10 +2,11 @@
 
 Conventions fixed here and used everywhere downstream:
 
-* Gaussians are never expanded.  A SchrodingerElement stores only the
-  polynomial factor; all operators on it are pre-conjugated by the vacuum
-  gaussian exp(-pi * |x|^2).  Concretely d/dx_j acts on the polynomial part
-  as (d/dx_j - 2 pi x_j), so the conjugated ladder operators are
+* Gaussians are never expanded.  A Schrodinger-model vector poly * gaussian
+  is held as its Polynomial factor alone; all operators on it are
+  pre-conjugated by the vacuum gaussian exp(-pi * |x|^2), whose factor is
+  Polynomial.one().  Concretely d/dx_j acts on the polynomial part as
+  (d/dx_j - 2 pi x_j), so the conjugated ladder operators are
   A+_j = d/dx_j and A-_j = d/dx_j - 4 pi x_j.
 
 * The Fock -> Schrodinger intertwiner T is pinned by T(1) = vacuum and
@@ -118,21 +119,10 @@ def fock_model(conj_cols: int = 0) -> ModelTag:
     return ModelTag("fock", conj_cols)
 
 
-@dataclass(frozen=True)
-class SchrodingerElement:
-    """poly * gaussian, with the gaussian implicit."""
-
-    poly: Polynomial
-
-    def is_zero(self) -> bool:
-        return self.poly.is_zero()
-
-
 # ---------------------------------------------------------------------------
 # Scalar oscillator: Heisenberg generators and the ladder calculus
 # ---------------------------------------------------------------------------
 
-_I = Scalar.i_unit()
 _2PI = Scalar.of(2, 0, 1)
 _4PI = Scalar.of(4, 0, 1)
 
@@ -198,43 +188,14 @@ def ladder_op(kind: str, j: int, dim: int) -> LinOp:
     raise ValueError(f"unknown ladder kind {kind!r}")
 
 
-def vacuum() -> SchrodingerElement:
-    return SchrodingerElement(Polynomial.one())
-
-
-def sp_op(model: ModelTag, block: str, j: int, k: int, dim: int) -> LinOp:
-    """Generators of the full symplectic algebra in the scalar models.
-
-    Fock: k11 -> -i (z_k d_j + d_j z_k), p20 -> i z_j z_k, p02 -> 4i d_j d_k.
-    The Schrodinger versions are the Fock ones pushed through the
-    intertwiner dictionary z_j -> 4pi x_j - d_j, d_j -> d_j / 4pi.
-    """
-    if not (1 <= j <= dim and 1 <= k <= dim):
-        raise IndexError("sp_op index out of range")
-    if model.which == "fock":
-        z = {i: _zmul(i) for i in (j, k)}
-        d = {i: _zd(i) for i in (j, k)}
-    elif model.which == "schrodinger":
-        z = {i: _zmul(i).scale(_4PI) - _zd(i) for i in (j, k)}
-        d = {i: _zd(i).scale(Scalar.of(Fraction(1, 4), 0, -1)) for i in (j, k)}
-    else:
-        raise ValueError("sp_op is defined for the scalar fock/schrodinger models")
-    if block == "k11":
-        return (z[k].compose(d[j]) + d[j].compose(z[k])).scale(Scalar.of(0, -1))
-    if block == "p20":
-        return z[j].compose(z[k]).scale(_I)
-    if block == "p02":
-        return d[j].compose(d[k]).scale(Scalar.of(0, 4))
-    raise ValueError(f"unknown sp block {block!r}")
-
-
 # ---------------------------------------------------------------------------
 # Intertwiner and the gaussian-relative inner product
 # ---------------------------------------------------------------------------
 
-def intertwine(fock_elem: Polynomial, dim: int) -> SchrodingerElement:
-    """Image of a Fock polynomial in z_1..z_N under the unique intertwiner
-    sending 1 to the vacuum; z^m goes to (-A-)^m applied to the vacuum."""
+def intertwine(fock_elem: Polynomial, dim: int) -> Polynomial:
+    """Polynomial factor of the image of a Fock polynomial in z_1..z_N under
+    the unique intertwiner sending 1 to the vacuum; z^m goes to (-A-)^m
+    applied to the vacuum."""
     acc: dict = {None: {}}
     for mono, c in fock_elem.terms.items():
         img = Polynomial.one()
@@ -245,7 +206,7 @@ def intertwine(fock_elem: Polynomial, dim: int) -> SchrodingerElement:
             for _ in range(e):
                 img = neg_am.apply(img)
         _mac_poly(acc, None, img, c)
-    return SchrodingerElement(_polys(acc)[None])
+    return _polys(acc)[None]
 
 
 def _double_factorial(n: int) -> int:
@@ -265,11 +226,12 @@ def _moment(n: int) -> Scalar:
     return Scalar.of(Fraction(_double_factorial(n - 1), 4 ** k), 0, -k)
 
 
-def inner_product_rel(a: SchrodingerElement, b: SchrodingerElement) -> Scalar:
-    """<a, b> / <vacuum, vacuum>, conjugate-linear in b, via exact moments."""
+def inner_product_rel(a: Polynomial, b: Polynomial) -> Scalar:
+    """<a, b> / <vacuum, vacuum> of the Schrodinger vectors with polynomial
+    factors a and b, conjugate-linear in b, via exact moments."""
     total = Scalar.zero()
-    for m1, c1 in a.poly.terms.items():
-        for m2, c2 in b.poly.terms.items():
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
             factor = c1 * c2.conjugate()
             for _, e in monomial_mul(m1, m2):
                 factor = factor * _moment(e)
@@ -380,11 +342,6 @@ def upq_op_model(sig: Signature, model: ModelTag, block: str, a: int, b: int,
             if conj:
                 parts.append(_mul_pair(Xbar(a, col), Ybar(b, col), intertwined).scale(c_plus.conjugate()))
     return op_sum(parts)
-
-
-def upq_op(sig: Signature, block: str, a: int, b: int) -> LinOp:
-    """The operator in the pure Fock model on P(M_{p x r} + M_{q x r})."""
-    return upq_op_model(sig, FOCK, block, a, b)
 
 
 # ---------------------------------------------------------------------------

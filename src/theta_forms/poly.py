@@ -195,11 +195,13 @@ class Polynomial(TermMap):
     # -- ring operations ---------------------------------------------------
 
     def __mul__(self, other) -> "Polynomial":
+        if isinstance(other, Polynomial):
+            acc: dict = {}
+            _mac_prod(acc, None, self, other)
+            return _polys(acc)[None]
         if isinstance(other, (int, Fraction, Scalar)):
             return self.scale(other)
-        acc: dict = {}
-        _mac_prod(acc, None, self, other)
-        return _polys(acc)[None]
+        return NotImplemented
 
     __rmul__ = __mul__
 

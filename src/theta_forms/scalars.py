@@ -86,10 +86,6 @@ class Scalar:
     def i_unit(cls) -> "Scalar":
         return cls.of(0, 1)
 
-    @classmethod
-    def pi(cls, exp: int = 1) -> "Scalar":
-        return cls.of(1, 0, exp)
-
     # -- predicates --------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -103,14 +99,13 @@ class Scalar:
             _add_term(out, k, c)
         return _raw(out)
 
-    def __sub__(self, other: "Scalar") -> "Scalar":
-        return self + (-other)
-
     def __neg__(self) -> "Scalar":
         return _raw({k: (-a, -b, d) for k, (a, b, d) in self._t.items()})
 
     def __mul__(self, other) -> "Scalar":
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Scalar):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = Scalar.of(other)
         s, o = self._t, other._t
         if len(s) == 1 and len(o) == 1:

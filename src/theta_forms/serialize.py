@@ -87,10 +87,6 @@ def cochain_to_json(c: GKCochain) -> str:
     return head + ("[\n" + ",\n".join(terms) + "\n  ]" if terms else "[]") + "\n}\n"
 
 
-def cochain_to_dict(c: GKCochain) -> dict:
-    return json.loads(cochain_to_json(c))
-
-
 def _int(x) -> int:
     if type(x) is not int:
         raise ValueError(f"expected an integer, got {x!r}")

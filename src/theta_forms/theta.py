@@ -181,11 +181,6 @@ def enumerate_with_norms(L: GramMatrix, max_norm) -> list[tuple[tuple[int, ...],
     return out
 
 
-def enumerate_vectors(L: GramMatrix, max_norm) -> list[tuple[int, ...]]:
-    """All x in Z^n with x^T L x <= 2 * max_norm, sorted."""
-    return [x for x, _ in enumerate_with_norms(L, max_norm)]
-
-
 def rep_numbers(L: GramMatrix, n_max: int) -> dict[int, int]:
     """r_L(n) = #{x : (1/2) x^T L x = n} for integer n = 0..n_max.
 
@@ -308,11 +303,6 @@ class WhittakerPoint:
 
     a: tuple[tuple[float, ...], ...]
     b: tuple[tuple[float, ...], ...]
-
-    @classmethod
-    def of(cls, a, b) -> "WhittakerPoint":
-        return cls(tuple(tuple(float(x) for x in row) for row in a),
-                   tuple(tuple(float(x) for x in row) for row in b))
 
     @classmethod
     def standard(cls, r: int) -> "WhittakerPoint":

@@ -8,8 +8,7 @@ from theta_forms import cli
 from theta_forms.cli import main
 from theta_forms.forms import FactorizationError, build_psi_cup, build_psi_orth, build_psi_q
 from theta_forms.models import ORTHOGONAL, UNITARY, CalibrationError, Signature
-from theta_forms.serialize import (cochain_from_json, cochain_to_dict, cochain_to_json,
-                                   gram_to_json)
+from theta_forms.serialize import cochain_from_json, cochain_to_json, gram_to_json
 from theta_forms.theta import e8_gram
 
 
@@ -146,7 +145,7 @@ def test_export_latex(tmp_path, capsys):
 
 
 def _psi_q_dict():
-    return cochain_to_dict(build_psi_q(Signature(1, 1, 1, 0)))
+    return json.loads(cochain_to_json(build_psi_q(Signature(1, 1, 1, 0))))
 
 
 @pytest.mark.parametrize("data", [
@@ -345,8 +344,8 @@ def test_export_rejects_indices_outside_the_grammar(tmp_path, capsys, field, val
 
 def _outside(doc, field, value):
     """A built document with one index moved outside its signature."""
-    data = cochain_to_dict(build_psi_cup(Signature(2, 1, 2, 0)) if doc == "psi-cup"
-                           else build_psi_orth(Signature(2, 1, 1, 0, ORTHOGONAL)))
+    data = json.loads(cochain_to_json(build_psi_cup(Signature(2, 1, 2, 0)) if doc == "psi-cup"
+                                      else build_psi_orth(Signature(2, 1, 1, 0, ORTHOGONAL))))
     term = data["terms"][0]
     if field == "wedge":
         term["wedge"] = [value]

@@ -8,7 +8,7 @@ from theta_forms.exterior import Form, perm_sign, xi, xibar
 from theta_forms.forms import (FactorizationError, GKCochain, SplitSpec,
                                build_km_explicit, build_km_nabla, build_mixed,
                                build_psi_cup, build_psi_orth, build_psi_q,
-                               coefficient_at, cup_product, cup_sign,
+                               cup_product, cup_sign,
                                euler_chern_form, evaluate_at_zero,
                                forms_proportional, gk_curvature,
                                gk_differential, k_invariance_residual,
@@ -78,7 +78,7 @@ def test_psi_orth_family_check():
 
 def test_km_nabla_smallest():
     c = build_km_nabla(Signature(1, 1, 1, 1))
-    got = coefficient_at(c, [xibar(1, 1), xi(1, 1)])
+    got = c.form.coefficient([xibar(1, 1), xi(1, 1)])
     expect = x(1, 1) * xb(1, 1) - Polynomial.constant(Scalar.of(Fraction(1, 2), 0, -1))
     assert got == expect
 
@@ -113,7 +113,7 @@ def test_km_unit_boundary():
 def test_mixed_boundaries():
     assert build_mixed(Signature(2, 1, 2, 0)).form == build_psi_cup(Signature(2, 1, 2, 0)).form
     assert build_mixed(Signature(1, 1, 1, 1)).form == build_km_nabla(Signature(1, 1, 1, 1)).form
-    assert build_mixed(Signature(2, 1, 2, 1)).bidegree_support() == {(1, 2)}
+    assert build_mixed(Signature(2, 1, 2, 1)).form.bidegree_support() == {(1, 2)}
     with pytest.raises(ValueError):
         build_mixed(Signature(2, 1, 1, 2))
 
@@ -160,13 +160,13 @@ def test_construction_path_needs_no_calibration(monkeypatch):
     monkeypatch.setattr(forms, "calibrate_structure", refuse)
     monkeypatch.setattr(models, "calibrate_structure", refuse)
     c = build_psi_cup(Signature(2, 2, 2, 0))
-    assert gk_differential(c).is_zero()
+    assert gk_differential(c).form.is_zero()
     assert k_invariance_residual(c).is_zero()
 
 
 def test_certificate_checks_the_operators_d_uses(monkeypatch, fresh_operators):
     # c_plus * c_minus = 2i * i = -2 breaks [pminus, pplus]; the certificate
-    # must see it through upq_op's defaults, and gk_curvature must refuse
+    # must see it through upq_op_model's defaults, and gk_curvature must refuse
     monkeypatch.setattr(models.upq_op_model.__wrapped__, "__defaults__",
                         (Scalar.of(0, 2), Scalar.of(0, 1)))
     sig = Signature(2, 1, 1, 0)
@@ -372,13 +372,13 @@ def test_restrict_factorization_failure():
 
 def test_coefficient_at_unit_and_missing():
     unit = GKCochain(Form.unit(), fock_model(0), Signature(1, 1, 0, 0))
-    assert coefficient_at(unit, []) == Polynomial.one()
-    assert coefficient_at(unit, [xi(1, 1)]).is_zero()
+    assert unit.form.coefficient([]) == Polynomial.one()
+    assert unit.form.coefficient([xi(1, 1)]).is_zero()
 
 
 def test_strongly_primitive_witness():
     sig = Signature(2, 1, 2, 0)
-    pol = coefficient_at(build_psi_cup(sig), strongly_primitive_monomial(sig))
+    pol = build_psi_cup(sig).form.coefficient(strongly_primitive_monomial(sig))
     assert pol == x(1, 1) * x(2, 2) - x(2, 1) * x(1, 2)
     sig = Signature(2, 1, 1, 1)
-    assert not coefficient_at(build_psi_cup(sig), strongly_primitive_monomial(sig)).is_zero()
+    assert not build_psi_cup(sig).form.coefficient(strongly_primitive_monomial(sig)).is_zero()

@@ -8,10 +8,9 @@ from theta_forms.exterior import Form, xi, xibar
 from theta_forms.forms import (GKCochain, build_mixed, build_psi_cup, gk_curvature,
                                gk_differential, k_invariance_residual)
 from theta_forms.models import (C_MINUS, C_PLUS, FOCK, SCHRODINGER, CalibrationError,
-                                ModelTag, SchrodingerElement, Signature,
-                                calibrate_structure, fock_model,
+                                ModelTag, Signature, calibrate_structure, fock_model,
                                 heisenberg_op, inner_product_rel, intertwine,
-                                ladder_op, mixed_model, sp_op, upq_op, upq_op_model)
+                                ladder_op, mixed_model, upq_op_model)
 from theta_forms.operators import LinOp
 from theta_forms.poly import Polynomial, X, Y, Zvar
 from theta_forms.scalars import Scalar
@@ -56,47 +55,9 @@ def test_h_ladder_commutators():
     assert h.commutator(ladder_op("Aplus", 2, 2)).is_zero()
 
 
-def test_sp_p20_is_multiplication():
-    op = sp_op(FOCK, "p20", 1, 1, 2)
-    assert op.apply(Polynomial.one()) == (z1 * z1).scale(Scalar.i_unit())
-
-
-def test_sp_p02_applied():
-    z2 = Polynomial.variable(Zvar(2))
-    op = sp_op(FOCK, "p02", 1, 2, 2)
-    assert op.apply(z1 * z2) == Polynomial.constant(Scalar.of(0, 4))
-
-
-def test_sp_grading():
-    # block (i, j) maps degree d to d + i - j
-    z2 = Polynomial.variable(Zvar(2))
-    samples = [Polynomial.one(), z1, z1 * z2, z1 ** 2 * z2]
-    blocks = {"p20": 2, "p02": -2, "k11": 0}
-    for block, shift in blocks.items():
-        op = sp_op(FOCK, block, 1, 2, 2)
-        for f in samples:
-            g = op.apply(f)
-            if g.is_zero():
-                continue
-            assert g.degree() == f.degree() + shift
-
-
-def test_sp_schrodinger_intertwined():
-    # the Schrodinger sp operators are the Fock ones through the dictionary;
-    # j == k carries the delta term of k11
-    for block, (j, k) in product(("k11", "p20", "p02"), ((1, 2), (2, 1), (1, 1), (2, 2))):
-        fop = sp_op(FOCK, block, j, k, 2)
-        sop = sp_op(SCHRODINGER, block, j, k, 2)
-        for exps in product(range(3), repeat=2):
-            if sum(exps) > 3:
-                continue
-            v = Polynomial.variable(Zvar(1)) ** exps[0] * Polynomial.variable(Zvar(2)) ** exps[1]
-            assert intertwine(fop.apply(v), 2).poly == sop.apply(intertwine(v, 2).poly)
-
-
 def test_intertwine_vacuum_and_z():
-    assert intertwine(Polynomial.one(), 1).poly == Polynomial.one()
-    assert intertwine(z1, 1).poly == z1.scale(Scalar.of(4, 0, 1))
+    assert intertwine(Polynomial.one(), 1) == Polynomial.one()
+    assert intertwine(z1, 1) == z1.scale(Scalar.of(4, 0, 1))
 
 
 def test_intertwine_rejects_foreign_variables():
@@ -105,22 +66,21 @@ def test_intertwine_rejects_foreign_variables():
 
 
 def test_inner_product_examples():
-    vac = SchrodingerElement(Polynomial.one())
+    vac = Polynomial.one()
     assert inner_product_rel(vac, vac) == Scalar.one()
-    x1 = SchrodingerElement(z1)
-    assert inner_product_rel(x1, vac).is_zero()  # odd moment
-    assert inner_product_rel(x1, x1) == Scalar.of(Fraction(1, 4), 0, -1)
+    assert inner_product_rel(z1, vac).is_zero()  # odd moment
+    assert inner_product_rel(z1, z1) == Scalar.of(Fraction(1, 4), 0, -1)
 
 
 def test_inner_product_hermitian():
-    a = SchrodingerElement(z1.scale(Scalar.of(1, 2)) + Polynomial.one())
-    b = SchrodingerElement((z1 ** 2).scale(Scalar.of(0, 1, -1)) + z1)
+    a = z1.scale(Scalar.of(1, 2)) + Polynomial.one()
+    b = (z1 ** 2).scale(Scalar.of(0, 1, -1)) + z1
     assert inner_product_rel(a, b) == inner_product_rel(b, a).conjugate()
 
 
 def test_upq_pplus_on_constant():
     sig = Signature(1, 1, 1, 0)
-    out = upq_op(sig, "pplus", 1, 1).apply(Polynomial.one())
+    out = upq_op_model(sig, FOCK, "pplus", 1, 1).apply(Polynomial.one())
     xy = Polynomial.variable(X(1, 1)) * Polynomial.variable(Y(1, 1))
     assert out == xy.scale(Scalar.i_unit())
 
@@ -128,12 +88,12 @@ def test_upq_pplus_on_constant():
 def test_upq_pminus_kills_kv_vector():
     sig = Signature(1, 1, 2, 0)
     vec = kv_highest_weight(Partition((1,)), Partition((1,)), sig)
-    assert upq_op(sig, "pminus", 1, 1).apply(vec).is_zero()
+    assert upq_op_model(sig, FOCK, "pminus", 1, 1).apply(vec).is_zero()
 
 
 def test_upq_central_shift():
     sig = Signature(2, 1, 3, 0)
-    out = upq_op(sig, "k_gl_q", 1, 1).apply(Polynomial.one())
+    out = upq_op_model(sig, FOCK, "k_gl_q", 1, 1).apply(Polynomial.one())
     assert out == Polynomial.constant(Scalar.of(3))  # det^r shift, r = 3
 
 
@@ -143,13 +103,6 @@ def test_calibration_closes_and_is_cached():
     rep2 = calibrate_structure(Signature(2, 1, 1, 0), FOCK)
     assert rep1 is rep2
     assert C_PLUS * C_MINUS == Scalar.of(-1)
-
-
-@pytest.mark.parametrize("r", [0, 1, 2])
-def test_upq_op_is_the_fock_model_operator(r):
-    sig = Signature(2, 1, r, 0)
-    for block, a, b in [("k_gl_p", 1, 2), ("k_gl_q", 1, 1), ("pplus", 2, 1), ("pminus", 1, 1)]:
-        assert upq_op(sig, block, a, b) == upq_op_model(sig, FOCK, block, a, b)
 
 
 def test_unknown_block_is_rejected_at_every_signature(fresh_operators):
@@ -256,7 +209,7 @@ def test_calibration_scale_consistency():
 
 def test_pplus_degree_shape():
     sig = Signature(2, 2, 2, 0)
-    op = upq_op(sig, "pplus", 1, 2)
+    op = upq_op_model(sig, FOCK, "pplus", 1, 2)
     f = Polynomial.variable(X(1, 1))
     assert op.apply(f).degree() == 3  # raises joint degree by 2
 

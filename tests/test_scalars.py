@@ -28,8 +28,8 @@ def test_i_squared():
 
 
 def test_pi_laurent():
-    pi = Scalar.pi()
-    assert pi * Scalar.pi(-1) == Scalar.one()
+    pi = Scalar.of(1, 0, 1)
+    assert pi * Scalar.of(1, 0, -1) == Scalar.one()
     assert Scalar.of(2, 0, 3) * Scalar.of(Fraction(1, 2), 0, -3) == Scalar.one()
 
 
@@ -38,7 +38,7 @@ def test_conjugate_and_inverse():
     assert z.conjugate().conjugate() == z
     assert z * z.inverse() == Scalar.one()
     with pytest.raises(ZeroDivisionError):
-        (Scalar.of(1) + Scalar.pi()).inverse()
+        (Scalar.of(1) + Scalar.of(1, 0, 1)).inverse()
 
 
 def test_no_zero_terms_stored():
@@ -66,7 +66,7 @@ def test_canonical_form_is_unique():
     a = Scalar.of(Fraction(2, 4), Fraction(-6, 8), 3)
     b = Scalar.of(Fraction(1, 2), Fraction(-3, 4), 3)
     assert a == b and hash(a) == hash(b)
-    assert (a - a).is_zero() and (a - a).terms == {}
+    assert (a + (-a)).is_zero() and (a + (-a)).terms == {}
 
 
 # Reference arithmetic on {pi_exp: (re, im)} maps of Fractions: a second,
@@ -129,7 +129,7 @@ def test_kernel_matches_fraction_reference(x, y):
     a, b, rx, ry = Scalar(x), Scalar(y), _ref_clean(x), _ref_clean(y)
     _check(a, rx)
     _check(a + b, _ref_add(rx, ry))
-    _check(a - b, _ref_add(rx, {k: (-re, -im) for k, (re, im) in ry.items()}))
+    _check(a + (-b), _ref_add(rx, {k: (-re, -im) for k, (re, im) in ry.items()}))
     _check(-a, {k: (-re, -im) for k, (re, im) in rx.items()})
     _check(a * b, _ref_mul(rx, ry))
     _check(a.conjugate(), {k: (re, -im) for k, (re, im) in rx.items()})

@@ -1,6 +1,11 @@
 """The one linear structure behind Polynomial, Form and LinOp (poly.TermMap):
 sums, differences, negations and scaling keep the subclass and drop
-cancelled keys, equal values hash equal, and equality never crosses types."""
+cancelled keys, equal values hash equal, and equality never crosses types.
+A product with a coefficient is that scaling; any other product of a form
+is a TypeError."""
+
+from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -103,7 +108,34 @@ def test_a_form_scales_by_a_polynomial(f, p):
     out = f.scale(p)
     assert type(out) is Form
     assert out == Form({w: q * p for w, q in f.terms.items()})
-    assert f * p == out
+
+
+_X11 = Polynomial.variable(X(1, 1))
+OPERANDS = {"int": 3, "Fraction": Fraction(-2, 5), "Scalar": Scalar.of(1, 2, -1),
+            "Polynomial": _X11 + Polynomial.constant(Scalar.i_unit()),
+            "Form": Form({(xi(1, 1),): _X11})}
+# every ordered pair with a library operand, except the two ring products
+PRODUCT_PAIRS = [(a, b) for a, b in product(OPERANDS, repeat=2)
+                 if {a, b} & {"Scalar", "Polynomial", "Form"}
+                 and (a, b) not in {("Scalar", "Scalar"), ("Polynomial", "Polynomial")}]
+
+
+@pytest.mark.parametrize("left,right", PRODUCT_PAIRS)
+def test_a_product_is_a_scaling_or_a_type_error(left, right):
+    a, b = OPERANDS[left], OPERANDS[right]
+    if "Form" in (left, right):
+        # the wedge is the product of forms; a coefficient goes through scale
+        with pytest.raises(TypeError):
+            a * b
+        return
+    if "Polynomial" in (left, right):
+        p, c = (a, b) if left == "Polynomial" else (b, a)
+        expected = p.scale(c)
+    else:
+        s, c = (a, b) if left == "Scalar" else (b, a)
+        expected = Polynomial.constant(s).scale(c).constant_term()
+    out = a * b
+    assert type(out) is type(expected) and out == expected
 
 
 def test_zero_values_of_different_types_differ():

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from theta_forms.theta import (BetaMatrix, GramMatrix, WhittakerPoint, e8_gram,
-                               eisenstein_check, enumerate_vectors,
-                               enumerate_with_norms, fourier_assemble,
+                               eisenstein_check, enumerate_with_norms,
+                               fourier_assemble,
                                naive_rep_numbers, rep_numbers, sigma3,
                                whittaker)
 
@@ -24,17 +24,17 @@ def test_gram_validation():
 
 def test_enumerate_rank_one():
     L = GramMatrix([[2]])
-    assert enumerate_vectors(L, 1) == [(-1,), (0,), (1,)]
+    assert [x for x, _ in enumerate_with_norms(L, 1)] == [(-1,), (0,), (1,)]
 
 
 def test_enumerate_rank_two():
     L = GramMatrix([[2, 0], [0, 2]])
-    assert len(enumerate_vectors(L, 1)) == 5
+    assert len(enumerate_with_norms(L, 1)) == 5
 
 
 def test_enumeration_symmetric_under_negation():
     L = GramMatrix([[2, 1], [1, 4]])
-    vs = set(enumerate_vectors(L, 3))
+    vs = {x for x, _ in enumerate_with_norms(L, 3)}
     assert all(tuple(-t for t in v) in vs for v in vs)
 
 
@@ -66,7 +66,7 @@ def test_e8_properties():
 
 
 def test_e8_roots():
-    assert len(enumerate_vectors(e8_gram(), 1)) == 241  # zero plus 240 roots
+    assert len(enumerate_with_norms(e8_gram(), 1)) == 241  # zero plus 240 roots
 
 
 def test_e8_rep_numbers():
@@ -91,7 +91,7 @@ def test_sigma3():
 
 
 def test_whittaker_beta_zero():
-    g = WhittakerPoint.of([[2.0]], [[0.0]])
+    g = WhittakerPoint(((2.0,),), ((0.0,),))
     assert whittaker(BetaMatrix.scalar(0), g, 3) == 2.0 ** 1.5
 
 
@@ -111,9 +111,9 @@ def test_whittaker_classical_convention():
 
 def test_whittaker_scaling_homogeneity():
     r = 2
-    g1 = WhittakerPoint.of([[1.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [0.0, 0.0]])
+    g1 = WhittakerPoint.standard(r)
     t = 3.0
-    g2 = WhittakerPoint.of([[t, 0.0], [0.0, t]], [[0.0, 0.0], [0.0, 0.0]])
+    g2 = WhittakerPoint(((t, 0.0), (0.0, t)), ((0.0, 0.0), (0.0, 0.0)))
     beta0 = BetaMatrix.from_real([[0, 0], [0, 0]])
     pq = 4
     ratio = whittaker(beta0, g2, pq) / whittaker(beta0, g1, pq)
@@ -121,8 +121,8 @@ def test_whittaker_scaling_homogeneity():
 
 
 def test_whittaker_b_independence_at_beta_zero():
-    g1 = WhittakerPoint.of([[1.0]], [[0.0]])
-    g2 = WhittakerPoint.of([[1.0]], [[7.5]])
+    g1 = WhittakerPoint.standard(1)
+    g2 = WhittakerPoint(((1.0,),), ((7.5,),))
     beta0 = BetaMatrix.scalar(0)
     assert whittaker(beta0, g1, 2) == whittaker(beta0, g2, 2)
 
