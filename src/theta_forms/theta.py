@@ -184,54 +184,53 @@ def enumerate_with_norms(L: GramMatrix, max_norm) -> list[tuple[tuple[int, ...],
 def rep_numbers(L: GramMatrix, n_max: int) -> dict[int, int]:
     """r_L(n) = #{x : (1/2) x^T L x = n} for integer n = 0..n_max.
 
-    Counts a histogram of integer remainders and builds no vector: x and -x
-    have the same norm, so only vectors whose first nonzero coordinate is
-    positive are enumerated, each counted twice, and the origin once."""
+    Builds no vector: a dynamic program over Fincke-Pohst subtrees (see
+    _fincke_pohst), memoised within the call.  Below a level-i node, the
+    histogram of norm spent on levels i..0 depends only on the remainder and
+    on the partial centres cent[l] = sum over fixed j of w[l][j] y_j, l <= i.
+    The memo key is the remainder and these centres reduced top-down:
+    cent[l] = q m[l] + r becomes r, and q is carried into the levels below
+    by cent[l'] -= q w[l'][l].  That is the substitution y_l -> y_l + q, a
+    bijection of Z that leaves u_l and every later u unchanged, so nodes
+    with one key have equal histograms."""
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
     rd, rem0, cap, m, w = _fincke_pohst(L, Fraction(n_max))
-    n = L.dim
-    hist: dict[int, int] = {rem0: 1}
-    get = hist.get
-    y = [0] * n
+    memo: dict[tuple[int, tuple[int, ...]], dict[int, int]] = {}
 
-    def descend(i: int, rem: int):
-        cn = 0
-        wi = w[i]
-        for j in range(i + 1, n):
-            if y[j]:
-                cn += wi[j] * y[j]
-        c = cap[i]
+    def spent(rem: int, cent: tuple[int, ...]) -> dict[int, int]:
+        # {norm spent on levels i..0: count}, i = len(cent) - 1
+        hist = memo.get((rem, cent))
+        if hist is not None:
+            return hist
+        hist = {}
+        i = len(cent) - 1
+        c, mi, cn = cap[i], m[i], cent[i]
         k = isqrt(rem // c)
-        mi = m[i]
-        if i:
+        if not i:
+            for uu in range(cn - (cn + k) // mi * mi, k + 1, mi):
+                s = c * uu * uu
+                hist[s] = hist.get(s, 0) + 1
+        else:
             for t in range(-((cn + k) // mi), (k - cn) // mi + 1):
                 uu = t * mi + cn
-                y[i] = t
-                descend(i - 1, rem - c * uu * uu)
-            y[i] = 0
-            return
-        for uu in range(cn - (cn + k) // mi * mi, k + 1, mi):
-            r = rem - c * uu * uu
-            hist[r] = get(r, 0) + 2
+                s = c * uu * uu
+                sub = [cent[l] + t * w[l][i] for l in range(i)]
+                for l in range(i - 1, -1, -1):
+                    q, sub[l] = divmod(sub[l], m[l])
+                    for l2 in range(l):
+                        sub[l2] -= q * w[l2][l]
+                for s2, cnt in spent(rem - s, tuple(sub)).items():
+                    hist[s + s2] = hist.get(s + s2, 0) + cnt
+        memo[rem, cent] = hist
+        return hist
 
-    for top in range(n):
-        # Levels above `top` are zero, so y_top runs over a symmetric range.
-        c, mt = cap[top], m[top]
-        for t in range(1, isqrt(rem0 // c) // mt + 1):
-            r = rem0 - c * (t * mt) ** 2
-            if top:
-                y[top] = t
-                descend(top - 1, r)
-            else:
-                hist[r] = get(r, 0) + 2
-        y[top] = 0
     counts = dict.fromkeys(range(n_max + 1), 0)
-    for r, c in hist.items():
+    for s, cnt in (spent(rem0, (0,) * L.dim) if L.dim else {0: 1}).items():
         # Every leaf has half-norm <= n_max; only integer ones form shells.
-        q, s = divmod(rem0 - r, 2 * rd)
-        if not s:
-            counts[q] += c
+        q, r = divmod(s, 2 * rd)
+        if not r:
+            counts[q] += cnt
     return counts
 
 

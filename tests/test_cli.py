@@ -98,6 +98,15 @@ def test_theta_table(tmp_path):
     assert payload["rows"][1]["count"] == 2
 
 
+def test_theta_table_of_the_zero_lattice(tmp_path, capsys):
+    gram = tmp_path / "zero.json"
+    gram.write_text(json.dumps({"dim": 0, "gram": []}))
+    assert main(["theta", "--gram", str(gram), "--nmax", "2"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["dim"] == 0
+    assert [row["count"] for row in payload["rows"]] == [1, 0, 0]
+
+
 @pytest.mark.parametrize("convention", [[], ["--convention", "literal"],
                                         ["--convention", "classical"]])
 def test_theta_table_names_its_convention(tmp_path, capsys, convention):

@@ -4,7 +4,7 @@ from itertools import product
 from math import ceil, isqrt
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from theta_forms.theta import (BetaMatrix, GramMatrix, WhittakerPoint, e8_gram,
                                eisenstein_check, enumerate_with_norms,
@@ -47,6 +47,15 @@ def test_norms_exact():
 def test_rep_numbers_examples():
     L = GramMatrix([[2]])
     assert rep_numbers(L, 1) == {0: 1, 1: 2}
+
+
+def test_rep_numbers_edge_cases():
+    assert rep_numbers(GramMatrix([]), 3) == {0: 1, 1: 0, 2: 0, 3: 0}
+    assert rep_numbers(e8_gram(), 0) == {0: 1}
+    with pytest.raises(ValueError):
+        rep_numbers(GramMatrix([[2]]), -1)
+    with pytest.raises(ValueError):
+        rep_numbers(GramMatrix([]), -1)
 
 
 def test_rep_numbers_match_brute_force():
@@ -201,6 +210,32 @@ def test_counting_kernel_matches_oracle_and_weighted_path(entries, n_max, defaul
     assert fourier_assemble(L, lambda x: default, g, n_max) == {
         n: complex(default * counts[n]) * whittaker(BetaMatrix.scalar(n), g, L.dim)
         for n in range(n_max + 1)}
+
+
+@st.composite
+def rational_grams(draw):
+    """B^T B plus a positive rational diagonal D >= 1, for a rational B of
+    dimension 0-5: positive definite with Fraction entries, and D >= 1 keeps
+    the oracle's box at most 7 wide per coordinate up to n_max 5."""
+    n = draw(st.integers(0, 5))
+    b = [[draw(st.fractions(-2, 2, max_denominator=3)) for _ in range(n)] for _ in range(n)]
+    d = [draw(st.fractions(1, 3, max_denominator=4)) for _ in range(n)]
+    return [[sum(b[k][i] * b[k][j] for k in range(n)) + (d[i] if i == j else 0)
+             for j in range(n)] for i in range(n)]
+
+
+@settings(max_examples=50, deadline=None)
+@given(rational_grams(), st.integers(0, 5))
+# A counter that reduces each subtree centre but does not carry the quotient
+# into the centres below it miscounts this lattice at n = 3.
+@example([[6, 2, 2], [2, Fraction(13, 3), 2], [2, 2, Fraction(8, 3)]], 4)
+def test_rep_numbers_matches_oracle_and_list_path(entries, n_max):
+    L = GramMatrix(entries)
+    shells = dict.fromkeys(range(n_max + 1), 0)
+    for _, h in enumerate_with_norms(L, n_max):
+        if h.denominator == 1:
+            shells[h.numerator] += 1
+    assert rep_numbers(L, n_max) == naive_rep_numbers(L, n_max) == shells
 
 
 def test_eisenstein_check_reaches_documented_ceiling():
