@@ -20,8 +20,9 @@ from math import factorial
 
 from .exterior import (Form, WedgeGen, merge_monomials, perm_sign, wedge_all,
                        xi, xibar)
-from .models import (ModelTag, ORTHOGONAL, Signature, UNITARY, _m_op,
-                     calibrate_structure, fock_model, mixed_model, upq_op_model)
+from .models import (ModelTag, ORTHOGONAL, Signature, UNITARY, _abstract_image,
+                     _bracket_image, _m_op, calibrate_structure, fock_model,
+                     mixed_model)
 from .operators import LinOp
 from .poly import Polynomial, VariableId, X, Xbar, _mac_poly, _poly, _polys
 from .scalars import _ONE, Scalar, _mac, _reduce, _rows
@@ -60,20 +61,20 @@ def _gen_kind(sig: Signature, conjugate: bool = False):
     return xi if conjugate or sig.family == ORTHOGONAL else xibar
 
 
-def _psi_factor(sig: Signature, column: int, conjugate: bool = False) -> Form:
-    """sum over (i_1..i_q) of X_{i_1,col} ... X_{i_q,col}
-    gen_{i_1,1} ^ ... ^ gen_{i_q,q}; conjugate swaps variables to Xbar."""
-    out = {}
-    var = Xbar if conjugate else X
+def _omega_form(sig: Signature, k: int, j: int, conjugate: bool = False) -> Form:
+    """omega(k,j) = sum_l X_{l,k} xibar_{l,j} (or the conjugate; xi when
+    orthogonal)."""
     gen = _gen_kind(sig, conjugate)
-    for idx in product(range(1, sig.p + 1), repeat=sig.q):
-        coeff = Polynomial.one()
-        for i in idx:
-            coeff = coeff * Polynomial.variable(var(i, column))
-        # generators gen(i_j, j) have distinct increasing columns j, so the
-        # wedge is already canonical and no two idx share it
-        out[tuple(gen(i, j) for j, i in enumerate(idx, start=1))] = coeff
-    return Form(out)
+    var = Xbar if conjugate else X
+    return Form({(gen(l, j),): Polynomial.variable(var(l, k))
+                 for l in range(1, sig.p + 1)})
+
+
+def _psi_factor(sig: Signature, column: int, conjugate: bool = False) -> Form:
+    """omega(col,1) ^ ... ^ omega(col,q): the sum over (i_1..i_q) of
+    X_{i_1,col} ... X_{i_q,col} gen_{i_1,1} ^ ... ^ gen_{i_q,q}; conjugate
+    swaps variables to Xbar.  The unit form when q = 0."""
+    return wedge_all([_omega_form(sig, column, j, conjugate) for j in range(1, sig.q + 1)])
 
 
 def build_psi_q(sig: Signature, column: int = 1) -> GKCochain:
@@ -87,12 +88,9 @@ def build_psi_q(sig: Signature, column: int = 1) -> GKCochain:
 
 def _psi_wedge(sig: Signature) -> GKCochain:
     """psi_1 ^ ... ^ psi_r ^ psibar_1 ^ ... ^ psibar_s (s = 0 when orthogonal)."""
-    model = fock_model(min(sig.r, sig.s))
-    if sig.q == 0:
-        return GKCochain(Form.unit(), model, sig)
     blocks = [_psi_factor(sig, k) for k in range(1, sig.r + 1)]
     blocks += [_psi_factor(sig, k, conjugate=True) for k in range(1, sig.s + 1)]
-    return GKCochain(wedge_all(blocks), model, sig)
+    return GKCochain(wedge_all(blocks), fock_model(min(sig.r, sig.s)), sig)
 
 
 def build_psi_cup(sig: Signature) -> GKCochain:
@@ -151,27 +149,6 @@ def build_psi_orth(sig: Signature) -> GKCochain:
 # Kudla-Millson Schwartz forms
 # ---------------------------------------------------------------------------
 
-_QUARTER_PI_INV = Scalar.of(Fraction(1, 4), 0, -1)  # 1 / (4 pi)
-
-
-def _nabla(sig: Signature, k: int, j: int, conjugate: bool = False) -> list[tuple[tuple, LinOp]]:
-    """The form-valued operator nabla_{k,j}, as (lead, op) pairs for
-    _form_op_sum: wedge gen on the left, creation operator on the
-    coefficients.  Unitary: M_X = X - (1/2pi) d/dXbar (or its
-    conjugate); orthogonal: real variables, X - (1/4pi) d/dX."""
-    gen = _gen_kind(sig, conjugate)
-    var = Xbar if conjugate else X
-    out = []
-    for l in range(1, sig.p + 1):
-        v = var(l, k)
-        if sig.family == ORTHOGONAL:
-            op = LinOp.mul_by(Polynomial.variable(v)) - LinOp.partial(v).scale(_QUARTER_PI_INV)
-        else:
-            op = _m_op(v)
-        out.append(((gen(l, j),), op))
-    return out
-
-
 def _form_op_sum(pairs, f: Form) -> Form:
     """sum over (lead, op) pairs of lead ^ op(f): lead is a canonical wedge
     monomial (possibly empty), op a LinOp acting on the coefficients.
@@ -207,13 +184,16 @@ def _form_op_sum(pairs, f: Form) -> Form:
 
 
 def _km_column(sig: Signature, k: int) -> Form:
-    """prod_j nabla_{k,j} nablabar_{k,j} applied to the vacuum (poly 1); the
-    orthogonal family has no conjugate factor."""
+    """prod_j nabla_{k,j} nablabar_{k,j} applied to the vacuum (poly 1), where
+    nabla_{k,j} = sum_l gen_{l,j} ^ M_{X_{l,k}} with the family's creation
+    operator models._m_op; the orthogonal family has no conjugate factor."""
+    halves = (True, False) if sig.family == UNITARY else (False,)
     f = Form.unit()
     for j in range(sig.q, 0, -1):
-        if sig.family == UNITARY:
-            f = _form_op_sum(_nabla(sig, k, j, conjugate=True), f)
-        f = _form_op_sum(_nabla(sig, k, j), f)
+        for conjugate in halves:
+            gen, var = _gen_kind(sig, conjugate), (Xbar if conjugate else X)
+            f = _form_op_sum([((gen(l, j),), _m_op(var(l, k), sig.family))
+                              for l in range(1, sig.p + 1)], f)
     return f
 
 
@@ -232,15 +212,6 @@ def _km_cochain(sig: Signature, column) -> GKCochain:
 def build_km_nabla(sig: Signature) -> GKCochain:
     """Kudla-Millson cochain from the nabla operators applied to the vacuum."""
     return _km_cochain(sig, _km_column)
-
-
-def _omega_form(sig: Signature, k: int, j: int, conjugate: bool = False) -> Form:
-    """omega(k,j) = sum_l X_{l,k} xibar_{l,j} (or the conjugate; xi when
-    orthogonal)."""
-    gen = _gen_kind(sig, conjugate)
-    var = Xbar if conjugate else X
-    return Form({(gen(l, j),): Polynomial.variable(var(l, k))
-                 for l in range(1, sig.p + 1)})
 
 
 def _big_omega(sig: Signature, i: int, j: int) -> Form:
@@ -314,41 +285,43 @@ def build_mixed(sig: Signature) -> GKCochain:
         raise ValueError("the mixed construction is unitary")
     if sig.s > sig.r:
         raise ValueError("mixed model needs r >= s")
-    model = mixed_model(sig.s)
-    if sig.q == 0:
-        return GKCochain(Form.unit(), model, sig)
-    blocks = []
-    for k in range(1, sig.s + 1):
-        blocks.append(_km_column(sig, k))
-    for k in range(sig.s + 1, sig.r + 1):
-        blocks.append(_psi_factor(sig, k))
-    return GKCochain(wedge_all(blocks), model, sig)
+    blocks = [_km_column(sig, k) if k <= sig.s else _psi_factor(sig, k)
+              for k in range(1, sig.r + 1)]
+    return GKCochain(wedge_all(blocks), mixed_model(sig.s), sig)
 
 
 # ---------------------------------------------------------------------------
 # The relative Lie algebra differential
 # ---------------------------------------------------------------------------
 
+def _unit(sig: Signature, g: WedgeGen) -> tuple[int, int]:
+    """The matrix unit E_ab of gl(p+q) dual to a wedge generator:
+    xi_{ij} -> E_{i,p+j} and xibar_{ij} -> E_{p+j,i}."""
+    if g.kind == "xi":
+        return g.row, sig.p + g.col
+    return sig.p + g.col, g.row
+
+
+def _gen(sig: Signature, a: int, b: int) -> WedgeGen:
+    """The inverse of _unit, on the off-diagonal matrix units."""
+    return xi(a, b - sig.p) if a <= sig.p else xibar(b, a - sig.p)
+
+
 def _pair_ops(sig: Signature, model: ModelTag) -> list[tuple[tuple, LinOp]]:
     """(dual generator, omega(x)) pairs over the p-basis for the model.
 
-    x+_{ij} is the abstract raising vector dual to xi_{ij} (acting by the
-    column Laplacians on holomorphic factors); x-_{ij} is dual to xibar_{ij}
-    (acting by multiplication).  Orthogonal family: the single p-block, dual
-    to xi_{ij}, combines both parts."""
+    Each generator g acts through the image of its matrix unit _unit(g):
+    xi_{ij} by the column Laplacians on holomorphic factors (E_{i,p+j}),
+    xibar_{ij} by multiplication (E_{p+j,i}).  Orthogonal family: the single
+    p-block, dual to xi_{ij}, is the real sum E_{p+j,i} + E_{i,p+j}."""
     if sig.q == 0 or sig.r == 0 or sig.p == 0:
         return []
-    plus, minus = [], []
-    for i in range(1, sig.p + 1):
-        for j in range(1, sig.q + 1):
-            mult = upq_op_model(sig, model, "pplus", i, j)
-            lap = upq_op_model(sig, model, "pminus", i, j)
-            if sig.family == ORTHOGONAL:
-                plus.append(((xi(i, j),), mult + lap))
-            else:
-                plus.append(((xi(i, j),), lap))
-                minus.append(((xibar(i, j),), mult))
-    return plus + minus
+    gens = [xi(i, j) for i in range(1, sig.p + 1) for j in range(1, sig.q + 1)]
+    if sig.family == ORTHOGONAL:
+        return [((g,), _abstract_image(sig, model, *_unit(sig, g.conjugate()))
+                 + _abstract_image(sig, model, *_unit(sig, g))) for g in gens]
+    return [((g,), _abstract_image(sig, model, *_unit(sig, g)))
+            for g in gens + [g.conjugate() for g in gens]]
 
 
 def gk_differential(c: GKCochain) -> GKCochain:
@@ -365,11 +338,12 @@ def gk_differential(c: GKCochain) -> GKCochain:
 
 
 def gk_curvature(c: GKCochain) -> GKCochain:
-    """The Kostant curvature sum xi_{ij} ^ xibar_{kl} (delta_jl k_gl_p(i,k)
-    - delta_ik k_gl_q(l,j)) c, built from the k-blocks (an independent code
-    path from d).  d(d(c)) equals this exactly; it vanishes on K-invariant
-    cochains.  Unitary models only.  The sum runs through d's kernel,
-    _form_op_sum, with the two-generator leads xi_{ij} ^ xibar_{kl}.
+    """The Kostant curvature sum xi_{ij} ^ xibar_{kl} [E_{i,p+j}, E_{p+l,k}] c,
+    the bracket image of the generators' units (models._bracket_image) from
+    the gl(p) and gl(q) blocks: an independent code path from d.  d(d(c))
+    equals this exactly; it vanishes on K-invariant cochains.  Unitary
+    models only.  The sum runs through d's kernel, _form_op_sum, with the
+    two-generator leads xi_{ij} ^ xibar_{kl}.
 
     The comparison is only meaningful if d's operators close the gl(p+q)
     brackets, so calibrate_structure certifies them for the signature and
@@ -380,18 +354,12 @@ def gk_curvature(c: GKCochain) -> GKCochain:
     if sig.p == 0 or sig.q == 0 or sig.r == 0:
         return GKCochain(Form.zero(), model, sig)
     calibrate_structure(sig, model)
-    rp, rq = range(1, sig.p + 1), range(1, sig.q + 1)
-    gl_p = {(i, k): upq_op_model(sig, model, "k_gl_p", i, k) for i, k in product(rp, repeat=2)}
-    gl_q = {(l, j): upq_op_model(sig, model, "k_gl_q", l, j) for l, j in product(rq, repeat=2)}
     pairs = []
-    for i, j, k, l in product(rp, rq, rp, rq):
-        op = LinOp.zero()
-        if j == l:
-            op = op + gl_p[(i, k)]
-        if i == k:
-            op = op - gl_q[(l, j)]
+    for i, j, k, l in product(range(1, sig.p + 1), range(1, sig.q + 1), repeat=2):
+        lead = (xi(i, j), xibar(k, l))
+        op = _bracket_image(sig, model, *_unit(sig, lead[0]), *_unit(sig, lead[1]))
         if not op.is_zero():
-            pairs.append(((xi(i, j), xibar(k, l)), op))
+            pairs.append((lead, op))
     return GKCochain(_form_op_sum(pairs, c.form), model, sig)
 
 
@@ -400,58 +368,39 @@ def gk_curvature(c: GKCochain) -> GKCochain:
 # ---------------------------------------------------------------------------
 
 def _k_basis(sig: Signature):
-    """Basis of the complexified k as (block, a, b, antisymmetric) labels
-    over the gl(p) and gl(q) blocks of upq_op_model.  Unitary: every
-    elementary matrix E_ab.  Orthogonal: so(p) + so(q) is the antisymmetric
-    part, one E_ab - E_ba for each a < b.  Orthogonal coefficients carry no
-    conjugate variables, so the conjugate half of each block acts by zero."""
-    rp, rq = range(1, sig.p + 1), range(1, sig.q + 1)
+    """Basis of the complexified k as (a, b, antisymmetric) labels of the
+    gl(p+q) matrix units E_ab in the gl(p) and gl(q) diagonal blocks.
+    Unitary: every such E_ab.  Orthogonal: so(p) + so(q) is the
+    antisymmetric part, one E_ab - E_ba for each a < b.  Orthogonal
+    coefficients carry no conjugate variables, so the conjugate half of each
+    operator acts by zero."""
+    p, n = sig.p, sig.p + sig.q
+    blocks = (range(1, p + 1), range(p + 1, n + 1))
     if sig.family == UNITARY:
-        pairs_p, pairs_q, anti = product(rp, repeat=2), product(rq, repeat=2), False
-    else:
-        pairs_p, pairs_q, anti = combinations(rp, 2), combinations(rq, 2), True
-    return ([("k_gl_p", a, b, anti) for a, b in pairs_p]
-            + [("k_gl_q", a, b, anti) for a, b in pairs_q])
+        return [(a, b, False) for rows in blocks for a, b in product(rows, repeat=2)]
+    return [(a, b, True) for rows in blocks for a, b in combinations(rows, 2)]
 
 
-def _gl_rule(block: str, a: int, b: int):
-    """Coadjoint action of the elementary matrix E_ab of the gl(p) or gl(q)
-    block on wedge generators, as (Scalar, WedgeGen) pairs."""
-    one = Scalar.one()
+def _coadjoint_rule(sig: Signature, kappa):
+    """Action of a k-basis element on wedge generators, as (Scalar, WedgeGen)
+    pairs: on the generator dual to E_cd, E_ab gives -[a=c] dual(E_bd) +
+    [b=d] dual(E_ca); an antisymmetric label subtracts the action of E_ba."""
+    a, b, anti = kappa
+    units = [(Scalar.one(), a, b)] + ([(-Scalar.one(), b, a)] if anti else [])
 
     def rule(g: WedgeGen):
-        out = []
-        if block == "k_gl_p":
-            if g.kind == "xi" and g.row == a:
-                out.append((-one, xi(b, g.col)))
-            if g.kind == "xibar" and g.row == b:
-                out.append((one, xibar(a, g.col)))
-        else:
-            if g.kind == "xi" and g.col == b:
-                out.append((one, xi(g.row, a)))
-            if g.kind == "xibar" and g.col == a:
-                out.append((-one, xibar(g.row, b)))
-        return out
+        c, d = _unit(sig, g)
+        return ([(-s, _gen(sig, y, d)) for s, x, y in units if x == c]
+                + [(s, _gen(sig, c, x)) for s, x, y in units if y == d])
 
     return rule
 
 
-def _coadjoint_rule(sig: Signature, kappa):
-    """Action of a k-basis element on wedge generators: gl_rule(a, b), minus
-    gl_rule(b, a) when antisymmetric."""
-    block, a, b, anti = kappa
-    rule = _gl_rule(block, a, b)
-    if not anti:
-        return rule
-    twin = _gl_rule(block, b, a)
-    return lambda g: rule(g) + [(-c, g2) for c, g2 in twin(g)]
-
-
 def _k_module_op(sig: Signature, model: ModelTag, kappa) -> LinOp:
-    """upq_op_model(a, b), minus upq_op_model(b, a) when antisymmetric."""
-    block, a, b, anti = kappa
-    op = upq_op_model(sig, model, block, a, b)
-    return op - upq_op_model(sig, model, block, b, a) if anti else op
+    """The image of E_ab, minus that of E_ba when antisymmetric."""
+    a, b, anti = kappa
+    op = _abstract_image(sig, model, a, b)
+    return op - _abstract_image(sig, model, b, a) if anti else op
 
 
 def k_invariance_residual(c: GKCochain) -> Form:

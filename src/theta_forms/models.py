@@ -29,8 +29,9 @@ Conventions fixed here and used everywhere downstream:
   `calibrate` command, the calibration suite and forms.gk_curvature),
   never on the construction path.
   Conjugate columns carry the complex-conjugate operators; intertwined
-  (Schrodinger) columns carry M_V = V - (1/2pi) d/dVbar in place of
-  multiplication by V and plain d/dV in place of d/dz.
+  (Schrodinger) columns carry M_V in place of multiplication by V and plain
+  d/dV in place of d/dz, where _m_op defines M_V = V - (1/2pi) d/dVbar
+  (unitary) or V - (1/4pi) d/dV (orthogonal, on real variables).
 
 * upq_op_model, calibrate_structure and schur.laplacian are functools.cache
   functions of the values they build from: each operator, certificate and
@@ -274,9 +275,16 @@ def _mult(v: VariableId) -> LinOp:
     return LinOp.mul_by(Polynomial.variable(v))
 
 
-def _m_op(v: VariableId) -> LinOp:
-    """Schrodinger-column creation factor M_V = V - (1/2pi) d/dVbar."""
-    return _mult(v) - LinOp.partial(v.conjugate()).scale(Scalar.of(Fraction(1, 2), 0, -1))
+_INV_2PI = Scalar.of(Fraction(1, 2), 0, -1)
+_INV_4PI = Scalar.of(Fraction(1, 4), 0, -1)
+
+
+def _m_op(v: VariableId, family: str = UNITARY) -> LinOp:
+    """Schrodinger-column creation factor M_V: V - (1/2pi) d/dVbar (unitary),
+    V - (1/4pi) d/dV on real variables (orthogonal)."""
+    if family == UNITARY:
+        return _mult(v) - LinOp.partial(v.conjugate()).scale(_INV_2PI)
+    return _mult(v) - LinOp.partial(v).scale(_INV_4PI)
 
 
 def _mul_pair(u: VariableId, v: VariableId, intertwined: bool) -> LinOp:
@@ -371,7 +379,8 @@ class CalibrationReport:
 def _abstract_image(sig: Signature, model: ModelTag, a: int, b: int) -> LinOp:
     """Phi(E_{a,b}) for the (p+q) x (p+q) elementary matrix, under the fixed
     labeling: gl(p) block -> k_gl_p, gl(q) block -> k_gl_q,
-    E_{i,p+j} -> pminus(i,j), E_{p+j,i} -> pplus(i,j)."""
+    E_{i,p+j} -> pminus(i,j), E_{p+j,i} -> pplus(i,j).  The certificate, d,
+    the curvature and the K-action all read the labeling here."""
     p = sig.p
     if a <= p and b <= p:
         return upq_op_model(sig, model, "k_gl_p", a, b)
@@ -380,6 +389,12 @@ def _abstract_image(sig: Signature, model: ModelTag, a: int, b: int) -> LinOp:
     if a <= p < b:
         return upq_op_model(sig, model, "pminus", a, b - p)
     return upq_op_model(sig, model, "pplus", b, a - p)
+
+
+def _bracket_image(sig: Signature, model: ModelTag, a: int, b: int, c: int, d: int) -> LinOp:
+    """Phi([E_ab, E_cd]) = delta_bc Phi(E_ad) - delta_da Phi(E_cb)."""
+    out = _abstract_image(sig, model, a, d) if b == c else LinOp.zero()
+    return out - _abstract_image(sig, model, c, b) if d == a else out
 
 
 @cache
@@ -392,8 +407,8 @@ def calibrate_structure(sig: Signature, model: ModelTag) -> CalibrationReport:
 
     Each unordered pair of images is compared once and the diagonal is
     skipped, which still certifies every ordered bracket: [y, x] is term for
-    term -[x, y] (LinOp.commutator), the expected side
-    delta_bc E_ad - delta_da E_cb is antisymmetric under (a,b) <-> (c,d),
+    term -[x, y] (LinOp.commutator), the expected side _bracket_image,
+    delta_bc E_ad - delta_da E_cb, is antisymmetric under (a,b) <-> (c,d),
     and [x, x] is zero on both sides.  x runs in row-major order and y over
     the images after it; a pair fails in both orders or in neither, so the
     CalibrationError names the first failing bracket of the full ordered
@@ -407,12 +422,7 @@ def calibrate_structure(sig: Signature, model: ModelTag) -> CalibrationReport:
     pairs = list(img.items())
     for i, ((a, b), op1) in enumerate(pairs):
         for (c, d), op2 in pairs[i + 1:]:
-            expect = LinOp.zero()
-            if b == c:
-                expect = expect + img[(a, d)]
-            if d == a:
-                expect = expect - img[(c, b)]
-            if op1.commutator(op2) != expect:
+            if op1.commutator(op2) != _bracket_image(sig, model, a, b, c, d):
                 raise CalibrationError(
                     f"bracket [E{a}{b}, E{c}{d}] fails to close for p={sig.p} q={sig.q} "
                     f"r={sig.r} s={sig.s} model {model.token()}")

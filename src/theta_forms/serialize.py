@@ -175,8 +175,17 @@ def cochain_from_dict(data: dict) -> GKCochain:
     return GKCochain(form, model, sig)
 
 
+def _loads(text: str, what: str):
+    """json.loads, with nesting too deep for the decoder reported as a
+    malformed document (ValueError) instead of a RecursionError."""
+    try:
+        return json.loads(text)
+    except RecursionError as exc:
+        raise ValueError(f"malformed {what} JSON: nested too deeply") from exc
+
+
 def cochain_from_json(text: str) -> GKCochain:
-    return cochain_from_dict(json.loads(text))
+    return cochain_from_dict(_loads(text, "cochain"))
 
 
 # ---------------------------------------------------------------------------
@@ -249,4 +258,4 @@ def gram_from_dict(data: dict) -> GramMatrix:
 
 
 def gram_from_json(text: str) -> GramMatrix:
-    return gram_from_dict(json.loads(text))
+    return gram_from_dict(_loads(text, "gram"))

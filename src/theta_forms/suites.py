@@ -238,7 +238,9 @@ def _random_one_term_cochain(rng: random.Random, sig: Signature) -> GKCochain | 
     for col in range(1, sig.r + 1):
         pool += [X(i, col) for i in range(1, sig.p + 1)]
         pool += [Y(j, col) for j in range(1, sig.q + 1)]
-    mono = monomial([(rng.choice(pool), 1) for _ in range(rng.randrange(0, 3))])
+    degree = rng.randrange(0, 3)
+    # p = q = 0 has no variables: the constant monomial, its degree still drawn
+    mono = monomial([(rng.choice(pool), 1) for _ in range(degree if pool else 0)])
     coeff = Scalar.of(rng.randrange(-3, 4) or 1, rng.randrange(-2, 3))
     return GKCochain(Form({w: Polynomial({mono: coeff})}), fock_model(0), sig)
 

@@ -9,6 +9,7 @@ from theta_forms.cli import main
 from theta_forms.forms import FactorizationError, build_psi_cup, build_psi_orth, build_psi_q
 from theta_forms.models import ORTHOGONAL, UNITARY, CalibrationError, Signature
 from theta_forms.serialize import cochain_from_json, cochain_to_json, gram_to_json
+from theta_forms.suites import run_suite
 from theta_forms.theta import e8_gram
 
 
@@ -37,6 +38,14 @@ def test_verify_suite_exit_zero(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["passed"] is True
     assert payload["suites"][0]["suite"] == "closedness"
+
+
+def test_verify_closedness_at_the_zero_signature(capsys):
+    """At p = q = 0 there are no variables, so the seeded cochains of the
+    d(d(c)) check carry the constant monomial."""
+    assert main(["verify", "--suite", "closedness", "--p", "0", "--q", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
+    assert run_suite("closedness", signatures=[(0, 0)]).passed
 
 
 def test_verify_writes_report(tmp_path):
@@ -176,6 +185,17 @@ def test_export_rejects_malformed_cochain(tmp_path, capsys, data):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
     assert main(["export", "--in", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "error" in json.loads(captured.err)
+
+
+@pytest.mark.parametrize("argv", [["export", "--in"], ["theta", "--gram"]],
+                         ids=["export", "theta"])
+def test_deeply_nested_json_is_one_error_line(tmp_path, capsys, argv):
+    bad = tmp_path / "deep.json"
+    bad.write_text("[" * 200000 + "]" * 200000)
+    assert main(argv + [str(bad)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and "error" in json.loads(captured.err)

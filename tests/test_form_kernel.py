@@ -3,7 +3,7 @@ K-residual, against the plain loop it replaced: each sum rebuilt term by term
 as ``out = out + lead ^ f.map_coefficients(op.apply)``."""
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -200,10 +200,51 @@ def test_leibniz_rule_on_column_products():
     assert nonzero >= 10
 
 
-# -- the orthogonal K-action against its hand-built so(p) + so(q) form ---------
-# The hand-built operator and coadjoint rule below are the definitions the
-# library used before so(p) + so(q) was read off as the antisymmetric part of
-# the certified gl(p) + gl(q) blocks (forms._k_basis).
+# -- the K-action against its hand-built gl and so(p) + so(q) forms ------------
+# The hand-built operator and coadjoint rules below are written block by block;
+# the library reads so(p) + so(q) as the antisymmetric part of the certified
+# gl(p) + gl(q) blocks (forms._k_basis) and acts on generators by one rule on
+# the gl(p+q) matrix units they are dual to (forms._coadjoint_rule).
+
+def ref_gl_rule(block: str, a: int, b: int):
+    """Coadjoint action of the elementary matrix E_ab of the gl(p) or gl(q)
+    block on wedge generators, as (Scalar, WedgeGen) pairs."""
+    one = Scalar.one()
+
+    def rule(g: WedgeGen):
+        out = []
+        if block == "k_gl_p":
+            if g.kind == "xi" and g.row == a:
+                out.append((-one, xi(b, g.col)))
+            if g.kind == "xibar" and g.row == b:
+                out.append((one, xibar(a, g.col)))
+        else:
+            if g.kind == "xi" and g.col == b:
+                out.append((one, xi(g.row, a)))
+            if g.kind == "xibar" and g.col == a:
+                out.append((-one, xibar(g.row, b)))
+        return out
+
+    return rule
+
+
+@pytest.mark.parametrize("p,q", list(product(range(1, 4), repeat=2)))
+def test_generic_coadjoint_rule_matches_the_hand_written_gl_rule(p, q):
+    sig = Signature(p, q, 1, 1)
+    gens = [kind(i, j) for kind in (xi, xibar)
+            for i in range(1, p + 1) for j in range(1, q + 1)]
+    for g in gens:
+        assert forms._gen(sig, *forms._unit(sig, g)) == g
+    basis = forms._k_basis(sig)
+    assert len(basis) == p * p + q * q
+    for kappa in basis:
+        a, b, anti = kappa
+        assert not anti
+        ref = ref_gl_rule("k_gl_p", a, b) if b <= p else ref_gl_rule("k_gl_q", a - p, b - p)
+        rule = forms._coadjoint_rule(sig, kappa)
+        for g in gens:
+            assert rule(g) == ref(g), (kappa, g)
+
 
 def ref_so_op(sig: Signature, block: str, a: int, b: int) -> LinOp:
     """sum over columns of X_a d/dX_b - X_b d/dX_a (Y for so(q))."""
@@ -253,9 +294,9 @@ def ref_orth_k_residual(c: GKCochain) -> Form:
 def assert_orthogonal_k_action_matches(c: GKCochain):
     """Each k-basis element acts as its hand-built twin, operator half and
     coadjoint half separately, and the residuals agree."""
-    basis = forms._k_basis(c.sig)
-    assert [(("so_p" if blk == "k_gl_p" else "so_q"), a, b, anti)
-            for blk, a, b, anti in basis] == [(*kappa, True) for kappa in ref_so_basis(c.sig)]
+    basis, p = forms._k_basis(c.sig), c.sig.p
+    assert [(("so_p", a, b) if b <= p else ("so_q", a - p, b - p)) + (anti,)
+            for a, b, anti in basis] == [(*kappa, True) for kappa in ref_so_basis(c.sig)]
     for kappa, (block, a, b) in zip(basis, ref_so_basis(c.sig)):
         op, ref_op = forms._k_module_op(c.sig, c.model, kappa), ref_so_op(c.sig, block, a, b)
         if c.model == fock_model(0):
