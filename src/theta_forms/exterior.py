@@ -53,21 +53,26 @@ WedgeMonomial = tuple  # strictly increasing tuple of WedgeGen
 def wedge_monomial(gens: Iterable[WedgeGen]):
     """Sort generators into canonical order.
 
-    Returns (sign, monomial) or (0, ()) when a generator repeats.
+    Returns (sign, monomial) or (0, ()) when a generator repeats.  One sort
+    by sort_key, so a long imported wedge costs O(n log n): repeats are
+    equal neighbours, and the sign is the parity of the sorting permutation,
+    (-1)^(n - number of cycles).
     """
     gens = list(gens)
-    sign = 1
-    # insertion sort, counting transpositions; n is tiny
-    for i in range(1, len(gens)):
-        j = i
-        while j > 0 and gens[j - 1].sort_key() > gens[j].sort_key():
-            gens[j - 1], gens[j] = gens[j], gens[j - 1]
-            sign = -sign
-            j -= 1
-    for a, b in zip(gens, gens[1:]):
+    order = sorted(range(len(gens)), key=lambda i: gens[i].sort_key())
+    out = tuple(gens[i] for i in order)
+    for a, b in zip(out, out[1:]):
         if a == b:
             return 0, ()
-    return sign, tuple(gens)
+    sign, seen = 1, [False] * len(order)
+    for start in range(len(order)):
+        i = order[start]
+        while not seen[i]:
+            seen[i] = True
+            if i != start:
+                sign = -sign
+            i = order[i]
+    return sign, out
 
 
 def perm_sign(perm) -> int:

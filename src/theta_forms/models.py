@@ -9,8 +9,10 @@ Conventions fixed here and used everywhere downstream:
   (d/dx_j - 2 pi x_j), so the conjugated ladder operators are
   A+_j = d/dx_j and A-_j = d/dx_j - 4 pi x_j.
 
-* The Fock -> Schrodinger intertwiner T is pinned by T(1) = vacuum and
-  T(z_j v) = (-A-_j) T(v); on monomials T(z^m) = (-A-)^m applied to 1.
+* Each scalar model has one (creation c_j, annihilation a_j) pair,
+  _scalar_ladder: (z_j, 4pi d/dz_j) in Fock, (-A-_j, A+_j) in Schrodinger.
+  The Fock -> Schrodinger intertwiner T is pinned by T(1) = vacuum and
+  T(z_j v) = c_j T(v), c_j the Schrodinger creation operator.
 
 * In the matrix Fock model P(M_{p x r} + M_{q x r}) the complexified
   u(p,q) acts through:
@@ -33,10 +35,10 @@ Conventions fixed here and used everywhere downstream:
   d/dV in place of d/dz, where _m_op defines M_V = V - (1/2pi) d/dVbar
   (unitary) or V - (1/4pi) d/dV (orthogonal, on real variables).
 
-* upq_op_model, calibrate_structure and schur.laplacian are functools.cache
-  functions of the values they build from: each operator, certificate and
-  Delta_ij is built on its first request and shared after that, and
-  cache_info() counts the builds (misses) and reuses (hits).
+* _scalar_ladder, upq_op_model, calibrate_structure and schur.laplacian are
+  functools.cache functions of the values they build from: each operator,
+  certificate and Delta_ij is built on its first request and shared after
+  that, and cache_info() counts the builds (misses) and reuses (hits).
 """
 
 from __future__ import annotations
@@ -121,71 +123,57 @@ def fock_model(conj_cols: int = 0) -> ModelTag:
 
 
 # ---------------------------------------------------------------------------
-# Scalar oscillator: Heisenberg generators and the ladder calculus
+# Scalar oscillator: one (creation, annihilation) pair per model
 # ---------------------------------------------------------------------------
 
-_2PI = Scalar.of(2, 0, 1)
 _4PI = Scalar.of(4, 0, 1)
 
 
-def _zmul(j: int) -> LinOp:
-    return LinOp.mul_by(Polynomial.variable(Zvar(j)))
-
-
-def _zd(j: int) -> LinOp:
-    return LinOp.partial(Zvar(j))
+@cache
+def _scalar_ladder(which: str, j: int) -> tuple[LinOp, LinOp]:
+    """(c_j, a_j), the creation and annihilation operator of coordinate j in
+    the scalar model `which`: (z_j, 4pi d_j) in Fock, (4pi x_j - d_j, d_j) in
+    the gaussian-conjugated Schrodinger model."""
+    v = Zvar(j)
+    mul, d = LinOp.mul_by(Polynomial.variable(v)), LinOp.partial(v)
+    if which == "fock":
+        return mul, d.scale(_4PI)
+    return mul.scale(_4PI) - d, d
 
 
 def heisenberg_op(model: ModelTag, gen: str, j: int, dim: int) -> LinOp:
-    """Heisenberg generators e_j, f_j, w'_j, w''_j in the given scalar model.
-
-    Fock:        rho(e_j) = (z_j - 4pi d_j)/2, rho(f_j) = -i (z_j + 4pi d_j)/2,
-                 rho(w'_j) = -4pi d_j, rho(w''_j) = z_j.
-    Schrodinger (gaussian-conjugated, acting on the polynomial factor):
-                 rho(e_j) = 2pi x_j - d_j, rho(f_j) = -2 i pi x_j,
-                 rho(w'_j) = -d_j, rho(w''_j) = 4pi x_j - d_j.
-    """
+    """Heisenberg generators e_j, f_j, w'_j, w''_j in the scalar model, from its
+    ladder pair (c, a): rho(e_j) = (c - a)/2, rho(f_j) = -i (c + a)/2,
+    rho(w'_j) = -a, rho(w''_j) = c.  In Schrodinger (on the polynomial
+    factor) that is rho(e_j) = 2pi x_j - d_j and rho(f_j) = -2 i pi x_j."""
     if not (1 <= j <= dim):
         raise IndexError(f"generator index {j} out of range 1..{dim}")
-    if model.which == "fock":
-        z, d = _zmul(j), _zd(j)
-        if gen == "wp":
-            return d.scale(Scalar.of(-4, 0, 1))
-        if gen == "wpp":
-            return z
-        if gen == "e":
-            return (z - d.scale(_4PI)).scale(Fraction(1, 2))
-        if gen == "f":
-            return (z + d.scale(_4PI)).scale(Scalar.of(0, Fraction(-1, 2)))
-        raise ValueError(f"unknown generator {gen!r}")
-    if model.which == "schrodinger":
-        x, d = _zmul(j), _zd(j)
-        if gen == "wp":
-            return -d
-        if gen == "wpp":
-            return x.scale(_4PI) - d
-        if gen == "e":
-            return x.scale(_2PI) - d
-        if gen == "f":
-            return x.scale(Scalar.of(0, -2, 1))
-        raise ValueError(f"unknown generator {gen!r}")
-    raise ValueError("heisenberg_op is defined for the scalar fock/schrodinger models")
+    if model.which not in ("fock", "schrodinger"):
+        raise ValueError("heisenberg_op is defined for the scalar fock/schrodinger models")
+    c, a = _scalar_ladder(model.which, j)
+    if gen == "e":
+        return (c - a).scale(Fraction(1, 2))
+    if gen == "f":
+        return (c + a).scale(Scalar.of(0, Fraction(-1, 2)))
+    if gen == "wp":
+        return -a
+    if gen == "wpp":
+        return c
+    raise ValueError(f"unknown generator {gen!r}")
 
 
 def ladder_op(kind: str, j: int, dim: int) -> LinOp:
-    """Gaussian-conjugated ladder operators on polynomial factors."""
+    """Gaussian-conjugated ladder operators on polynomial factors, from the
+    Schrodinger pair (c, a): A+_j = a, A-_j = -c, H_j = A+_j A-_j + A-_j A+_j."""
     if not (1 <= j <= dim):
         raise IndexError(f"ladder index {j} out of range 1..{dim}")
-    d = _zd(j)
-    x = _zmul(j)
+    c, a = _scalar_ladder("schrodinger", j)
     if kind == "Aplus":
-        return d
+        return a
     if kind == "Aminus":
-        return d - x.scale(_4PI)
+        return -c
     if kind == "H":
-        ap = d
-        am = d - x.scale(_4PI)
-        return ap.compose(am) + am.compose(ap)
+        return -(a.compose(c) + c.compose(a))
     raise ValueError(f"unknown ladder kind {kind!r}")
 
 
@@ -195,17 +183,17 @@ def ladder_op(kind: str, j: int, dim: int) -> LinOp:
 
 def intertwine(fock_elem: Polynomial, dim: int) -> Polynomial:
     """Polynomial factor of the image of a Fock polynomial in z_1..z_N under
-    the unique intertwiner sending 1 to the vacuum; z^m goes to (-A-)^m
-    applied to the vacuum."""
+    the unique intertwiner sending 1 to the vacuum; z^m goes to c^m applied
+    to the vacuum, c_j the Schrodinger creation operator."""
     acc: dict = {None: {}}
     for mono, c in fock_elem.terms.items():
         img = Polynomial.one()
         for v, e in mono:
-            if v.kind != "Z" or v.row > dim:
+            if v != Zvar(v.row) or not 1 <= v.row <= dim:
                 raise ValueError(f"not a Fock variable of dimension {dim}: {v}")
-            neg_am = LinOp.mul_by(Polynomial.variable(v)).scale(_4PI) - LinOp.partial(v)
+            create = _scalar_ladder("schrodinger", v.row)[0]
             for _ in range(e):
-                img = neg_am.apply(img)
+                img = create.apply(img)
         _mac_poly(acc, None, img, c)
     return _polys(acc)[None]
 

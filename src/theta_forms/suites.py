@@ -139,16 +139,11 @@ def suite_intertwiner(**_) -> SuiteReport:
         ok &= exact_rank(images) == len(images)
     rep.check(ok, "intertwiner injective on polynomials of degree <= 4 (exact rank)")
 
-    # phi_m orthogonality, |m| <= 3, N = 2
+    # phi_m = T(z^m) orthogonality, |m| <= 3, N = 2
     n = 2
-    ams = [ladder_op("Aminus", j, n) for j in range(1, n + 1)]
 
     def phi(mvec) -> Polynomial:
-        poly = Polynomial.one()
-        for j, e in enumerate(mvec):
-            for _ in range(e):
-                poly = ams[j].apply(poly)
-        return poly
+        return intertwine(_z_poly(mvec), n)
 
     ms = [m for m in iproduct(range(4), repeat=n) if sum(m) <= 3]
     ok = True

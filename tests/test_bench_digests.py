@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from theta_forms import schur
+from theta_forms import models, schur
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 WORKLOADS = PERFBENCH / "workloads.py"
@@ -58,9 +58,10 @@ def test_full_construct_pass_has_no_failed_check(seed):
 
 def test_full_verify_all_pass_has_no_failed_check(fresh_operators):
     workloads = load_workloads()
-    # cold: the operator, Laplacian and certificate caches start empty; warm:
-    # the second pass reads every one of them back
+    # cold: the operator, scalar ladder, Laplacian and certificate caches start
+    # empty; warm: the second pass reads every one of them back
     schur.laplacian.cache_clear()
+    models._scalar_ladder.cache_clear()
     for phase in ("cold", "warm"):
         checks, clock = workloads.Checks(), StubClock()
         workloads.verify_all(0, "full", checks, clock)

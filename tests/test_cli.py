@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,6 +14,8 @@ from theta_forms.models import ORTHOGONAL, UNITARY, CalibrationError, Signature
 from theta_forms.serialize import cochain_from_json, cochain_to_json, gram_to_json
 from theta_forms.suites import run_suite
 from theta_forms.theta import e8_gram
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_build_writes_parseable_form(tmp_path):
@@ -199,6 +204,19 @@ def test_deeply_nested_json_is_one_error_line(tmp_path, capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and "error" in json.loads(captured.err)
+
+
+def test_export_of_a_long_wedge_finishes(tmp_path):
+    # 16,000 wedge tokens with repeats: the form is zero, and the import
+    # sorts the wedge once instead of by insertion (25 s before)
+    doc = tmp_path / "long.json"
+    doc.write_text(json.dumps({**_psi_q_dict(), "terms": [
+        {**_psi_q_dict()["terms"][0], "wedge": ["xibar:1:1", "xi:1:1"] * 8000}]}))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "theta_forms.cli", "export", "--in", str(doc)],
+                          env=env, capture_output=True, text=True, timeout=10)
+    assert (proc.returncode, proc.stdout) == (0, "0\n"), proc.stderr
 
 
 def test_calibrate_prints_report(capsys):
@@ -425,7 +443,6 @@ def test_every_built_cochain_imports_within_its_signature():
 
 
 def test_every_documented_environment_variable_is_read():
-    root = Path(__file__).resolve().parent.parent
-    documented = set(re.findall(r"THETA_FORMS_[A-Z0-9_]+", (root / "README.md").read_text()))
-    source = "".join(f.read_text() for f in (root / "src").rglob("*.py"))
+    documented = set(re.findall(r"THETA_FORMS_[A-Z0-9_]+", (ROOT / "README.md").read_text()))
+    source = "".join(f.read_text() for f in (ROOT / "src").rglob("*.py"))
     assert {name for name in documented if name not in source} == set()

@@ -1,7 +1,7 @@
 from hypothesis import given, settings, strategies as st
 
-from theta_forms.exterior import (Form, merge_monomials, wedge_monomial, xi,
-                                  xibar)
+from theta_forms.exterior import (Form, WedgeGen, merge_monomials, perm_sign, wedge_monomial,
+                                  xi, xibar)
 from theta_forms.poly import Polynomial, X, Y
 from theta_forms.scalars import Scalar
 
@@ -79,3 +79,47 @@ def test_graded_commutativity(g1, g2):
 def test_wedge_associative(g1, g2, g3):
     a, b, c = _mk(g1, 2), _mk(g2, -1), _mk(g3, 3)
     assert a.wedge(b).wedge(c) == a.wedge(b.wedge(c))
+
+
+def ref_wedge_monomial(gens):
+    """Insertion sort counting transpositions: the O(n^2) oracle."""
+    gens = list(gens)
+    sign = 1
+    for i in range(1, len(gens)):
+        j = i
+        while j > 0 and gens[j - 1].sort_key() > gens[j].sort_key():
+            gens[j - 1], gens[j] = gens[j], gens[j - 1]
+            sign = -sign
+            j -= 1
+    for a, b in zip(gens, gens[1:]):
+        if a == b:
+            return 0, ()
+    return sign, tuple(gens)
+
+
+_any_gen = st.builds(lambda kind, i, j: WedgeGen(kind, i, j), st.sampled_from(["xi", "xibar"]),
+                     st.integers(1, 3), st.integers(1, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_any_gen, max_size=12))
+def test_wedge_monomial_matches_insertion_sort(gens):
+    assert wedge_monomial(gens) == ref_wedge_monomial(gens)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.permutations([WedgeGen(k, i, j) for k in ("xi", "xibar")
+                        for i in (1, 2, 3) for j in (1, 2)]))
+def test_wedge_monomial_sign_is_the_permutation_parity(gens):
+    sign, w = wedge_monomial(gens)
+    assert w == tuple(sorted(gens, key=WedgeGen.sort_key))
+    assert sign == perm_sign([w.index(g) for g in gens])
+
+
+def test_wedge_monomial_of_a_long_list():
+    # reversing n = 8,199 canonical generators takes n(n-1)/2 transpositions,
+    # an odd number; one sort handles it
+    gens = [WedgeGen(kind, i, j) for kind in ("xi", "xibar")
+            for j in range(1, 101) for i in range(1, 42)][:-1]
+    assert wedge_monomial(gens[::-1]) == (-1, tuple(gens))
+    assert wedge_monomial([xibar(1, 1), xi(1, 1)] * 4000) == (0, ())

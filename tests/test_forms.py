@@ -200,6 +200,35 @@ def test_orthogonal_closedness():
         assert gk_differential(build_psi_orth(sig)).form.is_zero()
 
 
+_KM_CLOSED = ([(build_km_nabla, sig) for sig in ((1, 1, 1, 1), (2, 1, 1, 1), (2, 2, 1, 1),
+                                                (3, 1, 1, 1), (2, 1, 2, 2))]
+              + [(build_mixed, sig) for sig in ((2, 1, 2, 1), (2, 2, 2, 1), (3, 1, 3, 2),
+                                                (2, 1, 3, 1))])
+
+
+@pytest.mark.parametrize("build,sig", _KM_CLOSED,
+                         ids=[f"{b.__name__[6:]}-{''.join(map(str, s))}" for b, s in _KM_CLOSED])
+def test_kudla_millson_forms_are_closed_and_k_invariant(build, sig):
+    c = build(Signature(*sig))
+    assert gk_differential(c).form.is_zero()
+    assert k_invariance_residual(c).is_zero()
+
+
+@pytest.mark.parametrize("build,sig", [(build_km_nabla, (2, 1, 1, 1)),
+                                       (build_km_nabla, (2, 2, 1, 1)),
+                                       (build_mixed, (2, 1, 2, 1))],
+                         ids=["km_nabla-2111", "km_nabla-2211", "mixed-2121"])
+def test_kudla_millson_closedness_sees_a_wrong_creation_operator(monkeypatch, fresh_operators,
+                                                                  build, sig):
+    # d acts on the Schrodinger columns through models._m_op; with M_V
+    # differentiating in V instead of Vbar the forms are no longer closed
+    # ((1,1,1,1) stays closed under this patch, so it is no control)
+    def wrong_m_op(v):
+        return models._mult(v) - LinOp.partial(v).scale(Scalar.of(Fraction(1, 2), 0, -1))
+    monkeypatch.setattr(models, "_m_op", wrong_m_op)
+    assert not gk_differential(build(Signature(*sig))).form.is_zero()
+
+
 # -- cup products --------------------------------------------------------------
 
 def test_cup_product_concatenates_columns():

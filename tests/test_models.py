@@ -12,7 +12,7 @@ from theta_forms.models import (C_MINUS, C_PLUS, FOCK, SCHRODINGER, CalibrationE
                                 heisenberg_op, inner_product_rel, intertwine,
                                 ladder_op, mixed_model, upq_op_model)
 from theta_forms.operators import LinOp
-from theta_forms.poly import Polynomial, X, Y, Zvar
+from theta_forms.poly import Polynomial, VariableId, X, Y, Zvar, monomial
 from theta_forms.scalars import Scalar
 from theta_forms.schur import Partition, kv_highest_weight
 
@@ -63,6 +63,90 @@ def test_intertwine_vacuum_and_z():
 def test_intertwine_rejects_foreign_variables():
     with pytest.raises(ValueError):
         intertwine(Polynomial.variable(X(1, 1)), 2)
+
+
+# -- the scalar ladder pair against the hand-written formulas it replaced ------
+
+_4PI = Scalar.of(4, 0, 1)
+
+
+def ref_heisenberg_op(model, gen, j):
+    z, d = LinOp.mul_by(Polynomial.variable(Zvar(j))), LinOp.partial(Zvar(j))
+    if model.which == "fock":
+        return {"wp": d.scale(Scalar.of(-4, 0, 1)), "wpp": z,
+                "e": (z - d.scale(_4PI)).scale(Fraction(1, 2)),
+                "f": (z + d.scale(_4PI)).scale(Scalar.of(0, Fraction(-1, 2)))}[gen]
+    return {"wp": -d, "wpp": z.scale(_4PI) - d, "e": z.scale(Scalar.of(2, 0, 1)) - d,
+            "f": z.scale(Scalar.of(0, -2, 1))}[gen]
+
+
+def ref_ladder_op(kind, j):
+    d, x = LinOp.partial(Zvar(j)), LinOp.mul_by(Polynomial.variable(Zvar(j)))
+    ap, am = d, d - x.scale(_4PI)
+    return {"Aplus": ap, "Aminus": am, "H": ap.compose(am) + am.compose(ap)}[kind]
+
+
+def ref_intertwine(fock_elem):
+    out = Polynomial.zero()
+    for mono, c in fock_elem.terms.items():
+        img = Polynomial.one()
+        for v, e in mono:
+            neg_am = LinOp.mul_by(Polynomial.variable(v)).scale(_4PI) - LinOp.partial(v)
+            for _ in range(e):
+                img = neg_am.apply(img)
+        out = out + img.scale(c)
+    return out
+
+
+def _z_monomials(dim, deg_max):
+    for exps in product(range(deg_max + 1), repeat=dim):
+        if sum(exps) <= deg_max:
+            yield Polynomial({monomial((Zvar(j), e) for j, e in enumerate(exps, 1) if e): Scalar.one()})
+
+
+def test_scalar_operators_match_the_hand_written_formulas():
+    for dim in (1, 2, 3):
+        for j in range(1, dim + 1):
+            for model in (FOCK, SCHRODINGER):
+                for gen in ("e", "f", "wp", "wpp"):
+                    assert heisenberg_op(model, gen, j, dim) == ref_heisenberg_op(model, gen, j)
+            for kind in ("Aplus", "Aminus", "H"):
+                assert ladder_op(kind, j, dim) == ref_ladder_op(kind, j)
+
+
+def test_intertwine_matches_the_hand_written_formula():
+    for dim in (1, 2):
+        monos = list(_z_monomials(dim, 4))
+        for m in monos:
+            assert intertwine(m, dim) == ref_intertwine(m), m
+        mix = sum((m.scale(Scalar.of(k, 1 - k, k % 3)) for k, m in enumerate(monos)),
+                  Polynomial.zero())
+        assert intertwine(mix, dim) == ref_intertwine(mix)
+
+
+def test_intertwine_rejects_coordinates_outside_the_dimension():
+    for v in (Zvar(3), Zvar(0), VariableId("Z", 1, 2)):
+        with pytest.raises(ValueError, match="not a Fock variable of dimension 2"):
+            intertwine(Polynomial.variable(v), 2)
+
+
+def test_scalar_ladder_builds_each_pair_once():
+    info = models._scalar_ladder.cache_info
+    models._scalar_ladder.cache_clear()
+    for which, j in product(("fock", "schrodinger"), (1, 2, 3)):
+        pair = models._scalar_ladder(which, j)
+        assert models._scalar_ladder(which, j) is pair
+    assert (info().misses, info().hits) == (6, 6)
+    # the scalar operators then read every pair back
+    for dim in (1, 2, 3):
+        for j in range(1, dim + 1):
+            for model, gen in product((FOCK, SCHRODINGER), ("e", "f", "wp", "wpp")):
+                heisenberg_op(model, gen, j, dim)
+            for kind in ("Aplus", "Aminus", "H"):
+                ladder_op(kind, j, dim)
+        for m in _z_monomials(dim, 2):
+            intertwine(m, dim)
+    assert info().misses == 6 and info().hits > 6
 
 
 def test_inner_product_examples():
