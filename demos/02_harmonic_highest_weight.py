@@ -9,8 +9,7 @@ weights of the resulting vectors.
 
 from theta_forms import (FOCK, Partition, Signature, Tableau, delta_T,
                          enumerate_ssyt, hook_content_dim, is_harmonic,
-                         kv_highest_weight, laplacian, schur_span_dim,
-                         upq_op_model)
+                         kv_highest_weight, schur_span_dim, upq_op_model)
 
 shape = Partition((2, 1))
 tabs = enumerate_ssyt(shape, 3)
@@ -34,7 +33,8 @@ vec = kv_highest_weight(lam, mu, sig)
 print(f"\nhighest-weight vector for lambda={lam.parts}, mu={mu.parts}:")
 print("  ", vec)
 print("  harmonic:", is_harmonic(vec, sig))
-print("  Delta_11 applied:", laplacian(1, 1, sig).apply(vec))
+# pminus(1, 1) = c_minus * Delta_11 in the Fock model
+print("  Delta_11 applied:", upq_op_model(sig, FOCK, "pminus", 1, 1).apply(vec))
 
 print("\ndiagonal k-operator eigenvalues:")
 for a in range(1, sig.p + 1):

@@ -17,7 +17,7 @@ from .models import (FOCK, SCHRODINGER, ModelTag, ORTHOGONAL, Signature,
                      fock_model, upq_op_model)
 from .schur import (Partition, Tableau, delta_T, enumerate_ssyt,
                     hook_content_dim, is_harmonic, kv_highest_weight,
-                    laplacian, schur_span_dim)
+                    schur_span_dim)
 from .forms import (GKCochain, SplitSpec, build_km_explicit, build_km_nabla,
                     build_mixed, build_psi_cup, build_psi_orth, build_psi_q,
                     euler_chern_form, evaluate_at_zero,

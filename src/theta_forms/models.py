@@ -14,31 +14,36 @@ Conventions fixed here and used everywhere downstream:
   The Fock -> Schrodinger intertwiner T is pinned by T(1) = vacuum and
   T(z_j v) = c_j T(v), c_j the Schrodinger creation operator.
 
-* In the matrix Fock model P(M_{p x r} + M_{q x r}) the complexified
-  u(p,q) acts through:
+* In the matrix Fock model P(M_{p x r} + M_{q x r}) each gl(p+q) index A
+  has one ladder pair per column half, _column_ladder: (X_A, d/dX_A) for
+  A <= p, (-c_minus d/dY, -c_plus Y) on Y_{A-p}.  upq_op_model sends E_AB
+  to one bilinear in them, which on a holomorphic column reads
       k_gl_p(a,b) = -sum_nu X_{b,nu} d/dX_{a,nu}
       k_gl_q(a,b) = (#holomorphic columns) delta_ab + sum_nu Y_{a,nu} d/dY_{b,nu}
       pplus(i,j)  = c_plus  * sum_nu X_{i,nu} Y_{j,nu}          (degree +2)
       pminus(i,j) = c_minus * sum_nu d^2/dX_{i,nu} dY_{j,nu}    (degree -2)
-  with the fixed constants c_plus = c_minus = i (C_PLUS, C_MINUS).  The
-  brackets force c_plus * c_minus = -1 and leave the split between the two
-  free; i, i is the symmetric representative.  upq_op_model is the one
-  definition of these operators, shared by every caller (d, the curvature,
-  the certificate and the K-residual of both families, where so(p) + so(q)
-  is the antisymmetric part k_gl(a,b) - k_gl(b,a)).  calibrate_structure
-  certifies the very operators of the model it is given by checking every
-  gl(p+q) bracket; it runs only where identities are checked (the
-  `calibrate` command, the calibration suite and forms.gk_curvature),
-  never on the construction path.
+  with the fixed constants c_plus = c_minus = i (C_PLUS, C_MINUS).  They
+  rescale the Y pair, which is canonical exactly when c_plus * c_minus = -1:
+  the brackets force that product (other constants are not a
+  representation) and leave the split free; i, i is the symmetric
+  representative.  upq_op_model is the one definition of these operators,
+  shared by every caller (d, the curvature, the certificate,
+  schur.is_harmonic and the K-residual of both families, where
+  so(p) + so(q) is the antisymmetric part k_gl(a,b) - k_gl(b,a)).
+  calibrate_structure certifies the very operators of the model it is given
+  by checking every gl(p+q) bracket; it runs only where identities are
+  checked (the `calibrate` command, the calibration suite and
+  forms.gk_curvature), never on the construction path.
   Conjugate columns carry the complex-conjugate operators; intertwined
-  (Schrodinger) columns carry M_V in place of multiplication by V and plain
-  d/dV in place of d/dz, where _m_op defines M_V = V - (1/2pi) d/dVbar
-  (unitary) or V - (1/4pi) d/dV (orthogonal, on real variables).
+  (Schrodinger) columns carry M_V in place of multiplication by V in the
+  p-blocks and plain d/dV in place of d/dz, where _m_op defines
+  M_V = V - (1/2pi) d/dVbar (unitary) or V - (1/4pi) d/dV (orthogonal, on
+  real variables).
 
-* _scalar_ladder, upq_op_model, calibrate_structure and schur.laplacian are
-  functools.cache functions of the values they build from: each operator,
-  certificate and Delta_ij is built on its first request and shared after
-  that, and cache_info() counts the builds (misses) and reuses (hits).
+* _scalar_ladder, _column_ladder, upq_op_model and calibrate_structure are
+  functools.cache functions of the values they build from: each ladder
+  pair, operator and certificate is built on its first request and shared
+  after that, and cache_info() counts the builds (misses) and reuses (hits).
 """
 
 from __future__ import annotations
@@ -275,16 +280,30 @@ def _m_op(v: VariableId, family: str = UNITARY) -> LinOp:
     return _mult(v) - LinOp.partial(v).scale(_INV_4PI)
 
 
-def _mul_pair(u: VariableId, v: VariableId, intertwined: bool) -> LinOp:
-    """Creation by u*v: multiplication on Fock columns, M_u M_v on
-    intertwined (Schrodinger) columns."""
-    if intertwined:
-        return _m_op(u).compose(_m_op(v))
-    return LinOp.mul_by(Polynomial.variable(u) * Polynomial.variable(v))
+@cache
+def _column_ladder(p: int, A: int, col: int, conj: bool, intertwined: bool,
+                   c_plus: Scalar, c_minus: Scalar) -> tuple[LinOp, LinOp]:
+    """(alpha_A, beta_A), the ladder pair of gl(p+q) index A on one half of
+    column col: (V, d/dV) for V = X_{A,col} and (-c_minus d/dV, -c_plus V)
+    for V = Y_{A-p,col}.  The conjugate half (conj) takes Xbar, Ybar and the
+    conjugate constants; an intertwined (Schrodinger) column multiplies by
+    M_V = _m_op(V) in place of V.  [beta_A, alpha_B] = delta_AB exactly when
+    c_plus * c_minus = -1."""
+    x, y = (Xbar, Ybar) if conj else (X, Y)
+    v = x(A, col) if A <= p else y(A - p, col)
+    mul, d = _m_op(v) if intertwined else _mult(v), LinOp.partial(v)
+    if A <= p:
+        return mul, d
+    if conj:
+        c_plus, c_minus = c_plus.conjugate(), c_minus.conjugate()
+    return d.scale(-c_minus), mul.scale(-c_plus)
 
 
-def _dd(u: VariableId, v: VariableId) -> LinOp:
-    return LinOp.partial(u).compose(LinOp.partial(v))
+# block -> (A in the q-range, B in the q-range) of its matrix unit E_AB, in
+# _abstract_image's labelling
+_MATRIX_UNIT = {"k_gl_p": (0, 0), "k_gl_q": (1, 1), "pminus": (0, 1), "pplus": (1, 0)}
+# column kind -> its halves, conj = False (holomorphic) and True (conjugate)
+_HALVES = {"pure": (False,), "conj": (True,)}
 
 
 @cache
@@ -293,50 +312,38 @@ def upq_op_model(sig: Signature, model: ModelTag, block: str, a: int, b: int,
     """The u(p,q) operator for the given block, summed over all columns of
     the model.  Blocks: k_gl_p(a,b), k_gl_q(a,b), pplus(i,j), pminus(i,j).
 
+    The block's matrix unit E_AB adds -alpha_B beta_A on each holomorphic
+    half of a column and eps alphabar_A betabar_B on each conjugate half
+    (_column_ladder; eps = -1 on the p-blocks).  M_V enters only the
+    p-blocks, since k commutes with the intertwiner.
+
     This is the one definition of the family: d, the curvature, the
     K-residual and calibrate_structure's certificate all build through it
     with the defaults C_PLUS, C_MINUS.  Other constants are accepted only to
-    probe the free split between them.  Each operator is built on the first
-    request for its arguments and shared after that (a LinOp is an immutable
-    value); passing the constants explicitly is another cache entry."""
-    shape = {"k_gl_p": (sig.p, sig.p), "k_gl_q": (sig.q, sig.q),
-             "pplus": (sig.p, sig.q), "pminus": (sig.p, sig.q)}.get(block)
-    if shape is None:
+    probe the free split between them; a product other than -1 is not a
+    representation (k_gl_q comes out scaled by -c_plus * c_minus).  Each
+    operator is built on the first request for its arguments and shared
+    after that (a LinOp is an immutable value); passing the constants
+    explicitly is another cache entry."""
+    unit = _MATRIX_UNIT.get(block)
+    if unit is None:
         raise ValueError(f"unknown u(p,q) block {block!r}")
-    rows, cols = shape
-    if not (1 <= a <= rows and 1 <= b <= cols):
+    a_in_q, b_in_q = unit
+    if a_in_q > b_in_q:   # pplus(i, j) is E_{p+j, i}: its p-index comes first
+        a, b = b, a
+    sizes = (sig.p, sig.q)
+    if not (1 <= a <= sizes[a_in_q] and 1 <= b <= sizes[b_in_q]):
         raise IndexError(f"{block} index out of range")
+    A, B = a + sig.p * a_in_q, b + sig.p * b_in_q
+    p_block = a_in_q != b_in_q
     parts = []
     for col, kind in enumerate(column_kinds(sig, model), start=1):
-        holo = kind in ("pure", "doubled", "schrodinger")
-        conj = kind in ("doubled", "schrodinger", "conj")
-        intertwined = kind == "schrodinger"
-        if block == "k_gl_p":
-            if holo:
-                parts.append(-(_mult(X(b, col)).compose(LinOp.partial(X(a, col)))))
-            if conj:
-                parts.append(_mult(Xbar(a, col)).compose(LinOp.partial(Xbar(b, col))))
-        elif block == "k_gl_q":
-            if holo:
-                op = _mult(Y(a, col)).compose(LinOp.partial(Y(b, col)))
-                if a == b:
-                    op = op + LinOp.identity()
-                parts.append(op)
-            if conj:
-                op = -(_mult(Ybar(b, col)).compose(LinOp.partial(Ybar(a, col))))
-                if a == b:
-                    op = op - LinOp.identity()
-                parts.append(op)
-        elif block == "pplus":
-            if holo:
-                parts.append(_mul_pair(X(a, col), Y(b, col), intertwined).scale(c_plus))
-            if conj:
-                parts.append(_dd(Xbar(a, col), Ybar(b, col)).scale(c_minus.conjugate()))
-        else:
-            if holo:
-                parts.append(_dd(X(a, col), Y(b, col)).scale(c_minus))
-            if conj:
-                parts.append(_mul_pair(Xbar(a, col), Ybar(b, col), intertwined).scale(c_plus.conjugate()))
+        intertwined = p_block and kind == "schrodinger"
+        for conj in _HALVES.get(kind, (False, True)):
+            alpha_a, beta_a = _column_ladder(sig.p, A, col, conj, intertwined, c_plus, c_minus)
+            alpha_b, beta_b = _column_ladder(sig.p, B, col, conj, intertwined, c_plus, c_minus)
+            op = alpha_a.compose(beta_b) if conj else alpha_b.compose(beta_a)
+            parts.append(op if conj and not p_block else -op)
     return op_sum(parts)
 
 

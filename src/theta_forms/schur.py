@@ -17,12 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from itertools import permutations
 
 from .exterior import perm_sign
-from .models import Signature
-from .operators import LinOp, op_sum
+from .models import FOCK, Signature, upq_op_model
 from .poly import Polynomial, X, Y, _mac_prod, _polys
 
 
@@ -211,24 +209,16 @@ def kv_highest_weight(lam: Partition, mu: Partition, sig: Signature) -> Polynomi
 
 
 # ---------------------------------------------------------------------------
-# Laplacians and harmonicity
+# Harmonicity
 # ---------------------------------------------------------------------------
 
-@cache
-def laplacian(i: int, j: int, sig: Signature) -> LinOp:
-    """Delta_ij = sum_nu d^2 / dX_{i,nu} dY_{j,nu}, built once per process."""
-    if not (1 <= i <= sig.p and 1 <= j <= sig.q):
-        raise IndexError("laplacian index out of range")
-    return op_sum(LinOp.partial(X(i, nu)).compose(LinOp.partial(Y(j, nu)))
-                  for nu in range(1, sig.r + 1))
-
-
 def is_harmonic(P: Polynomial, sig: Signature) -> bool:
-    for i in range(1, sig.p + 1):
-        for j in range(1, sig.q + 1):
-            if not laplacian(i, j, sig).apply(P).is_zero():
-                return False
-    return True
+    """True when every Delta_ij = sum_nu d^2/dX_{i,nu} dY_{j,nu} kills P,
+    read off pminus(i,j) = c_minus Delta_ij in the Fock model of
+    Signature(p, q, r): s and the family play no part."""
+    fock = Signature(sig.p, sig.q, sig.r)
+    return all(upq_op_model(fock, FOCK, "pminus", i, j).apply(P).is_zero()
+               for i in range(1, sig.p + 1) for j in range(1, sig.q + 1))
 
 
 # ---------------------------------------------------------------------------

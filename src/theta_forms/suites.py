@@ -27,14 +27,14 @@ from .forms import (GKCochain, SplitSpec, build_km_explicit, build_km_nabla,
                     evaluate_at_zero, forms_proportional, gk_curvature,
                     gk_differential, k_invariance_residual, restrict_form,
                     strongly_primitive_monomial)
-from .models import (FOCK, ORTHOGONAL, SCHRODINGER, Signature,
+from .models import (C_MINUS, FOCK, ORTHOGONAL, SCHRODINGER, Signature,
                      calibrate_structure, fock_model, heisenberg_op,
                      inner_product_rel, intertwine, ladder_op, upq_op_model)
 from .operators import LinOp
 from .poly import Polynomial, X, Y, Zvar, monomial
 from .scalars import Scalar
 from .schur import (enumerate_ssyt, exact_rank, hook_content_dim,
-                    is_harmonic, kv_highest_weight, laplacian,
+                    is_harmonic, kv_highest_weight,
                     partitions_up_to, schur_span_dim)
 from .theta import (GramMatrix, eisenstein_check, enumerate_with_norms,
                     naive_rep_numbers, rep_numbers)
@@ -182,7 +182,7 @@ def suite_harmonic(size_cap: int = 3, dim_cap: int = 3, **_) -> SuiteReport:
     sig = Signature(1, 1, 1, 0)
     bad = Polynomial.variable(X(1, 1)) * Polynomial.variable(Y(1, 1))
     rep.check(not is_harmonic(bad, sig), "negative control: X11 Y11 is not harmonic at r=1")
-    rep.check(laplacian(1, 1, sig).apply(bad) == Polynomial.one(),
+    rep.check(upq_op_model(sig, FOCK, "pminus", 1, 1).apply(bad) == Polynomial.constant(C_MINUS),
               "Delta_11 (X11 Y11) = 1 at r = 1")
     return rep
 

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from theta_forms import models, schur
+from theta_forms import models
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 WORKLOADS = PERFBENCH / "workloads.py"
@@ -58,9 +58,9 @@ def test_full_construct_pass_has_no_failed_check(seed):
 
 def test_full_verify_all_pass_has_no_failed_check(fresh_operators):
     workloads = load_workloads()
-    # cold: the operator, scalar ladder, Laplacian and certificate caches start
-    # empty; warm: the second pass reads every one of them back
-    schur.laplacian.cache_clear()
+    # cold: the operator, scalar and column ladder, and certificate caches
+    # start empty; warm: the second pass reads every one of them back
+    models._column_ladder.cache_clear()
     models._scalar_ladder.cache_clear()
     for phase in ("cold", "warm"):
         checks, clock = workloads.Checks(), StubClock()

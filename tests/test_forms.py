@@ -1,10 +1,12 @@
+import hashlib
+import random
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
 
 import pytest
 
-from theta_forms.exterior import Form, perm_sign, xi, xibar
+from theta_forms.exterior import Form, perm_sign, wedge_monomial, xi, xibar
 from theta_forms.forms import (FactorizationError, GKCochain, SplitSpec,
                                build_km_explicit, build_km_nabla, build_mixed,
                                build_psi_cup, build_psi_orth, build_psi_q,
@@ -17,8 +19,9 @@ from theta_forms import forms, models
 from theta_forms.models import (FOCK, ORTHOGONAL, CalibrationError, Signature,
                                 fock_model, mixed_model)
 from theta_forms.operators import LinOp
-from theta_forms.poly import Polynomial, X, Xbar, Y
+from theta_forms.poly import Polynomial, X, Xbar, Y, Ybar, monomial
 from theta_forms.scalars import Scalar
+from theta_forms.serialize import cochain_to_json
 
 x = lambda i, j: Polynomial.variable(X(i, j))
 xb = lambda i, j: Polynomial.variable(Xbar(i, j))
@@ -411,3 +414,45 @@ def test_strongly_primitive_witness():
     assert pol == x(1, 1) * x(2, 2) - x(2, 1) * x(1, 2)
     sig = Signature(2, 1, 1, 1)
     assert not build_psi_cup(sig).form.coefficient(strongly_primitive_monomial(sig)).is_zero()
+
+
+# -- d where it is not zero --------------------------------------------------------
+
+def _seeded_cochain(seed: int, model, sig: Signature) -> GKCochain:
+    """A three-term cochain whose coefficients are degree-2 monomials in the
+    holomorphic and conjugate variables of every column."""
+    rng = random.Random(seed)
+    gens = [g(i, j) for g in (xi, xibar) for i in range(1, sig.p + 1) for j in range(1, sig.q + 1)]
+    pool = [v(i, c) for c in range(1, max(sig.r, sig.s) + 1)
+            for v, n in ((X, sig.p), (Xbar, sig.p), (Y, sig.q), (Ybar, sig.q))
+            for i in range(1, n + 1)]
+    form = Form.zero()
+    for k in (1, 2, 3):
+        sign, w = wedge_monomial(rng.sample(gens, k))
+        mono = monomial([(rng.choice(pool), 1), (rng.choice(pool), 1)])
+        coeff = Scalar.of(Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 4)),
+                          rng.randint(-2, 2))
+        form = form + Form({w: Polynomial({mono: coeff}).scale(sign)})
+    return GKCochain(form, model, sig)
+
+
+# SHA-256 of cochain_to_json(gk_differential(c)); nothing else pins these
+# outputs (d of orthogonal km_nabla is nonzero, see perfbench/NOTES.md)
+_D_DIGESTS = {
+    "km_nabla-orth-211": (lambda: build_km_nabla(Signature(2, 1, 1, 0, ORTHOGONAL)),
+        "c794c0a834d866338461bc7074da85e64e3312e8b262153efcd0f0ada458f883"),
+    "km_nabla-orth-321": (lambda: build_km_nabla(Signature(3, 2, 1, 0, ORTHOGONAL)),
+        "cdb777e3adfb3e32d16e434799ab02255b7818d6b9b689f8f8fb97a6f6918d70"),
+    "seeded-fock1-2111": (lambda: _seeded_cochain(5, fock_model(1), Signature(2, 1, 1, 1)),
+        "0b1eda6bd1f064d47f475891e2371d1869dccd5a088cbf0c4df8f99ecb629a5b"),
+    "seeded-mixed1-2111": (lambda: _seeded_cochain(5, mixed_model(1), Signature(2, 1, 1, 1)),
+        "4c8657798238a327141fceae64c6d1a7006e421fbb33ef9069f94df05e80f13c"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_D_DIGESTS))
+def test_differential_output_is_pinned(name):
+    build, digest = _D_DIGESTS[name]
+    d = gk_differential(build())
+    assert not d.form.is_zero()
+    assert hashlib.sha256(cochain_to_json(d).encode()).hexdigest() == digest

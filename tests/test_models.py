@@ -7,12 +7,12 @@ from theta_forms import models
 from theta_forms.exterior import Form, xi, xibar
 from theta_forms.forms import (GKCochain, build_mixed, build_psi_cup, gk_curvature,
                                gk_differential, k_invariance_residual)
-from theta_forms.models import (C_MINUS, C_PLUS, FOCK, SCHRODINGER, CalibrationError,
-                                ModelTag, Signature, calibrate_structure, fock_model,
+from theta_forms.models import (C_MINUS, C_PLUS, FOCK, ORTHOGONAL, SCHRODINGER, UNITARY,
+                                CalibrationError, ModelTag, Signature, calibrate_structure, fock_model,
                                 heisenberg_op, inner_product_rel, intertwine,
                                 ladder_op, mixed_model, upq_op_model)
-from theta_forms.operators import LinOp
-from theta_forms.poly import Polynomial, VariableId, X, Y, Zvar, monomial
+from theta_forms.operators import LinOp, op_sum
+from theta_forms.poly import Polynomial, VariableId, X, Xbar, Y, Ybar, Zvar, monomial
 from theta_forms.scalars import Scalar
 from theta_forms.schur import Partition, kv_highest_weight
 
@@ -204,6 +204,148 @@ def _upq_requests(sig):
             + [("k_gl_q", a, b) for a, b in product(range(1, q + 1), repeat=2)]
             + [(block, i, j) for block in ("pplus", "pminus")
                for i, j in product(range(1, p + 1), range(1, q + 1))])
+
+
+
+# -- the column ladder pairs against the hand-written u(p,q) formulas ----------
+
+def ref_upq_op_model(sig, model, block, a, b, c_plus=C_PLUS, c_minus=C_MINUS):
+    """upq_op_model as written block by block before the column ladder."""
+    def mult(v):
+        return LinOp.mul_by(Polynomial.variable(v))
+
+    def mul_pair(u, v, intertwined):
+        if intertwined:
+            return models._m_op(u).compose(models._m_op(v))
+        return LinOp.mul_by(Polynomial.variable(u) * Polynomial.variable(v))
+
+    def dd(u, v):
+        return LinOp.partial(u).compose(LinOp.partial(v))
+
+    parts = []
+    for col, kind in enumerate(models.column_kinds(sig, model), start=1):
+        holo = kind in ("pure", "doubled", "schrodinger")
+        conj = kind in ("doubled", "schrodinger", "conj")
+        intertwined = kind == "schrodinger"
+        if block == "k_gl_p":
+            if holo:
+                parts.append(-(mult(X(b, col)).compose(LinOp.partial(X(a, col)))))
+            if conj:
+                parts.append(mult(Xbar(a, col)).compose(LinOp.partial(Xbar(b, col))))
+        elif block == "k_gl_q":
+            if holo:
+                op = mult(Y(a, col)).compose(LinOp.partial(Y(b, col)))
+                parts.append(op + LinOp.identity() if a == b else op)
+            if conj:
+                op = -(mult(Ybar(b, col)).compose(LinOp.partial(Ybar(a, col))))
+                parts.append(op - LinOp.identity() if a == b else op)
+        elif block == "pplus":
+            if holo:
+                parts.append(mul_pair(X(a, col), Y(b, col), intertwined).scale(c_plus))
+            if conj:
+                parts.append(dd(Xbar(a, col), Ybar(b, col)).scale(c_minus.conjugate()))
+        else:
+            if holo:
+                parts.append(dd(X(a, col), Y(b, col)).scale(c_minus))
+            if conj:
+                parts.append(mul_pair(Xbar(a, col), Ybar(b, col), intertwined)
+                             .scale(c_plus.conjugate()))
+    return op_sum(parts)
+
+
+def _oracle_grid():
+    """(sig, model) over p <= 3, q <= 2, r, s <= 2, both families, every
+    fock:k and mixed:k split."""
+    for p, q, r, s, family in product(range(4), range(3), range(3), range(3),
+                                      (UNITARY, ORTHOGONAL)):
+        if family == ORTHOGONAL and s:
+            continue
+        sig = Signature(p, q, r, s, family)
+        for which, split in product(("fock", "mixed"), range(max(r, s) + 1)):
+            yield sig, ModelTag(which, split)
+
+
+_SPLIT = (Scalar.of(3, 1), Scalar.of(Fraction(-3, 10), Fraction(1, 10)))   # product -1
+_BROKEN = (Scalar.of(0, 2), Scalar.of(0, 1))                                # product -2
+
+
+def test_upq_operators_match_the_hand_written_formulas():
+    assert _SPLIT[0] * _SPLIT[1] == Scalar.of(-1)
+    compared = 0
+    for sig, model in _oracle_grid():
+        for block, a, b in _upq_requests(sig):
+            assert upq_op_model(sig, model, block, a, b) == ref_upq_op_model(
+                sig, model, block, a, b), (sig, model, block, a, b)
+            key = (sig, model, block, a, b, *_SPLIT)
+            assert upq_op_model(*key) == ref_upq_op_model(*key), key
+            compared += 2
+    assert compared == 10976
+
+
+def test_constants_off_the_hyperbola_scale_only_k_gl_q():
+    # c_plus * c_minus = -2: the Y pair is no longer canonical, and k_gl_q,
+    # the one block built from both halves of that pair, comes out scaled by
+    # -c_plus * c_minus; every other block is as written
+    scale = -(_BROKEN[0] * _BROKEN[1])
+    differ = 0
+    for sig, model in _oracle_grid():
+        for block, a, b in _upq_requests(sig):
+            key = (sig, model, block, a, b, *_BROKEN)
+            ref = ref_upq_op_model(*key)
+            if block == "k_gl_q":
+                assert upq_op_model(*key) == ref.scale(scale), key
+                differ += upq_op_model(*key) != ref
+            else:
+                assert upq_op_model(*key) == ref, key
+    assert differ == 1040
+
+
+def _ccr_violations(c_plus, c_minus):
+    """The canonical commutation relations [beta_A, alpha_B] = delta_AB,
+    [alpha_A, alpha_B] = 0 and [beta_A, beta_B] = 0 that fail among the
+    column ladder pairs, over both halves of Fock and Schrodinger columns."""
+    failed = []
+    for (p, q), col, conj, intertwined in product(((2, 1), (2, 2), (3, 2)), (1, 2),
+                                                  (False, True), (False, True)):
+        pairs = {A: models._column_ladder(p, A, col, conj, intertwined, c_plus, c_minus)
+                 for A in range(1, p + q + 1)}
+        for (A, (alpha_a, beta_a)), (B, (alpha_b, beta_b)) in product(pairs.items(), repeat=2):
+            where = (p, q, col, conj, intertwined, A, B)
+            if beta_a.commutator(alpha_b) != (LinOp.identity() if A == B else LinOp.zero()):
+                failed.append(("[beta, alpha]",) + where)
+            if not alpha_a.commutator(alpha_b).is_zero():
+                failed.append(("[alpha, alpha]",) + where)
+            if not beta_a.commutator(beta_b).is_zero():
+                failed.append(("[beta, beta]",) + where)
+    return failed
+
+
+def test_column_ladder_pairs_are_canonical():
+    assert _ccr_violations(C_PLUS, C_MINUS) == []
+    assert _ccr_violations(*_SPLIT) == []
+    # control: off c_plus * c_minus = -1 exactly the relation [beta_A, alpha_A]
+    # of each Y index A > p fails, on every column, half and realization
+    failed = _ccr_violations(*_BROKEN)
+    assert {f[0] for f in failed} == {"[beta, alpha]"}
+    assert all(f[-1] == f[-2] > f[1] for f in failed)
+    assert len(failed) == 40
+
+
+def test_column_ladder_builds_each_pair_once(fresh_operators):
+    info = models._column_ladder.cache_info
+    sig = Signature(2, 1, 1, 1)
+    for model in (FOCK, fock_model(1), mixed_model(1)):
+        for block, a, b in _upq_requests(sig):
+            upq_op_model(sig, model, block, a, b)
+    # 3 indices on the holomorphic and the conjugate half of column 1, plus
+    # the M_V pairs of the Schrodinger column's p-blocks
+    misses = info().misses
+    assert misses == 3 * 2 + 3 * 2
+    upq_op_model.cache_clear()
+    for model in (FOCK, fock_model(1), mixed_model(1)):
+        for block, a, b in _upq_requests(sig):
+            upq_op_model(sig, model, block, a, b)
+    assert info().misses == misses
 
 
 def test_upq_op_model_builds_each_operator_once():

@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from theta_forms.models import FOCK, Signature, upq_op_model
+from theta_forms.models import C_MINUS, FOCK, ORTHOGONAL, Signature, upq_op_model
 from theta_forms.poly import Polynomial, X, Y, monomial
 from theta_forms.scalars import Scalar
 from theta_forms.schur import (Partition, Tableau, delta_T, enumerate_ssyt,
                                exact_rank, hook_content_dim, is_harmonic,
-                               kv_highest_weight, laplacian, partitions_up_to,
+                               kv_highest_weight, partitions_up_to,
                                schur_span_dim)
 
 
@@ -84,13 +84,15 @@ def test_kv_constraints():
 
 
 def test_laplacian_examples():
+    # pminus(i, j) = c_minus Delta_ij in the Fock model
     sig = Signature(1, 1, 1, 0)
     xy = Polynomial.variable(X(1, 1)) * Polynomial.variable(Y(1, 1))
-    assert laplacian(1, 1, sig).apply(xy) == Polynomial.one()
-    assert laplacian(1, 1, sig).apply(Polynomial.variable(X(1, 1)) ** 2).is_zero()
+    pminus = upq_op_model(sig, FOCK, "pminus", 1, 1)
+    assert pminus.apply(xy) == Polynomial.constant(C_MINUS)
+    assert pminus.apply(Polynomial.variable(X(1, 1)) ** 2).is_zero()
     with pytest.raises(IndexError):
-        laplacian(2, 1, sig)
-    assert laplacian(1, 1, sig) is laplacian(1, 1, Signature(1, 1, 1, 0))
+        upq_op_model(sig, FOCK, "pminus", 2, 1)
+    assert pminus is upq_op_model(Signature(1, 1, 1, 0), FOCK, "pminus", 1, 1)
 
 
 def test_is_harmonic_examples():
@@ -98,6 +100,20 @@ def test_is_harmonic_examples():
     assert is_harmonic(Polynomial.one(), sig)
     xy = Polynomial.variable(X(1, 1)) * Polynomial.variable(Y(1, 1))
     assert not is_harmonic(xy, sig)
+
+
+def test_is_harmonic_ignores_s_and_the_family():
+    # FOCK has a conjugate-only column for each of r+1..s, and there pminus
+    # adds an Xbar Ybar multiplication, so at s > r the verdict holds only if
+    # is_harmonic drops s (the family does not enter upq_op_model)
+    sig = Signature(3, 2, 3, 0)
+    harmonic = kv_highest_weight(Partition((2, 1)), Partition((1,)), sig)
+    trace = Polynomial.variable(X(1, 1)) * Polynomial.variable(Y(1, 1))
+    for vec, verdict in ((harmonic, True), (trace, False)):
+        assert is_harmonic(vec, sig) is verdict
+        for other in (Signature(3, 2, 3, 2), Signature(3, 2, 3, 4),
+                      Signature(3, 2, 3, 0, ORTHOGONAL)):
+            assert is_harmonic(vec, other) is verdict, other
 
 
 def test_kv_vectors_harmonic_small_sweep():

@@ -4,7 +4,7 @@ names this surface has shed, and the few that look unused but are not."""
 import types
 
 import theta_forms
-from theta_forms import forms, models, poly, serialize, theta
+from theta_forms import forms, models, poly, schur, serialize, theta
 from theta_forms.exterior import Form
 from theta_forms.forms import GKCochain
 from theta_forms.poly import Polynomial
@@ -21,9 +21,8 @@ PUBLIC = [
     "enumerate_with_norms", "euler_chern_form", "evaluate_at_zero", "fock_model",
     "fourier_assemble", "gk_curvature", "gk_differential", "heisenberg_op",
     "hook_content_dim", "inner_product_rel", "intertwine", "is_harmonic",
-    "k_invariance_residual", "kv_highest_weight", "ladder_op", "laplacian",
-    "mixed_model", "naive_rep_numbers", "rep_numbers", "restrict_form",
-    "schur_span_dim", "sigma3", "strongly_primitive_monomial", "upq_op_model",
+    "k_invariance_residual", "kv_highest_weight", "ladder_op", "mixed_model",
+    "naive_rep_numbers", "rep_numbers", "restrict_form", "schur_span_dim", "sigma3", "strongly_primitive_monomial", "upq_op_model",
     "whittaker", "xi", "xibar",
 ]
 
@@ -35,7 +34,7 @@ REMOVED = [
     (forms, "coefficient_at"), (Form, "generator"), (Form, "apply_op"),
     (Form, "degrees"), (Form, "__mul__"), (Form, "__rmul__"), (Scalar, "pi"),
     (Scalar, "__sub__"), (serialize, "cochain_to_dict"), (WhittakerPoint, "of"),
-    (theta, "enumerate_vectors"),
+    (theta, "enumerate_vectors"), (schur, "laplacian"),
 ]
 
 
