@@ -25,7 +25,7 @@ from .models import (CalibrationError, ORTHOGONAL, Signature, UNITARY,
                      calibrate_structure, fock_model)
 from .serialize import (cochain_from_json, cochain_to_json, cochain_to_latex,
                         gram_from_json)
-from .suites import SUITES, run_all, run_suite
+from .suites import SUITES, run_all, run_suite, suite_takes_seed
 from .theta import (NMAX_CEILING, BetaMatrix, WhittakerPoint, eisenstein_check,
                     rep_numbers, whittaker)
 
@@ -71,7 +71,10 @@ def _error(message: str, code: int) -> int:
 
 
 def _verify_flag_error(args) -> str | None:
-    """Why the signature flags given to verify would be ignored, if they would."""
+    """Why the seed or signature flags given to verify would be ignored, if
+    they would."""
+    if args.seed is not None and args.suite != "all" and not suite_takes_seed(args.suite):
+        return f"--seed does not apply to --suite {args.suite}, which draws no random cochains"
     given = [f"--{f}" for f in "pqrs" if getattr(args, f) is not None]
     if not given:
         return None
@@ -88,17 +91,18 @@ def _cmd_verify(args) -> int:
     problem = _verify_flag_error(args)
     if problem:
         return _error(problem, 2)
-    kwargs = {"seed": args.seed}
+    seed = 0 if args.seed is None else args.seed
+    kwargs = {"seed": seed}
     if args.p is not None:
         kwargs["signatures"] = [(args.p, args.q)]
         if args.r is not None:
             kwargs["rs_pairs"] = [(args.r, args.s or 0)]
     if args.suite == "all":
-        reports = run_all(seed=args.seed)
+        reports = run_all(seed=seed)
     else:
         reports = [run_suite(args.suite, **kwargs)]
     payload = {"passed": all(r.passed for r in reports),
-               "seed": args.seed,
+               "seed": seed,
                "suites": [r.to_dict() for r in reports]}
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     _write(text, args.out)
@@ -175,7 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sp.add_parser("verify", help="run a verification suite")
     v.add_argument("--suite", choices=sorted(SUITES) + ["all"], required=True)
-    v.add_argument("--seed", type=int, default=0)
+    # None, not 0: a --seed given to a suite that draws nothing is rejected
+    v.add_argument("--seed", type=int, default=None)
     v.add_argument("--p", type=int, default=None)
     v.add_argument("--q", type=int, default=None)
     v.add_argument("--r", type=int, default=None)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from .poly import Polynomial, TermMap, _mac_poly, _mac_prod, _polys, parse_index
+from .poly import Polynomial, TermMap, _KeyTable, _mac_poly, _mac_prod, _polys, parse_index
 
 _GEN_KIND_RANK = {"xi": 0, "xibar": 1}
 _GEN_CONJ = {"xi": "xibar", "xibar": "xi"}
@@ -39,6 +39,10 @@ class WedgeGen(NamedTuple):
         return cls(kind, parse_index(row), parse_index(col))
 
 
+# WedgeGen -> sort_key(): the one generator order, for the merge and sort loops
+_GEN_KEYS = _KeyTable(WedgeGen.sort_key)
+
+
 def xi(i: int, j: int) -> WedgeGen:
     return WedgeGen("xi", i, j)
 
@@ -59,7 +63,8 @@ def wedge_monomial(gens: Iterable[WedgeGen]):
     (-1)^(n - number of cycles).
     """
     gens = list(gens)
-    order = sorted(range(len(gens)), key=lambda i: gens[i].sort_key())
+    keys = [_GEN_KEYS[g] for g in gens]
+    order = sorted(range(len(gens)), key=keys.__getitem__)
     out = tuple(gens[i] for i in order)
     for a, b in zip(out, out[1:]):
         if a == b:
@@ -87,14 +92,12 @@ def perm_sign(perm) -> int:
 
 def merge_monomials(w1: WedgeMonomial, w2: WedgeMonomial):
     """Merge two canonical monomials; (sign, merged) or (0, ()) on repeats."""
-    out = []
-    sign = 1
-    i = j = 0
+    out, sign, i, j, keys = [], 1, 0, 0, _GEN_KEYS
     while i < len(w1) and j < len(w2):
         a, b = w1[i], w2[j]
         if a == b:
             return 0, ()
-        if a.sort_key() < b.sort_key():
+        if keys[a] < keys[b]:
             out.append(a)
             i += 1
         else:
@@ -182,7 +185,8 @@ class Form(TermMap):
         return Form(out)
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda t: tuple(g.sort_key() for g in t[0]))
+        keys = _GEN_KEYS
+        return sorted(self.terms.items(), key=lambda t: tuple(keys[g] for g in t[0]))
 
     def __repr__(self):
         if not self.terms:

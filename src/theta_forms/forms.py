@@ -153,7 +153,10 @@ def _form_op_sum(pairs, f: Form) -> Form:
     """sum over (lead, op) pairs of lead ^ op(f): lead is a canonical wedge
     monomial (possibly empty), op a LinOp acting on the coefficients.
 
-    Leads are grouped by operator.  Each distinct operator is applied
+    Leads are grouped by operator.  An operator that cannot act on f is
+    skipped: every one of its terms differentiates a variable that occurs in
+    no coefficient monomial of f, so its image of each monomial is zero (a
+    term with D = () always acts).  Each other distinct operator is applied
     (through LinOp.apply) once per coefficient monomial; the image is
     flattened once into rows (scalars._rows), which serve every lead and
     wedge term the monomial occurs with, and the images of one operator are
@@ -164,8 +167,11 @@ def _form_op_sum(pairs, f: Form) -> Form:
     leads: dict = {}   # operator -> its leads, in first-seen order
     for lead, op in pairs:
         leads.setdefault(op, []).append(lead)
+    present = {v for p in f.terms.values() for m in p.terms for v, _ in m}
     acc: dict = {}   # wedge -> {(monomial, pi_exp): (re, im, den)}
     for op, op_leads in leads.items():
+        if not any(all(v in present for v, _ in D) for D in op.terms):
+            continue
         images: dict = {}   # monomial -> rows of op(monomial)
         for lead in op_leads:
             for w, p in f.terms.items():
@@ -176,8 +182,9 @@ def _form_op_sum(pairs, f: Form) -> Form:
                 for m, c in p.terms.items():
                     rows = images.get(m)
                     if rows is None:
-                        rows = images[m] = _rows(op.apply(Polynomial({m: _ONE})).terms.items())
-                    _mac(inner, c, rows, sign)
+                        rows = images[m] = _rows(op.apply(_poly({m: _ONE})).terms.items())
+                    if rows:
+                        _mac(inner, c, rows, sign)
     # pop each accumulator as its polynomial is built, so the two never
     # coexist in full
     return Form({w: _poly(_reduce(acc.pop(w))) for w in list(acc)})
@@ -333,7 +340,10 @@ def gk_differential(c: GKCochain) -> GKCochain:
 
     d, gk_curvature and the operator half of k_invariance_residual share one
     kernel, _form_op_sum, which applies each operator once per coefficient
-    monomial."""
+    monomial and skips an operator that cannot act on the cochain: on a
+    cochain without Y variables (psi and its cup products at split 0, say)
+    every pure d/dX d/dY operator is skipped.  LinOp.apply builds an image
+    with one acting term without its accumulator."""
     return GKCochain(_form_op_sum(_pair_ops(c.sig, c.model), c.form), c.model, c.sig)
 
 

@@ -14,7 +14,7 @@ from typing import Iterable
 
 from .poly import (Monomial, Polynomial, TermMap, VariableId, _mac_poly, _poly,
                    _polys, monomial, monomial_mul)
-from .scalars import _mac, _reduce, _rows
+from .scalars import _ONE, _mac, _reduce, _rows
 
 # A derivative multi-index reuses the Monomial encoding: sorted
 # ((VariableId, order>0), ...).
@@ -106,18 +106,26 @@ class LinOp(TermMap):
     # -- action and algebra --------------------------------------------------
 
     def apply(self, f: Polynomial) -> Polynomial:
-        """sum over terms (D, m) of m * (D f), straight on the monomials: each
-        term's derivative image of each monomial of f (_deriv_mono) is merged
-        with every multiplier monomial, and the products go into one
-        unreduced triple accumulator (scalars._mac), reduced once at the end."""
+        """sum over terms (D, m) of m * (D f), straight on the monomials: one
+        loop collects each term's derivative image of each monomial of f
+        (_deriv_mono) that is not zero.  When exactly one acts, distinct
+        multiplier monomials give distinct products, so nothing can merge:
+        the image is built directly, each multiplier coefficient times
+        n * c, and the multiplier's Scalars are reused when n * c = 1.
+        Otherwise every image is merged with every multiplier monomial and
+        the products go into one unreduced triple accumulator (scalars._mac),
+        reduced once at the end."""
+        acting = [(mult, c, r) for D, mult in self.terms.items() for m, c in f.terms.items()
+                  if (r := _deriv_mono(D, m)) is not None]
+        if len(acting) == 1:
+            (mult, c, (n, dm)), = acting
+            s = c * n if n != 1 else c
+            if s == _ONE:
+                return _poly({monomial_mul(m2, dm): c2 for m2, c2 in mult.terms.items()})
+            return _poly({monomial_mul(m2, dm): c2 * s for m2, c2 in mult.terms.items()})
         acc: dict = {}   # (monomial, pi_exp) -> (re, im, den)
-        for D, mult in self.terms.items():
-            for m, c in f.terms.items():
-                r = _deriv_mono(D, m)
-                if r is not None:
-                    n, dm = r
-                    _mac(acc, c, _rows((monomial_mul(m2, dm), c2)
-                                       for m2, c2 in mult.terms.items()), n)
+        for mult, c, (n, dm) in acting:
+            _mac(acc, c, _rows((monomial_mul(m2, dm), c2) for m2, c2 in mult.terms.items()), n)
         return _poly(_reduce(acc))
 
     def compose(self, other: "LinOp") -> "LinOp":

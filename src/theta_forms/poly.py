@@ -20,18 +20,22 @@ _KIND_RANK = {k: i for i, k in enumerate(KINDS)}
 _CONJ_KIND = {"X": "Xbar", "Xbar": "X", "Y": "Ybar", "Ybar": "Y", "Z": "Z"}
 
 
-class _SortKeys(dict):
-    """VariableId -> (kind rank, col, row), filled in on first lookup: the
-    one variable order, indexed directly by the hot loops.  It stays a dict
-    rather than a functools.cache function: monomial_mul's merge loop would
-    pay a call per lookup."""
+class _KeyTable(dict):
+    """x -> key(x), filled in on first lookup: one fixed order, indexed
+    directly by the hot loops.  It stays a dict rather than a
+    functools.cache function: a merge loop would pay a call per lookup."""
 
-    def __missing__(self, v):
-        key = self[v] = (_KIND_RANK[v.kind], v.col, v.row)
-        return key
+    def __init__(self, key):
+        super().__init__()
+        self.key = key
+
+    def __missing__(self, x):
+        k = self[x] = self.key(x)
+        return k
 
 
-_SORT_KEYS = _SortKeys()
+# VariableId -> (kind rank, col, row): the one variable order
+_SORT_KEYS = _KeyTable(lambda v: (_KIND_RANK[v.kind], v.col, v.row))
 
 
 class VariableId(NamedTuple):

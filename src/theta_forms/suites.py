@@ -17,6 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from inspect import signature
 from itertools import product as iproduct
 from time import perf_counter
 
@@ -63,7 +64,7 @@ class SuiteReport:
 # 1. oscillator relations
 # ---------------------------------------------------------------------------
 
-def suite_oscillator_relations(n_max: int = 3, **_) -> SuiteReport:
+def suite_oscillator_relations(n_max: int = 3) -> SuiteReport:
     rep = SuiteReport("oscillator-relations")
     minus_4pi = LinOp.identity().scale(Scalar.of(-4, 0, 1))
     for n in range(1, n_max + 1):
@@ -117,7 +118,7 @@ def _z_poly(exps) -> Polynomial:
     return out
 
 
-def suite_intertwiner(**_) -> SuiteReport:
+def suite_intertwiner() -> SuiteReport:
     rep = SuiteReport("intertwiner")
     rep.check(intertwine(Polynomial.one(), 1) == Polynomial.one(),
               "T(1) = vacuum")
@@ -162,7 +163,7 @@ def suite_intertwiner(**_) -> SuiteReport:
 # 3. harmonicity
 # ---------------------------------------------------------------------------
 
-def suite_harmonic(size_cap: int = 3, dim_cap: int = 3, **_) -> SuiteReport:
+def suite_harmonic(size_cap: int = 3, dim_cap: int = 3) -> SuiteReport:
     rep = SuiteReport("harmonic")
     count = 0
     ok = True
@@ -191,7 +192,7 @@ def suite_harmonic(size_cap: int = 3, dim_cap: int = 3, **_) -> SuiteReport:
 # 4. Schur span dimension
 # ---------------------------------------------------------------------------
 
-def suite_schur_dim(size_cap: int = 3, p_cap: int = 3, **_) -> SuiteReport:
+def suite_schur_dim(size_cap: int = 3, p_cap: int = 3) -> SuiteReport:
     rep = SuiteReport("schur-dim")
     ok = True
     pairs = 0
@@ -240,7 +241,7 @@ def _random_one_term_cochain(rng: random.Random, sig: Signature) -> GKCochain | 
     return GKCochain(Form({w: Polynomial({mono: coeff})}), fock_model(0), sig)
 
 
-def suite_closedness(seed: int = 0, signatures=None, rs_pairs=None, dd_samples: int = 20, **_) -> SuiteReport:
+def suite_closedness(seed: int = 0, signatures=None, rs_pairs=None, dd_samples: int = 20) -> SuiteReport:
     rep = SuiteReport("closedness")
     sigs = signatures or CLOSEDNESS_SIGNATURES
     pairs = rs_pairs or RS_PAIRS
@@ -293,7 +294,7 @@ def suite_closedness(seed: int = 0, signatures=None, rs_pairs=None, dd_samples: 
 # 6. cup products
 # ---------------------------------------------------------------------------
 
-def suite_cup(signatures=None, **_) -> SuiteReport:
+def suite_cup(signatures=None) -> SuiteReport:
     rep = SuiteReport("cup")
     sigs = signatures or CLOSEDNESS_SIGNATURES
     factor_pairs = [((0, 0), (1, 0)), ((1, 0), (1, 0)), ((1, 0), (0, 1)),
@@ -333,7 +334,7 @@ def suite_cup(signatures=None, **_) -> SuiteReport:
 # 7. Kudla-Millson equality
 # ---------------------------------------------------------------------------
 
-def suite_km_equality(**_) -> SuiteReport:
+def suite_km_equality() -> SuiteReport:
     rep = SuiteReport("km-equality")
     for (p, q, r) in ((1, 1, 1), (2, 1, 1), (1, 2, 1)):
         sig = Signature(p, q, r, r)
@@ -369,7 +370,7 @@ def suite_km_equality(**_) -> SuiteReport:
 # 8. restriction
 # ---------------------------------------------------------------------------
 
-def suite_restriction(**_) -> SuiteReport:
+def suite_restriction() -> SuiteReport:
     rep = SuiteReport("restriction")
     c21 = build_psi_q(Signature(2, 1, 1, 0))
     rep.check(restrict_form(c21, SplitSpec(0)).form == c21.form, "l = 0 is the identity")
@@ -393,7 +394,7 @@ def suite_restriction(**_) -> SuiteReport:
 # 9. K-invariance
 # ---------------------------------------------------------------------------
 
-def suite_k_invariance(**_) -> SuiteReport:
+def suite_k_invariance() -> SuiteReport:
     rep = SuiteReport("k-invariance")
     cases = []
     for (p, q) in ((1, 1), (2, 1), (2, 2)):
@@ -428,7 +429,7 @@ def suite_k_invariance(**_) -> SuiteReport:
 # 10. Eisenstein / theta
 # ---------------------------------------------------------------------------
 
-def suite_eisenstein(n_max: int = 6, **_) -> SuiteReport:
+def suite_eisenstein(n_max: int = 6) -> SuiteReport:
     rep = SuiteReport("eisenstein")
     report = eisenstein_check(n_max)
     for line in report.lines():
@@ -456,7 +457,7 @@ def suite_eisenstein(n_max: int = 6, **_) -> SuiteReport:
 # 11. calibration
 # ---------------------------------------------------------------------------
 
-def suite_calibration(p_cap: int = 2, q_cap: int = 2, r_cap: int = 2, **_) -> SuiteReport:
+def suite_calibration(p_cap: int = 2, q_cap: int = 2, r_cap: int = 2) -> SuiteReport:
     rep = SuiteReport("calibration")
     for p in range(1, p_cap + 1):
         for q in range(1, min(p, q_cap) + 1):
@@ -492,9 +493,20 @@ SUITES = {
 }
 
 
-def run_suite(name: str, **kwargs) -> SuiteReport:
+def suite_takes_seed(name: str) -> bool:
+    """Whether the named suite draws random cochains, so that a seed changes
+    what it checks."""
+    return "seed" in signature(SUITES[name]).parameters
+
+
+def run_suite(name: str, seed: int = 0, **kwargs) -> SuiteReport:
+    """Run one suite.  The seed goes only to a suite that draws random
+    cochains (suite_takes_seed); any other keyword must be a parameter of
+    the suite."""
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+    if suite_takes_seed(name):
+        kwargs["seed"] = seed
     t0 = perf_counter()
     rep = SUITES[name](**kwargs)
     rep.seconds = perf_counter() - t0

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from theta_forms import cli
+from theta_forms import cli, suites
 from theta_forms.cli import main
 from theta_forms.forms import FactorizationError, build_psi_cup, build_psi_orth, build_psi_q
 from theta_forms.models import ORTHOGONAL, UNITARY, CalibrationError, Signature
@@ -312,12 +312,34 @@ def test_library_error_exit_one(monkeypatch, capsys, error):
     ["--suite", "closedness", "--r", "1"],
     ["--suite", "closedness", "--p", "2"],
     ["--suite", "closedness", "--p", "2", "--q", "1", "--s", "1"],
+    # these suites draw no random cochains, so a seed would change nothing
+    ["--suite", "eisenstein", "--seed", "5"],
+    ["--suite", "intertwiner", "--seed", "0"],
 ])
 def test_verify_rejects_ignored_flags(capsys, argv):
     assert main(["verify"] + argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and "error" in json.loads(captured.err)
+
+
+def test_seed_reaches_only_the_suites_that_draw(monkeypatch, capsys):
+    seeds = []
+
+    def closedness(seed=0, signatures=None):
+        seeds.append(seed)
+        return suites.SuiteReport("closedness")
+
+    monkeypatch.setitem(suites.SUITES, "closedness", closedness)
+    assert main(["verify", "--suite", "closedness", "--seed", "5"]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 5
+    assert run_suite("closedness", seed=7, signatures=[(1, 1)]).passed
+    assert seeds == [5, 7]
+    assert [n for n in suites.SUITES if suites.suite_takes_seed(n)] == ["closedness"]
+    # perfbench passes a seed to every suite; one that draws nothing drops it
+    assert run_suite("eisenstein", seed=5, n_max=1).lines == run_suite("eisenstein", n_max=1).lines
+    with pytest.raises(TypeError):
+        run_suite("eisenstein", n_maxx=1)
 
 
 def test_verify_report_is_byte_reproducible(tmp_path):

@@ -6,14 +6,14 @@ import random
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from theta_forms import forms, suites
 from theta_forms.exterior import (Form, WedgeGen, merge_monomials, wedge_monomial, xi,
                                   xibar)
-from theta_forms.forms import (GKCochain, build_km_nabla, build_psi_cup, build_psi_orth,
-                               cup_embed, gk_curvature, gk_differential,
+from theta_forms.forms import (GKCochain, build_km_nabla, build_mixed, build_psi_cup,
+                               build_psi_orth, cup_embed, gk_curvature, gk_differential,
                                k_invariance_residual)
 from theta_forms.models import (ORTHOGONAL, UNITARY, Signature, fock_model,
                                 mixed_model, upq_op_model)
@@ -30,7 +30,10 @@ def cochains(draw, kind):
     """Multi-term cochains: up to five wedge terms, each with a few monomials
     of degree <= 4 and Gaussian-rational coefficients times pi^-1..pi^1.
     Orthogonal cochains (real X, Y variables only) live in fock:0, or in
-    mixed:r for kind "orthogonal-mixed"."""
+    mixed:r for kind "orthogonal-mixed".  The variables are drawn from every
+    kind, from the X kinds only (so the kernel skips the operators that
+    differentiate a Y), or from every kind with one monomial holding every
+    variable of the signature (so it skips none)."""
     p, q, r = draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(st.integers(1, 2))
     if kind in ("orthogonal", "orthogonal-mixed"):
         sig = Signature(p, q, r, 0, ORTHOGONAL)
@@ -46,8 +49,14 @@ def cochains(draw, kind):
         gens += [xibar(i, j) for i in range(1, p + 1) for j in range(1, q + 1)]
         variables += [VariableId(k, i, c) for k in ("Xbar", "Ybar")
                       for i in range(1, p + 1) for c in range(1, sig.s + 1)]
+    pool = draw(st.sampled_from(("every", "y-free", "all-in-one")))
+    if pool == "y-free":
+        variables = [v for v in variables if v.kind in ("X", "Xbar")]
     rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
     out = {}
+    if pool == "all-in-one":
+        w = wedge_monomial(draw(st.lists(st.sampled_from(gens), max_size=3, unique=True)))[1]
+        out[w] = Polynomial({monomial((v, 1) for v in variables): Scalar.of(draw(rationals) or 1)})
     for _ in range(draw(st.integers(1, 5))):
         sign, w = wedge_monomial(draw(st.lists(st.sampled_from(gens), max_size=3, unique=True)))
         terms = {}
@@ -55,7 +64,7 @@ def cochains(draw, kind):
             mono = monomial(draw(st.lists(st.tuples(st.sampled_from(variables),
                                                     st.integers(1, 2)), max_size=2)))
             terms[mono] = Scalar.of(draw(rationals), draw(rationals), draw(st.integers(-1, 1)))
-        out[w] = Polynomial(terms).scale(sign)
+        out[w] = Polynomial(terms).scale(sign) + out.get(w, Polynomial.zero())
     return GKCochain(Form(out), model, sig)
 
 
@@ -121,8 +130,14 @@ def assert_canonical(f: Form):
             assert isinstance(c, Scalar) and not c.is_zero()
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(st.sampled_from(KINDS).flatmap(cochains))
+@example(build_psi_cup(Signature(3, 2, 2, 0)))
+@example(build_psi_cup(Signature(2, 2, 1, 1)))
+@example(build_km_nabla(Signature(2, 2, 1, 1)))
+@example(build_mixed(Signature(2, 1, 2, 1)))
+@example(build_psi_orth(Signature(3, 2, 2, 0, ORTHOGONAL)))
+@example(build_km_nabla(Signature(3, 2, 1, 0, ORTHOGONAL)))
 def test_kernel_matches_plain_loop(c):
     d = gk_differential(c).form
     assert d == ref_differential(c)
@@ -155,13 +170,20 @@ def test_closed_forms_cancel_to_the_zero_form():
         assert k_invariance_residual(c).terms == {}
 
 
-def test_kernel_images_go_through_linop_apply(monkeypatch):
-    """One LinOp.apply call per (operator, coefficient monomial) the sum
-    meets: the operators.apply layer boundary sees every kernel image."""
-    c = build_psi_cup(Signature(2, 2, 1, 1))
+def assert_one_apply_per_acting_pair(monkeypatch, c: GKCochain, skipped=()):
+    """d(c) makes one LinOp.apply call per (operator, coefficient monomial)
+    the sum meets, except for the operators dual to a generator kind in
+    skipped: each of those differentiates a Y in every term, sends every
+    coefficient monomial to zero, and gets no call."""
     pairs = forms._pair_ops(c.sig, c.model)
     expected = {(op, m) for lead, op in pairs for w, p in c.form.terms.items()
-                if merge_monomials(lead, w)[0] for m in p.terms}
+                if lead[0].kind not in skipped and merge_monomials(lead, w)[0] for m in p.terms}
+    monomials = {m for p in c.form.terms.values() for m in p.terms}
+    for (g,), op in pairs:
+        if g.kind in skipped:
+            assert all(any(v.kind == "Y" for v, _ in D) for D in op.terms)
+            assert all(op.apply(Polynomial({m: Scalar.one()})).is_zero() for m in monomials)
+    d = ref_differential(c)
     calls = []
     apply = LinOp.apply
 
@@ -170,8 +192,32 @@ def test_kernel_images_go_through_linop_apply(monkeypatch):
         return apply(op, f)
 
     monkeypatch.setattr(LinOp, "apply", counted)
-    assert gk_differential(c).form.terms == {}
+    assert gk_differential(c).form == d
     assert len(calls) == len(expected) and set(calls) == expected
+
+
+def test_kernel_images_go_through_linop_apply(monkeypatch):
+    """The operators.apply layer boundary sees every kernel image: at split
+    1 every operator has a term without derivatives, so none is skipped."""
+    c = build_psi_cup(Signature(2, 2, 1, 1))
+    assert gk_differential(c).form.terms == {}
+    assert_one_apply_per_acting_pair(monkeypatch, c)
+
+
+def _y_times(c: GKCochain) -> GKCochain:
+    """c with every coefficient times the product of its signature's Y."""
+    ys = Polynomial({monomial((Y(j, k), 1) for j in range(1, c.sig.q + 1)
+                              for k in range(1, c.sig.r + 1)): Scalar.one()})
+    return GKCochain(c.form.map_coefficients(lambda p: p * ys), c.model, c.sig)
+
+
+@pytest.mark.parametrize("c,skipped", [
+    # psi at split 0 holds no Y, so the d/dX d/dY operators dual to xi cannot act
+    (build_psi_cup(Signature(3, 2, 2, 0)), {"xi"}),
+    (_y_times(build_psi_cup(Signature(3, 2, 2, 0))), set()),
+], ids=["psi", "psi-times-Y"])
+def test_kernel_skips_only_the_operators_that_cannot_act(monkeypatch, c, skipped):
+    assert_one_apply_per_acting_pair(monkeypatch, c, skipped)
 
 
 def test_leibniz_rule_on_column_products():

@@ -4,9 +4,9 @@ from itertools import product
 from hypothesis import given, settings, strategies as st
 
 from theta_forms.models import ladder_op
-from theta_forms.operators import LinOp
-from theta_forms.poly import Polynomial, X, Xbar, Y, Zvar, monomial
-from theta_forms.scalars import Scalar
+from theta_forms.operators import LinOp, _deriv_mono
+from theta_forms.poly import Polynomial, X, Xbar, Y, Zvar, _poly, monomial, monomial_mul
+from theta_forms.scalars import Scalar, _mac, _reduce, _rows
 
 x = Polynomial.variable(X(1, 1))
 dx = LinOp.partial(X(1, 1))
@@ -125,7 +125,7 @@ def _linops(draw, max_order=4):
     return LinOp(terms)
 
 
-def _ref_apply(op: LinOp, f: Polynomial) -> Polynomial:
+def ref_partials_apply(op: LinOp, f: Polynomial) -> Polynomial:
     out = Polynomial.zero()
     for D, mult in op.terms.items():
         df = f
@@ -140,7 +140,7 @@ def _ref_apply(op: LinOp, f: Polynomial) -> Polynomial:
 @given(_linops(), _polys())
 def test_apply_matches_repeated_partials(op, f):
     out = op.apply(f)
-    assert out == _ref_apply(op, f)
+    assert out == ref_partials_apply(op, f)
     assert all(isinstance(c, Scalar) and not c.is_zero() for c in out.terms.values())
 
 
@@ -150,10 +150,68 @@ def test_apply_high_orders():
     f = Polynomial({monomial([(X(1, 1), 3), (Y(1, 2), 1)]): c})
     mult = x + y * Scalar.of(0, Fraction(1, 2))
     d2 = LinOp({monomial([(X(1, 1), 2)]): mult})
-    assert d2.apply(f) == _ref_apply(d2, f) == x * y * mult * c * 6
+    assert d2.apply(f) == ref_partials_apply(d2, f) == x * y * mult * c * 6
     for order in (4, 5):
         assert LinOp({monomial([(X(1, 1), order)]): mult}).apply(f).is_zero()
     assert LinOp({monomial([(Xbar(1, 1), 1)]): mult}).apply(f).is_zero()
+
+
+def ref_apply(op: LinOp, f: Polynomial) -> Polynomial:
+    """LinOp.apply without its one-acting-term path: every (term, monomial)
+    image through the triple accumulator."""
+    acc: dict = {}
+    for D, mult in op.terms.items():
+        for m, c in f.terms.items():
+            r = _deriv_mono(D, m)
+            if r is not None:
+                n, dm = r
+                _mac(acc, c, _rows((monomial_mul(m2, dm), c2) for m2, c2 in mult.terms.items()), n)
+    return _poly(_reduce(acc))
+
+
+# Two variables and low degrees, so that the products of different terms
+# often land on one monomial (X d/dX and Y d/dY on X^a Y^b, say).
+_FEW_VARS = [X(1, 1), Y(1, 2)]
+_few_monomials = st.lists(st.tuples(st.sampled_from(_FEW_VARS), st.integers(1, 3)),
+                          max_size=2).map(monomial)
+
+
+@st.composite
+def _colliding_linops(draw):
+    terms = {}
+    for _ in range(draw(st.integers(1, 4))):
+        D = draw(_few_monomials)
+        terms[D] = Polynomial({draw(_few_monomials): draw(_scalars())
+                               for _ in range(draw(st.integers(1, 2)))})
+    return LinOp(terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_colliding_linops(),
+       st.one_of(st.builds(lambda m, c: Polynomial({m: c}), _few_monomials, _scalars()),
+                 _polys()))
+def test_apply_matches_the_accumulator_loop(op, f):
+    out = op.apply(f)
+    assert out == ref_apply(op, f) == ref_partials_apply(op, f)
+    assert all(isinstance(c, Scalar) and not c.is_zero() for c in out.terms.values())
+
+
+def test_apply_with_one_acting_term_and_with_colliding_terms():
+    y = Polynomial.variable(Y(1, 2))
+    c = Scalar.of(Fraction(2, 3), -1, -1) + Scalar.of(0, Fraction(1, 5), 2)
+    f = Polynomial({monomial([(X(1, 1), 3), (Y(1, 2), 1)]): c})
+    mult = x * Scalar.of(Fraction(1, 2), 1) + y * Scalar.of(3, 0, 1)
+    # one acting term, n = 3 * 2 and a two-term c; the d/dXbar term cannot act
+    one = LinOp({monomial([(X(1, 1), 2)]): mult, monomial([(Xbar(1, 1), 1)]): mult})
+    assert one.apply(f) == ref_apply(one, f) == mult * x * y * c * 6
+    # the multiplier's Scalars come back as they are when n * c = 1
+    unit = Polynomial({monomial([(X(1, 1), 1)]): Scalar.one()})
+    assert LinOp.partial(X(1, 1)).apply(unit).terms == {(): Scalar.one()}
+    # X d/dX and Y d/dY both send X^3 Y to a multiple of X^3 Y: 3 - 3 = 0
+    euler = LinOp({monomial([(X(1, 1), 1)]): x, monomial([(Y(1, 2), 1)]): y * -3})
+    assert euler.apply(f).terms == {} and ref_apply(euler, f).is_zero()
+    euler = LinOp({monomial([(X(1, 1), 1)]): x, monomial([(Y(1, 2), 1)]): y})
+    assert euler.apply(f) == ref_apply(euler, f) == f * 4
 
 
 @settings(max_examples=80, deadline=None)
