@@ -2,31 +2,34 @@
 
 Wedge monomials are strictly increasing tuples of generators under the
 fixed order: every xi before every xibar, then (col, row) lexicographic.
-A Form maps wedge monomials to nonzero Polynomial coefficients.  Signs come
-from counting transpositions against this order, never from conventions
-chosen per call site.
+A WedgeGen is laid out in exactly that order, so plain comparison of two
+generators is the order.  A Form maps wedge monomials to nonzero Polynomial
+coefficients.  Signs come from counting transpositions against this order,
+never from conventions chosen per call site.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from .poly import Polynomial, TermMap, _KeyTable, _mac_poly, _mac_prod, _polys, parse_index
+from .poly import Polynomial, TermMap, _mac_poly, _mac_prod, _polys, parse_index
 
-_GEN_KIND_RANK = {"xi": 0, "xibar": 1}
-_GEN_CONJ = {"xi": "xibar", "xibar": "xi"}
+_GEN_KINDS = ("xi", "xibar")
 
 
 class WedgeGen(NamedTuple):
-    kind: str   # "xi" | "xibar"
-    row: int
+    """A tangent generator, laid out (rank, col, row) with rank its index in
+    _GEN_KINDS: plain tuple comparison is the generator order."""
+    rank: int
     col: int
+    row: int
 
-    def sort_key(self):
-        return (_GEN_KIND_RANK[self.kind], self.col, self.row)
+    @property
+    def kind(self) -> str:
+        return _GEN_KINDS[self.rank]
 
     def conjugate(self) -> "WedgeGen":
-        return WedgeGen(_GEN_CONJ[self.kind], self.row, self.col)
+        return self._replace(rank=1 - self.rank)
 
     def token(self) -> str:
         return f"{self.kind}:{self.row}:{self.col}"
@@ -34,21 +37,17 @@ class WedgeGen(NamedTuple):
     @classmethod
     def from_token(cls, tok: str) -> "WedgeGen":
         kind, row, col = tok.split(":")
-        if kind not in _GEN_KIND_RANK:
+        if kind not in _GEN_KINDS:
             raise ValueError(f"unknown wedge generator kind {kind!r}")
-        return cls(kind, parse_index(row), parse_index(col))
-
-
-# WedgeGen -> sort_key(): the one generator order, for the merge and sort loops
-_GEN_KEYS = _KeyTable(WedgeGen.sort_key)
+        return cls(_GEN_KINDS.index(kind), parse_index(col), parse_index(row))
 
 
 def xi(i: int, j: int) -> WedgeGen:
-    return WedgeGen("xi", i, j)
+    return WedgeGen(0, j, i)
 
 
 def xibar(i: int, j: int) -> WedgeGen:
-    return WedgeGen("xibar", i, j)
+    return WedgeGen(1, j, i)
 
 
 WedgeMonomial = tuple  # strictly increasing tuple of WedgeGen
@@ -58,13 +57,13 @@ def wedge_monomial(gens: Iterable[WedgeGen]):
     """Sort generators into canonical order.
 
     Returns (sign, monomial) or (0, ()) when a generator repeats.  One sort
-    by sort_key, so a long imported wedge costs O(n log n): repeats are
-    equal neighbours, and the sign is the parity of the sorting permutation,
-    (-1)^(n - number of cycles).
+    of the positions by the generators, which compare in field order, so a
+    long imported wedge costs O(n log n): repeats are equal neighbours, and
+    the sign is the parity of the sorting permutation, (-1)^(n - number of
+    cycles).
     """
     gens = list(gens)
-    keys = [_GEN_KEYS[g] for g in gens]
-    order = sorted(range(len(gens)), key=keys.__getitem__)
+    order = sorted(range(len(gens)), key=gens.__getitem__)
     out = tuple(gens[i] for i in order)
     for a, b in zip(out, out[1:]):
         if a == b:
@@ -92,12 +91,12 @@ def perm_sign(perm) -> int:
 
 def merge_monomials(w1: WedgeMonomial, w2: WedgeMonomial):
     """Merge two canonical monomials; (sign, merged) or (0, ()) on repeats."""
-    out, sign, i, j, keys = [], 1, 0, 0, _GEN_KEYS
+    out, sign, i, j = [], 1, 0, 0
     while i < len(w1) and j < len(w2):
         a, b = w1[i], w2[j]
         if a == b:
             return 0, ()
-        if keys[a] < keys[b]:
+        if a < b:
             out.append(a)
             i += 1
         else:
@@ -111,8 +110,8 @@ def merge_monomials(w1: WedgeMonomial, w2: WedgeMonomial):
 
 
 def bidegree(w: WedgeMonomial) -> tuple[int, int]:
-    a = sum(1 for g in w if g.kind == "xi")
-    return (a, len(w) - a)
+    b = sum(g.rank for g in w)  # xibar has rank 1
+    return (len(w) - b, b)
 
 
 class Form(TermMap):
@@ -183,10 +182,6 @@ class Form(TermMap):
                 q = p.conjugate()
                 out[ww] = q if sign > 0 else -q
         return Form(out)
-
-    def sorted_terms(self):
-        keys = _GEN_KEYS
-        return sorted(self.terms.items(), key=lambda t: tuple(keys[g] for g in t[0]))
 
     def __repr__(self):
         if not self.terms:

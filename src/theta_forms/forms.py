@@ -111,9 +111,9 @@ def cup_embed(c: GKCochain, holo_offset: int, conj_offset: int) -> Form:
 
     def relabel(v: VariableId) -> VariableId:
         if v.kind in ("X", "Y"):
-            return VariableId(v.kind, v.row, v.col + holo_offset)
+            return v._replace(col=v.col + holo_offset)
         if v.kind in ("Xbar", "Ybar"):
-            return VariableId(v.kind, v.row, v.col + conj_offset)
+            return v._replace(col=v.col + conj_offset)
         return v
 
     return c.form.map_coefficients(lambda P: P.map_variables(relabel))
@@ -488,11 +488,10 @@ def restrict_form(c: GKCochain, split: SplitSpec) -> GKCochain:
         for v in p.variables():
             if row_dead_var(v):
                 raise FactorizationError(
-                    f"surviving coefficient depends on peeled variable {v}")
-        ww = tuple(WedgeGen(g.kind, g.row - l, g.col) for g in w)
+                    f"surviving coefficient depends on peeled variable {v.token()}")
+        ww = tuple(g._replace(row=g.row - l) for g in w)
         pp = p.map_variables(
-            lambda v: VariableId(v.kind, v.row - l, v.col)
-            if v.kind in ("X", "Xbar") else v)
+            lambda v: v._replace(row=v.row - l) if v.kind in ("X", "Xbar") else v)
         out[ww] = pp
     return GKCochain(Form(out), c.model, new_sig)
 

@@ -105,6 +105,8 @@ class ModelTag:
             raise ValueError(f"unknown model {self.which!r}")
         if self.split < 0:
             raise ValueError("model split must be non-negative")
+        if self.which == "schrodinger" and self.split != 0:
+            raise ValueError("the schrodinger model has no columns: its split is 0")
 
     def token(self) -> str:
         return f"{self.which}:{self.split}"
@@ -153,8 +155,8 @@ def heisenberg_op(model: ModelTag, gen: str, j: int, dim: int) -> LinOp:
     factor) that is rho(e_j) = 2pi x_j - d_j and rho(f_j) = -2 i pi x_j."""
     if not (1 <= j <= dim):
         raise IndexError(f"generator index {j} out of range 1..{dim}")
-    if model.which not in ("fock", "schrodinger"):
-        raise ValueError("heisenberg_op is defined for the scalar fock/schrodinger models")
+    if model not in (FOCK, SCHRODINGER):
+        raise ValueError("heisenberg_op is defined for the scalar models fock:0 and schrodinger:0")
     c, a = _scalar_ladder(model.which, j)
     if gen == "e":
         return (c - a).scale(Fraction(1, 2))
@@ -195,7 +197,7 @@ def intertwine(fock_elem: Polynomial, dim: int) -> Polynomial:
         img = Polynomial.one()
         for v, e in mono:
             if v != Zvar(v.row) or not 1 <= v.row <= dim:
-                raise ValueError(f"not a Fock variable of dimension {dim}: {v}")
+                raise ValueError(f"not a Fock variable of dimension {dim}: {v.token()}")
             create = _scalar_ladder("schrodinger", v.row)[0]
             for _ in range(e):
                 img = create.apply(img)

@@ -3,8 +3,10 @@
 Variables are matrix slots X_{i,nu}, Y_{j,nu}, their conjugates, and a
 reserved Z kind for the one-column coordinates of the scalar oscillator
 models.  The global variable order is (kind, col, row) lexicographic with
-kinds ranked X < Y < Xbar < Ybar < Z; it is fixed once per process so that
-canonical forms and downstream wedge signs are reproducible bit for bit.
+kinds ranked X < Y < Xbar < Ybar < Z.  A VariableId is laid out in exactly
+that order, so comparing two of them is comparing their fields: every sort
+and merge uses plain comparison, and canonical forms and downstream wedge
+signs are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -16,35 +18,22 @@ from typing import Iterable, NamedTuple
 from .scalars import _ONE, Scalar, _mac, _reduce, _rows
 
 KINDS = ("X", "Y", "Xbar", "Ybar", "Z")
-_KIND_RANK = {k: i for i, k in enumerate(KINDS)}
-_CONJ_KIND = {"X": "Xbar", "Xbar": "X", "Y": "Ybar", "Ybar": "Y", "Z": "Z"}
-
-
-class _KeyTable(dict):
-    """x -> key(x), filled in on first lookup: one fixed order, indexed
-    directly by the hot loops.  It stays a dict rather than a
-    functools.cache function: a merge loop would pay a call per lookup."""
-
-    def __init__(self, key):
-        super().__init__()
-        self.key = key
-
-    def __missing__(self, x):
-        k = self[x] = self.key(x)
-        return k
-
-
-# VariableId -> (kind rank, col, row): the one variable order
-_SORT_KEYS = _KeyTable(lambda v: (_KIND_RANK[v.kind], v.col, v.row))
 
 
 class VariableId(NamedTuple):
-    kind: str
-    row: int
+    """A variable, laid out (rank, col, row) with rank its index in KINDS:
+    plain tuple comparison is the global variable order."""
+    rank: int
     col: int
+    row: int
+
+    @property
+    def kind(self) -> str:
+        return KINDS[self.rank]
 
     def conjugate(self) -> "VariableId":
-        return VariableId(_CONJ_KIND[self.kind], self.row, self.col)
+        # X <-> Xbar and Y <-> Ybar are two ranks apart; Z is real
+        return self._replace(rank=self.rank ^ 2) if self.rank < 4 else self
 
     def token(self) -> str:
         return f"{self.kind}:{self.row}:{self.col}"
@@ -54,7 +43,7 @@ class VariableId(NamedTuple):
         kind, row, col = tok.split(":")
         if kind not in KINDS:
             raise ValueError(f"unknown variable kind {kind!r}")
-        return cls(kind, parse_index(row), parse_index(col))
+        return cls(KINDS.index(kind), parse_index(col), parse_index(row))
 
 
 def parse_index(text: str, least: int = 1) -> int:
@@ -68,23 +57,23 @@ def parse_index(text: str, least: int = 1) -> int:
 
 
 def X(i: int, nu: int) -> VariableId:
-    return VariableId("X", i, nu)
+    return VariableId(0, nu, i)
 
 
 def Y(j: int, nu: int) -> VariableId:
-    return VariableId("Y", j, nu)
+    return VariableId(1, nu, j)
 
 
 def Xbar(i: int, nu: int) -> VariableId:
-    return VariableId("Xbar", i, nu)
+    return VariableId(2, nu, i)
 
 
 def Ybar(j: int, nu: int) -> VariableId:
-    return VariableId("Ybar", j, nu)
+    return VariableId(3, nu, j)
 
 
 def Zvar(j: int) -> VariableId:
-    return VariableId("Z", j, 1)
+    return VariableId(4, 1, j)
 
 
 # A monomial is a tuple of (VariableId, exponent>0) pairs sorted by the
@@ -99,18 +88,18 @@ def monomial(pairs: Iterable[tuple[VariableId, int]]) -> Monomial:
     items = [(v, e) for v, e in acc.items() if e != 0]
     if any(e < 0 for _, e in items):
         raise ValueError("negative exponent in monomial")
-    return tuple(sorted(items, key=lambda p: _SORT_KEYS[p[0]]))
+    return tuple(sorted(items))
 
 
 def monomial_mul(m1: Monomial, m2: Monomial) -> Monomial:
     """Product of two canonical monomials: one merge of the sorted tuples."""
-    out, i, j, keys = [], 0, 0, _SORT_KEYS
+    out, i, j = [], 0, 0
     while i < len(m1) and j < len(m2):
         (v1, e1), (v2, e2) = m1[i], m2[j]
         if v1 == v2:
             out.append((v1, e1 + e2))
             i, j = i + 1, j + 1
-        elif keys[v1] < keys[v2]:
+        elif v1 < v2:
             out.append(m1[i])
             i += 1
         else:
@@ -159,6 +148,11 @@ class TermMap:
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    def sorted_terms(self) -> list:
+        """(key, coefficient) pairs by key: monomials and wedges compare as
+        plain tuples, and distinct keys leave no coefficient to compare."""
+        return sorted(self.terms.items())
 
     def scale(self, c):
         """Every coefficient times c: a Scalar (an int or Fraction is taken
@@ -231,10 +225,6 @@ class Polynomial(TermMap):
 
     def coefficient(self, m: Monomial) -> Scalar:
         return self.terms.get(m, Scalar.zero())
-
-    def sorted_terms(self) -> list[tuple[Monomial, Scalar]]:
-        keys = _SORT_KEYS
-        return sorted(self.terms.items(), key=lambda t: tuple((keys[v], e) for v, e in t[0]))
 
     # -- calculus and substitution ------------------------------------------
 

@@ -29,6 +29,14 @@ def _ratio(n: int, d: int) -> str:
     return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
+def _exact(x) -> Fraction:
+    """Fraction(x), refusing what Fraction would take silently but inexactly:
+    a float, complex or bool raises TypeError."""
+    if isinstance(x, (float, complex, bool)):
+        raise TypeError(f"expected an exact rational, got {x!r}")
+    return Fraction(x)
+
+
 def _add_term(out: dict, k: int, c) -> None:
     """out[k] += c for a canonical nonzero c, dropping k when the sum is zero."""
     t = out.get(k)
@@ -47,14 +55,16 @@ class Scalar:
     __slots__ = ("_t",)
 
     def __init__(self, terms=None):
-        # terms: {pi_exponent: (re, im)} with re, im anything Fraction() takes
+        # terms: {pi_exponent: (re, im)}, an int exponent and exact re, im
         t = {}
         for k, (re, im) in (terms or {}).items():
-            re, im = Fraction(re), Fraction(im)
+            if type(k) is not int:
+                raise TypeError(f"expected an int pi exponent, got {k!r}")
+            re, im = _exact(re), _exact(im)
             c = _canon(re.numerator * im.denominator, im.numerator * re.denominator,
                        re.denominator * im.denominator)
             if c is not None:
-                t[int(k)] = c
+                t[k] = c
         self._t = t
 
     @property
@@ -70,8 +80,8 @@ class Scalar:
 
     @classmethod
     def of(cls, re, im=0, pi_exp: int = 0) -> "Scalar":
-        if type(re) is int and type(im) is int:
-            return _raw({int(pi_exp): (re, im, 1)} if re or im else {})
+        if type(re) is int and type(im) is int and type(pi_exp) is int:
+            return _raw({pi_exp: (re, im, 1)} if re or im else {})
         return cls({pi_exp: (re, im)})
 
     @classmethod
@@ -142,7 +152,7 @@ class Scalar:
     # -- comparison / hashing ---------------------------------------------
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
+        if type(other) is int or isinstance(other, Fraction):
             other = Scalar.of(other)
         return isinstance(other, Scalar) and self._t == other._t
 

@@ -16,6 +16,8 @@ from itertools import product
 from math import isqrt, lcm
 from typing import Callable, Sequence
 
+from .scalars import _exact
+
 
 # ---------------------------------------------------------------------------
 # Exact Gram matrices
@@ -25,7 +27,7 @@ class GramMatrix:
     """Exact rational symmetric positive-definite matrix."""
 
     def __init__(self, entries: Sequence[Sequence]):
-        rows = tuple(tuple(Fraction(x) for x in row) for row in entries)
+        rows = tuple(tuple(_exact(x) for x in row) for row in entries)
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise ValueError("gram matrix must be square")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -376,6 +377,79 @@ def test_export_reproduces_build_byte_for_byte(tmp_path, capsys, form, sig):
     latex = capsys.readouterr().out
     assert main(["export", "--in", str(built), "--format", "latex"]) == 0
     assert capsys.readouterr().out == latex
+
+
+# SHA-256 of `build` (JSON, LaTeX) beyond perfbench's construct ladder: two-digit
+# rows, both families' Chern forms, orthogonal km-explicit, conjugate-only
+# columns (s > r) and mixed at s = 0.  Any change of a variable or generator
+# order, a sign or the writer shows here.
+_BUILD_DIGESTS = {
+    "psi-q-unitary-11-1-1-0": (
+        "1a30ab1007cf2b323c048160b8946d8c5771f06fd5ccaf2d177739e55d793442",
+        "9893b6cd86ae83e1442ab5202b4ad3a7d70afbf17a2ccddfec26c587e7538c24"),
+    "chern-unitary-3-2-1-0": (
+        "19a30dbab8470a0c5e8cd8fc89ae47b0e22c760a87f1451b5226298a63cc13d1",
+        "c68d0c61429dd869478fe50d623e2512000a5256e31525cc0c40ffd66c768b15"),
+    "chern-orthogonal-3-2-1-0": (
+        "bdec9975c48e41846d81f0fea97c152c9b234d912f352e93ad5fc68e8679d09b",
+        "a273cffb1c08b3a2b3d1bb2c0ed2d890ee049a508914390f09340a0df857da9e"),
+    "km-explicit-orthogonal-3-2-2-0": (
+        "3ba05aab94578e84813dca78941ea9e934318510ad75f341ab5140cea3b65ed1",
+        "a50999934e5f3ae3559c5a5d462b4eb3526d3503dab323e014ac65bbc0db428c"),
+    "psi-cup-unitary-2-1-1-2": (
+        "518a228352feedaf5a2976736f5d89e68bdc23d1771582a242b8867ccde2f3d2",
+        "a0c7e597cb102ff4adca544eba7ad3167d4a219834ed96f3b28961e8bc8dabc1"),
+    "mixed-unitary-3-2-2-0": (
+        "d8b26268e01110798bc3cb767ac3e1ca3b43426f7cf336279d5e41d9d860c131",
+        "3d96a3dcc0ebbce48879abe84eddc5de339ad5f2aa7724b79c94ffec3b83928f"),
+    "mixed-unitary-2-2-1-1": (
+        "0e49b4b0dea5d0858edc633c63c5b2f6386161da2411a5ee352290be19cedd31",
+        "be949bc12676168c0a57176a6ca6e9ac40e890dc9ffd2c37ec88ee8ab6e4caed"),
+}
+
+
+def _build_flags(name: str) -> list[str]:
+    *form, family, p, q, r, s = name.split("-")
+    return ["--form", "-".join(form), "--family", family,
+            "--p", p, "--q", q, "--r", r, "--s", s]
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(_BUILD_DIGESTS))
+def test_build_output_is_pinned(tmp_path, name):
+    for fmt, digest in zip(("json", "latex"), _BUILD_DIGESTS[name]):
+        out = tmp_path / fmt
+        assert main(["build", *_build_flags(name), "--format", fmt, "--out", str(out)]) == 0
+        assert _sha256(out) == digest
+
+
+@pytest.mark.parametrize("name", ["mixed-unitary-2-2-1-1", "psi-cup-unitary-2-1-1-2"])
+def test_export_of_a_reordered_import_is_pinned(tmp_path, name):
+    # terms, poly entries, monomials and wedges in reverse order; a reversal of
+    # n generators is odd when n(n-1)/2 is, and one swap more makes it even, so
+    # the document holds the built cochain and must export to the build's bytes
+    built = tmp_path / "built.json"
+    assert main(["build", *_build_flags(name), "--out", str(built)]) == 0
+    doc = json.loads(built.read_text())
+    for term in doc["terms"]:
+        w = term["wedge"][::-1]
+        if len(w) * (len(w) - 1) // 2 % 2:
+            w[:2] = w[1::-1]
+        term["wedge"] = w
+        term["poly"].reverse()
+        for entry in term["poly"]:
+            entry["mono"].reverse()
+    doc["terms"].reverse()
+    reordered = tmp_path / "reordered.json"
+    reordered.write_text(json.dumps(doc))
+    assert reordered.read_text() != built.read_text()
+    for fmt, digest in zip(("json", "latex"), _BUILD_DIGESTS[name]):
+        out = tmp_path / fmt
+        assert main(["export", "--in", str(reordered), "--format", fmt, "--out", str(out)]) == 0
+        assert _sha256(out) == digest
 
 
 @pytest.mark.parametrize("value", ["1e400", "0.5", " 1 ", "1_0"])

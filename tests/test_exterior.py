@@ -81,13 +81,19 @@ def test_wedge_associative(g1, g2, g3):
     assert a.wedge(b).wedge(c) == a.wedge(b.wedge(c))
 
 
+def ref_gen_key(g):
+    """The generator order from the public attributes, never from the tuple
+    layout: every xi before every xibar, then (col, row)."""
+    return ({"xi": 0, "xibar": 1}[g.kind], g.col, g.row)
+
+
 def ref_wedge_monomial(gens):
     """Insertion sort counting transpositions: the O(n^2) oracle."""
     gens = list(gens)
     sign = 1
     for i in range(1, len(gens)):
         j = i
-        while j > 0 and gens[j - 1].sort_key() > gens[j].sort_key():
+        while j > 0 and ref_gen_key(gens[j - 1]) > ref_gen_key(gens[j]):
             gens[j - 1], gens[j] = gens[j], gens[j - 1]
             sign = -sign
             j -= 1
@@ -97,7 +103,7 @@ def ref_wedge_monomial(gens):
     return sign, tuple(gens)
 
 
-_any_gen = st.builds(lambda kind, i, j: WedgeGen(kind, i, j), st.sampled_from(["xi", "xibar"]),
+_any_gen = st.builds(lambda gen, i, j: gen(i, j), st.sampled_from([xi, xibar]),
                      st.integers(1, 3), st.integers(1, 3))
 
 
@@ -108,18 +114,39 @@ def test_wedge_monomial_matches_insertion_sort(gens):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.permutations([WedgeGen(k, i, j) for k in ("xi", "xibar")
+@given(st.permutations([gen(i, j) for gen in (xi, xibar)
                         for i in (1, 2, 3) for j in (1, 2)]))
 def test_wedge_monomial_sign_is_the_permutation_parity(gens):
     sign, w = wedge_monomial(gens)
-    assert w == tuple(sorted(gens, key=WedgeGen.sort_key))
+    assert w == tuple(sorted(gens, key=ref_gen_key))
     assert sign == perm_sign([w.index(g) for g in gens])
 
 
 def test_wedge_monomial_of_a_long_list():
     # reversing n = 8,199 canonical generators takes n(n-1)/2 transpositions,
     # an odd number; one sort handles it
-    gens = [WedgeGen(kind, i, j) for kind in ("xi", "xibar")
+    gens = [gen(i, j) for gen in (xi, xibar)
             for j in range(1, 101) for i in range(1, 42)][:-1]
     assert wedge_monomial(gens[::-1]) == (-1, tuple(gens))
     assert wedge_monomial([xibar(1, 1), xi(1, 1)] * 4000) == (0, ())
+
+
+# every kind, rows and columns up to two digits, built from tokens only
+_token_gen = st.builds(lambda kind, row, col: WedgeGen.from_token(f"{kind}:{row}:{col}"),
+                       st.sampled_from(["xi", "xibar"]), st.integers(1, 12), st.integers(1, 12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_token_gen, min_size=1, max_size=8), st.lists(_token_gen, max_size=8))
+def test_generator_order_is_the_reference_order(gs, hs):
+    for a in gs + hs:
+        for b in gs + hs:
+            assert (a < b) == (ref_gen_key(a) < ref_gen_key(b))
+    assert sorted(gs) == sorted(gs, key=ref_gen_key)
+    w1, w2 = (ref_wedge_monomial(set(x))[1] for x in (gs, hs))
+    assert merge_monomials(w1, w2) == ref_wedge_monomial(w1 + w2)
+    for g in gs:
+        assert WedgeGen.from_token(g.token()) == g
+        bar = g.conjugate()
+        assert bar.conjugate() == g and (bar.row, bar.col) == (g.row, g.col)
+        assert bar.kind == {"xi": "xibar", "xibar": "xi"}[g.kind]

@@ -18,7 +18,7 @@ from theta_forms.forms import (GKCochain, build_km_nabla, build_mixed, build_psi
 from theta_forms.models import (ORTHOGONAL, UNITARY, Signature, fock_model,
                                 mixed_model, upq_op_model)
 from theta_forms.operators import LinOp, op_sum
-from theta_forms.poly import X, Y, Polynomial, VariableId, monomial
+from theta_forms.poly import X, Xbar, Y, Ybar, Polynomial, monomial
 from theta_forms.scalars import Scalar
 
 KINDS = ("fock", "mixed", "orthogonal")
@@ -43,11 +43,11 @@ def cochains(draw, kind):
         sig = Signature(p, q, r, s, UNITARY)
         model = fock_model(s) if kind == "fock" else mixed_model(s)
     gens = [xi(i, j) for i in range(1, p + 1) for j in range(1, q + 1)]
-    variables = [VariableId(k, i, c) for k in ("X", "Y")
+    variables = [v(i, c) for v in (X, Y)
                  for i in range(1, p + 1) for c in range(1, r + 1)]
     if sig.family == UNITARY:
         gens += [xibar(i, j) for i in range(1, p + 1) for j in range(1, q + 1)]
-        variables += [VariableId(k, i, c) for k in ("Xbar", "Ybar")
+        variables += [v(i, c) for v in (Xbar, Ybar)
                       for i in range(1, p + 1) for c in range(1, sig.s + 1)]
     pool = draw(st.sampled_from(("every", "y-free", "all-in-one")))
     if pool == "y-free":
@@ -306,17 +306,17 @@ def ref_so_rule(block: str, a: int, b: int):
     one = Scalar.one()
 
     def rule(g: WedgeGen):
-        out = []
+        out, gen = [], xi if g.kind == "xi" else xibar
         if block == "so_p":
             if g.row == a:
-                out.append((-one, WedgeGen(g.kind, b, g.col)))
+                out.append((-one, gen(b, g.col)))
             if g.row == b:
-                out.append((one, WedgeGen(g.kind, a, g.col)))
+                out.append((one, gen(a, g.col)))
         else:
             if g.col == b:
-                out.append((one, WedgeGen(g.kind, g.row, a)))
+                out.append((one, gen(g.row, a)))
             if g.col == a:
-                out.append((-one, WedgeGen(g.kind, g.row, b)))
+                out.append((-one, gen(g.row, b)))
         return out
 
     return rule

@@ -125,7 +125,7 @@ def test_intertwine_matches_the_hand_written_formula():
 
 
 def test_intertwine_rejects_coordinates_outside_the_dimension():
-    for v in (Zvar(3), Zvar(0), VariableId("Z", 1, 2)):
+    for v in (Zvar(3), Zvar(0), VariableId.from_token("Z:1:2")):
         with pytest.raises(ValueError, match="not a Fock variable of dimension 2"):
             intertwine(Polynomial.variable(v), 2)
 
@@ -417,6 +417,21 @@ def test_model_tag_rejects_negative_split():
         ModelTag("fock", -3)
     with pytest.raises(ValueError):
         ModelTag.from_token("mixed:-1")
+
+
+def test_schrodinger_tag_has_no_split():
+    # the scalar model has no columns to split
+    for make in (lambda: ModelTag("schrodinger", 7), lambda: ModelTag.from_token("schrodinger:1")):
+        with pytest.raises(ValueError, match="schrodinger model has no columns"):
+            make()
+    assert ModelTag.from_token("schrodinger:0") == SCHRODINGER
+
+
+def test_heisenberg_op_takes_only_the_scalar_models():
+    for model in (ModelTag("fock", 3), fock_model(1), mixed_model(0), mixed_model(2)):
+        with pytest.raises(ValueError, match="scalar models fock:0 and schrodinger:0"):
+            heisenberg_op(model, "e", 1, 1)
+    assert heisenberg_op(fock_model(0), "wpp", 1, 1) == heisenberg_op(FOCK, "wpp", 1, 1)
 
 
 def test_calibration_scale_consistency():

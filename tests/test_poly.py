@@ -50,7 +50,7 @@ def test_conjugate_swaps_kinds():
 
 def test_map_variables_reindexes():
     p = x11 * y11
-    shifted = p.map_variables(lambda v: VariableId(v.kind, v.row, v.col + 2))
+    shifted = p.map_variables(lambda v: VariableId.from_token(f"{v.kind}:{v.row}:{v.col + 2}"))
     assert shifted == Polynomial.variable(X(1, 3)) * Polynomial.variable(Y(1, 3))
 
 
@@ -81,7 +81,17 @@ def test_leibniz_rule(a, b):
     assert lhs == rhs
 
 
-_any_var = st.builds(VariableId, st.sampled_from(KINDS), st.integers(1, 3), st.integers(1, 3))
+def ref_var_key(v):
+    """The variable order from the public attributes, never from the tuple
+    layout: kinds ranked X < Y < Xbar < Ybar < Z, then (col, row)."""
+    return (KINDS.index(v.kind), v.col, v.row)
+
+
+def _var(kind, row, col):
+    return VariableId.from_token(f"{kind}:{row}:{col}")
+
+
+_any_var = st.builds(_var, st.sampled_from(KINDS), st.integers(1, 3), st.integers(1, 3))
 _monomials = st.lists(st.tuples(_any_var, st.integers(1, 3)), max_size=6).map(monomial)
 
 
@@ -89,3 +99,35 @@ _monomials = st.lists(st.tuples(_any_var, st.integers(1, 3)), max_size=6).map(mo
 @given(_monomials, _monomials)
 def test_merge_product_matches_dict_and_sort(m1, m2):
     assert monomial_mul(m1, m2) == monomial(list(m1) + list(m2))
+
+
+def ref_monomial_mul(m1, m2):
+    """Exponents summed in a dict, then sorted by ref_var_key."""
+    acc = {}
+    for v, e in (*m1, *m2):
+        acc[v] = acc.get(v, 0) + e
+    return tuple(sorted(acc.items(), key=lambda t: ref_var_key(t[0])))
+
+
+# every kind, rows and columns up to two digits
+_token_var = st.builds(_var, st.sampled_from(KINDS), st.integers(1, 12), st.integers(1, 12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_token_var, st.integers(1, 3)), min_size=1, max_size=8),
+       st.lists(st.tuples(_token_var, st.integers(1, 3)), max_size=8))
+def test_variable_order_is_the_reference_order(pairs1, pairs2):
+    vs = [v for v, _ in pairs1 + pairs2]
+    for a in vs:
+        for b in vs:
+            assert (a < b) == (ref_var_key(a) < ref_var_key(b))
+    assert sorted(vs) == sorted(vs, key=ref_var_key)
+    m1, m2 = monomial(pairs1), monomial(pairs2)
+    assert m1 == ref_monomial_mul(pairs1, ())
+    assert monomial_mul(m1, m2) == ref_monomial_mul(m1, m2)
+    conj = {"X": "Xbar", "Xbar": "X", "Y": "Ybar", "Ybar": "Y", "Z": "Z"}
+    for v in vs:
+        assert VariableId.from_token(v.token()) == v
+        bar = v.conjugate()
+        assert bar.conjugate() == v and (bar.row, bar.col) == (v.row, v.col)
+        assert bar.kind == conj[v.kind]

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import theta_forms
+from theta_forms.poly import Polynomial
 from theta_forms.scalars import Scalar
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=8)
@@ -31,6 +32,32 @@ def test_pi_laurent():
     pi = Scalar.of(1, 0, 1)
     assert pi * Scalar.of(1, 0, -1) == Scalar.one()
     assert Scalar.of(2, 0, 3) * Scalar.of(Fraction(1, 2), 0, -3) == Scalar.one()
+
+
+@pytest.mark.parametrize("make, args", [
+    (Scalar.of, (0.1,)), (Scalar.of, (1, 0.5)), (Scalar.of, (2.0,)), (Scalar.of, (1j,)),
+    (Scalar.of, (True,)), (Scalar.of, (1, False)), (Scalar.of, (1, 0, 1.5)),
+    (Scalar.of, (1, 0, 1.0)), (Scalar.of, (1, 0, True)), (Scalar.of, (Fraction(1, 2), 0, 2.0)),
+    (Scalar, ({0: (0.5, True)},)), (Scalar, ({0: (1, 1.5)},)), (Scalar, ({1.0: (1, 0)},)),
+    (Scalar, ({True: (1, 0)},)), (Polynomial, ({(): 0.1},)), (Polynomial, ({(): True},)),
+    (Polynomial, ({(): 1.0},)), (Polynomial.constant, (0.5,)),
+], ids=lambda x: getattr(x, "__qualname__", repr(x)))
+def test_inexact_input_is_rejected(make, args):
+    # a float, complex or bool component, or a pi exponent other than an int,
+    # would otherwise be taken silently (0.1 as its binary fraction, True as 1)
+    with pytest.raises(TypeError):
+        make(*args)
+
+
+def test_exact_input_is_accepted():
+    half = Scalar.of(Fraction(1, 2))
+    assert Scalar.of(1, 2, -3).terms == {-3: (1, 2)}
+    assert Scalar({0: (Fraction(1, 2), 1)}).terms == {0: (Fraction(1, 2), Fraction(1))}
+    assert Scalar.of(Fraction(3, 6), Fraction(0), 4).terms == {4: (Fraction(1, 2), 0)}
+    assert half == Fraction(1, 2) and half * 2 == Scalar.one()
+    assert Scalar.one() != True  # a bool is no number here, and comparing does not raise
+    assert Polynomial({(): Fraction(1, 2)}) == Polynomial.constant(half)
+    assert Polynomial({(): 3}).constant_term() == Scalar.of(3)
 
 
 def test_conjugate_and_inverse():

@@ -9,7 +9,7 @@ from theta_forms.exterior import Form, WedgeGen, perm_sign, wedge_monomial, xi, 
 from theta_forms.forms import (GKCochain, build_km_nabla, build_mixed,
                                build_psi_cup, build_psi_q)
 from theta_forms.models import ORTHOGONAL, UNITARY, Signature, fock_model, mixed_model
-from theta_forms.poly import Polynomial, VariableId, monomial
+from theta_forms.poly import Polynomial, X, Xbar, Y, Ybar, monomial
 from theta_forms.scalars import Scalar
 from theta_forms.serialize import (cochain_from_dict, cochain_from_json, cochain_to_json,
                                    cochain_to_latex, gram_from_json,
@@ -108,8 +108,8 @@ def cochains(draw):
     unitary = family == UNITARY
     gens = [g(i, j) for g in ((xi, xibar) if unitary else (xi,))
             for i in range(1, p + 1) for j in range(1, q + 1)]
-    variables = [VariableId(kind, i, c) for kind in (("X", "Xbar", "Y", "Ybar") if unitary else "XY")
-                 for i in range(1, (p if kind[0] == "X" else q) + 1)
+    variables = [v(i, c) for v in ((X, Xbar, Y, Ybar) if unitary else (X, Y))
+                 for i in range(1, (p if v in (X, Xbar) else q) + 1)
                  for c in range(1, max(r, s) + 1)] or [None]
     rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
     form = Form.zero()
@@ -199,7 +199,7 @@ def test_writer_explicit_cases():
     assert json.loads(_assert_json_layout(zero))["terms"] == []
     assert _assert_json_layout(zero).endswith('  "terms": []\n}\n')
     # an empty wedge with the constant monomial beside a degree-2 monomial
-    mono = monomial([(VariableId("X", 1, 1), 1), (VariableId("Ybar", 1, 1), 2)])
+    mono = monomial([(X(1, 1), 1), (Ybar(1, 1), 2)])
     unit = Polynomial({(): Scalar.of(Fraction(-1, 3)), mono: Scalar.one()})
     (term,) = json.loads(_assert_json_layout(_cochain({(): unit})))["terms"]
     assert term["wedge"] == []
@@ -230,8 +230,7 @@ def _doc(*terms) -> dict:
                       for w, entries in terms]}
 
 
-X11, Y11, X21 = (Polynomial.variable(VariableId(*v))
-                 for v in (("X", 1, 1), ("Y", 1, 1), ("X", 2, 1)))
+X11, Y11, X21 = (Polynomial.variable(v) for v in (X(1, 1), Y(1, 1), X(2, 1)))
 XI = Form({(xi(1, 1),): Polynomial.one()})
 XIBAR = Form({(xibar(1, 1),): Polynomial.one()})
 
@@ -345,4 +344,4 @@ def test_reader_accepts_plain_indices():
     doc["signature"]["p"] = 10
     back = cochain_from_json(json.dumps({**doc, "model": "fock:0"}))
     assert back.model == fock_model(0)
-    assert back.form == Form({(xi(2, 1),): Polynomial.variable(VariableId("X", 10, 1))})
+    assert back.form == Form({(xi(2, 1),): Polynomial.variable(X(10, 1))})

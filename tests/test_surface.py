@@ -5,7 +5,7 @@ import types
 
 import theta_forms
 from theta_forms import forms, models, poly, schur, serialize, theta
-from theta_forms.exterior import Form
+from theta_forms.exterior import Form, WedgeGen
 from theta_forms.forms import GKCochain
 from theta_forms.poly import Polynomial
 from theta_forms.scalars import Scalar
@@ -34,7 +34,7 @@ REMOVED = [
     (forms, "coefficient_at"), (Form, "generator"), (Form, "apply_op"),
     (Form, "degrees"), (Form, "__mul__"), (Form, "__rmul__"), (Scalar, "pi"),
     (Scalar, "__sub__"), (serialize, "cochain_to_dict"), (WhittakerPoint, "of"),
-    (theta, "enumerate_vectors"), (schur, "laplacian"),
+    (theta, "enumerate_vectors"), (schur, "laplacian"), (WedgeGen, "sort_key"),
 ]
 
 

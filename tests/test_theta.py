@@ -22,6 +22,20 @@ def test_gram_validation():
         GramMatrix([[1, 0], [0, 1], [0, 0]])
 
 
+@pytest.mark.parametrize("entry", [0.1, 2.0, 2 + 0j, True], ids=repr)
+def test_gram_rejects_inexact_entries(entry):
+    with pytest.raises(TypeError, match="exact rational"):
+        GramMatrix([[entry, 0], [0, 2]])
+    with pytest.raises(TypeError, match="exact rational"):
+        GramMatrix([[2, 0], [0, entry]])
+
+
+def test_gram_takes_ints_and_fractions():
+    L = GramMatrix([[2, Fraction(1, 2)], [Fraction(1, 2), 2]])
+    assert L.entries == ((2, Fraction(1, 2)), (Fraction(1, 2), 2))
+    assert all(type(x) is Fraction for row in L.entries for x in row)
+
+
 def test_enumerate_rank_one():
     L = GramMatrix([[2]])
     assert [x for x, _ in enumerate_with_norms(L, 1)] == [(-1,), (0,), (1,)]
