@@ -9,12 +9,18 @@ columns for the psi cup products, gaussian-conjugated Schrodinger columns for
 the Schwartz forms) and columns s+1..r are purely holomorphic.  Cup products
 concatenate column blocks; conjugate-carrying blocks have even total degree
 2q, so re-sorting blocks into column order costs no sign.
+
+The six build_* functions are functools.cache functions: sharing a built
+GKCochain is safe because it is an immutable value.  The helpers behind them
+(_psi_factor, _km_column, _km_explicit_column, _lambda_sum) stay uncached, so
+a test that patches one sees its patch on every call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, permutations, product
 from math import factorial
 
@@ -77,6 +83,7 @@ def _psi_factor(sig: Signature, column: int, conjugate: bool = False) -> Form:
     return wedge_all([_omega_form(sig, column, j, conjugate) for j in range(1, sig.q + 1)])
 
 
+@cache
 def build_psi_q(sig: Signature, column: int = 1) -> GKCochain:
     """The antiholomorphic Fock form of one column: bidegree (0, q)."""
     if not (1 <= column <= sig.r):
@@ -93,6 +100,7 @@ def _psi_wedge(sig: Signature) -> GKCochain:
     return GKCochain(wedge_all(blocks), fock_model(min(sig.r, sig.s)), sig)
 
 
+@cache
 def build_psi_cup(sig: Signature) -> GKCochain:
     """Cup product psi_1 ^ ... ^ psi_r ^ psibar_1 ^ ... ^ psibar_s.
 
@@ -138,6 +146,7 @@ def cup_sign(c1_sig: Signature, c2_sig: Signature) -> int:
     return -1 if (c1_sig.q * c1_sig.s * c2_sig.r) % 2 else 1
 
 
+@cache
 def build_psi_orth(sig: Signature) -> GKCochain:
     """psi_1 ^ ... ^ psi_r over the real Fock model (orthogonal family)."""
     if sig.family != ORTHOGONAL:
@@ -216,6 +225,7 @@ def _km_cochain(sig: Signature, column) -> GKCochain:
     return GKCochain(wedge_all(factors), mixed_model(sig.r), sig)
 
 
+@cache
 def build_km_nabla(sig: Signature) -> GKCochain:
     """Kudla-Millson cochain from the nabla operators applied to the vacuum."""
     return _km_cochain(sig, _km_column)
@@ -280,11 +290,13 @@ def _km_explicit_column(sig: Signature, k: int) -> Form:
     return Form(_polys(acc))
 
 
+@cache
 def build_km_explicit(sig: Signature) -> GKCochain:
     """Kudla-Millson cochain from the explicit C(q, lambda) expansion."""
     return _km_cochain(sig, _km_explicit_column)
 
 
+@cache
 def build_mixed(sig: Signature) -> GKCochain:
     """Fock/Schwartz mixed form: Schrodinger factors on columns 1..s, Fock
     psi factors on columns s+1..r."""

@@ -141,7 +141,7 @@ def enumerate_with_norms(L: GramMatrix, max_norm) -> list[tuple[tuple[int, ...],
     arithmetic (see _fincke_pohst).  Levels fix x_0 first and run upwards,
     so vectors come out in lexicographic order; the last level is a flat
     loop, and each distinct remainder gets its half-norm Fraction once."""
-    max_norm = Fraction(max_norm)
+    max_norm = _exact(max_norm)
     if max_norm < 0:
         raise ValueError("max_norm must be non-negative")
     n = L.dim
@@ -243,6 +243,8 @@ def naive_rep_numbers(L: GramMatrix, n_max: int) -> dict[int, int]:
     The Gram matrix is scaled once by the lcm D of its denominators, so each
     point is an int x^T (D L) x, which is 2 n D exactly when the half-norm
     is the integer n."""
+    if n_max < 0:
+        raise ValueError("n_max must be non-negative")
     inv_diag = L.inverse_diagonal()
     bounds = []
     for idx in range(L.dim):
@@ -275,7 +277,7 @@ class BetaMatrix:
 
     @classmethod
     def from_real(cls, rows: Sequence[Sequence]) -> "BetaMatrix":
-        return cls(tuple(tuple((Fraction(x), Fraction(0)) for x in row) for row in rows))
+        return cls(tuple(tuple((_exact(x), Fraction(0)) for x in row) for row in rows))
 
     @classmethod
     def scalar(cls, value) -> "BetaMatrix":
@@ -372,7 +374,8 @@ def fourier_assemble(L: GramMatrix, weight: Callable, g: WhittakerPoint,
                      n_max: int) -> dict[int, complex]:
     """Rank-one Fourier skeleton: coefficient(n) = (sum of weight(x) over the
     norm-n shell) * W_n(g'), literal convention, weight dimension L.dim.
-    weight(x) is an int, a Fraction or anything Fraction accepts."""
+    weight(x) is an int, a Fraction or another exact rational that
+    scalars._exact accepts (a float or complex raises TypeError)."""
     # Sum integer numerators per (shell, denominator): a Fraction addition
     # per vector would cost more than the enumeration.
     sums: dict[tuple[int, int], int] = {}
@@ -381,7 +384,7 @@ def fourier_assemble(L: GramMatrix, weight: Callable, g: WhittakerPoint,
         if h.denominator == 1:
             v = weight(x)
             if not isinstance(v, (int, Fraction)):
-                v = Fraction(v)
+                v = _exact(v)
             key = (h.numerator, v.denominator)
             sums[key] = get(key, 0) + v.numerator
     shells = dict.fromkeys(range(n_max + 1), Fraction(0))

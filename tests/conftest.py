@@ -1,16 +1,24 @@
 import pytest
 
-from theta_forms import models
+from theta_forms import forms, models
+
+
+def clear_library_caches():
+    """Empty every functools.cache function in models and forms (ladders,
+    u(p,q) operators, certificates, form builders) and return them."""
+    caches = [fn for module in (models, forms) for fn in vars(module).values()
+              if hasattr(fn, "cache_clear")]
+    for fn in caches:
+        fn.cache_clear()
+    return caches
 
 
 @pytest.fixture
 def fresh_operators():
-    """Empty column ladder, u(p,q) operator and certificate caches for the
-    test, emptied again after it: nothing the test builds, for instance under
-    patched constants or a patched models._m_op, outlives it."""
-    caches = (models._column_ladder, models.upq_op_model, models.calibrate_structure)
-    for fn in caches:
-        fn.cache_clear()
+    """Empty the library caches for the test, and the same ones again after
+    it (found before the test patches anything): nothing the test builds, for
+    instance under patched constants or a patched models._m_op, outlives it."""
+    caches = clear_library_caches()
     yield
     for fn in caches:
         fn.cache_clear()

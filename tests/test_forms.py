@@ -157,7 +157,7 @@ def test_dd_equals_curvature():
     assert not dd.form.is_zero()  # the curvature obstruction is real
 
 
-def test_construction_path_needs_no_calibration(monkeypatch):
+def test_construction_path_needs_no_calibration(monkeypatch, fresh_operators):
     def refuse(sig, model):
         raise AssertionError("calibrate_structure on the construction path")
     monkeypatch.setattr(forms, "calibrate_structure", refuse)

@@ -187,11 +187,55 @@ def test_fourier_assemble_dict_weights():
 def test_fourier_assemble_mixed_weight_types():
     L = GramMatrix([[2]])
     g = WhittakerPoint.standard(1)
-    weights = {(1,): Fraction(1, 3), (-1,): 0.5, (2,): 2, (-2,): Fraction(1, 6)}
+    weights = {(1,): Fraction(1, 3), (-1,): "1/2", (2,): 2, (-2,): Fraction(1, 6)}
     out = fourier_assemble(L, lambda x: weights.get(x, 0), g, 4)
     for n, total in ((1, Fraction(5, 6)), (4, Fraction(13, 6))):
         assert out[n] == complex(total) * whittaker(BetaMatrix.scalar(n), g, 1)
     assert out[0] == out[2] == out[3] == 0
+
+
+# 1.0000000000000002 is the float just above 1: as a bound it would quietly
+# become a binary fraction
+INEXACT = [0.1, 1.0000000000000002, 2.0, 2 + 0j, True]
+
+
+@pytest.mark.parametrize("value", INEXACT, ids=repr)
+def test_theta_inputs_reject_inexact_values(value):
+    with pytest.raises(TypeError, match="exact rational"):
+        BetaMatrix.from_real([[value]])
+    with pytest.raises(TypeError, match="exact rational"):
+        BetaMatrix.from_real([[1, value], [value, 1]])
+    with pytest.raises(TypeError, match="exact rational"):
+        BetaMatrix.scalar(value)
+    with pytest.raises(TypeError, match="exact rational"):
+        enumerate_with_norms(GramMatrix([[2]]), value)
+
+
+# a bool weight is an int (bool subclasses int), which the summing loop takes
+# as it is; only the values that are neither int nor Fraction are converted
+@pytest.mark.parametrize("value", [0.1, 2.0, 2 + 0j], ids=repr)
+def test_fourier_assemble_rejects_an_inexact_weight(value):
+    with pytest.raises(TypeError, match="exact rational"):
+        fourier_assemble(GramMatrix([[2]]), lambda x: value, WhittakerPoint.standard(1), 2)
+
+
+@pytest.mark.parametrize("value,exact", [(3, Fraction(3)), (Fraction(1, 10), Fraction(1, 10)),
+                                         ("1/10", Fraction(1, 10)), ("7", Fraction(7))],
+                         ids=repr)
+def test_theta_inputs_take_exact_values(value, exact):
+    assert BetaMatrix.from_real([[value]]).entries == (((exact, Fraction(0)),),)
+    assert BetaMatrix.scalar(value) == BetaMatrix.from_real([[exact]])
+    L, g = GramMatrix([[2]]), WhittakerPoint.standard(1)
+    assert enumerate_with_norms(L, value) == enumerate_with_norms(L, exact)
+    assert fourier_assemble(L, lambda x: value, g, 3) == fourier_assemble(L, lambda x: exact, g, 3)
+
+
+def test_naive_rep_numbers_rejects_a_negative_n_max():
+    L = GramMatrix([[2]])
+    for count in (rep_numbers, naive_rep_numbers):
+        with pytest.raises(ValueError, match="n_max must be non-negative"):
+            count(L, -1)
+        assert count(L, 0) == {0: 1}
 
 
 def test_beta_matrix():
