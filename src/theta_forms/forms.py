@@ -13,7 +13,11 @@ concatenate column blocks; conjugate-carrying blocks have even total degree
 The six build_* functions are functools.cache functions: sharing a built
 GKCochain is safe because it is an immutable value.  The helpers behind them
 (_psi_factor, _km_column, _km_explicit_column, _lambda_sum) stay uncached, so
-a test that patches one sees its patch on every call.
+a test that patches one sees its patch on every call.  The operator tables
+of d, the curvature and the K-residual (_pair_ops, _curvature_ops, _k_ops)
+are cached the same way, per (signature, model): a table holds immutable
+LinOps and closures over immutable labels, and is grouped by operator once,
+when it is built (_group), so the kernel hashes no operator during a call.
 """
 
 from __future__ import annotations
@@ -158,27 +162,38 @@ def build_psi_orth(sig: Signature) -> GKCochain:
 # Kudla-Millson Schwartz forms
 # ---------------------------------------------------------------------------
 
-def _form_op_sum(pairs, f: Form) -> Form:
-    """sum over (lead, op) pairs of lead ^ op(f): lead is a canonical wedge
-    monomial (possibly empty), op a LinOp acting on the coefficients.
-
-    Leads are grouped by operator.  An operator that cannot act on f is
-    skipped: every one of its terms differentiates a variable that occurs in
-    no coefficient monomial of f, so its image of each monomial is zero (a
-    term with D = () always acts).  Each other distinct operator is applied
-    (through LinOp.apply) once per coefficient monomial; the image is
-    flattened once into rows (scalars._rows), which serve every lead and
-    wedge term the monomial occurs with, and the images of one operator are
-    dropped before the next one starts.  Products go into one unreduced
-    triple accumulator per wedge, {(monomial, pi_exp): (re, im, den)}, with
-    the sign of merge_monomials(lead, w) folded in (scalars._mac); each entry
-    is reduced once at the end.  No Scalar is built per product."""
-    leads: dict = {}   # operator -> its leads, in first-seen order
+def _group(pairs) -> tuple:
+    """((op, leads), ...) from (lead, op) pairs: the leads of each distinct
+    operator, operators and leads in first-seen order.  The one place pairs
+    are grouped, and so the one place a kernel operator is hashed; the
+    tables d, the curvature and the K-residual read are grouped when they
+    are built, so a kernel call hashes no LinOp."""
+    leads: dict = {}   # operator -> its leads
     for lead, op in pairs:
         leads.setdefault(op, []).append(lead)
+    return tuple((op, tuple(op_leads)) for op, op_leads in leads.items())
+
+
+def _form_op_sum(groups, f: Form) -> Form:
+    """sum over (op, leads) groups of lead ^ op(f), for each of op's leads: a
+    lead is a canonical wedge monomial (possibly empty), op a LinOp acting on
+    the coefficients.  The groups come from _group or hold distinct
+    operators, so the kernel itself never hashes an operator.
+
+    An operator that cannot act on f is skipped: every one of its terms
+    differentiates a variable that occurs in no coefficient monomial of f,
+    so its image of each monomial is zero (a term with D = () always acts).
+    Each other operator is applied (through LinOp.apply) once per
+    coefficient monomial; the image is flattened once into rows
+    (scalars._rows), which serve every lead and wedge term the monomial
+    occurs with, and the images of one operator are dropped before the next
+    one starts.  Products go into one unreduced triple accumulator per
+    wedge, {(monomial, pi_exp): (re, im, den)}, with the sign of
+    merge_monomials(lead, w) folded in (scalars._mac); each entry is reduced
+    once at the end.  No Scalar is built per product."""
     present = {v for p in f.terms.values() for m in p.terms for v, _ in m}
     acc: dict = {}   # wedge -> {(monomial, pi_exp): (re, im, den)}
-    for op, op_leads in leads.items():
+    for op, op_leads in groups:
         if not any(all(v in present for v, _ in D) for D in op.terms):
             continue
         images: dict = {}   # monomial -> rows of op(monomial)
@@ -202,13 +217,15 @@ def _form_op_sum(pairs, f: Form) -> Form:
 def _km_column(sig: Signature, k: int) -> Form:
     """prod_j nabla_{k,j} nablabar_{k,j} applied to the vacuum (poly 1), where
     nabla_{k,j} = sum_l gen_{l,j} ^ M_{X_{l,k}} with the family's creation
-    operator models._m_op; the orthogonal family has no conjugate factor."""
+    operator models._m_op; the orthogonal family has no conjugate factor.
+    The p operators of one factor act on distinct variables, so each is its
+    own (op, leads) group."""
     halves = (True, False) if sig.family == UNITARY else (False,)
     f = Form.unit()
     for j in range(sig.q, 0, -1):
         for conjugate in halves:
             gen, var = _gen_kind(sig, conjugate), (Xbar if conjugate else X)
-            f = _form_op_sum([((gen(l, j),), _m_op(var(l, k), sig.family))
+            f = _form_op_sum([(_m_op(var(l, k), sig.family), ((gen(l, j),),))
                               for l in range(1, sig.p + 1)], f)
     return f
 
@@ -326,21 +343,23 @@ def _gen(sig: Signature, a: int, b: int) -> WedgeGen:
     return xi(a, b - sig.p) if a <= sig.p else xibar(b, a - sig.p)
 
 
-def _pair_ops(sig: Signature, model: ModelTag) -> list[tuple[tuple, LinOp]]:
-    """(dual generator, omega(x)) pairs over the p-basis for the model.
+@cache
+def _pair_ops(sig: Signature, model: ModelTag) -> tuple:
+    """d's table over the p-basis for the model: (omega(x), (lead,)) groups,
+    the lead the one generator dual to x.
 
     Each generator g acts through the image of its matrix unit _unit(g):
     xi_{ij} by the column Laplacians on holomorphic factors (E_{i,p+j}),
     xibar_{ij} by multiplication (E_{p+j,i}).  Orthogonal family: the single
     p-block, dual to xi_{ij}, is the real sum E_{p+j,i} + E_{i,p+j}."""
     if sig.q == 0 or sig.r == 0 or sig.p == 0:
-        return []
+        return ()
     gens = [xi(i, j) for i in range(1, sig.p + 1) for j in range(1, sig.q + 1)]
     if sig.family == ORTHOGONAL:
-        return [((g,), _abstract_image(sig, model, *_unit(sig, g.conjugate()))
-                 + _abstract_image(sig, model, *_unit(sig, g))) for g in gens]
-    return [((g,), _abstract_image(sig, model, *_unit(sig, g)))
-            for g in gens + [g.conjugate() for g in gens]]
+        return _group([((g,), _abstract_image(sig, model, *_unit(sig, g.conjugate()))
+                         + _abstract_image(sig, model, *_unit(sig, g))) for g in gens])
+    return _group([((g,), _abstract_image(sig, model, *_unit(sig, g)))
+                   for g in gens + [g.conjugate() for g in gens]])
 
 
 def gk_differential(c: GKCochain) -> GKCochain:
@@ -355,8 +374,25 @@ def gk_differential(c: GKCochain) -> GKCochain:
     monomial and skips an operator that cannot act on the cochain: on a
     cochain without Y variables (psi and its cup products at split 0, say)
     every pure d/dX d/dY operator is skipped.  LinOp.apply builds an image
-    with one acting term without its accumulator."""
+    with one acting term without its accumulator.  The kernel reads tables
+    that are built once per (signature, model) and grouped by operator when
+    they are built (_pair_ops here, _curvature_ops, _k_ops), so a call
+    rebuilds no operator and hashes none."""
     return GKCochain(_form_op_sum(_pair_ops(c.sig, c.model), c.form), c.model, c.sig)
+
+
+@cache
+def _curvature_ops(sig: Signature, model: ModelTag) -> tuple:
+    """The curvature's table: (op, leads) groups of the nonzero bracket
+    images [E_{i,p+j}, E_{p+l,k}] (models._bracket_image) with their leads
+    xi_{ij} ^ xibar_{kl}.  Unitary signatures with p, q, r >= 1."""
+    pairs = []
+    for i, j, k, l in product(range(1, sig.p + 1), range(1, sig.q + 1), repeat=2):
+        lead = (xi(i, j), xibar(k, l))
+        op = _bracket_image(sig, model, *_unit(sig, lead[0]), *_unit(sig, lead[1]))
+        if not op.is_zero():
+            pairs.append((lead, op))
+    return _group(pairs)
 
 
 def gk_curvature(c: GKCochain) -> GKCochain:
@@ -364,8 +400,8 @@ def gk_curvature(c: GKCochain) -> GKCochain:
     the bracket image of the generators' units (models._bracket_image) from
     the gl(p) and gl(q) blocks: an independent code path from d.  d(d(c))
     equals this exactly; it vanishes on K-invariant cochains.  Unitary
-    models only.  The sum runs through d's kernel, _form_op_sum, with the
-    two-generator leads xi_{ij} ^ xibar_{kl}.
+    models only.  The sum runs through d's kernel, _form_op_sum, over the
+    table _curvature_ops.
 
     The comparison is only meaningful if d's operators close the gl(p+q)
     brackets, so calibrate_structure certifies them for the signature and
@@ -376,13 +412,7 @@ def gk_curvature(c: GKCochain) -> GKCochain:
     if sig.p == 0 or sig.q == 0 or sig.r == 0:
         return GKCochain(Form.zero(), model, sig)
     calibrate_structure(sig, model)
-    pairs = []
-    for i, j, k, l in product(range(1, sig.p + 1), range(1, sig.q + 1), repeat=2):
-        lead = (xi(i, j), xibar(k, l))
-        op = _bracket_image(sig, model, *_unit(sig, lead[0]), *_unit(sig, lead[1]))
-        if not op.is_zero():
-            pairs.append((lead, op))
-    return GKCochain(_form_op_sum(pairs, c.form), model, sig)
+    return GKCochain(_form_op_sum(_curvature_ops(sig, model), c.form), model, sig)
 
 
 # ---------------------------------------------------------------------------
@@ -425,14 +455,20 @@ def _k_module_op(sig: Signature, model: ModelTag, kappa) -> LinOp:
     return op - _abstract_image(sig, model, b, a) if anti else op
 
 
+@cache
+def _k_ops(sig: Signature, model: ModelTag) -> tuple:
+    """The K-residual's table: (module operator, coadjoint rule) for each
+    k-basis element, in _k_basis order."""
+    return tuple((_k_module_op(sig, model, kappa), _coadjoint_rule(sig, kappa))
+                 for kappa in _k_basis(sig))
+
+
 def k_invariance_residual(c: GKCochain) -> Form:
     """Largest residual (omega(kappa) + coadjoint(kappa)) c over the k-basis;
     the zero form iff the cochain is K-invariant."""
     worst = Form.zero()
-    for kappa in _k_basis(c.sig):
-        op = _k_module_op(c.sig, c.model, kappa)
-        res = (_form_op_sum([((), op)], c.form)
-               + c.form.gen_derivation(_coadjoint_rule(c.sig, kappa)))
+    for op, rule in _k_ops(c.sig, c.model):
+        res = _form_op_sum(((op, ((),)),), c.form) + c.form.gen_derivation(rule)
         if res.max_term_count() > worst.max_term_count():
             worst = res
     return worst

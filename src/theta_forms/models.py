@@ -40,10 +40,14 @@ Conventions fixed here and used everywhere downstream:
   M_V = V - (1/2pi) d/dVbar (unitary) or V - (1/4pi) d/dV (orthogonal, on
   real variables).
 
-* _scalar_ladder, _column_ladder, upq_op_model and calibrate_structure are
-  functools.cache functions of the values they build from: each ladder
-  pair, operator and certificate is built on its first request and shared
-  after that, and cache_info() counts the builds (misses) and reuses (hits).
+* _scalar_ladder, heisenberg_op, ladder_op, _fock_image (the intertwiner
+  image of one Fock monomial), _column_ladder, upq_op_model and
+  calibrate_structure are functools.cache functions of the small hashable
+  labels they build from: each ladder pair, operator, image and certificate
+  is built on its first request and shared after that, and cache_info()
+  counts the builds (misses) and reuses (hits).  Sharing is safe because a
+  LinOp, a Polynomial and a report are immutable values; an invalid request
+  raises before anything is stored, so it raises on every call.
 """
 
 from __future__ import annotations
@@ -148,6 +152,7 @@ def _scalar_ladder(which: str, j: int) -> tuple[LinOp, LinOp]:
     return mul.scale(_4PI) - d, d
 
 
+@cache
 def heisenberg_op(model: ModelTag, gen: str, j: int, dim: int) -> LinOp:
     """Heisenberg generators e_j, f_j, w'_j, w''_j in the scalar model, from its
     ladder pair (c, a): rho(e_j) = (c - a)/2, rho(f_j) = -i (c + a)/2,
@@ -169,6 +174,7 @@ def heisenberg_op(model: ModelTag, gen: str, j: int, dim: int) -> LinOp:
     raise ValueError(f"unknown generator {gen!r}")
 
 
+@cache
 def ladder_op(kind: str, j: int, dim: int) -> LinOp:
     """Gaussian-conjugated ladder operators on polynomial factors, from the
     Schrodinger pair (c, a): A+_j = a, A-_j = -c, H_j = A+_j A-_j + A-_j A+_j."""
@@ -188,20 +194,27 @@ def ladder_op(kind: str, j: int, dim: int) -> LinOp:
 # Intertwiner and the gaussian-relative inner product
 # ---------------------------------------------------------------------------
 
+@cache
+def _fock_image(mono, dim: int) -> Polynomial:
+    """Polynomial factor of the intertwiner image of one Fock monomial z^m
+    in z_1..z_N: c^m applied to the vacuum."""
+    img = Polynomial.one()
+    for v, e in mono:
+        if v != Zvar(v.row) or not 1 <= v.row <= dim:
+            raise ValueError(f"not a Fock variable of dimension {dim}: {v.token()}")
+        create = _scalar_ladder("schrodinger", v.row)[0]
+        for _ in range(e):
+            img = create.apply(img)
+    return img
+
+
 def intertwine(fock_elem: Polynomial, dim: int) -> Polynomial:
     """Polynomial factor of the image of a Fock polynomial in z_1..z_N under
     the unique intertwiner sending 1 to the vacuum; z^m goes to c^m applied
-    to the vacuum, c_j the Schrodinger creation operator."""
+    to the vacuum (_fock_image), c_j the Schrodinger creation operator."""
     acc: dict = {None: {}}
     for mono, c in fock_elem.terms.items():
-        img = Polynomial.one()
-        for v, e in mono:
-            if v != Zvar(v.row) or not 1 <= v.row <= dim:
-                raise ValueError(f"not a Fock variable of dimension {dim}: {v.token()}")
-            create = _scalar_ladder("schrodinger", v.row)[0]
-            for _ in range(e):
-                img = create.apply(img)
-        _mac_poly(acc, None, img, c)
+        _mac_poly(acc, None, _fock_image(mono, dim), c)
     return _polys(acc)[None]
 
 

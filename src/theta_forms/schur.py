@@ -11,12 +11,18 @@ Minor conventions (the single source of truth for all downstream signs):
   one-column tableau 1..j reproduces the bottom-right j x j corner minor.
   This pins the highest-weight vectors; the weight-vector tests, not the
   display, are what certify the choice.
+
+Each minor is a functools.cache function of (variable kind, rows, columns),
+_minor, so the Leibniz expansion runs once per process: a Polynomial is an
+immutable value, and minor_x and minor_y_tilde check their bounds against the
+signature on every call, before the cache is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import permutations
 
 from .exterior import perm_sign
@@ -149,6 +155,13 @@ def _det(entries: list[list[Polynomial]]) -> Polynomial:
     return _polys(acc)[None]
 
 
+@cache
+def _minor(var, rows: tuple[int, ...], cols: tuple[int, ...]) -> Polynomial:
+    """det(var(i, m)) over the given rows i and columns m, var the variable
+    factory X or Y: each minor is expanded once per process."""
+    return _det([[Polynomial.variable(var(i, m)) for m in cols] for i in rows])
+
+
 def minor_x(rows: list[int], sig: Signature) -> Polynomial:
     """det over the given X-rows and leading X-columns 1..len(rows)."""
     a = len(rows)
@@ -156,7 +169,7 @@ def minor_x(rows: list[int], sig: Signature) -> Polynomial:
         return Polynomial.one()
     if max(rows) > sig.p or a > sig.r:
         raise ValueError("X minor out of bounds for the signature")
-    return _det([[Polynomial.variable(X(i, m)) for m in range(1, a + 1)] for i in rows])
+    return _minor(X, tuple(rows), tuple(range(1, a + 1)))
 
 
 def minor_y_tilde(rows: list[int], sig: Signature) -> Polynomial:
@@ -166,9 +179,8 @@ def minor_y_tilde(rows: list[int], sig: Signature) -> Polynomial:
         return Polynomial.one()
     if max(rows) > sig.q or b > sig.r:
         raise ValueError("Y minor out of bounds for the signature")
-    flipped = [sig.q - i + 1 for i in sorted(rows, reverse=True)]
-    cols = list(range(sig.r - b + 1, sig.r + 1))
-    return _det([[Polynomial.variable(Y(i, m)) for m in cols] for i in flipped])
+    flipped = tuple(sig.q - i + 1 for i in sorted(rows, reverse=True))
+    return _minor(Y, flipped, tuple(range(sig.r - b + 1, sig.r + 1)))
 
 
 def delta_T(T: Tableau, sig: Signature, target: str = "x") -> Polynomial:

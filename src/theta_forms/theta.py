@@ -375,7 +375,7 @@ def fourier_assemble(L: GramMatrix, weight: Callable, g: WhittakerPoint,
     """Rank-one Fourier skeleton: coefficient(n) = (sum of weight(x) over the
     norm-n shell) * W_n(g'), literal convention, weight dimension L.dim.
     weight(x) is an int, a Fraction or another exact rational that
-    scalars._exact accepts (a float or complex raises TypeError)."""
+    scalars._exact accepts (a float, complex or bool raises TypeError)."""
     # Sum integer numerators per (shell, denominator): a Fraction addition
     # per vector would cost more than the enumeration.
     sums: dict[tuple[int, int], int] = {}
@@ -383,8 +383,8 @@ def fourier_assemble(L: GramMatrix, weight: Callable, g: WhittakerPoint,
     for x, h in enumerate_with_norms(L, n_max):
         if h.denominator == 1:
             v = weight(x)
-            if not isinstance(v, (int, Fraction)):
-                v = _exact(v)
+            if type(v) is not int and type(v) is not Fraction:
+                v = _exact(v)   # refuses a bool, converts a subclass
             key = (h.numerator, v.denominator)
             sums[key] = get(key, 0) + v.numerator
     shells = dict.fromkeys(range(n_max + 1), Fraction(0))

@@ -1,12 +1,14 @@
 import pytest
 
-from theta_forms import forms, models
+from theta_forms import forms, models, schur
 
 
 def clear_library_caches():
-    """Empty every functools.cache function in models and forms (ladders,
-    u(p,q) operators, certificates, form builders) and return them."""
-    caches = [fn for module in (models, forms) for fn in vars(module).values()
+    """Empty every functools.cache function in models, forms and schur
+    (ladders, scalar and u(p,q) operators, intertwiner images, certificates,
+    form builders, the operator tables of d, the curvature and the
+    K-residual, determinant minors) and return them."""
+    caches = [fn for module in (models, forms, schur) for fn in vars(module).values()
               if hasattr(fn, "cache_clear")]
     for fn in caches:
         fn.cache_clear()

@@ -1,13 +1,25 @@
 """The six form builders are functools.cache functions of their Signature:
 a cached build equals the uncached one (__wrapped__) byte for byte, a repeat
 call shares the object, a refused signature is refused every time, and no
-suite's verdict depends on what the caches hold."""
+suite's verdict depends on what the caches hold.  The same holds for the
+operator tables of d, the curvature and the K-residual, the Heisenberg and
+ladder operators, the intertwiner image of each Fock monomial and the
+determinant minors."""
+
+from dataclasses import replace
+from itertools import product
 
 import pytest
 
-from theta_forms.forms import (build_km_explicit, build_km_nabla, build_mixed,
+from theta_forms import forms, models, schur
+from theta_forms.exterior import Form, xi, xibar
+from theta_forms.forms import (GKCochain, build_km_explicit, build_km_nabla, build_mixed,
                                build_psi_cup, build_psi_orth, build_psi_q)
-from theta_forms.models import ORTHOGONAL, UNITARY, Signature
+from theta_forms.models import (FOCK, ORTHOGONAL, SCHRODINGER, UNITARY, Signature,
+                                fock_model, heisenberg_op, intertwine, ladder_op,
+                                mixed_model)
+from theta_forms.poly import Polynomial, X, Y, Zvar, monomial
+from theta_forms.schur import minor_x, minor_y_tilde
 from theta_forms.serialize import cochain_to_json
 from theta_forms.suites import SUITES, run_all, run_suite
 
@@ -97,6 +109,160 @@ def test_fresh_operators_empties_the_builder_caches(fresh_operators):
     assert all(b.cache_info().currsize == 0 for b in BUILDERS)
     build_psi_cup(Signature(2, 1, 1, 0))
     assert build_psi_cup.cache_info().currsize == 1
+
+
+# -- the operator tables of d, the curvature and the K-residual ------------------
+
+# (signature, model): both families, r = s, r > s, s > r, q = 0 and r = 0 (empty
+# tables), Fock and Schrodinger columns, orthogonal fock:0 and mixed:r
+TABLE_GRID = [
+    ((2, 1, 1, 1, U), fock_model(1)), ((2, 1, 1, 1, U), mixed_model(1)),
+    ((2, 2, 1, 1, U), fock_model(1)), ((2, 2, 1, 1, U), mixed_model(1)),
+    ((2, 1, 2, 1, U), fock_model(1)), ((2, 1, 2, 1, U), mixed_model(1)),
+    ((2, 1, 1, 2, U), fock_model(1)), ((3, 2, 2, 0, U), fock_model(0)),
+    ((2, 0, 1, 1, U), fock_model(1)), ((2, 1, 0, 0, U), fock_model(0)),
+    ((3, 2, 1, 0, O), fock_model(0)), ((3, 2, 1, 0, O), mixed_model(1)),
+    ((2, 1, 2, 0, O), mixed_model(2)), ((2, 0, 1, 0, O), fock_model(0)),
+    ((2, 1, 0, 0, O), fock_model(0)),
+]
+TABLE_IDS = [f"{''.join(map(str, s[:4]))}{s[4][0]}-{m.token()}" for s, m in TABLE_GRID]
+
+
+def _grouped_tables(sig):
+    """The (op, leads) tables of a signature; the curvature's is unitary."""
+    return [forms._pair_ops] + ([forms._curvature_ops] if sig.family == UNITARY else [])
+
+
+def _generators(sig):
+    return [g(i, j) for g in (xi, xibar) for i in range(1, sig.p + 1)
+            for j in range(1, sig.q + 1)]
+
+
+def _comparable(table, entries, sig):
+    """A K-table's coadjoint rules are closures: compare them by their action
+    on every generator of the signature."""
+    if table is not forms._k_ops:
+        return entries
+    return [(op, [rule(g) for g in _generators(sig)]) for op, rule in entries]
+
+
+@pytest.mark.parametrize("sig,model", TABLE_GRID, ids=TABLE_IDS)
+def test_each_table_equals_its_uncached_build(fresh_operators, sig, model):
+    sig = Signature(*sig)
+    for table in _grouped_tables(sig) + [forms._k_ops]:
+        cached, plain = table(sig, model), table.__wrapped__(sig, model)
+        assert cached is not plain or cached == ()
+        assert _comparable(table, cached, sig) == _comparable(table, plain, sig)
+        assert table(replace(sig), model) is cached   # an equal signature, not the same object
+    if sig.q == 0 or sig.r == 0:
+        assert forms._pair_ops(sig, model) == ()
+        if sig.family == UNITARY:
+            assert forms._curvature_ops(sig, model) == ()
+    else:
+        assert forms._pair_ops(sig, model)
+
+
+@pytest.mark.parametrize("sig,model", TABLE_GRID, ids=TABLE_IDS)
+def test_each_table_is_grouped_by_operator(fresh_operators, sig, model):
+    # one group per distinct operator, and d has one lead per operator
+    sig = Signature(*sig)
+    for table in _grouped_tables(sig):
+        ops = [op for op, _ in table(sig, model)]
+        assert all(a != b for a, b in product(ops, repeat=2) if a is not b)
+        assert all(leads for _, leads in table(sig, model))
+    assert all(len(leads) == 1 for _, leads in forms._pair_ops(sig, model))
+
+
+# -- the scalar operators, intertwiner images and minors -------------------------
+
+SCALAR_GRID = [(model, gen, j, dim) for dim in (1, 2, 3) for j in range(1, dim + 1)
+               for model in (FOCK, SCHRODINGER) for gen in ("e", "f", "wp", "wpp")]
+LADDER_GRID = [(kind, j, dim) for dim in (1, 2, 3) for j in range(1, dim + 1)
+               for kind in ("Aplus", "Aminus", "H")]
+FOCK_MONOMIALS = [(monomial((Zvar(j), e) for j, e in enumerate(exps, 1) if e), dim)
+                  for dim in (1, 2, 3) for exps in product(range(3), repeat=dim)]
+
+
+def test_scalar_operators_equal_their_uncached_builds(fresh_operators):
+    for cached_fn, grid in ((heisenberg_op, SCALAR_GRID), (ladder_op, LADDER_GRID),
+                            (models._fock_image, FOCK_MONOMIALS)):
+        for args in grid:
+            cached = cached_fn(*args)
+            assert cached == cached_fn.__wrapped__(*args), args
+            assert cached_fn(*args) is cached
+        assert cached_fn.cache_info().currsize == len(grid)
+
+
+MINOR_GRID = [(rows, Signature(3, 2, 3)) for a in (1, 2, 3)
+              for rows in product(range(1, 4), repeat=a)] + [
+              ([1], Signature(1, 1, 1)), ([1, 2], Signature(2, 2, 2)),
+              ([2, 1], Signature(2, 2, 2))]
+
+
+def test_minors_equal_their_uncached_builds(fresh_operators):
+    for rows, sig in MINOR_GRID:
+        x = minor_x(list(rows), sig)
+        assert x == schur._minor.__wrapped__(X, tuple(rows), tuple(range(1, len(rows) + 1)))
+        assert minor_x(list(rows), sig) is x
+        if max(rows) <= sig.q:
+            y = minor_y_tilde(list(rows), sig)
+            assert y == schur._minor.__wrapped__(
+                Y, tuple(sig.q - i + 1 for i in sorted(rows, reverse=True)),
+                tuple(range(sig.r - len(rows) + 1, sig.r + 1)))
+            assert minor_y_tilde(list(rows), sig) is y
+    # minor_x([1, 2]) at any signature that admits it is one entry
+    assert minor_x([1, 2], Signature(2, 2, 2)) is minor_x([1, 2], Signature(3, 2, 3))
+
+
+REFUSED_REQUESTS = [
+    (heisenberg_op, (FOCK, "e", 3, 2), IndexError),          # j beyond dim
+    (heisenberg_op, (FOCK, "e", 0, 2), IndexError),
+    (heisenberg_op, (SCHRODINGER, "g", 1, 1), ValueError),   # unknown generator
+    (heisenberg_op, (fock_model(1), "e", 1, 1), ValueError),  # not a scalar model
+    (ladder_op, ("Aplus", 2, 1), IndexError),
+    (ladder_op, ("B", 1, 1), ValueError),
+    (intertwine, (Polynomial.variable(X(1, 1)), 2), ValueError),   # not a Fock variable
+    (intertwine, (Polynomial.variable(Zvar(3)), 2), ValueError),   # beyond dim
+    (minor_x, ([1, 3], Signature(2, 1, 2)), ValueError),           # row beyond p
+    (minor_x, ([1, 2], Signature(2, 1, 1)), ValueError),           # more rows than r
+    (minor_y_tilde, ([2], Signature(2, 1, 1)), ValueError),        # row beyond q
+    (minor_y_tilde, ([1, 2], Signature(2, 2, 1)), ValueError),     # more rows than r
+]
+
+
+@pytest.mark.parametrize("fn,args,error", REFUSED_REQUESTS,
+                         ids=[f"{fn.__name__}-{k}" for k, (fn, _, _) in enumerate(REFUSED_REQUESTS)])
+def test_an_invalid_request_is_refused_on_every_call(fresh_operators, fn, args, error):
+    # the valid neighbours are cached first (j = 1, z_3 at dimension 3, the
+    # same rows at a signature that admits them), so a cache keyed on less
+    # than the request, or read before the check, would answer
+    heisenberg_op(FOCK, "e", 1, 2)
+    ladder_op("Aplus", 1, 1)
+    intertwine(Polynomial.variable(Zvar(3)), 3)
+    minor_x([1, 2], Signature(3, 2, 3))
+    minor_y_tilde([1, 2], Signature(3, 2, 3))
+    minor_y_tilde([2], Signature(2, 2, 1))
+    caches = (heisenberg_op, ladder_op, models._fock_image, schur._minor)
+    sizes = [c.cache_info().currsize for c in caches]
+    for _ in range(3):
+        with pytest.raises(error):
+            fn(*args)
+    assert [c.cache_info().currsize for c in caches] == sizes
+
+
+def test_fresh_operators_empties_every_new_cache(fresh_operators):
+    new = (forms._pair_ops, forms._curvature_ops, forms._k_ops, heisenberg_op, ladder_op,
+           models._fock_image, schur._minor)
+    assert all(c.cache_info().currsize == 0 for c in new)
+    sig = Signature(2, 1, 1, 1)
+    forms.gk_curvature(GKCochain(Form.zero(), fock_model(1), sig))
+    forms.k_invariance_residual(build_psi_cup(sig))
+    forms.gk_differential(build_psi_cup(sig))
+    heisenberg_op(FOCK, "e", 1, 1)
+    ladder_op("H", 1, 1)
+    minor_x([1], sig)
+    intertwine(Polynomial.variable(Zvar(1)), 1)
+    assert all(c.cache_info().currsize == 1 for c in new)
 
 
 # -- suite verdicts do not depend on cache state --------------------------------

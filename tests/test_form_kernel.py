@@ -157,10 +157,34 @@ def test_kernel_matches_plain_loop(c):
 @settings(max_examples=25, deadline=None)
 @given(st.sampled_from(KINDS).flatmap(cochains), st.data())
 def test_cancelling_contributions_give_the_zero_form(c, data):
-    pairs = forms._pair_ops(c.sig, c.model)
-    lead, op = data.draw(st.sampled_from(pairs))
-    out = forms._form_op_sum([(lead, op), (lead, -op)], c.form)
+    groups = forms._pair_ops(c.sig, c.model)
+    op, (lead,) = data.draw(st.sampled_from(groups))
+    out = forms._form_op_sum([(op, (lead,)), (-op, (lead,))], c.form)
     assert out == Form.zero() and out.terms == {}
+
+
+def test_a_warm_kernel_call_hashes_no_operator(monkeypatch):
+    """d, the curvature and the K-residual read tables grouped when they were
+    built: once warm, a call hashes no LinOp."""
+    cochains = [build_psi_cup(Signature(2, 2, 1, 1)),
+                build_km_nabla(Signature(3, 2, 1, 0, ORTHOGONAL)),
+                build_mixed(Signature(2, 1, 2, 1))]
+
+    def run_all():
+        out = []
+        for c in cochains:
+            out += [gk_differential(c).form, k_invariance_residual(c)]
+            if c.sig.family == UNITARY:
+                out.append(gk_curvature(c).form)
+        return out
+
+    warm = run_all()
+
+    def refuse(op):
+        raise AssertionError("LinOp hashed")
+
+    monkeypatch.setattr(LinOp, "__hash__", refuse)
+    assert run_all() == warm
 
 
 def test_closed_forms_cancel_to_the_zero_form():
@@ -175,7 +199,7 @@ def assert_one_apply_per_acting_pair(monkeypatch, c: GKCochain, skipped=()):
     the sum meets, except for the operators dual to a generator kind in
     skipped: each of those differentiates a Y in every term, sends every
     coefficient monomial to zero, and gets no call."""
-    pairs = forms._pair_ops(c.sig, c.model)
+    pairs = [(lead, op) for op, leads in forms._pair_ops(c.sig, c.model) for lead in leads]
     expected = {(op, m) for lead, op in pairs for w, p in c.form.terms.items()
                 if lead[0].kind not in skipped and merge_monomials(lead, w)[0] for m in p.terms}
     monomials = {m for p in c.form.terms.values() for m in p.terms}

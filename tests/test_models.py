@@ -130,7 +130,7 @@ def test_intertwine_rejects_coordinates_outside_the_dimension():
             intertwine(Polynomial.variable(v), 2)
 
 
-def test_scalar_ladder_builds_each_pair_once():
+def test_scalar_ladder_builds_each_pair_once(fresh_operators):
     info = models._scalar_ladder.cache_info
     models._scalar_ladder.cache_clear()
     for which, j in product(("fock", "schrodinger"), (1, 2, 3)):

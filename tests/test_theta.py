@@ -211,12 +211,25 @@ def test_theta_inputs_reject_inexact_values(value):
         enumerate_with_norms(GramMatrix([[2]]), value)
 
 
-# a bool weight is an int (bool subclasses int), which the summing loop takes
-# as it is; only the values that are neither int nor Fraction are converted
-@pytest.mark.parametrize("value", [0.1, 2.0, 2 + 0j], ids=repr)
+# the summing loop takes an exact int or Fraction as it is and converts every
+# other value; a bool subclasses int, so it is refused by its exact type
+@pytest.mark.parametrize("value", [0.1, 2.0, 2 + 0j, True, False], ids=repr)
 def test_fourier_assemble_rejects_an_inexact_weight(value):
     with pytest.raises(TypeError, match="exact rational"):
         fourier_assemble(GramMatrix([[2]]), lambda x: value, WhittakerPoint.standard(1), 2)
+
+
+class _Count(int):
+    """An int subclass other than bool: converted, and summed as its value."""
+
+
+def test_fourier_assemble_sums_ints_fractions_strings_and_int_subclasses():
+    L, g = GramMatrix([[2]]), WhittakerPoint.standard(1)
+    weights = {(1,): 2, (-1,): Fraction(1, 3), (2,): "1/2", (-2,): _Count(3)}
+    out = fourier_assemble(L, lambda x: weights.get(x, 0), g, 4)
+    for n, total in ((1, Fraction(7, 3)), (4, Fraction(7, 2))):
+        assert out[n] == complex(total) * whittaker(BetaMatrix.scalar(n), g, 1)
+    assert out[0] == out[2] == out[3] == 0
 
 
 @pytest.mark.parametrize("value,exact", [(3, Fraction(3)), (Fraction(1, 10), Fraction(1, 10)),
