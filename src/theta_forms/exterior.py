@@ -10,6 +10,7 @@ never from conventions chosen per call site.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable, NamedTuple
 
 from .poly import Polynomial, TermMap, _mac_poly, _mac_prod, _polys, parse_index
@@ -161,15 +162,22 @@ class Form(TermMap):
     def gen_derivation(self, rule) -> "Form":
         """Extend a linear action on generators as a derivation of the wedge.
 
-        rule(g) returns a list of (Scalar, WedgeGen) pairs.
+        rule(g) returns an iterable of (Scalar, WedgeGen) pairs.  Generator t
+        of a canonical monomial w is taken out once; each image g2 goes to
+        its place pos in the rest, found by bisection.  An image already in
+        the rest gives 0; otherwise moving g2 from slot t to slot pos takes
+        |pos - t| transpositions, so the sign is (-1)^(pos - t).
         """
         acc: dict = {}
         for w, p in self.terms.items():
             for t, g in enumerate(w):
+                rest = w[:t] + w[t + 1:]
                 for c, g2 in rule(g):
-                    sign, ww = wedge_monomial(w[:t] + (g2,) + w[t + 1:])
-                    if sign:
-                        _mac_poly(acc, ww, p, c, sign)
+                    pos = bisect_left(rest, g2)
+                    if pos < len(rest) and rest[pos] == g2:
+                        continue
+                    _mac_poly(acc, rest[:pos] + (g2,) + rest[pos:], p, c,
+                              -1 if (pos - t) % 2 else 1)
         return Form(_polys(acc))
 
     def conjugate(self) -> "Form":

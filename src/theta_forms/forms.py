@@ -434,16 +434,17 @@ def _k_basis(sig: Signature):
 
 
 def _coadjoint_rule(sig: Signature, kappa):
-    """Action of a k-basis element on wedge generators, as (Scalar, WedgeGen)
-    pairs: on the generator dual to E_cd, E_ab gives -[a=c] dual(E_bd) +
-    [b=d] dual(E_ca); an antisymmetric label subtracts the action of E_ba."""
+    """Action of a k-basis element on wedge generators, as a tuple of
+    (Scalar, WedgeGen) pairs: on the generator dual to E_cd, E_ab gives
+    -[a=c] dual(E_bd) + [b=d] dual(E_ca); an antisymmetric label subtracts
+    the action of E_ba."""
     a, b, anti = kappa
     units = [(Scalar.one(), a, b)] + ([(-Scalar.one(), b, a)] if anti else [])
 
     def rule(g: WedgeGen):
         c, d = _unit(sig, g)
-        return ([(-s, _gen(sig, y, d)) for s, x, y in units if x == c]
-                + [(s, _gen(sig, c, x)) for s, x, y in units if y == d])
+        return (tuple((-s, _gen(sig, y, d)) for s, x, y in units if x == c)
+                + tuple((s, _gen(sig, c, x)) for s, x, y in units if y == d))
 
     return rule
 
@@ -458,8 +459,11 @@ def _k_module_op(sig: Signature, model: ModelTag, kappa) -> LinOp:
 @cache
 def _k_ops(sig: Signature, model: ModelTag) -> tuple:
     """The K-residual's table: (module operator, coadjoint rule) for each
-    k-basis element, in _k_basis order."""
-    return tuple((_k_module_op(sig, model, kappa), _coadjoint_rule(sig, kappa))
+    k-basis element, in _k_basis order.  Each rule is memoised per generator
+    (a functools.cache of _coadjoint_rule's closure), so gen_derivation works
+    out its image once per generator; the memo lives in the table, and
+    _k_ops.cache_clear() drops it with the table."""
+    return tuple((_k_module_op(sig, model, kappa), cache(_coadjoint_rule(sig, kappa)))
                  for kappa in _k_basis(sig))
 
 

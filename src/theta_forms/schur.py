@@ -15,7 +15,9 @@ Minor conventions (the single source of truth for all downstream signs):
 Each minor is a functools.cache function of (variable kind, rows, columns),
 _minor, so the Leibniz expansion runs once per process: a Polynomial is an
 immutable value, and minor_x and minor_y_tilde check their bounds against the
-signature on every call, before the cache is read.
+signature on every call, before the cache is read.  kv_highest_weight is the
+product of two cached factors built from those minors, _x_factor of lambda and
+_y_factor of (mu, q, r), again after its bounds are checked.
 """
 
 from __future__ import annotations
@@ -167,7 +169,7 @@ def minor_x(rows: list[int], sig: Signature) -> Polynomial:
     a = len(rows)
     if a == 0:
         return Polynomial.one()
-    if max(rows) > sig.p or a > sig.r:
+    if min(rows) < 1 or max(rows) > sig.p or a > sig.r:
         raise ValueError("X minor out of bounds for the signature")
     return _minor(X, tuple(rows), tuple(range(1, a + 1)))
 
@@ -177,7 +179,7 @@ def minor_y_tilde(rows: list[int], sig: Signature) -> Polynomial:
     b = len(rows)
     if b == 0:
         return Polynomial.one()
-    if max(rows) > sig.q or b > sig.r:
+    if min(rows) < 1 or max(rows) > sig.q or b > sig.r:
         raise ValueError("Y minor out of bounds for the signature")
     flipped = tuple(sig.q - i + 1 for i in sorted(rows, reverse=True))
     return _minor(Y, flipped, tuple(range(sig.r - b + 1, sig.r + 1)))
@@ -199,25 +201,46 @@ def delta_T(T: Tableau, sig: Signature, target: str = "x") -> Polynomial:
     return out
 
 
+@cache
+def _x_factor(lam: Partition) -> Polynomial:
+    """prod Delta_j(X)^(lam_j - lam_{j+1}), Delta_j the leading j x j minor:
+    it depends on lam alone."""
+    out = Polynomial.one()
+    for j in range(1, len(lam) + 1):
+        e = lam.part(j) - lam.part(j + 1)
+        if e:
+            out = out * _minor(X, tuple(range(1, j + 1)), tuple(range(1, j + 1))) ** e
+    return out
+
+
+@cache
+def _y_factor(mu: Partition, q: int, r: int) -> Polynomial:
+    """prod tildeDelta_j(Y)^(mu_j - mu_{j+1}), tildeDelta_j the bottom-right
+    j x j minor of the q x r matrix Y: it depends on (mu, q, r) alone."""
+    out = Polynomial.one()
+    for j in range(1, len(mu) + 1):
+        e = mu.part(j) - mu.part(j + 1)
+        if e:
+            out = out * _minor(Y, tuple(range(q - j + 1, q + 1)),
+                               tuple(range(r - j + 1, r + 1))) ** e
+    return out
+
+
 def kv_highest_weight(lam: Partition, mu: Partition, sig: Signature) -> Polynomial:
     """P_{lam,mu} = prod Delta_j(X)^(lam_j - lam_{j+1}) *
-    prod tildeDelta_j(Y)^(mu_j - mu_{j+1})."""
+    prod tildeDelta_j(Y)^(mu_j - mu_{j+1}).
+
+    The bounds are checked on every call, before any cache is read.  The two
+    products are functools.cache functions built from _minor: the X factor of
+    lam (_x_factor) and the Y factor of (mu, q, r) (_y_factor), so a sweep
+    over signatures and partitions builds each once per process."""
     if len(lam) > sig.p:
         raise ValueError("l(lambda) must be <= p")
     if len(mu) > sig.q:
         raise ValueError("l(mu) must be <= q")
     if len(lam) + len(mu) > sig.r:
         raise ValueError("l(lambda) + l(mu) must be <= r")
-    out = Polynomial.one()
-    for j in range(1, len(lam) + 1):
-        e = lam.part(j) - lam.part(j + 1)
-        if e:
-            out = out * minor_x(list(range(1, j + 1)), sig) ** e
-    for j in range(1, len(mu) + 1):
-        e = mu.part(j) - mu.part(j + 1)
-        if e:
-            out = out * minor_y_tilde(list(range(1, j + 1)), sig) ** e
-    return out
+    return _x_factor(lam) * _y_factor(mu, sig.q, sig.r)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,10 @@
 a cached build equals the uncached one (__wrapped__) byte for byte, a repeat
 call shares the object, a refused signature is refused every time, and no
 suite's verdict depends on what the caches hold.  The same holds for the
-operator tables of d, the curvature and the K-residual, the Heisenberg and
-ladder operators, the intertwiner image of each Fock monomial and the
-determinant minors."""
+operator tables of d, the curvature and the K-residual (with the coadjoint
+rules they memoise), the Heisenberg and ladder operators, the intertwiner
+image of each Fock monomial, the determinant minors and the two factors of
+the highest-weight vectors."""
 
 from dataclasses import replace
 from itertools import product
@@ -19,7 +20,8 @@ from theta_forms.models import (FOCK, ORTHOGONAL, SCHRODINGER, UNITARY, Signatur
                                 fock_model, heisenberg_op, intertwine, ladder_op,
                                 mixed_model)
 from theta_forms.poly import Polynomial, X, Y, Zvar, monomial
-from theta_forms.schur import minor_x, minor_y_tilde
+from theta_forms.schur import (EMPTY_PARTITION, Partition, kv_highest_weight, minor_x,
+                               minor_y_tilde)
 from theta_forms.serialize import cochain_to_json
 from theta_forms.suites import SUITES, run_all, run_suite
 
@@ -173,7 +175,42 @@ def test_each_table_is_grouped_by_operator(fresh_operators, sig, model):
     assert all(len(leads) == 1 for _, leads in forms._pair_ops(sig, model))
 
 
-# -- the scalar operators, intertwiner images and minors -------------------------
+# (signature, model) pairs for the coadjoint memo: both families, and the
+# r = 0 signatures at which the k-invariance suite checks the Euler/Chern forms
+K_GRID = [((2, 1, 1, 1, U), fock_model(1)), ((2, 2, 1, 1, U), mixed_model(1)),
+          ((3, 2, 2, 0, U), fock_model(0)), ((2, 1, 0, 0, U), fock_model(0)),
+          ((2, 2, 0, 0, U), fock_model(0)), ((2, 1, 1, 0, O), fock_model(0)),
+          ((3, 2, 2, 0, O), mixed_model(2)), ((2, 2, 0, 0, O), fock_model(0))]
+
+
+@pytest.mark.parametrize("sig,model", K_GRID, ids=[
+    f"{''.join(map(str, s[:4]))}{s[4][0]}-{m.token()}" for s, m in K_GRID])
+def test_each_coadjoint_rule_is_memoised_in_its_table(fresh_operators, sig, model):
+    sig = Signature(*sig)
+    table, basis, gens = forms._k_ops(sig, model), forms._k_basis(sig), _generators(sig)
+    assert len(table) == len(basis) > 0
+    for (_, rule), kappa in zip(table, basis):
+        plain = forms._coadjoint_rule(sig, kappa)
+        for g in gens:
+            image = rule(g)
+            assert type(image) is tuple and image == plain(g), (kappa, g)
+            assert rule(g) is image
+        assert rule.cache_info().currsize == len(gens)
+    forms._k_ops.cache_clear()
+    assert all(rule.cache_info().currsize == 0 for _, rule in forms._k_ops(sig, model))
+
+
+def test_the_k_negative_control_fails_with_the_rules_warm(fresh_operators):
+    c = build_psi_cup(Signature(2, 1, 1, 0))
+    assert forms.k_invariance_residual(c).is_zero()
+    w, poly = next(iter(c.form.terms.items()))
+    bad = GKCochain(Form({**c.form.terms, w: -poly}), c.model, c.sig)
+    for _ in range(2):
+        assert not forms.k_invariance_residual(bad).is_zero()
+    assert all(rule.cache_info().hits for _, rule in forms._k_ops(c.sig, c.model))
+
+
+# -- the scalar operators, intertwiner images, minors and highest weights --------
 
 SCALAR_GRID = [(model, gen, j, dim) for dim in (1, 2, 3) for j in range(1, dim + 1)
                for model in (FOCK, SCHRODINGER) for gen in ("e", "f", "wp", "wpp")]
@@ -227,6 +264,14 @@ REFUSED_REQUESTS = [
     (minor_x, ([1, 2], Signature(2, 1, 1)), ValueError),           # more rows than r
     (minor_y_tilde, ([2], Signature(2, 1, 1)), ValueError),        # row beyond q
     (minor_y_tilde, ([1, 2], Signature(2, 2, 1)), ValueError),     # more rows than r
+    (minor_x, ([0], Signature(2, 1, 1)), ValueError),              # row below 1
+    (minor_y_tilde, ([0], Signature(2, 1, 1)), ValueError),
+    (kv_highest_weight, (Partition((1, 1, 1)), EMPTY_PARTITION, Signature(2, 1, 3)),
+     ValueError),                                                  # l(lambda) > p
+    (kv_highest_weight, (EMPTY_PARTITION, Partition((1, 1)), Signature(2, 1, 2)),
+     ValueError),                                                  # l(mu) > q
+    (kv_highest_weight, (Partition((1,)), Partition((1,)), Signature(2, 1, 1)),
+     ValueError),                                                  # l(lambda) + l(mu) > r
 ]
 
 
@@ -234,15 +279,19 @@ REFUSED_REQUESTS = [
                          ids=[f"{fn.__name__}-{k}" for k, (fn, _, _) in enumerate(REFUSED_REQUESTS)])
 def test_an_invalid_request_is_refused_on_every_call(fresh_operators, fn, args, error):
     # the valid neighbours are cached first (j = 1, z_3 at dimension 3, the
-    # same rows at a signature that admits them), so a cache keyed on less
-    # than the request, or read before the check, would answer
+    # same rows or partitions at a signature that admits them), so a cache
+    # keyed on less than the request, or read before the check, would answer
     heisenberg_op(FOCK, "e", 1, 2)
     ladder_op("Aplus", 1, 1)
     intertwine(Polynomial.variable(Zvar(3)), 3)
     minor_x([1, 2], Signature(3, 2, 3))
     minor_y_tilde([1, 2], Signature(3, 2, 3))
     minor_y_tilde([2], Signature(2, 2, 1))
-    caches = (heisenberg_op, ladder_op, models._fock_image, schur._minor)
+    kv_highest_weight(Partition((1, 1, 1)), EMPTY_PARTITION, Signature(3, 1, 3))
+    kv_highest_weight(EMPTY_PARTITION, Partition((1, 1)), Signature(2, 2, 2))
+    kv_highest_weight(Partition((1,)), Partition((1,)), Signature(2, 1, 2))
+    caches = (heisenberg_op, ladder_op, models._fock_image, schur._minor, schur._x_factor,
+              schur._y_factor)
     sizes = [c.cache_info().currsize for c in caches]
     for _ in range(3):
         with pytest.raises(error):
@@ -252,7 +301,7 @@ def test_an_invalid_request_is_refused_on_every_call(fresh_operators, fn, args, 
 
 def test_fresh_operators_empties_every_new_cache(fresh_operators):
     new = (forms._pair_ops, forms._curvature_ops, forms._k_ops, heisenberg_op, ladder_op,
-           models._fock_image, schur._minor)
+           models._fock_image, schur._minor, schur._x_factor, schur._y_factor)
     assert all(c.cache_info().currsize == 0 for c in new)
     sig = Signature(2, 1, 1, 1)
     forms.gk_curvature(GKCochain(Form.zero(), fock_model(1), sig))
@@ -261,6 +310,7 @@ def test_fresh_operators_empties_every_new_cache(fresh_operators):
     heisenberg_op(FOCK, "e", 1, 1)
     ladder_op("H", 1, 1)
     minor_x([1], sig)
+    kv_highest_weight(Partition((1,)), EMPTY_PARTITION, sig)   # the same X minor
     intertwine(Polynomial.variable(Zvar(1)), 1)
     assert all(c.cache_info().currsize == 1 for c in new)
 

@@ -194,6 +194,55 @@ def test_closed_forms_cancel_to_the_zero_form():
         assert k_invariance_residual(c).terms == {}
 
 
+@st.composite
+def derivations(draw):
+    """A canonical form over the generators of p <= 3, q <= 2, both kinds,
+    and a rule sending each generator to up to three (Scalar, generator)
+    pairs from the same pool: images meet the generator taken out, others
+    already in the wedge, and free slots left and right of it."""
+    p, q = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    gens = [kind(i, j) for kind in (xi, xibar) for i in range(1, p + 1) for j in range(1, q + 1)]
+    rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    terms = {}
+    for _ in range(draw(st.integers(1, 4))):
+        w = wedge_monomial(draw(st.lists(st.sampled_from(gens), max_size=4, unique=True)))[1]
+        mono = monomial([(X(1, 1), draw(st.integers(0, 2)))])
+        terms[w] = Polynomial({mono: Scalar.of(draw(rationals) or 1, draw(rationals))})
+    table = {g: tuple((Scalar.of(draw(rationals) or 1), draw(st.sampled_from(gens)))
+                      for _ in range(draw(st.integers(0, 3))))
+             for g in gens}
+    return Form(terms), table
+
+
+TWO = Scalar.of(2)
+W3 = (xi(1, 1), xi(1, 2), xibar(1, 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(derivations())
+@example((Form({W3: ONE}), {xi(1, 2): ((TWO, xi(1, 2)), (TWO, xibar(1, 1))),
+                            xibar(1, 1): ((TWO, xi(2, 1)), (TWO, xibar(2, 1))),
+                            xi(1, 1): ((TWO, xi(2, 2)), (TWO, xibar(2, 1)))}))
+def test_gen_derivation_matches_the_full_sort(case):
+    f, table = case
+    got = f.gen_derivation(table.__getitem__)
+    assert got == ref_gen_derivation(f, table.__getitem__)
+    assert_canonical(got)
+
+
+@pytest.mark.parametrize("g,image,expected,sign", [
+    (xi(1, 2), xi(1, 2), W3, 1),                                        # the generator itself
+    (xi(1, 2), xibar(1, 1), (), 0),                                     # already in the wedge
+    (xibar(1, 1), xi(2, 1), (xi(1, 1), xi(2, 1), xi(1, 2)), -1),        # one slot left
+    (xi(1, 1), xi(2, 2), (xi(1, 2), xi(2, 2), xibar(1, 1)), -1),        # one slot right
+    (xi(1, 1), xibar(2, 1), (xi(1, 2), xibar(1, 1), xibar(2, 1)), 1),   # two slots right
+    (xibar(1, 1), xibar(2, 1), (xi(1, 1), xi(1, 2), xibar(2, 1)), 1),   # the same slot
+], ids=["itself", "repeat", "left", "right", "two-right", "same-slot"])
+def test_gen_derivation_signs_one_move_by_its_parity(g, image, expected, sign):
+    got = Form({W3: ONE}).gen_derivation(lambda h: ((TWO, image),) if h == g else ())
+    assert got == (Form({expected: ONE.scale(TWO * sign)}) if sign else Form.zero())
+
+
 def assert_one_apply_per_acting_pair(monkeypatch, c: GKCochain, skipped=()):
     """d(c) makes one LinOp.apply call per (operator, coefficient monomial)
     the sum meets, except for the operators dual to a generator kind in
@@ -313,7 +362,7 @@ def test_generic_coadjoint_rule_matches_the_hand_written_gl_rule(p, q):
         ref = ref_gl_rule("k_gl_p", a, b) if b <= p else ref_gl_rule("k_gl_q", a - p, b - p)
         rule = forms._coadjoint_rule(sig, kappa)
         for g in gens:
-            assert rule(g) == ref(g), (kappa, g)
+            assert rule(g) == tuple(ref(g)), (kappa, g)
 
 
 def ref_so_op(sig: Signature, block: str, a: int, b: int) -> LinOp:

@@ -9,8 +9,8 @@ from theta_forms.poly import Polynomial, X, Y, monomial
 from theta_forms.scalars import Scalar
 from theta_forms.schur import (Partition, Tableau, delta_T, enumerate_ssyt,
                                exact_rank, hook_content_dim, is_harmonic,
-                               kv_highest_weight, partitions_up_to,
-                               schur_span_dim)
+                               kv_highest_weight, minor_x, minor_y_tilde,
+                               partitions_up_to, schur_span_dim)
 
 
 def test_partition_validation():
@@ -81,6 +81,38 @@ def test_kv_constraints():
         kv_highest_weight(Partition((1, 1)), Partition(()), Signature(1, 1, 2, 0))
     with pytest.raises(ValueError):
         kv_highest_weight(Partition((1,)), Partition((1,)), Signature(2, 1, 1, 0))
+
+
+def ref_kv_highest_weight(lam: Partition, mu: Partition, sig: Signature) -> Polynomial:
+    """The sequential product, one minor power at a time."""
+    out = Polynomial.one()
+    for j in range(1, len(lam) + 1):
+        e = lam.part(j) - lam.part(j + 1)
+        if e:
+            out = out * minor_x(list(range(1, j + 1)), sig) ** e
+    for j in range(1, len(mu) + 1):
+        e = mu.part(j) - mu.part(j + 1)
+        if e:
+            out = out * minor_y_tilde(list(range(1, j + 1)), sig) ** e
+    return out
+
+
+def test_kv_factors_equal_the_sequential_product(fresh_operators):
+    # the harmonic suite's grid, every q <= 3 rather than only q <= p: the
+    # cached X factor is shared across every (p, q, r) and the Y factor
+    # across every (p, lambda)
+    count = 0
+    for p in range(1, 4):
+        for q in range(1, 4):
+            for r in range(1, 4):
+                sig = Signature(p, q, r, 0)
+                for lam in partitions_up_to(3, p):
+                    for mu in partitions_up_to(3 - lam.size(), q):
+                        if len(lam) + len(mu) > r:
+                            continue
+                        assert kv_highest_weight(lam, mu, sig) == ref_kv_highest_weight(lam, mu, sig)
+                        count += 1
+    assert count > 100
 
 
 def test_laplacian_examples():
