@@ -3,21 +3,19 @@ Kudla-Millson Schwartz forms in nabla and explicit shape, the relative Lie
 algebra differential, K-invariance residuals, Euler/Chern forms, and the
 restriction map that peels off positive-definite rows.
 
-Column layout convention: for a unitary signature with dual-pair size (r, s),
-columns 1..s carry both holomorphic and conjugate variables (doubled Fock
-columns for the psi cup products, gaussian-conjugated Schrodinger columns for
-the Schwartz forms) and columns s+1..r are purely holomorphic.  Cup products
-concatenate column blocks; conjugate-carrying blocks have even total degree
-2q, so re-sorting blocks into column order costs no sign.
+Column layout: models.column_kinds names each dual-pair column's factor for
+a model tag, and every Fock, Schwartz and mixed builder wedges those factors
+(_column_cochain), so d's operators and the built cochain read one table.
 
 The six build_* functions are functools.cache functions: sharing a built
 GKCochain is safe because it is an immutable value.  The helpers behind them
 (_psi_factor, _km_column, _km_explicit_column, _lambda_sum) stay uncached, so
-a test that patches one sees its patch on every call.  The operator tables
-of d, the curvature and the K-residual (_pair_ops, _curvature_ops, _k_ops)
-are cached the same way, per (signature, model): a table holds immutable
-LinOps and closures over immutable labels, and is grouped by operator once,
-when it is built (_group), so the kernel hashes no operator during a call.
+a test that patches one sees its patch on each builder-cache miss.  The
+operator tables of d, the curvature and the K-residual (_pair_ops,
+_curvature_ops, _k_ops) are cached the same way, per (signature, model): a
+table holds immutable LinOps and closures over immutable labels, and is
+grouped by operator once, when it is built (_group), so the kernel hashes no
+operator during a call.
 """
 
 from __future__ import annotations
@@ -31,11 +29,11 @@ from math import factorial
 from .exterior import (Form, WedgeGen, merge_monomials, perm_sign, wedge_all,
                        xi, xibar)
 from .models import (ModelTag, ORTHOGONAL, Signature, UNITARY, _abstract_image,
-                     _bracket_image, _m_op, calibrate_structure, fock_model,
-                     mixed_model)
+                     _bracket_image, _m_op, calibrate_structure, column_kinds,
+                     fock_model, mixed_model)
 from .operators import LinOp
 from .poly import Polynomial, VariableId, X, Xbar, _mac_poly, _poly, _polys
-from .scalars import _ONE, Scalar, _mac, _reduce, _rows
+from .scalars import _ONE, Scalar, _mac, _quotient, _reduce, _rows
 
 
 @dataclass(frozen=True)
@@ -97,23 +95,26 @@ def build_psi_q(sig: Signature, column: int = 1) -> GKCochain:
     return GKCochain(_psi_factor(sig, column), fock_model(0), sig)
 
 
-def _psi_wedge(sig: Signature) -> GKCochain:
-    """psi_1 ^ ... ^ psi_r ^ psibar_1 ^ ... ^ psibar_s (s = 0 when orthogonal)."""
-    blocks = [_psi_factor(sig, k) for k in range(1, sig.r + 1)]
-    blocks += [_psi_factor(sig, k, conjugate=True) for k in range(1, sig.s + 1)]
-    return GKCochain(wedge_all(blocks), fock_model(min(sig.r, sig.s)), sig)
+def _column_cochain(sig: Signature, model: ModelTag, schwartz=None) -> GKCochain:
+    """The wedge, in column order, of the factors models.column_kinds names:
+    schwartz(sig, k) on each 'schrodinger' column, psi_k on each other column
+    with a holomorphic half, then psibar_k on each 'doubled' or 'conj' one.
+    Every builder lays out its columns here, so a tag fits its factors."""
+    kinds = list(enumerate(column_kinds(sig, model), start=1))
+    blocks = [schwartz(sig, k) if kind == "schrodinger" else _psi_factor(sig, k)
+              for k, kind in kinds if kind != "conj"]
+    blocks += [_psi_factor(sig, k, conjugate=True)
+               for k, kind in kinds if kind in ("doubled", "conj")]
+    return GKCochain(wedge_all(blocks), model, sig)
 
 
 @cache
 def build_psi_cup(sig: Signature) -> GKCochain:
-    """Cup product psi_1 ^ ... ^ psi_r ^ psibar_1 ^ ... ^ psibar_s.
-
-    Holomorphic factors occupy columns 1..r, conjugate factors columns 1..s
-    (columns 1..min(r, s) are doubled).  Zero when r > p or s > p, forced by
-    alternation."""
+    """Cup product psi_1 ^ ... ^ psi_r ^ psibar_1 ^ ... ^ psibar_s, the columns
+    of fock:min(r, s).  Zero when r > p or s > p, forced by alternation."""
     if sig.family != UNITARY:
         raise ValueError("build_psi_cup is the unitary construction; see build_psi_orth")
-    return _psi_wedge(sig)
+    return _column_cochain(sig, fock_model(min(sig.r, sig.s)))
 
 
 def cup_embed(c: GKCochain, holo_offset: int, conj_offset: int) -> Form:
@@ -155,7 +156,7 @@ def build_psi_orth(sig: Signature) -> GKCochain:
     """psi_1 ^ ... ^ psi_r over the real Fock model (orthogonal family)."""
     if sig.family != ORTHOGONAL:
         raise ValueError("build_psi_orth needs the orthogonal family")
-    return _psi_wedge(sig)
+    return _column_cochain(sig, fock_model(0))
 
 
 # ---------------------------------------------------------------------------
@@ -231,15 +232,11 @@ def _km_column(sig: Signature, k: int) -> Form:
 
 
 def _km_cochain(sig: Signature, column) -> GKCochain:
-    """Wedge of one Kudla-Millson column factor per dual-pair column.
-
-    Unitary needs r = s (all columns Schrodinger); orthogonal uses r columns
-    of the real model.  Coefficients are polynomials with the gaussian
-    implicit."""
+    """One Kudla-Millson column factor per column of mixed:r (unitary needs
+    r = s); coefficients are polynomials with the gaussian implicit."""
     if sig.family == UNITARY and sig.r != sig.s:
         raise ValueError("the unitary Kudla-Millson form needs r = s")
-    factors = [column(sig, k) for k in range(1, sig.r + 1)]
-    return GKCochain(wedge_all(factors), mixed_model(sig.r), sig)
+    return _column_cochain(sig, mixed_model(sig.r), column)
 
 
 @cache
@@ -315,15 +312,13 @@ def build_km_explicit(sig: Signature) -> GKCochain:
 
 @cache
 def build_mixed(sig: Signature) -> GKCochain:
-    """Fock/Schwartz mixed form: Schrodinger factors on columns 1..s, Fock
-    psi factors on columns s+1..r."""
+    """Fock/Schwartz mixed form: the columns of mixed:s, Schrodinger factors
+    on columns 1..s and Fock psi factors on columns s+1..r."""
     if sig.family != UNITARY:
         raise ValueError("the mixed construction is unitary")
     if sig.s > sig.r:
         raise ValueError("mixed model needs r >= s")
-    blocks = [_km_column(sig, k) if k <= sig.s else _psi_factor(sig, k)
-              for k in range(1, sig.r + 1)]
-    return GKCochain(wedge_all(blocks), mixed_model(sig.s), sig)
+    return _column_cochain(sig, mixed_model(sig.s), _km_column)
 
 
 # ---------------------------------------------------------------------------
@@ -499,18 +494,15 @@ def evaluate_at_zero(c: GKCochain) -> Form:
 
 
 def forms_proportional(f: Form, g: Form):
-    """Return a Scalar c with f = c g when one exists (g != 0), else None."""
+    """Return a Scalar c with f = c g when one exists (g != 0), else None:
+    c is the exact quotient (scalars._quotient) of the coefficients of f and
+    g at g's first term, checked against the whole forms."""
     if g.is_zero():
         return Scalar.zero() if f.is_zero() else None
     w0, p0 = next(iter(g.sorted_terms()))
     m0, c0 = next(iter(p0.sorted_terms()))
-    p_f = f.terms.get(w0, Polynomial.zero())
-    c_f = p_f.coefficient(m0)
-    try:
-        ratio = c_f * c0.inverse()
-    except ZeroDivisionError:
-        return None
-    return ratio if f == g.scale(ratio) else None
+    ratio = _quotient(f.terms.get(w0, Polynomial.zero()).coefficient(m0), c0)
+    return ratio if ratio is not None and f == g.scale(ratio) else None
 
 
 # ---------------------------------------------------------------------------

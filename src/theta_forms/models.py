@@ -55,6 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from math import prod
 
 from .operators import LinOp, op_sum
 from .poly import (Polynomial, VariableId, X, Xbar, Y, Ybar, Zvar, _mac_poly, _polys,
@@ -218,21 +219,13 @@ def intertwine(fock_elem: Polynomial, dim: int) -> Polynomial:
     return _polys(acc)[None]
 
 
-def _double_factorial(n: int) -> int:
-    out = 1
-    while n > 1:
-        out *= n
-        n -= 2
-    return out
-
-
 def _moment(n: int) -> Scalar:
     """Gaussian-relative moment of x^n: odd vanish, even are
     (n-1)!! / (4 pi)^(n/2)."""
     if n % 2:
         return Scalar.zero()
     k = n // 2
-    return Scalar.of(Fraction(_double_factorial(n - 1), 4 ** k), 0, -k)
+    return Scalar.of(Fraction(prod(range(n - 1, 0, -2)), 4 ** k), 0, -k)
 
 
 def inner_product_rel(a: Polynomial, b: Polynomial) -> Scalar:

@@ -198,6 +198,25 @@ def _raw(t: dict) -> Scalar:
 _ONE = _raw({0: (1, 0, 1)})
 
 
+def _quotient(a: Scalar, b: Scalar):
+    """The Scalar c with a = c b, or None when b is zero or does not divide a:
+    long division from the highest pi-power, which gives up once a quotient
+    term falls below min(a) - min(b), the lowest pi-power of an exact one."""
+    if b.is_zero():
+        return None
+    top = max(b._t)
+    lead = _raw({top: b._t[top]}).inverse()
+    floor = min(a._t, default=0) - min(b._t)
+    quot, rest = Scalar.zero(), a
+    while rest._t:
+        k = max(rest._t)
+        if k - top < floor:
+            return None
+        t = _raw({k: rest._t[k]}) * lead
+        quot, rest = quot + t, rest + -(t * b)
+    return quot
+
+
 # -- unreduced triple accumulators ------------------------------------------
 # A multiply-accumulate that runs many products into one sum keeps its
 # entries {(key, pi_exp): (re, im, den)} unreduced and reduces each once at

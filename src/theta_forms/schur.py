@@ -188,16 +188,12 @@ def minor_y_tilde(rows: list[int], sig: Signature) -> Polynomial:
 def delta_T(T: Tableau, sig: Signature, target: str = "x") -> Polynomial:
     """Product of column minors of a tableau: target 'x' gives Delta_T(X),
     target 'y_tilde' gives the tilde product on Y."""
-    ncols = T.shape.part(1)
+    minor = {"x": minor_x, "y_tilde": minor_y_tilde}.get(target)
+    if minor is None:
+        raise ValueError(f"unknown minor target {target!r}")
     out = Polynomial.one()
-    for l in range(1, ncols + 1):
-        col = T.column(l)
-        if target == "x":
-            out = out * minor_x(col, sig)
-        elif target == "y_tilde":
-            out = out * minor_y_tilde(col, sig)
-        else:
-            raise ValueError(f"unknown minor target {target!r}")
+    for l in range(1, T.shape.part(1) + 1):
+        out = out * minor(T.column(l), sig)
     return out
 
 

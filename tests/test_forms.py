@@ -1,12 +1,12 @@
 import hashlib
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from math import factorial
 
 import pytest
 
-from theta_forms.exterior import Form, perm_sign, wedge_monomial, xi, xibar
+from theta_forms.exterior import Form, perm_sign, wedge_all, wedge_monomial, xi, xibar
 from theta_forms.forms import (FactorizationError, GKCochain, SplitSpec,
                                build_km_explicit, build_km_nabla, build_mixed,
                                build_psi_cup, build_psi_orth, build_psi_q,
@@ -119,6 +119,50 @@ def test_mixed_boundaries():
     assert build_mixed(Signature(2, 1, 2, 1)).form.bidegree_support() == {(1, 2)}
     with pytest.raises(ValueError):
         build_mixed(Signature(2, 1, 1, 2))
+
+
+def test_mixed_form_matches_independent_builds_at_its_boundaries():
+    # build_mixed, build_km_nabla and build_psi_cup all lay out their columns
+    # in forms._column_cochain, so the km-equality suite's two boundary lines
+    # compare that function with itself; the explicit C(q, lambda) columns
+    # and the one-column psi_q builds are other code paths
+    for p, q, r in ((1, 1, 1), (2, 1, 1), (1, 2, 1), (2, 2, 1), (2, 1, 2), (3, 1, 2), (3, 2, 1)):
+        sig = Signature(p, q, r, r)
+        assert build_mixed(sig).form == build_km_explicit(sig).form
+    for p, q, r in ((2, 1, 2), (3, 2, 2), (2, 2, 1)):
+        sig = Signature(p, q, r, 0)
+        assert build_mixed(sig).form == wedge_all([build_psi_q(sig, k).form
+                                                   for k in range(1, r + 1)])
+
+
+BUILDERS = (build_psi_cup, build_psi_orth, build_km_nabla, build_km_explicit, build_mixed)
+
+
+def _layout_grid():
+    # every signature with p <= 3 and q, r, s <= 2; the orthogonal family has s = 0
+    for family, s_max in ((models.UNITARY, 2), (ORTHOGONAL, 0)):
+        for p, q, r, s in product(range(4), range(3), range(3), range(s_max + 1)):
+            sig = Signature(p, q, r, s, family)
+            for build in BUILDERS:
+                try:
+                    yield build(sig)
+                except ValueError:
+                    pass
+
+
+def test_built_cochains_fit_their_column_layout():
+    """Each variable of a built cochain lies in a column half its model tag
+    carries (models.column_kinds): no holomorphic variable in a 'conj' column,
+    no conjugate one in a 'pure' column, no column past the last."""
+    built = violations = 0
+    for c in _layout_grid():
+        built += 1
+        kinds = models.column_kinds(c.sig, c.model)
+        for v in {v for p in c.form.terms.values() for v in p.variables()}:
+            kind = kinds[v.col - 1] if 1 <= v.col <= len(kinds) else None
+            if kind is None or kind == ("conj" if v.kind in ("X", "Y") else "pure"):
+                violations += 1
+    assert (built, violations) == (360, 0)
 
 
 # -- differential -------------------------------------------------------------
@@ -376,6 +420,20 @@ def test_km_orthogonal_even_q_origin_proportional_to_omega_product():
     at0 = evaluate_at_zero(build_km_nabla(sig))
     ratio = forms_proportional(at0, euler_chern_form(sig))
     assert ratio is not None and not ratio.is_zero()
+
+
+def test_forms_proportional_divides_multi_term_coefficients():
+    one_pi = Scalar.of(1) + Scalar.of(1, 0, 1)
+    g = Form({(xi(1, 1),): Polynomial.constant(one_pi), (xibar(1, 1),): x(1, 1)})
+    assert forms_proportional(g, g) == Scalar.one()
+    assert forms_proportional(g.scale(2), g) == Scalar.of(2)
+    assert forms_proportional(g.scale(one_pi), g) == one_pi
+    # controls: f agrees with 2g at g's first term only, and g = f / (1 + pi)
+    # needs a ratio outside Q(i)[pi, 1/pi]
+    f = Form({(xi(1, 1),): Polynomial.constant(one_pi * 2),
+              (xibar(1, 1),): x(1, 1)})
+    assert forms_proportional(f, g) is None
+    assert forms_proportional(g, g.scale(one_pi)) is None
 
 
 # -- restriction -----------------------------------------------------------------

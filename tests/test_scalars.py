@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import theta_forms
 from theta_forms.poly import Polynomial
-from theta_forms.scalars import Scalar
+from theta_forms.scalars import Scalar, _quotient
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=8)
 scalars = st.builds(
@@ -66,6 +66,24 @@ def test_conjugate_and_inverse():
     assert z * z.inverse() == Scalar.one()
     with pytest.raises(ZeroDivisionError):
         (Scalar.of(1) + Scalar.of(1, 0, 1)).inverse()
+
+
+@settings(max_examples=80, deadline=None)
+@given(scalars, scalars, scalars)
+def test_quotient_is_exact_division(a, b, c):
+    if not b.is_zero():
+        assert _quotient(a * b, b) == a
+    q = _quotient(c, b)
+    assert q is None or q * b == c
+
+
+def test_quotient_refuses_what_does_not_divide():
+    one_pi = Scalar.of(1) + Scalar.of(1, 0, 1)
+    assert _quotient(Scalar.one(), one_pi) is None        # 1/(1 + pi) is no Laurent polynomial
+    assert _quotient(one_pi, one_pi * one_pi) is None
+    assert _quotient(Scalar.one(), Scalar.zero()) is None
+    assert _quotient(one_pi * one_pi, one_pi) == one_pi
+    assert _quotient(Scalar.zero(), one_pi) == Scalar.zero()
 
 
 def test_no_zero_terms_stored():

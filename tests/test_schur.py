@@ -67,6 +67,14 @@ def test_delta_tilde_bottom_right():
     assert delta_T(U, sig, "y_tilde") == Polynomial.variable(Y(2, 2))
 
 
+def test_delta_rejects_an_unknown_target():
+    # the empty tableau has no column, so the target is checked before any
+    for T in (Tableau(Partition(()), ()), Tableau(Partition((1,)), ((1,),))):
+        with pytest.raises(ValueError, match="unknown minor target"):
+            delta_T(T, Signature(2, 1, 1), "bogus")
+    assert delta_T(Tableau(Partition(()), ()), Signature(2, 1, 1), "y_tilde") == Polynomial.one()
+
+
 def test_kv_examples():
     assert kv_highest_weight(Partition((1,)), Partition(()), Signature(2, 1, 1, 0)) \
         == Polynomial.variable(X(1, 1))
