@@ -21,7 +21,9 @@ spaces and underscores are rejected, as are JSON floats; a Gram entry may
 also be a JSON integer.  Every index must fit the signature, as in a built
 cochain: generator rows <= p and columns <= q, X/Xbar rows <= p, Y/Ybar rows
 <= q, columns <= max(r, s), no Z, no conjugates in the orthogonal family,
-and a fock or mixed model with split <= r.  Import puts everything else in
+and a fock or mixed model with split <= r.  Each variable must also fit
+its column's kind under the model (models.column_kinds): no Xbar/Ybar in
+a 'pure' column and no X/Y in a 'conj' one.  Import puts everything else in
 canonical form: monomials are sorted and merged, wedges sorted with their
 sign, equal entries summed and cancelled terms dropped.
 """
@@ -35,7 +37,7 @@ from functools import cache
 
 from .exterior import Form, WedgeGen, wedge_monomial
 from .forms import GKCochain
-from .models import UNITARY, ModelTag, Signature
+from .models import UNITARY, ModelTag, Signature, column_kinds
 from .poly import Monomial, Polynomial, VariableId, _poly, monomial
 from .scalars import _mac_ratios, _reduce
 from .theta import GramMatrix
@@ -116,16 +118,17 @@ def _rational(x) -> tuple[int, int]:
     return int(num), den
 
 
-def _form_from_terms(terms, sig: Signature) -> Form:
+def _form_from_terms(terms, sig: Signature, model: ModelTag) -> Form:
     """One pass over the "terms" list.  Per-cochain caches map each token to
-    its WedgeGen or VariableId, checked once against the signature, each
+    its WedgeGen or VariableId, checked once against the signature and the
+    model's column layout (models.column_kinds), each
     rational string to its integer pair and each mono list (by its repr,
     which tells 1 from 1.0 and true) to its canonical monomial; coefficients
     are summed per wedge as integer triples."""
     unitary = sig.family == UNITARY
     # largest row per variable kind: none for Z, nor for orthogonal conjugates
     max_row = {"X": sig.p, "Y": sig.q, **({"Xbar": sig.p, "Ybar": sig.q} if unitary else {})}
-    cols = max(sig.r, sig.s)
+    kinds = column_kinds(sig, model)
 
     @cache
     def gens(tok):
@@ -137,8 +140,12 @@ def _form_from_terms(terms, sig: Signature) -> Form:
     @cache
     def variables(tok):
         v = VariableId.from_token(tok)
-        if v.row > max_row.get(v.kind, 0) or v.col > cols:
+        if v.row > max_row.get(v.kind, 0) or v.col > len(kinds):
             raise ValueError(f"variable {tok!r} outside the signature {sig}")
+        # a pure column is holomorphic only, a conj column conjugate only
+        if kinds[v.col - 1] == ("pure" if v.rank >= 2 else "conj"):
+            raise ValueError(f"variable {tok!r} in a {kinds[v.col - 1]} column of "
+                             f"model {model.token()!r} at {sig}")
         return v
 
     rationals = cache(_rational)
@@ -169,7 +176,7 @@ def cochain_from_dict(data: dict) -> GKCochain:
         model = ModelTag.from_token(data["model"])
         if model.which == "schrodinger" or model.split > sig.r:
             raise ValueError(f"model {model.token()!r} is not a matrix model of {sig}")
-        form = _form_from_terms(data["terms"], sig)
+        form = _form_from_terms(data["terms"], sig, model)
     except (TypeError, AttributeError, KeyError, IndexError) as exc:
         raise ValueError(f"malformed cochain JSON: {exc!r}") from exc
     return GKCochain(form, model, sig)

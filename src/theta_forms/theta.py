@@ -10,6 +10,7 @@ feeds an equality check is exact integer or Fraction arithmetic.
 from __future__ import annotations
 
 import cmath
+import gc
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -139,8 +140,11 @@ def enumerate_with_norms(L: GramMatrix, max_norm) -> list[tuple[tuple[int, ...],
 
     Fincke-Pohst on the exact LDL factorization, run entirely in integer
     arithmetic (see _fincke_pohst).  Levels fix x_0 first and run upwards,
-    so vectors come out in lexicographic order; the last level is a flat
-    loop, and each distinct remainder gets its half-norm Fraction once."""
+    so vectors come out in lexicographic order.  Setting y_i adds w[l][i] y_i
+    to each lower centre cent[l] (nonzero w only), each level hands its
+    prefix down, levels 1 and 0 are one nested loop, and each distinct
+    remainder gets its half-norm Fraction once.  The list holds no reference
+    cycle, so it is built with the cyclic collector paused."""
     max_norm = _exact(max_norm)
     if max_norm < 0:
         raise ValueError("max_norm must be non-negative")
@@ -148,39 +152,55 @@ def enumerate_with_norms(L: GramMatrix, max_norm) -> list[tuple[tuple[int, ...],
     if not n:
         return [((), Fraction(0))]
     rd, rem0, cap, m, w = _fincke_pohst(L, max_norm)
+    if n == 1:
+        k = isqrt(rem0 // cap[0])
+        return [((t,), Fraction(cap[0] * t * t, 2 * rd)) for t in range(-k, k + 1)]
     out: list[tuple[tuple[int, ...], Fraction]] = []
     append = out.append
     halves: dict[int, Fraction] = {}
-    y = [0] * n
+    cent = [0] * n   # cent[l] = sum of w[l][j] y_j over the fixed j > l
+    below = [[(l, w[l][i]) for l in range(i) if w[l][i]] for i in range(n)]
+    c0, m0, w01 = cap[0], m[0], w[0][1]
 
-    def descend(i: int, rem: int):
-        cn = 0
-        wi = w[i]
-        for j in range(i + 1, n):
-            if y[j]:
-                cn += wi[j] * y[j]
-        c = cap[i]
+    def descend(i: int, rem: int, head: tuple[int, ...]):
+        cn, c, mi = cent[i], cap[i], m[i]
         k = isqrt(rem // c)
-        mi = m[i]
         ts = range(-((cn + k) // mi), (k - cn) // mi + 1)
-        if i:
+        if i > 1:
             for t in ts:
-                uu = t * mi + cn
-                y[i] = t
-                descend(i - 1, rem - c * uu * uu)
-            y[i] = 0
+                for l, wl in below[i]:
+                    cent[l] += wl * t
+                descend(i - 1, rem - c * (t * mi + cn) ** 2, head + (t,))
+                for l, wl in below[i]:
+                    cent[l] -= wl * t
             return
-        head = tuple(y[:0:-1])
         for t in ts:
-            uu = t * mi + cn
-            r = rem - c * uu * uu
-            h = halves.get(r)
-            if h is None:
-                h = halves[r] = Fraction(rem0 - r, 2 * rd)
-            append((head + (t,), h))
+            r1 = rem - c * (t * mi + cn) ** 2
+            cn0 = cent[0] + w01 * t
+            k = isqrt(r1 // c0)
+            for t0 in range(-((cn0 + k) // m0), (k - cn0) // m0 + 1):
+                uu = t0 * m0 + cn0
+                r = r1 - c0 * uu * uu
+                h = halves.get(r)
+                if h is None:
+                    h = halves[r] = Fraction(rem0 - r, 2 * rd)
+                append((head + (t, t0), h))
 
-    descend(n - 1, rem0)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        descend(n - 1, rem0, ())
+    finally:
+        if enabled:
+            gc.enable()
     return out
+
+
+def _n_max(n_max) -> int:
+    """n_max if it is an int; a bool, float, Fraction or str raises TypeError."""
+    if type(n_max) is bool or not isinstance(n_max, int):
+        raise TypeError(f"n_max must be an int, got {n_max!r}")
+    return n_max
 
 
 def rep_numbers(L: GramMatrix, n_max: int) -> dict[int, int]:
@@ -195,7 +215,7 @@ def rep_numbers(L: GramMatrix, n_max: int) -> dict[int, int]:
     by cent[l'] -= q w[l'][l].  That is the substitution y_l -> y_l + q, a
     bijection of Z that leaves u_l and every later u unchanged, so nodes
     with one key have equal histograms."""
-    if n_max < 0:
+    if _n_max(n_max) < 0:
         raise ValueError("n_max must be non-negative")
     rd, rem0, cap, m, w = _fincke_pohst(L, Fraction(n_max))
     memo: dict[tuple[int, tuple[int, ...]], dict[int, int]] = {}
@@ -243,7 +263,7 @@ def naive_rep_numbers(L: GramMatrix, n_max: int) -> dict[int, int]:
     The Gram matrix is scaled once by the lcm D of its denominators, so each
     point is an int x^T (D L) x, which is 2 n D exactly when the half-norm
     is the integer n."""
-    if n_max < 0:
+    if _n_max(n_max) < 0:
         raise ValueError("n_max must be non-negative")
     inv_diag = L.inverse_diagonal()
     bounds = []
@@ -380,7 +400,7 @@ def fourier_assemble(L: GramMatrix, weight: Callable, g: WhittakerPoint,
     # per vector would cost more than the enumeration.
     sums: dict[tuple[int, int], int] = {}
     get = sums.get
-    for x, h in enumerate_with_norms(L, n_max):
+    for x, h in enumerate_with_norms(L, _n_max(n_max)):
         if h.denominator == 1:
             v = weight(x)
             if type(v) is not int and type(v) is not Fraction:
@@ -444,7 +464,7 @@ def eisenstein_check(n_max: int, L: GramMatrix | None = None) -> EisensteinRepor
     """One-class genus instance of Siegel-Weil: the theta coefficients of the
     lattice (E8 by default) against the Eisenstein side 240 sigma_3(n).
     Both sides exact integers; a non-E8 lattice reports its mismatches."""
-    if not 1 <= n_max <= NMAX_CEILING:
+    if not 1 <= _n_max(n_max) <= NMAX_CEILING:
         raise ValueError(f"desk-scale check: 1 <= n_max <= {NMAX_CEILING}")
     counts = rep_numbers(L if L is not None else e8_gram(), n_max)
     rows = tuple((n, counts[n], 240 * sigma3(n)) for n in range(1, n_max + 1))

@@ -521,6 +521,18 @@ def test_export_rejects_indices_outside_the_signature(tmp_path, capsys, doc, fie
     assert "Signature(" in json.loads(captured.err)["error"]
 
 
+def test_export_rejects_a_conjugate_in_a_pure_column(tmp_path, capsys):
+    # psi_q at (2,1,1,0) is tagged fock:0, whose one column is holomorphic only
+    text = cochain_to_json(build_psi_q(Signature(2, 1, 1, 0)))
+    bad = tmp_path / "bad.json"
+    bad.write_text(text.replace('"X:1:1"', '"Xbar:1:1"'))
+    assert main(["export", "--in", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "'Xbar:1:1' in a pure column" in json.loads(captured.err)["error"]
+
+
 def test_every_built_cochain_imports_within_its_signature():
     """Every builder over p <= 3, q <= 2, r, s <= 2 in both families: each
     cochain the library builds passes the import checks and round-trips."""

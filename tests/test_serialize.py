@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from theta_forms.exterior import Form, WedgeGen, perm_sign, wedge_monomial, xi, xibar
 from theta_forms.forms import (GKCochain, build_km_nabla, build_mixed,
                                build_psi_cup, build_psi_q)
-from theta_forms.models import ORTHOGONAL, UNITARY, Signature, fock_model, mixed_model
+from theta_forms.models import (ORTHOGONAL, UNITARY, Signature, column_kinds, fock_model,
+                                mixed_model)
 from theta_forms.poly import Polynomial, X, Xbar, Y, Ybar, monomial
 from theta_forms.scalars import Scalar
 from theta_forms.serialize import (cochain_from_dict, cochain_from_json, cochain_to_json,
@@ -98,19 +99,22 @@ def test_import_drops_repeated_generator():
 @st.composite
 def cochains(draw):
     """Random cochains: wedges over xi/xibar, Gaussian-rational coefficients
-    with several powers of pi, monomials in the four matrix variable kinds."""
+    with several powers of pi, monomials in the four matrix variable kinds,
+    each variable in a column whose kind (models.column_kinds) allows it."""
     family = draw(st.sampled_from((UNITARY, ORTHOGONAL)))
     p, q, r = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(0, 2))
     s = 0 if family == ORTHOGONAL else draw(st.integers(0, 2))
     sig = Signature(p, q, r, s, family)
     model = draw(st.sampled_from((fock_model(min(r, s)), mixed_model(min(r, s)))))
-    # every index within the signature, conjugates only in the unitary family
+    # every index within the signature, conjugates only in the unitary family,
+    # none in a 'pure' column and nothing holomorphic in a 'conj' one
     unitary = family == UNITARY
     gens = [g(i, j) for g in ((xi, xibar) if unitary else (xi,))
             for i in range(1, p + 1) for j in range(1, q + 1)]
     variables = [v(i, c) for v in ((X, Xbar, Y, Ybar) if unitary else (X, Y))
                  for i in range(1, (p if v in (X, Xbar) else q) + 1)
-                 for c in range(1, max(r, s) + 1)] or [None]
+                 for c, kind in enumerate(column_kinds(sig, model), 1)
+                 if kind != ("pure" if v in (Xbar, Ybar) else "conj")] or [None]
     rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
     form = Form.zero()
     for _ in range(draw(st.integers(0, 4))):
@@ -126,6 +130,19 @@ def cochains(draw):
             poly = poly + Polynomial({mono: coeff})
         form = form + Form({w: poly.scale(sign)})
     return GKCochain(form, model, sig)
+
+
+@pytest.mark.parametrize("sig, old, new, kind", [
+    (Signature(2, 1, 1, 0), '"X:1:1"', '"Xbar:1:1"', "pure"),     # psi_q, fock:0
+    (Signature(2, 1, 0, 1), '"Xbar:1:1"', '"X:1:1"', "conj"),     # psi_cup, fock:0
+])
+def test_import_rejects_a_variable_its_column_kind_forbids(sig, old, new, kind):
+    c = (build_psi_q if sig.s == 0 else build_psi_cup)(sig)
+    assert column_kinds(sig, c.model) == [kind]
+    text = cochain_to_json(c)
+    assert old in text
+    with pytest.raises(ValueError, match=f"in a {kind} column of model 'fock:0'"):
+        cochain_from_json(text.replace(old, new))
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,4 +1,5 @@
 import cmath
+import gc
 from fractions import Fraction
 from itertools import product
 from math import ceil, isqrt
@@ -321,6 +322,54 @@ def test_enumerate_with_norms_e8_sorted_and_exact():
     assert len(listed) == 1 + 240 + 2160 + 6720
     assert listed == sorted(listed)
     assert all(h == L.half_norm(v) for v, h in listed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rational_grams(), st.fractions(0, 3, max_denominator=6).filter(lambda b: b.denominator > 1))
+# Every centre depends on every higher coordinate here (no zero in w above
+# the diagonal), so an update that misses a column entry or reads w
+# transposed changes the list; E8's nearly banded w would not show it.
+@example([[3, 1, -1, Fraction(1, 2)], [1, 4, Fraction(1, 3), -1],
+          [-1, Fraction(1, 3), 3, 1], [Fraction(1, 2), -1, 1, Fraction(5, 2)]], Fraction(7, 2))
+def test_enumerate_with_norms_is_the_sorted_box_scan(entries, bound):
+    """The whole list, vectors, order and exact half-norms, against a box
+    scan with GramMatrix.half_norm over |x_i| <= sqrt(2 bound (L^-1)_ii) + 1."""
+    L = GramMatrix(entries)
+    box = product(*(range(-b, b + 1) for b in
+                    (isqrt(ceil(2 * bound * v)) + 1 for v in L.inverse_diagonal())))
+    assert enumerate_with_norms(L, bound) == [(x, L.half_norm(x)) for x in box
+                                              if L.half_norm(x) <= bound]
+
+
+def test_enumeration_restores_the_collector_state():
+    enabled = gc.isenabled()
+    try:
+        gc.disable()
+        enumerate_with_norms(e8_gram(), 1)
+        assert not gc.isenabled()
+        gc.enable()
+        enumerate_with_norms(e8_gram(), 1)
+        assert gc.isenabled()
+    finally:
+        (gc.enable if enabled else gc.disable)()
+
+
+N_MAX_TAKERS = {
+    "rep_numbers": lambda n: rep_numbers(GramMatrix([[2]]), n),
+    "naive_rep_numbers": lambda n: naive_rep_numbers(GramMatrix([[2]]), n),
+    "eisenstein_check": eisenstein_check,
+    "fourier_assemble": lambda n: fourier_assemble(GramMatrix([[2]]), lambda x: 1,
+                                                   WhittakerPoint.standard(1), n),
+}
+
+
+# a bool is an int subclass but is not a count; a float, Fraction or str is
+# refused before range() or the bound check sees it
+@pytest.mark.parametrize("value", [True, 2.0, Fraction(2), "2"], ids=repr)
+@pytest.mark.parametrize("name", N_MAX_TAKERS)
+def test_n_max_must_be_an_int(name, value):
+    with pytest.raises(TypeError, match="n_max must be an int"):
+        N_MAX_TAKERS[name](value)
 
 
 def _half_norm_count(L: GramMatrix, n_max: int) -> dict[int, int]:
