@@ -251,8 +251,8 @@ C_PLUS = Scalar.i_unit()
 C_MINUS = Scalar.i_unit()
 
 
-def column_kinds(sig: Signature, model: ModelTag) -> list[str]:
-    """Per-column realization over columns 1..max(r, s):
+def column_kind(sig: Signature, model: ModelTag, col: int) -> str:
+    """The realization of column col, 1 <= col <= max(r, s):
 
     'doubled'     Fock holomorphic (x) conjugate tensor factor,
     'schrodinger' the gaussian-conjugated intertwined version of 'doubled',
@@ -261,15 +261,16 @@ def column_kinds(sig: Signature, model: ModelTag) -> list[str]:
     """
     if model.which == "schrodinger":
         raise ValueError("matrix operators need a fock or mixed model tag")
-    kinds = []
-    for col in range(1, max(sig.r, sig.s) + 1):
-        if col <= model.split:
-            kinds.append("doubled" if model.which == "fock" else "schrodinger")
-        elif col <= sig.r:
-            kinds.append("pure")
-        else:
-            kinds.append("conj")
-    return kinds
+    if col <= model.split:
+        return "doubled" if model.which == "fock" else "schrodinger"
+    return "pure" if col <= sig.r else "conj"
+
+
+def column_kinds(sig: Signature, model: ModelTag) -> list[str]:
+    """column_kind of each column 1..max(r, s)."""
+    if model.which == "schrodinger":
+        raise ValueError("matrix operators need a fock or mixed model tag")
+    return [column_kind(sig, model, col) for col in range(1, max(sig.r, sig.s) + 1)]
 
 
 def _mult(v: VariableId) -> LinOp:

@@ -11,8 +11,16 @@ The JSON schema (stable, canonical ordering, byte-reproducible):
 A Scalar with several pi-exponents expands into several poly entries sharing
 the same mono.  ``cochain_to_json`` writes this fixed schema directly, in
 exactly the layout of ``json.dumps(..., indent=2, sort_keys=True)`` plus a
-final newline: each distinct monomial's "mono" list is rendered once per
-cochain.  Gram matrices: {"dim": n, "gram": [["2", "-1", ...], ...]}.
+final newline.  Gram matrices: {"dim": n, "gram": [["2", "-1", ...], ...]}.
+
+Each call does per-value work once per distinct value, in tables that live
+only for that call: ``cochain_to_json`` renders each distinct monomial's
+"mono" text and each distinct coefficient's entry heads once, and
+``cochain_to_latex`` each distinct monomial, coefficient and wedge
+generator once; both join their pieces once.  The reader parses each
+spelling of a "mono" list once, gives each canonical monomial one small-int
+index (two spellings of one monomial share it), sums each wedge's entries
+under those indices and maps them back to monomials once per wedge.
 
 Rationals (a coefficient's "re"/"im", a Gram entry given as a string) follow
 one strict grammar on import: ASCII ``-?[0-9]+(/[0-9]+)?`` with a nonzero
@@ -22,8 +30,9 @@ also be a JSON integer.  Every index must fit the signature, as in a built
 cochain: generator rows <= p and columns <= q, X/Xbar rows <= p, Y/Ybar rows
 <= q, columns <= max(r, s), no Z, no conjugates in the orthogonal family,
 and a fock or mixed model with split <= r.  Each variable must also fit
-its column's kind under the model (models.column_kinds): no Xbar/Ybar in
-a 'pure' column and no X/Y in a 'conj' one.  Import puts everything else in
+its column's kind under the model (models.column_kind, looked up for that
+column alone, so a huge r or s costs nothing): no Xbar/Ybar in a 'pure'
+column and no X/Y in a 'conj' one.  Import puts everything else in
 canonical form: monomials are sorted and merged, wedges sorted with their
 sign, equal entries summed and cancelled terms dropped.
 """
@@ -37,9 +46,9 @@ from functools import cache
 
 from .exterior import Form, WedgeGen, wedge_monomial
 from .forms import GKCochain
-from .models import UNITARY, ModelTag, Signature, column_kinds
-from .poly import Monomial, Polynomial, VariableId, _poly, monomial
-from .scalars import _mac_ratios, _reduce
+from .models import UNITARY, ModelTag, Signature, column_kind
+from .poly import Monomial, VariableId, _poly, monomial
+from .scalars import Scalar, _mac_ratios, _reduce
 from .theta import GramMatrix
 
 # Each string is the text between two values of the json.dumps layout at
@@ -63,6 +72,17 @@ def _mono_json(mono: Monomial) -> str:
     return f"[\n{pairs}\n          ]"
 
 
+def _mono_tail(mono: Monomial) -> str:
+    """The text from the end of a poly entry's "coeff" to the end of the entry."""
+    return _MONO + _mono_json(mono) + _ENTRY_END
+
+
+def _coeff_heads(s: Scalar) -> tuple[str, ...]:
+    """The start of each poly entry a coefficient expands into, up to its
+    "mono" key: one per pi-exponent, by increasing exponent."""
+    return tuple(f"{_ENTRY}{im_s}{_PI}{k}{_RE}{re_s}" for k, _, _, re_s, im_s in s._text_terms())
+
+
 def _wedge_json(w) -> str:
     if not w:
         return "[]"
@@ -71,22 +91,24 @@ def _wedge_json(w) -> str:
 
 
 def cochain_to_json(c: GKCochain) -> str:
+    """The cochain's JSON document.  Each distinct monomial and coefficient
+    is rendered once per call, and the pieces are joined once."""
     sig = c.sig
-    head = (f'{{\n  "model": "{c.model.token()}",\n  "signature": {{\n'
-            f'    "family": "{sig.family}",\n    "p": {sig.p},\n    "q": {sig.q},\n'
-            f'    "r": {sig.r},\n    "s": {sig.s}\n  }},\n  "terms": ')
-    monos: dict = {}  # Monomial -> its "mono" text, once per cochain
-    terms = []
+    out = [f'{{\n  "model": "{c.model.token()}",\n  "signature": {{\n'
+           f'    "family": "{sig.family}",\n    "p": {sig.p},\n    "q": {sig.q},\n'
+           f'    "r": {sig.r},\n    "s": {sig.s}\n  }},\n  "terms": ']
+    tails, heads = cache(_mono_tail), cache(_coeff_heads)
     for w, p in c.form.sorted_terms():
-        entries = []
+        out += (",\n" if len(out) > 1 else "[\n", _TERM)
+        sep = ""
         for mono, s in p.sorted_terms():
-            tail = monos.get(mono)
-            if tail is None:
-                tail = monos[mono] = _MONO + _mono_json(mono) + _ENTRY_END
-            for k, _, _, re_s, im_s in s._text_terms():
-                entries.append(f"{_ENTRY}{im_s}{_PI}{k}{_RE}{re_s}{tail}")
-        terms.append(_TERM + ",\n".join(entries) + _WEDGE + _wedge_json(w) + _TERM_END)
-    return head + ("[\n" + ",\n".join(terms) + "\n  ]" if terms else "[]") + "\n}\n"
+            tail = tails(mono)
+            for head in heads(s):
+                out += (sep, head, tail)
+                sep = ",\n"
+        out += (_WEDGE, _wedge_json(w), _TERM_END)
+    out.append("\n  ]\n}\n" if len(out) > 1 else "[]\n}\n")
+    return "".join(out)
 
 
 def _int(x) -> int:
@@ -121,14 +143,16 @@ def _rational(x) -> tuple[int, int]:
 def _form_from_terms(terms, sig: Signature, model: ModelTag) -> Form:
     """One pass over the "terms" list.  Per-cochain caches map each token to
     its WedgeGen or VariableId, checked once against the signature and the
-    model's column layout (models.column_kinds), each
-    rational string to its integer pair and each mono list (by its repr,
-    which tells 1 from 1.0 and true) to its canonical monomial; coefficients
-    are summed per wedge as integer triples."""
+    kind of its column (models.column_kind), and each rational string to its
+    integer pair.  Each spelling of a "mono" list, keyed by its (token,
+    exponent, exponent type) triples so that 1 is told from 1.0 and true, is
+    parsed once to its canonical monomial, and each canonical monomial gets
+    one small-int index: entries are summed per wedge as integer triples
+    under (index, pi-exponent) and mapped back to monomials at the end."""
     unitary = sig.family == UNITARY
     # largest row per variable kind: none for Z, nor for orthogonal conjugates
     max_row = {"X": sig.p, "Y": sig.q, **({"Xbar": sig.p, "Ybar": sig.q} if unitary else {})}
-    kinds = column_kinds(sig, model)
+    cols = max(sig.r, sig.s)
 
     @cache
     def gens(tok):
@@ -140,31 +164,36 @@ def _form_from_terms(terms, sig: Signature, model: ModelTag) -> Form:
     @cache
     def variables(tok):
         v = VariableId.from_token(tok)
-        if v.row > max_row.get(v.kind, 0) or v.col > len(kinds):
+        if v.row > max_row.get(v.kind, 0) or v.col > cols:
             raise ValueError(f"variable {tok!r} outside the signature {sig}")
         # a pure column is holomorphic only, a conj column conjugate only
-        if kinds[v.col - 1] == ("pure" if v.rank >= 2 else "conj"):
-            raise ValueError(f"variable {tok!r} in a {kinds[v.col - 1]} column of "
+        kind = column_kind(sig, model, v.col)
+        if kind == ("pure" if v.rank >= 2 else "conj"):
+            raise ValueError(f"variable {tok!r} in a {kind} column of "
                              f"model {model.token()!r} at {sig}")
         return v
 
     rationals = cache(_rational)
-    monos: dict = {}
-    sums: dict = {}  # canonical wedge -> triple accumulator
+    spellings: dict = {}  # typed "mono" list -> index of its monomial
+    index: dict = {}      # canonical monomial -> index
+    sums: dict = {}       # canonical wedge -> triple accumulator
     for term in _list(terms):
         sign, w = wedge_monomial([gens(tok) for tok in _list(term["wedge"])])
         rows = []
         for ent in _list(term["poly"]):
-            coeff, mono = ent["coeff"], ent["mono"]
-            key = repr(mono)
-            m = monos.get(key)
-            if m is None:
-                m = monos[key] = monomial([(variables(tok), _int(e)) for tok, e in _list(mono)])
-            rows.append((m, _int(coeff["piExp"]), rationals(coeff["re"]), rationals(coeff["im"])))
+            coeff, mono = ent["coeff"], _list(ent["mono"])
+            key = tuple([(tok, e, type(e)) for tok, e in mono])
+            i = spellings.get(key)
+            if i is None:
+                m = monomial([(variables(tok), _int(e)) for tok, e in mono])
+                i = spellings[key] = index.setdefault(m, len(index))
+            rows.append((i, _int(coeff["piExp"]), rationals(coeff["re"]), rationals(coeff["im"])))
         # a repeated generator gives 0, but the entries are still checked
         if sign:
             _mac_ratios(sums.setdefault(w, {}), rows, sign)
-    return Form({w: _poly(_reduce(acc)) for w, acc in sums.items()})
+    monos = list(index)
+    return Form({w: _poly({monos[i]: s for i, s in _reduce(acc).items()})
+                 for w, acc in sums.items()})
 
 
 def cochain_from_dict(data: dict) -> GKCochain:
@@ -204,23 +233,17 @@ _VAR_TEX = {"X": "X", "Y": "Y", "Xbar": "\\overline{X}",
 
 
 def _mono_tex(mono: Monomial) -> str:
-    if not mono:
-        return ""
+    """A monomial's text after its coefficient: a space and the factors, or
+    nothing for the constant monomial."""
     bits = []
     for v, e in mono:
-        base = f"{_VAR_TEX[v.kind]}_{{{v.row},{v.col}}}"
+        base = f" {_VAR_TEX[v.kind]}_{{{v.row},{v.col}}}"
         bits.append(base if e == 1 else f"{base}^{{{e}}}")
-    return " ".join(bits)
+    return "".join(bits)
 
 
-def _poly_tex(p: Polynomial) -> str:
-    if p.is_zero():
-        return "0"
-    bits = []
-    for mono, c in p.sorted_terms():
-        mt = _mono_tex(mono)
-        bits.append(f"\\left({c.latex()}\\right)" + (f" {mt}" if mt else ""))
-    return " + ".join(bits)
+def _coeff_tex(s: Scalar) -> str:
+    return f"\\left({s.latex()}\\right)"
 
 
 def _gen_tex(g: WedgeGen) -> str:
@@ -229,13 +252,23 @@ def _gen_tex(g: WedgeGen) -> str:
 
 
 def cochain_to_latex(c: GKCochain) -> str:
+    """The cochain as a LaTeX sum of [polynomial] wedge terms.  Each
+    distinct monomial, coefficient and generator is rendered once per call,
+    and the pieces are joined once."""
     if c.form.is_zero():
         return "0"
-    bits = []
+    monos, coeffs, gens = cache(_mono_tex), cache(_coeff_tex), cache(_gen_tex)
+    out = []
     for w, p in c.form.sorted_terms():
-        wedge = " \\wedge ".join(_gen_tex(g) for g in w)
-        bits.append(f"\\left[{_poly_tex(p)}\\right]" + (f" \\, {wedge}" if wedge else ""))
-    return " + ".join(bits)
+        out.append(" + \\left[" if out else "\\left[")
+        sep = ""
+        for mono, s in p.sorted_terms():
+            out += (sep, coeffs(s), monos(mono))
+            sep = " + "
+        out.append("\\right]")
+        if w:
+            out += (" \\, ", " \\wedge ".join([gens(g) for g in w]))
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

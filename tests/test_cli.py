@@ -10,9 +10,11 @@ import pytest
 
 from theta_forms import cli, suites
 from theta_forms.cli import main
-from theta_forms.forms import FactorizationError, build_psi_cup, build_psi_orth, build_psi_q
+from theta_forms.forms import (FactorizationError, build_mixed, build_psi_cup, build_psi_orth,
+                               build_psi_q)
 from theta_forms.models import ORTHOGONAL, UNITARY, CalibrationError, Signature
-from theta_forms.serialize import cochain_from_json, cochain_to_json, gram_to_json
+from theta_forms.serialize import (cochain_from_json, cochain_to_json, cochain_to_latex,
+                                   gram_to_json)
 from theta_forms.suites import run_suite
 from theta_forms.theta import e8_gram
 
@@ -218,6 +220,44 @@ def test_export_of_a_long_wedge_finishes(tmp_path):
     proc = subprocess.run([sys.executable, "-m", "theta_forms.cli", "export", "--in", str(doc)],
                           env=env, capture_output=True, text=True, timeout=10)
     assert (proc.returncode, proc.stdout) == (0, "0\n"), proc.stderr
+
+
+def _capped_address_space():
+    # runs in the child before exec: 600 MB of address space, so an import
+    # that allocates in proportion to a huge signature entry dies of
+    # MemoryError instead of taking the machine's memory
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (600 << 20, resource.getrlimit(resource.RLIMIT_AS)[1]))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="preexec_fn needs a POSIX child")
+@pytest.mark.parametrize("field", ["r", "s"])
+@pytest.mark.parametrize("fmt", ["json", "latex"])
+def test_export_with_a_huge_column_count_is_quick(tmp_path, field, fmt):
+    """r or s = 2^40: import looks up each variable's column kind, not a
+    list of max(r, s) kinds (a 20-line MemoryError traceback under a 600 MB
+    address-space cap before).  The outcome may be the form or one JSON
+    error line with exit 1, never a traceback."""
+    built = build_mixed(Signature(2, 2, 1, 1))
+    data = json.loads(cochain_to_json(built))
+    data["signature"][field] = 1 << 40
+    doc = tmp_path / "huge.json"
+    doc.write_text(json.dumps(data))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "theta_forms.cli", "export", "--in", str(doc),
+                           "--format", fmt], env=env, capture_output=True, text=True,
+                          timeout=30, preexec_fn=_capped_address_space)
+    if proc.returncode == 1:
+        assert proc.stdout == "" and proc.stderr.count("\n") == 1
+        assert "error" in json.loads(proc.stderr)
+        return
+    assert proc.returncode == 0, proc.stderr
+    # the signature only widens: the form and its text are the built ones
+    if fmt == "json":
+        assert proc.stdout == json.dumps(data, indent=2, sort_keys=True) + "\n"
+    else:
+        assert proc.stdout == cochain_to_latex(built) + "\n"
 
 
 def test_calibrate_prints_report(capsys):

@@ -1,13 +1,16 @@
+import copy
 import json
+from contextlib import contextmanager
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from theta_forms.exterior import Form, WedgeGen, perm_sign, wedge_monomial, xi, xibar
-from theta_forms.forms import (GKCochain, build_km_nabla, build_mixed,
-                               build_psi_cup, build_psi_q)
+from theta_forms.forms import (GKCochain, build_km_nabla, build_mixed, build_psi_cup,
+                               build_psi_orth, build_psi_q)
 from theta_forms.models import (ORTHOGONAL, UNITARY, Signature, column_kinds, fock_model,
                                 mixed_model)
 from theta_forms.poly import Polynomial, X, Xbar, Y, Ybar, monomial
@@ -362,3 +365,212 @@ def test_reader_accepts_plain_indices():
     back = cochain_from_json(json.dumps({**doc, "model": "fock:0"}))
     assert back.model == fock_model(0)
     assert back.form == Form({(xi(2, 1),): Polynomial.variable(X(10, 1))})
+
+
+def test_two_spellings_of_one_monomial_merge():
+    # an unsorted and a sorted spelling of X^2 Y in one wedge: one term, 1 + 3
+    form = _read((["xi:1:1"], [("1", "0", 0, [["Y:1:1", 1], ["X:1:1", 2]]),
+                               ("3", "0", 0, [["X:1:1", 2], ["Y:1:1", 1]])]))
+    assert form == XI.scale((X11 ** 2 * Y11).scale(4))
+    # a repeated variable against its summed exponent, in either order
+    for first, second in [([["X:1:1", 1], ["X:1:1", 1]], [["X:1:1", 2]]),
+                          ([["X:1:1", 2]], [["X:1:1", 1], ["X:1:1", 1]])]:
+        form = _read((["xi:1:1"], [("1", "0", 0, first), ("2", "0", 0, second)]))
+        assert form == XI.scale((X11 ** 2).scale(3))
+    # a constant spelled with an exponent-0 variable cancels the plain
+    # constant, and one monomial's spellings also merge across wedges
+    form = _read((["xi:1:1"], [("1", "0", 0, [["Y:1:1", 0]]), ("-1", "0", 0, []),
+                               ("1", "0", 0, [["Y:1:1", 1], ["X:1:1", 2]])]),
+                 (["xibar:1:1"], [("2", "0", 0, [["X:1:1", 2], ["Y:1:1", 1]])]))
+    assert form == XI.scale(X11 ** 2 * Y11) + XIBAR.scale((X11 ** 2 * Y11).scale(2))
+
+
+# ---------------------------------------------------------------------------
+# The LaTeX writer against a per-term renderer
+# ---------------------------------------------------------------------------
+
+def _tex_writer(c: GKCochain) -> str:
+    """The plain writer cochain_to_latex replaced: every monomial, coefficient
+    and generator rendered where it occurs, through the public Scalar.latex."""
+    def mono_tex(mono):
+        bits = []
+        for v, e in mono:
+            base = {"X": "X", "Y": "Y", "Xbar": "\\overline{X}",
+                    "Ybar": "\\overline{Y}", "Z": "x"}[v.kind] + f"_{{{v.row},{v.col}}}"
+            bits.append(base if e == 1 else f"{base}^{{{e}}}")
+        return " ".join(bits)
+
+    def poly_tex(p):
+        if p.is_zero():
+            return "0"
+        bits = []
+        for mono, s in p.sorted_terms():
+            mt = mono_tex(mono)
+            bits.append(f"\\left({s.latex()}\\right)" + (f" {mt}" if mt else ""))
+        return " + ".join(bits)
+
+    def gen_tex(g):
+        return ("\\xi" if g.kind == "xi" else "\\overline{\\xi}") + f"_{{{g.row},{g.col}}}"
+
+    if c.form.is_zero():
+        return "0"
+    bits = []
+    for w, p in c.form.sorted_terms():
+        wedge = " \\wedge ".join(gen_tex(g) for g in w)
+        bits.append(f"\\left[{poly_tex(p)}\\right]" + (f" \\, {wedge}" if wedge else ""))
+    return " + ".join(bits)
+
+
+@settings(max_examples=80, deadline=None)
+@given(cochains())
+def test_latex_writer_matches_the_per_term_renderer(c):
+    assert cochain_to_latex(c) == _tex_writer(c)
+
+
+MONO = monomial([(X(1, 1), 2), (Ybar(1, 1), 3)])
+
+
+@pytest.mark.parametrize("terms, tex", [
+    ({}, "0"),
+    # the empty wedge and the constant monomial
+    ({(): Polynomial.constant(Scalar.of(2))}, "\\left[\\left(2\\right)\\right]"),
+    ({(xi(1, 1), xibar(2, 1)): Polynomial({MONO: Scalar.one()})},
+     "\\left[\\left(1\\right) X_{1,1}^{2} \\overline{Y}_{1,1}^{3}\\right]"
+     " \\, \\xi_{1,1} \\wedge \\overline{\\xi}_{2,1}"),
+    # real, imaginary and complex coefficients at pi-powers 0, 1 and -2
+    ({(): Polynomial({(): Scalar.of(Fraction(-1, 2)), MONO: Scalar.of(0, 3, 1)}),
+      (xi(1, 1),): Polynomial({MONO: Scalar.of(1, -2, -2)})},
+     "\\left[\\left(-1/2\\right) + \\left(3 i \\pi\\right) X_{1,1}^{2} \\overline{Y}_{1,1}^{3}\\right]"
+     " + \\left[\\left((1 - 2 i) \\pi^{-2}\\right) X_{1,1}^{2} \\overline{Y}_{1,1}^{3}\\right]"
+     " \\, \\xi_{1,1}"),
+    ({(xibar(1, 1),): Polynomial({(): Scalar.of(0, Fraction(-1, 3), -2),
+                                  MONO: Scalar.of(Fraction(5, 4), 1, 0)})},
+     "\\left[\\left(-1/3 i \\pi^{-2}\\right) + \\left((5/4 + 1 i)\\right)"
+     " X_{1,1}^{2} \\overline{Y}_{1,1}^{3}\\right] \\, \\overline{\\xi}_{1,1}"),
+    # a coefficient with two pi-powers, and the same one again on another
+    # monomial and in another wedge
+    ({(xi(1, 1),): Polynomial({(): Scalar.of(1, 0, 1) + Scalar.of(0, -1, -2),
+                               MONO: Scalar.of(1, 0, 1) + Scalar.of(0, -1, -2)}),
+      (xi(2, 1),): Polynomial({(): Scalar.of(0, -1, -2) + Scalar.of(1, 0, 1)})},
+     "\\left[\\left(-1 i \\pi^{-2} + 1 \\pi\\right) + \\left(-1 i \\pi^{-2} + 1 \\pi\\right)"
+     " X_{1,1}^{2} \\overline{Y}_{1,1}^{3}\\right] \\, \\xi_{1,1}"
+     " + \\left[\\left(-1 i \\pi^{-2} + 1 \\pi\\right)\\right] \\, \\xi_{2,1}"),
+], ids=["zero", "empty-wedge", "exponents", "pi-powers", "imaginary-complex", "two-pi-powers"])
+def test_latex_writer_pinned_cases(terms, tex):
+    c = _cochain(terms)
+    assert cochain_to_latex(c) == tex == _tex_writer(c)
+
+
+# ---------------------------------------------------------------------------
+# A fuzz of the reader: build documents with nodes replaced or deleted
+# ---------------------------------------------------------------------------
+
+@cache
+def _fuzz_sources() -> tuple:
+    return tuple(cochain_to_json(c) for c in (
+        build_psi_q(Signature(2, 1, 1, 0)), build_psi_cup(Signature(2, 1, 1, 1)),
+        build_mixed(Signature(2, 1, 1, 1)), build_km_nabla(Signature(1, 1, 1, 1)),
+        build_psi_orth(Signature(2, 1, 1, 0, ORTHOGONAL))))
+
+
+HUGE = [1 << 40, 1 << 63, -(1 << 63), (1 << 64) + 1, 10 ** 30, -(10 ** 30)]
+# values a document holds, so that some mutants are still valid documents
+PLAUSIBLE = ["X:1:1", "X:2:1", "Y:1:1", "Xbar:1:1", "Ybar:1:2", "xi:1:1", "xibar:1:1",
+             "xi:2:1", "1", "-1/2", "2/4", "0", "fock:0", "mixed:1", "unitary", "orthogonal",
+             "re", "im", "piExp", "mono", "coeff", "wedge", "poly"]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.sampled_from(HUGE) | st.floats()
+    | st.text(max_size=8) | st.sampled_from(PLAUSIBLE),
+    lambda kids: (st.lists(kids, max_size=3)
+                  | st.dictionaries(st.sampled_from(PLAUSIBLE) | st.text(max_size=4), kids,
+                                    max_size=3)),
+    max_leaves=6)
+
+
+def _slots(node, out: list, role: tuple = ()) -> list:
+    """(container, key, role) of every node below node; a node's role is
+    the dict keys on its path, such as ("terms", "poly", "coeff", "re")."""
+    keys = list(node) if isinstance(node, dict) else range(len(node)) if isinstance(node, list) else ()
+    for k in keys:
+        sub = role + (k,) if isinstance(node, dict) else role
+        out.append((node, k, sub))
+        _slots(node[k], out, sub)
+    return out
+
+
+def _like(value, role, doc):
+    """A copy of another node of the same role and JSON type in the document
+    (an int may also be small or HUGE), so that many mutants still read."""
+    same = [n[k] for n, k, r in _slots(doc, []) if r == role and type(n[k]) is type(value)]
+    like = st.sampled_from(same).map(copy.deepcopy)
+    return like | st.integers(-1, 3) | st.sampled_from(HUGE) if type(value) is int else like
+
+
+@st.composite
+def mutated_documents(draw):
+    """A build document with one or two nodes deleted or replaced: by any
+    JSON value, or by a value like the node's own."""
+    doc = json.loads(draw(st.sampled_from(_fuzz_sources())))
+    for _ in range(draw(st.integers(1, 2))):
+        node, key, role = draw(st.sampled_from(_slots(doc, [])))
+        how = draw(st.sampled_from(("delete", "any", "like", "like", "like", "like")))
+        if how == "delete":
+            del node[key]
+        else:
+            node[key] = draw(JSON_VALUES if how == "any" else _like(node[key], role, doc))
+    return doc
+
+
+@contextmanager
+def _address_space_cap(extra: int = 128 << 20):
+    """Cap this process's address space at its present size plus extra, so
+    a reader that allocates in proportion to a drawn huge int raises
+    MemoryError instead of taking the machine's memory.  No cap where the
+    size cannot be read."""
+    try:
+        import resource
+        with open("/proc/self/statm") as fh:
+            size = int(fh.read().split()[0]) * resource.getpagesize()
+    except (ImportError, OSError):
+        yield
+        return
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = min(x for x in (size + extra, soft, hard) if x != resource.RLIM_INFINITY)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated_documents())
+def test_reader_fuzz_accepts_or_raises_value_error(doc):
+    """A mutated document is read or rejected with ValueError, nothing
+    else; one that is read writes back to a document that reads to the
+    same cochain."""
+    with _address_space_cap():
+        try:
+            c = cochain_from_dict(doc)
+        except ValueError:
+            return
+        assert cochain_from_json(cochain_to_json(c)) == c
+        cochain_to_latex(c)
+
+
+@pytest.mark.parametrize("field", ["p", "q", "r", "s", "exponent", "piExp"])
+def test_reader_takes_huge_ints(field):
+    """Huge ints read in O(1): a signature entry widens the signature, an
+    exponent or pi-exponent is kept; each round-trips."""
+    doc = json.loads(cochain_to_json(build_mixed(Signature(2, 1, 1, 1))))
+    entry = next(e for t in doc["terms"] for e in t["poly"] if e["mono"])
+    if field == "exponent":
+        entry["mono"][0][1] = (1 << 64) + 1
+    elif field == "piExp":
+        entry["coeff"]["piExp"] = -(1 << 63)
+    else:
+        doc["signature"][field] = 1 << 40
+    with _address_space_cap():
+        c = cochain_from_dict(doc)
+        assert cochain_from_json(cochain_to_json(c)) == c
+    assert json.loads(cochain_to_json(c)) == doc
