@@ -18,29 +18,30 @@ import argparse
 import json
 import sys
 
-from .forms import (build_km_explicit, build_km_nabla, build_mixed,
-                    build_psi_cup, build_psi_orth, build_psi_q,
-                    euler_chern_form, FactorizationError, GKCochain)
-from .models import (CalibrationError, ORTHOGONAL, Signature, UNITARY,
-                     calibrate_structure, fock_model)
-from .serialize import (cochain_from_json, cochain_to_json, cochain_to_latex,
-                        gram_from_json)
-from .suites import SUITES, run_all, run_suite, suite_takes_seed
-from .theta import (NMAX_CEILING, BetaMatrix, WhittakerPoint, eisenstein_check,
-                    rep_numbers, whittaker)
+# The parser's choices as plain strings, so that building it imports no library
+# layer: form names, suites.SUITES in order, models.UNITARY and ORTHOGONAL.
+FORM_NAMES = ("psi-q", "psi-cup", "psi-orth", "km-nabla", "km-explicit", "mixed", "chern")
+SUITE_NAMES = ("oscillator-relations", "intertwiner", "harmonic", "schur-dim", "closedness",
+               "cup", "km-equality", "restriction", "k-invariance", "eisenstein", "calibration")
+FAMILIES = ("unitary", "orthogonal")
 
-FORM_BUILDERS = {
-    "psi-q": build_psi_q,
-    "psi-cup": build_psi_cup,
-    "psi-orth": build_psi_orth,
-    "km-nabla": build_km_nabla,
-    "km-explicit": build_km_explicit,
-    "mixed": build_mixed,
-    "chern": lambda sig: GKCochain(euler_chern_form(sig), fock_model(0), sig),
-}
+
+def _builder(form: str):
+    """forms.build_<form>, or for "chern" the Euler-Chern cochain in the
+    scalar Fock model, looked up (and forms imported) when it is called."""
+    def build(sig):
+        from . import forms, models
+        if form == "chern":
+            return forms.GKCochain(forms.euler_chern_form(sig), models.fock_model(0), sig)
+        return getattr(forms, "build_" + form.replace("-", "_"))(sig)
+    return build
+
+
+FORM_BUILDERS = {form: _builder(form) for form in FORM_NAMES}
 
 
 def _signature(args) -> Signature:
+    from .models import Signature
     return Signature(args.p, args.q, args.r, args.s, args.family)
 
 
@@ -54,6 +55,7 @@ def _write(text: str, out: str | None):
 
 def _write_cochain(cochain: GKCochain, args) -> int:
     """Write a cochain as args.format (json or latex) to args.out or stdout."""
+    from .serialize import cochain_to_json, cochain_to_latex
     if args.format == "json":
         _write(cochain_to_json(cochain), args.out)
     else:
@@ -73,6 +75,7 @@ def _error(message: str, code: int) -> int:
 def _verify_flag_error(args) -> str | None:
     """Why the seed or signature flags given to verify would be ignored, if
     they would."""
+    from .suites import suite_takes_seed
     if args.seed is not None and args.suite != "all" and not suite_takes_seed(args.suite):
         return f"--seed does not apply to --suite {args.suite}, which draws no random cochains"
     given = [f"--{f}" for f in "pqrs" if getattr(args, f) is not None]
@@ -88,6 +91,7 @@ def _verify_flag_error(args) -> str | None:
 
 
 def _cmd_verify(args) -> int:
+    from .suites import run_all, run_suite
     problem = _verify_flag_error(args)
     if problem:
         return _error(problem, 2)
@@ -113,6 +117,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
+    from .models import UNITARY, calibrate_structure, fock_model
     if args.family != UNITARY:
         return _error("calibrate certifies the unitary u(p,q) operators only; "
                       "there is no o(p,q) certificate", 2)
@@ -125,6 +130,8 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_theta(args) -> int:
+    from .theta import (NMAX_CEILING, BetaMatrix, WhittakerPoint, eisenstein_check,
+                        gram_from_json, rep_numbers, whittaker)
     if args.check is not None and args.convention is not None:
         return _error("--convention applies to the theta table, not to --check", 2)
     if args.check is None and args.nmax > NMAX_CEILING:
@@ -152,6 +159,7 @@ def _cmd_theta(args) -> int:
 
 
 def _cmd_export(args) -> int:
+    from .serialize import cochain_from_json
     with open(args.infile, "r", encoding="utf-8") as fh:
         cochain = cochain_from_json(fh.read())
     return _write_cochain(cochain, args)
@@ -162,7 +170,7 @@ def _add_signature_flags(sub):
     sub.add_argument("--q", type=int, default=1)
     sub.add_argument("--r", type=int, default=1)
     sub.add_argument("--s", type=int, default=0)
-    sub.add_argument("--family", choices=[UNITARY, ORTHOGONAL], default=UNITARY)
+    sub.add_argument("--family", choices=FAMILIES, default=FAMILIES[0])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -178,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.set_defaults(fn=_cmd_build)
 
     v = sp.add_parser("verify", help="run a verification suite")
-    v.add_argument("--suite", choices=sorted(SUITES) + ["all"], required=True)
+    v.add_argument("--suite", choices=sorted(SUITE_NAMES) + ["all"], required=True)
     # None, not 0: a --seed given to a suite that draws nothing is rejected
     v.add_argument("--seed", type=int, default=None)
     v.add_argument("--p", type=int, default=None)
@@ -213,7 +221,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, KeyError, OSError, CalibrationError, FactorizationError) as exc:
+    except MemoryError:
+        # the frames that held the work are gone, so the line can be written
+        return _error("out of memory", 1)
+    # ValueError stands in for a library error whose module was never loaded
+    except (ValueError, KeyError, OSError,
+            getattr(sys.modules.get(f"{__package__}.models"), "CalibrationError", ValueError),
+            getattr(sys.modules.get(f"{__package__}.forms"), "FactorizationError", ValueError)) as exc:
         return _error(str(exc), 1)
 
 

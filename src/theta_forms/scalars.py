@@ -11,6 +11,8 @@ repr, LaTeX and JSON format straight from the integer triples.
 
 from __future__ import annotations
 
+import json
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -35,6 +37,45 @@ def _exact(x) -> Fraction:
     if isinstance(x, (float, complex, bool)):
         raise TypeError(f"expected an exact rational, got {x!r}")
     return Fraction(x)
+
+
+# Strict readers of JSON values, shared by the cochain and the Gram reader.
+def _int(x) -> int:
+    if type(x) is not int:
+        raise ValueError(f"expected an integer, got {x!r}")
+    return x
+
+
+def _list(x) -> list:
+    # a string would be read one character at a time
+    if type(x) is not list:
+        raise ValueError(f"expected a list, got {x!r}")
+    return x
+
+
+def _rational(x) -> tuple[int, int]:
+    """(numerator, denominator) of a rational string in the strict grammar.
+    A JSON float would import as its inexact binary expansion, and
+    Fraction's own grammar takes exponents, so "1e1000000000" would ask
+    for a billion-digit integer."""
+    # re caches the compiled pattern on first use, not at import
+    m = re.fullmatch(r"(-?[0-9]+)(?:/([0-9]+))?", x) if type(x) is str else None
+    if m is None:
+        raise ValueError(f"expected a rational string -?[0-9]+(/[0-9]+)?, got {x!r}")
+    num, den = m.groups()
+    den = int(den) if den else 1
+    if den == 0:
+        raise ValueError(f"zero denominator in {x!r}")
+    return int(num), den
+
+
+def _loads(text: str, what: str):
+    """json.loads, with nesting too deep for the decoder reported as a
+    malformed document (ValueError) instead of a RecursionError."""
+    try:
+        return json.loads(text)
+    except RecursionError as exc:
+        raise ValueError(f"malformed {what} JSON: nested too deeply") from exc
 
 
 def _add_term(out: dict, k: int, c) -> None:

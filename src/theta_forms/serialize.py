@@ -1,4 +1,4 @@
-"""JSON and LaTeX export of cochains, plus the Gram-matrix file format.
+"""JSON and LaTeX export of cochains.
 
 The JSON schema (stable, canonical ordering, byte-reproducible):
 
@@ -11,7 +11,7 @@ The JSON schema (stable, canonical ordering, byte-reproducible):
 A Scalar with several pi-exponents expands into several poly entries sharing
 the same mono.  ``cochain_to_json`` writes this fixed schema directly, in
 exactly the layout of ``json.dumps(..., indent=2, sort_keys=True)`` plus a
-final newline.  Gram matrices: {"dim": n, "gram": [["2", "-1", ...], ...]}.
+final newline.
 
 Each call does per-value work once per distinct value, in tables that live
 only for that call: ``cochain_to_json`` renders each distinct monomial's
@@ -22,11 +22,11 @@ spelling of a "mono" list once, gives each canonical monomial one small-int
 index (two spellings of one monomial share it), sums each wedge's entries
 under those indices and maps them back to monomials once per wedge.
 
-Rationals (a coefficient's "re"/"im", a Gram entry given as a string) follow
-one strict grammar on import: ASCII ``-?[0-9]+(/[0-9]+)?`` with a nonzero
-denominator, such as "3", "-1/2" or "2/4".  Exponents, decimal points,
-spaces and underscores are rejected, as are JSON floats; a Gram entry may
-also be a JSON integer.  Every index must fit the signature, as in a built
+A coefficient's "re"/"im" must follow on import the strict rational
+grammar of ``scalars._rational``, which the Gram reader in theta shares:
+ASCII ``-?[0-9]+(/[0-9]+)?`` with a nonzero denominator, such as "3",
+"-1/2" or "2/4"; exponents, decimal points, spaces, underscores and JSON
+floats are rejected.  Every index must fit the signature, as in a built
 cochain: generator rows <= p and columns <= q, X/Xbar rows <= p, Y/Ybar rows
 <= q, columns <= max(r, s), no Z, no conjugates in the orthogonal family,
 and a fock or mixed model with split <= r.  Each variable must also fit
@@ -39,17 +39,13 @@ sign, equal entries summed and cancelled terms dropped.
 
 from __future__ import annotations
 
-import json
-import re
-from fractions import Fraction
 from functools import cache
 
 from .exterior import Form, WedgeGen, wedge_monomial
 from .forms import GKCochain
 from .models import UNITARY, ModelTag, Signature, column_kind
 from .poly import Monomial, VariableId, _poly, monomial
-from .scalars import Scalar, _mac_ratios, _reduce
-from .theta import GramMatrix
+from .scalars import Scalar, _int, _list, _loads, _mac_ratios, _rational, _reduce
 
 # Each string is the text between two values of the json.dumps layout at
 # the depth where it sits: a term at depth 2, its poly entries at depth 4,
@@ -109,35 +105,6 @@ def cochain_to_json(c: GKCochain) -> str:
         out += (_WEDGE, _wedge_json(w), _TERM_END)
     out.append("\n  ]\n}\n" if len(out) > 1 else "[]\n}\n")
     return "".join(out)
-
-
-def _int(x) -> int:
-    if type(x) is not int:
-        raise ValueError(f"expected an integer, got {x!r}")
-    return x
-
-
-def _list(x) -> list:
-    # a string would be read one character at a time
-    if type(x) is not list:
-        raise ValueError(f"expected a list, got {x!r}")
-    return x
-
-
-def _rational(x) -> tuple[int, int]:
-    """(numerator, denominator) of a rational string in the strict grammar.
-    A JSON float would import as its inexact binary expansion, and
-    Fraction's own grammar takes exponents, so "1e1000000000" would ask
-    for a billion-digit integer."""
-    # re caches the compiled pattern on first use, not at import
-    m = re.fullmatch(r"(-?[0-9]+)(?:/([0-9]+))?", x) if type(x) is str else None
-    if m is None:
-        raise ValueError(f"expected a rational string -?[0-9]+(/[0-9]+)?, got {x!r}")
-    num, den = m.groups()
-    den = int(den) if den else 1
-    if den == 0:
-        raise ValueError(f"zero denominator in {x!r}")
-    return int(num), den
 
 
 def _form_from_terms(terms, sig: Signature, model: ModelTag) -> Form:
@@ -211,15 +178,6 @@ def cochain_from_dict(data: dict) -> GKCochain:
     return GKCochain(form, model, sig)
 
 
-def _loads(text: str, what: str):
-    """json.loads, with nesting too deep for the decoder reported as a
-    malformed document (ValueError) instead of a RecursionError."""
-    try:
-        return json.loads(text)
-    except RecursionError as exc:
-        raise ValueError(f"malformed {what} JSON: nested too deeply") from exc
-
-
 def cochain_from_json(text: str) -> GKCochain:
     return cochain_from_dict(_loads(text, "cochain"))
 
@@ -269,33 +227,3 @@ def cochain_to_latex(c: GKCochain) -> str:
         if w:
             out += (" \\, ", " \\wedge ".join([gens(g) for g in w]))
     return "".join(out)
-
-
-# ---------------------------------------------------------------------------
-# Gram matrices
-# ---------------------------------------------------------------------------
-
-def gram_to_json(L: GramMatrix) -> str:
-    data = {"dim": L.dim,
-            "gram": [[str(x) for x in row] for row in L.entries]}
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
-
-
-def _gram_entry(x) -> Fraction:
-    # bool is an int subclass and a float is inexact: neither is an entry
-    return Fraction(x) if type(x) is int else Fraction(*_rational(x))
-
-
-def gram_from_dict(data: dict) -> GramMatrix:
-    """Any malformed shape or value raises ValueError."""
-    try:
-        rows = _list(data["gram"])
-        if len(rows) != _int(data["dim"]):
-            raise ValueError("gram row count does not match dim")
-        return GramMatrix([[_gram_entry(x) for x in _list(row)] for row in rows])
-    except (TypeError, AttributeError, KeyError, IndexError) as exc:
-        raise ValueError(f"malformed gram JSON: {exc!r}") from exc
-
-
-def gram_from_json(text: str) -> GramMatrix:
-    return gram_from_dict(_loads(text, "gram"))

@@ -1,7 +1,7 @@
 """Numeric companion: exact lattice enumeration, representation numbers,
 Whittaker factors, Fourier-coefficient assembly, and the one-class
 Siegel-Weil sanity check (E8 theta against the divisor-sum Eisenstein
-coefficients).
+coefficients), and the Gram-matrix file format.
 
 Floating point appears only in the Whittaker exponentials; everything that
 feeds an equality check is exact integer or Fraction arithmetic.
@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import cmath
 import gc
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import isqrt, lcm
 from typing import Callable, Sequence
 
-from .scalars import _exact
+from .scalars import _exact, _int, _list, _loads, _rational
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +107,34 @@ def _invert(rows) -> list[list[Fraction]]:
                 f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
     return [row[n:] for row in a]
+
+
+# Gram files: {"dim": n, "gram": [["2", "-1", ...], ...]}, each entry a JSON
+# integer or a rational string in the strict grammar of scalars._rational.
+def gram_to_json(L: GramMatrix) -> str:
+    data = {"dim": L.dim,
+            "gram": [[str(x) for x in row] for row in L.entries]}
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+def _gram_entry(x) -> Fraction:
+    # bool is an int subclass and a float is inexact: neither is an entry
+    return Fraction(x) if type(x) is int else Fraction(*_rational(x))
+
+
+def gram_from_dict(data: dict) -> GramMatrix:
+    """Any malformed shape or value raises ValueError."""
+    try:
+        rows = _list(data["gram"])
+        if len(rows) != _int(data["dim"]):
+            raise ValueError("gram row count does not match dim")
+        return GramMatrix([[_gram_entry(x) for x in _list(row)] for row in rows])
+    except (TypeError, AttributeError, KeyError, IndexError) as exc:
+        raise ValueError(f"malformed gram JSON: {exc!r}") from exc
+
+
+def gram_from_json(text: str) -> GramMatrix:
+    return gram_from_dict(_loads(text, "gram"))
 
 
 # ---------------------------------------------------------------------------

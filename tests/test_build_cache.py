@@ -7,12 +7,19 @@ rules they memoise), the Heisenberg and ladder operators, the intertwiner
 image of each Fock monomial, the determinant minors and the two factors of
 the highest-weight vectors."""
 
+import gc
+import json
+import os
+import subprocess
+import sys
+import tracemalloc
 from dataclasses import replace
 from itertools import product
+from pathlib import Path
 
 import pytest
 
-from theta_forms import forms, models, schur
+from theta_forms import clear_caches, forms, models, schur
 from theta_forms.exterior import Form, xi, xibar
 from theta_forms.forms import (GKCochain, build_km_explicit, build_km_nabla, build_mixed,
                                build_psi_cup, build_psi_orth, build_psi_q)
@@ -313,6 +320,47 @@ def test_fresh_operators_empties_every_new_cache(fresh_operators):
     kv_highest_weight(Partition((1,)), EMPTY_PARTITION, sig)   # the same X minor
     intertwine(Polynomial.variable(Zvar(1)), 1)
     assert all(c.cache_info().currsize == 1 for c in new)
+
+
+# -- theta_forms.clear_caches ------------------------------------------------------
+
+def test_clear_caches_frees_a_dropped_build():
+    """The builder caches hold a build after its caller drops it, until
+    clear_caches() empties them."""
+    clear_caches()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        build_psi_cup(Signature(5, 3, 2, 0))
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - base
+        clear_caches()
+        gc.collect()
+        left = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert held >= 1 << 20 and left < 1 << 18, (held, left)
+
+
+def test_clear_caches_imports_nothing():
+    """In a fresh process clear_caches() loads no module: with only the
+    package loaded it clears nothing, and with models loaded models' caches."""
+    script = ("import json, sys, theta_forms\n"
+              "out = []\n"
+              "for name in ('theta_forms', 'theta_forms.models'):\n"
+              "    __import__(name)\n"
+              "    before = set(sys.modules)\n"
+              "    out.append([len(theta_forms.clear_caches()), sorted(set(sys.modules) - before)])\n"
+              "print(json.dumps(out))")
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    n_models = sum(hasattr(fn, "cache_clear") for fn in vars(models).values())
+    assert json.loads(proc.stdout) == [[0, []], [n_models, []]]
 
 
 # -- suite verdicts do not depend on cache state --------------------------------

@@ -8,15 +8,14 @@ from pathlib import Path
 
 import pytest
 
-from theta_forms import cli, suites
+from theta_forms import cli, forms, models, suites
 from theta_forms.cli import main
-from theta_forms.forms import (FactorizationError, build_mixed, build_psi_cup, build_psi_orth,
-                               build_psi_q)
+from theta_forms.forms import (FactorizationError, build_km_explicit, build_km_nabla,
+                               build_mixed, build_psi_cup, build_psi_orth, build_psi_q)
 from theta_forms.models import ORTHOGONAL, UNITARY, CalibrationError, Signature
-from theta_forms.serialize import (cochain_from_json, cochain_to_json, cochain_to_latex,
-                                   gram_to_json)
+from theta_forms.serialize import cochain_from_json, cochain_to_json, cochain_to_latex
 from theta_forms.suites import run_suite
-from theta_forms.theta import e8_gram
+from theta_forms.theta import e8_gram, gram_to_json
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -274,8 +273,8 @@ def test_calibrate_certifies_the_model_psi_cup_is_built_in(capsys, monkeypatch):
     assert main(["build", "--form", "psi-cup", "--p", "1", "--q", "1", "--r", "1", "--s", "5"]) == 0
     built = json.loads(capsys.readouterr().out)["model"]
     certified = []
-    real = cli.calibrate_structure
-    monkeypatch.setattr(cli, "calibrate_structure",
+    real = models.calibrate_structure
+    monkeypatch.setattr(models, "calibrate_structure",
                         lambda sig, model: certified.append((sig, model.token())) or real(sig, model))
     assert main(["calibrate", "--p", "1", "--q", "1", "--r", "1", "--s", "5"]) == 0
     assert certified == [(Signature(1, 1, 1, 5), built)] and built == "fock:1"
@@ -344,6 +343,69 @@ def test_library_error_exit_one(monkeypatch, capsys, error):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert json.loads(err) == {"error": "no scaling closes the brackets"}
+
+
+def test_memory_exhaustion_is_one_error_line(monkeypatch, capsys):
+    """A build too large for the machine's memory ends in one JSON error
+    line and exit 1, not a traceback."""
+    def exhausted(sig):
+        raise MemoryError
+    monkeypatch.setitem(cli.FORM_BUILDERS, "psi-cup", exhausted)
+    assert main(["build", "--form", "psi-cup", "--p", "12", "--q", "6"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert json.loads(captured.err) == {"error": "out of memory"}
+
+
+def test_parser_tables_are_the_library_names():
+    """The parser's plain-string choices name what the library has: the
+    suites in suites.SUITES order, the two families, and one builder per
+    form."""
+    assert cli.SUITE_NAMES == tuple(suites.SUITES)
+    assert cli.FAMILIES == (UNITARY, ORTHOGONAL)
+    builders = {"psi-q": build_psi_q, "psi-cup": build_psi_cup, "psi-orth": build_psi_orth,
+                "km-nabla": build_km_nabla, "km-explicit": build_km_explicit, "mixed": build_mixed}
+    assert list(cli.FORM_BUILDERS) == list(cli.FORM_NAMES) == [*builders, "chern"]
+    for name, build in builders.items():
+        sig = Signature(2, 1, 1, 0, ORTHOGONAL) if name == "psi-orth" else Signature(2, 1, 1, 1)
+        assert cli.FORM_BUILDERS[name](sig) is build(sig), name
+    sig = Signature(2, 1, 1, 1)
+    assert cli.FORM_BUILDERS["chern"](sig) == forms.GKCochain(
+        forms.euler_chern_form(sig), models.fock_model(0), sig)
+
+
+_LOADED = ("import json, sys\n"
+           "from theta_forms.cli import build_parser, main\n"
+           "build_parser()\n"
+           "rc = main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+           "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'theta_forms')))\n"
+           "sys.exit(rc)\n")
+
+
+def _loaded(*argv) -> set:
+    """The theta_forms modules loaded in a fresh process that builds the
+    parser and runs the command argv, if any; the command must succeed."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _LOADED, *argv], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def test_each_command_loads_only_its_layers(tmp_path):
+    """The parser imports no library layer, calibrate none of the form,
+    suite, text or lattice layers, and theta only theta and scalars."""
+    base = {"theta_forms", "theta_forms.cli"}
+    assert _loaded() == base
+    calibrate = _loaded("calibrate", "--p", "1", "--q", "1", "--r", "1")
+    assert "theta_forms.models" in calibrate
+    assert calibrate & {f"theta_forms.{m}" for m in
+                        ("forms", "schur", "suites", "serialize", "theta")} == set()
+    gram = tmp_path / "e8.json"
+    gram.write_text(gram_to_json(e8_gram()))
+    assert (_loaded("theta", "--gram", str(gram), "--nmax", "2", "--check", "eisenstein")
+            == base | {"theta_forms.theta", "theta_forms.scalars"})
 
 
 @pytest.mark.parametrize("argv", [

@@ -16,9 +16,8 @@ from theta_forms.models import (ORTHOGONAL, UNITARY, Signature, column_kinds, fo
 from theta_forms.poly import Polynomial, X, Xbar, Y, Ybar, monomial
 from theta_forms.scalars import Scalar
 from theta_forms.serialize import (cochain_from_dict, cochain_from_json, cochain_to_json,
-                                   cochain_to_latex, gram_from_json,
-                                   gram_to_json)
-from theta_forms.theta import e8_gram
+                                   cochain_to_latex)
+from theta_forms.theta import e8_gram, gram_from_json, gram_to_json
 
 
 def test_round_trip_identity():

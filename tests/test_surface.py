@@ -1,7 +1,12 @@
 """The public surface of theta_forms: the names the package exports, the
 names this surface has shed, and the few that look unused but are not."""
 
+import ast
+import importlib
 import types
+from pathlib import Path
+
+import pytest
 
 import theta_forms
 from theta_forms import forms, models, poly, schur, serialize, theta
@@ -17,7 +22,7 @@ PUBLIC = [
     "SplitSpec", "Tableau", "UNITARY", "VariableId", "WedgeGen", "WhittakerPoint",
     "X", "Xbar", "Y", "Ybar", "Zvar", "build_km_explicit", "build_km_nabla",
     "build_mixed", "build_psi_cup", "build_psi_orth", "build_psi_q",
-    "calibrate_structure", "delta_T", "e8_gram", "eisenstein_check", "enumerate_ssyt",
+    "calibrate_structure", "clear_caches", "delta_T", "e8_gram", "eisenstein_check", "enumerate_ssyt",
     "enumerate_with_norms", "euler_chern_form", "evaluate_at_zero", "fock_model",
     "fourier_assemble", "gk_curvature", "gk_differential", "heisenberg_op",
     "hook_content_dim", "inner_product_rel", "intertwine", "is_harmonic",
@@ -35,13 +40,44 @@ REMOVED = [
     (Form, "degrees"), (Form, "__mul__"), (Form, "__rmul__"), (Scalar, "pi"),
     (Scalar, "__sub__"), (serialize, "cochain_to_dict"), (WhittakerPoint, "of"),
     (theta, "enumerate_vectors"), (schur, "laplacian"), (WedgeGen, "sort_key"),
+    # the Gram file format lives in theta, so the theta command loads no serialize
+    (serialize, "gram_to_json"), (serialize, "gram_from_dict"), (serialize, "gram_from_json"),
 ]
 
 
 def test_public_names_are_pinned():
-    names = sorted(n for n, v in vars(theta_forms).items()
-                   if not n.startswith("_") and not isinstance(v, types.ModuleType))
-    assert names == PUBLIC
+    """The package is lazy, so its public names are what __all__ and dir()
+    list, each the very object bound in the submodule that defines it."""
+    assert sorted(theta_forms.__all__) == sorted(dir(theta_forms)) == PUBLIC
+    assert theta_forms.clear_caches.__module__ == "theta_forms"
+    for name in (n for n in PUBLIC if n != "clear_caches"):
+        value = getattr(theta_forms, name)
+        home = importlib.import_module(f"theta_forms.{theta_forms._HOME[name]}")
+        assert value is vars(home)[name], name
+        if isinstance(value, (type, types.FunctionType)):
+            assert value.__module__ == home.__name__, name
+
+
+def test_package_resolves_names_and_submodules_on_use():
+    assert theta_forms.theta is theta and theta_forms.Signature is models.Signature
+    from theta_forms import Signature, suites
+    assert Signature is models.Signature and suites.SUITES
+    with pytest.raises(AttributeError, match="nope"):
+        theta_forms.nope
+
+
+def test_only_the_cli_and_the_package_import_lazily():
+    """No library function imports: the hot paths keep their module-level
+    bindings.  Only the CLI's handlers and the package __getattr__ defer
+    an import, so that each command loads the layers it runs."""
+    src = Path(theta_forms.__file__).parent
+    deferred = sorted(f"{path.name}:{fn.name}" for path in src.glob("*.py")
+                      for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                      if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                      and any(isinstance(node, (ast.Import, ast.ImportFrom))
+                              for node in ast.walk(fn))
+                      and path.name != "cli.py")
+    assert deferred == ["__init__.py:__getattr__"]
 
 
 def test_removed_names_stay_removed():
