@@ -18,7 +18,7 @@ _HOME = {name: module for module, names in {
     "poly": "Polynomial VariableId X Xbar Y Ybar Zvar",
     "operators": "LinOp",
     "exterior": "Form WedgeGen xi xibar",
-    "models": "FOCK SCHRODINGER ModelTag ORTHOGONAL Signature UNITARY calibrate_structure "
+    "models": "FOCK ModelTag ORTHOGONAL Signature UNITARY calibrate_structure "
               "heisenberg_op inner_product_rel intertwine ladder_op mixed_model fock_model "
               "upq_op_model",
     "schur": "Partition Tableau delta_T enumerate_ssyt hook_content_dim is_harmonic "

@@ -92,26 +92,26 @@ class Signature:
 
 @dataclass(frozen=True)
 class ModelTag:
-    """Which realization the coefficients live in.
+    """The column layout the coefficients live in (column_kind).
 
-    which = "fock":        columns 1..split are doubled Fock columns
-                           (holomorphic and conjugate polynomial factors),
-                           the rest are purely holomorphic.
-    which = "mixed":       columns 1..split are gaussian-conjugated
-                           Schrodinger columns, the rest Fock.
-    which = "schrodinger": the scalar model on S(R^N) (Z-kind variables).
+    which = "fock":  columns 1..split are doubled Fock columns (holomorphic
+                     and conjugate polynomial factors), the rest are purely
+                     holomorphic.
+    which = "mixed": columns 1..split are gaussian-conjugated Schrodinger
+                     columns, the rest Fock.
+
+    The scalar models have no columns: heisenberg_op names them by the
+    strings "fock" and "schrodinger".
     """
 
     which: str = "fock"
     split: int = 0
 
     def __post_init__(self):
-        if self.which not in ("fock", "schrodinger", "mixed"):
+        if self.which not in ("fock", "mixed"):
             raise ValueError(f"unknown model {self.which!r}")
         if self.split < 0:
             raise ValueError("model split must be non-negative")
-        if self.which == "schrodinger" and self.split != 0:
-            raise ValueError("the schrodinger model has no columns: its split is 0")
 
     def token(self) -> str:
         return f"{self.which}:{self.split}"
@@ -123,7 +123,6 @@ class ModelTag:
 
 
 FOCK = ModelTag("fock", 0)
-SCHRODINGER = ModelTag("schrodinger", 0)
 
 
 def mixed_model(split: int) -> ModelTag:
@@ -154,16 +153,17 @@ def _scalar_ladder(which: str, j: int) -> tuple[LinOp, LinOp]:
 
 
 @cache
-def heisenberg_op(model: ModelTag, gen: str, j: int, dim: int) -> LinOp:
-    """Heisenberg generators e_j, f_j, w'_j, w''_j in the scalar model, from its
-    ladder pair (c, a): rho(e_j) = (c - a)/2, rho(f_j) = -i (c + a)/2,
-    rho(w'_j) = -a, rho(w''_j) = c.  In Schrodinger (on the polynomial
-    factor) that is rho(e_j) = 2pi x_j - d_j and rho(f_j) = -2 i pi x_j."""
+def heisenberg_op(which: str, gen: str, j: int, dim: int) -> LinOp:
+    """Heisenberg generators e_j, f_j, w'_j, w''_j in the scalar model `which`
+    ("fock" or "schrodinger"), from its ladder pair (c, a):
+    rho(e_j) = (c - a)/2, rho(f_j) = -i (c + a)/2, rho(w'_j) = -a,
+    rho(w''_j) = c.  In Schrodinger (on the polynomial factor) that is
+    rho(e_j) = 2pi x_j - d_j and rho(f_j) = -2 i pi x_j."""
     if not (1 <= j <= dim):
         raise IndexError(f"generator index {j} out of range 1..{dim}")
-    if model not in (FOCK, SCHRODINGER):
-        raise ValueError("heisenberg_op is defined for the scalar models fock:0 and schrodinger:0")
-    c, a = _scalar_ladder(model.which, j)
+    if which not in ("fock", "schrodinger"):
+        raise ValueError('heisenberg_op is defined for the scalar models "fock" and "schrodinger"')
+    c, a = _scalar_ladder(which, j)
     if gen == "e":
         return (c - a).scale(Fraction(1, 2))
     if gen == "f":
@@ -259,8 +259,6 @@ def column_kind(sig: Signature, model: ModelTag, col: int) -> str:
     'pure'        holomorphic only,
     'conj'        conjugate only (occurs when s > r).
     """
-    if model.which == "schrodinger":
-        raise ValueError("matrix operators need a fock or mixed model tag")
     if col <= model.split:
         return "doubled" if model.which == "fock" else "schrodinger"
     return "pure" if col <= sig.r else "conj"
@@ -268,8 +266,6 @@ def column_kind(sig: Signature, model: ModelTag, col: int) -> str:
 
 def column_kinds(sig: Signature, model: ModelTag) -> list[str]:
     """column_kind of each column 1..max(r, s)."""
-    if model.which == "schrodinger":
-        raise ValueError("matrix operators need a fock or mixed model tag")
     return [column_kind(sig, model, col) for col in range(1, max(sig.r, sig.s) + 1)]
 
 

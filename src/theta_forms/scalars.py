@@ -41,8 +41,13 @@ def _exact(x) -> Fraction:
 
 # Strict readers of JSON values, shared by the cochain and the Gram reader.
 def _int(x) -> int:
+    """x if it is an int in the signed 128-bit range, which every writer can
+    print.  The message gives the size, not the value: repr of an int past
+    4300 digits raises."""
     if type(x) is not int:
         raise ValueError(f"expected an integer, got {x!r}")
+    if not -(1 << 127) <= x < 1 << 127:
+        raise ValueError(f"integer of {x.bit_length()} bits outside the signed 128-bit range")
     return x
 
 
@@ -76,18 +81,6 @@ def _loads(text: str, what: str):
         return json.loads(text)
     except RecursionError as exc:
         raise ValueError(f"malformed {what} JSON: nested too deeply") from exc
-
-
-def _add_term(out: dict, k: int, c) -> None:
-    """out[k] += c for a canonical nonzero c, dropping k when the sum is zero."""
-    t = out.get(k)
-    if t is not None:
-        (a, b, d), (e, f, g) = t, c
-        c = _canon(a + e, b + f, d) if d == g else _canon(a * g + e * d, b * g + f * d, d * g)
-    if c is None:
-        del out[k]
-    else:
-        out[k] = c
 
 
 class Scalar:
@@ -145,10 +138,7 @@ class Scalar:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "Scalar") -> "Scalar":
-        out = dict(self._t)
-        for k, c in other._t.items():
-            _add_term(out, k, c)
-        return _raw(out)
+        return _sum(_ONE, _rows(((None, self), (None, other))))
 
     def __neg__(self) -> "Scalar":
         return _raw({k: (-a, -b, d) for k, (a, b, d) in self._t.items()})
@@ -163,11 +153,7 @@ class Scalar:
             (k1, (a, b, d)), = s.items()
             (k2, (e, f, g)), = o.items()
             return _raw({k1 + k2: _canon(a * e - b * f, a * f + b * e, d * g)})
-        out: dict[int, tuple[int, int, int]] = {}
-        for k1, (a, b, d) in s.items():
-            for k2, (e, f, g) in o.items():
-                _add_term(out, k1 + k2, _canon(a * e - b * f, a * f + b * e, d * g))
-        return _raw(out)
+        return _sum(self, _rows(((None, other),)))
 
     __rmul__ = __mul__
 
@@ -316,3 +302,11 @@ def _reduce(acc: dict) -> dict:
             else:
                 t[k] = c
     return {m: _raw(t) for m, t in out.items()}
+
+
+def _sum(c: Scalar, rows: list) -> Scalar:
+    """The Scalar sum over rows (None, k2, re, im, den) of c times each:
+    one _mac accumulator, reduced once."""
+    acc: dict = {}
+    _mac(acc, c, rows)
+    return _reduce(acc).get(None) or _raw({})

@@ -26,7 +26,8 @@ A coefficient's "re"/"im" must follow on import the strict rational
 grammar of ``scalars._rational``, which the Gram reader in theta shares:
 ASCII ``-?[0-9]+(/[0-9]+)?`` with a nonzero denominator, such as "3",
 "-1/2" or "2/4"; exponents, decimal points, spaces, underscores and JSON
-floats are rejected.  Every index must fit the signature, as in a built
+floats are rejected.  Every JSON integer must lie in the signed 128-bit
+range (``scalars._int``).  Every index must fit the signature, as in a built
 cochain: generator rows <= p and columns <= q, X/Xbar rows <= p, Y/Ybar rows
 <= q, columns <= max(r, s), no Z, no conjugates in the orthogonal family,
 and a fock or mixed model with split <= r.  Each variable must also fit
@@ -170,7 +171,7 @@ def cochain_from_dict(data: dict) -> GKCochain:
         sd = data["signature"]
         sig = Signature(*(_int(sd[k]) for k in "pqrs"), sd["family"])
         model = ModelTag.from_token(data["model"])
-        if model.which == "schrodinger" or model.split > sig.r:
+        if model.split > sig.r:
             raise ValueError(f"model {model.token()!r} is not a matrix model of {sig}")
         form = _form_from_terms(data["terms"], sig, model)
     except (TypeError, AttributeError, KeyError, IndexError) as exc:

@@ -28,7 +28,7 @@ from .forms import (GKCochain, SplitSpec, build_km_explicit, build_km_nabla,
                     evaluate_at_zero, forms_proportional, gk_curvature,
                     gk_differential, k_invariance_residual, restrict_form,
                     strongly_primitive_monomial)
-from .models import (C_MINUS, FOCK, ORTHOGONAL, SCHRODINGER, Signature,
+from .models import (C_MINUS, FOCK, ORTHOGONAL, Signature,
                      calibrate_structure, fock_model, heisenberg_op,
                      inner_product_rel, intertwine, ladder_op, upq_op_model)
 from .operators import LinOp
@@ -91,11 +91,11 @@ def suite_oscillator_relations(n_max: int = 3) -> SuiteReport:
         # Heisenberg central character agrees across models
         central = LinOp.identity().scale(Scalar.of(0, 2, 1))
         ok = True
-        for model in (FOCK, SCHRODINGER):
+        for which in ("fock", "schrodinger"):
             for j in range(1, n + 1):
                 for k in range(1, n + 1):
-                    br = heisenberg_op(model, "e", j, n).commutator(
-                        heisenberg_op(model, "f", k, n))
+                    br = heisenberg_op(which, "e", j, n).commutator(
+                        heisenberg_op(which, "f", k, n))
                     ok &= br == (central if j == k else LinOp.zero())
         rep.check(ok, f"[rho(e_j), rho(f_k)] = 2 pi i delta_jk in both models, N={n}")
     return rep
@@ -127,8 +127,8 @@ def suite_intertwiner() -> SuiteReport:
             tv = intertwine(v, n)
             for gen in ("e", "f", "wp", "wpp"):
                 for j in range(1, n + 1):
-                    lhs = intertwine(heisenberg_op(FOCK, gen, j, n).apply(v), n)
-                    rhs = heisenberg_op(SCHRODINGER, gen, j, n).apply(tv)
+                    lhs = intertwine(heisenberg_op("fock", gen, j, n).apply(v), n)
+                    rhs = heisenberg_op("schrodinger", gen, j, n).apply(tv)
                     ok &= lhs == rhs
     rep.check(ok, "T rho_F(w) = rho_S(w) T for all Heisenberg generators, deg <= 3, N <= 2")
 

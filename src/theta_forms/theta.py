@@ -110,7 +110,8 @@ def _invert(rows) -> list[list[Fraction]]:
 
 
 # Gram files: {"dim": n, "gram": [["2", "-1", ...], ...]}, each entry a JSON
-# integer or a rational string in the strict grammar of scalars._rational.
+# integer in the signed 128-bit range of scalars._int or a rational string in
+# the strict grammar of scalars._rational.
 def gram_to_json(L: GramMatrix) -> str:
     data = {"dim": L.dim,
             "gram": [[str(x) for x in row] for row in L.entries]}
@@ -119,7 +120,7 @@ def gram_to_json(L: GramMatrix) -> str:
 
 def _gram_entry(x) -> Fraction:
     # bool is an int subclass and a float is inexact: neither is an entry
-    return Fraction(x) if type(x) is int else Fraction(*_rational(x))
+    return Fraction(_int(x)) if type(x) is int else Fraction(*_rational(x))
 
 
 def gram_from_dict(data: dict) -> GramMatrix:

@@ -23,7 +23,7 @@ from theta_forms import clear_caches, forms, models, schur
 from theta_forms.exterior import Form, xi, xibar
 from theta_forms.forms import (GKCochain, build_km_explicit, build_km_nabla, build_mixed,
                                build_psi_cup, build_psi_orth, build_psi_q)
-from theta_forms.models import (FOCK, ORTHOGONAL, SCHRODINGER, UNITARY, Signature,
+from theta_forms.models import (ORTHOGONAL, UNITARY, Signature,
                                 fock_model, heisenberg_op, intertwine, ladder_op,
                                 mixed_model)
 from theta_forms.poly import Polynomial, X, Y, Zvar, monomial
@@ -219,8 +219,8 @@ def test_the_k_negative_control_fails_with_the_rules_warm(fresh_operators):
 
 # -- the scalar operators, intertwiner images, minors and highest weights --------
 
-SCALAR_GRID = [(model, gen, j, dim) for dim in (1, 2, 3) for j in range(1, dim + 1)
-               for model in (FOCK, SCHRODINGER) for gen in ("e", "f", "wp", "wpp")]
+SCALAR_GRID = [(which, gen, j, dim) for dim in (1, 2, 3) for j in range(1, dim + 1)
+               for which in ("fock", "schrodinger") for gen in ("e", "f", "wp", "wpp")]
 LADDER_GRID = [(kind, j, dim) for dim in (1, 2, 3) for j in range(1, dim + 1)
                for kind in ("Aplus", "Aminus", "H")]
 FOCK_MONOMIALS = [(monomial((Zvar(j), e) for j, e in enumerate(exps, 1) if e), dim)
@@ -259,9 +259,9 @@ def test_minors_equal_their_uncached_builds(fresh_operators):
 
 
 REFUSED_REQUESTS = [
-    (heisenberg_op, (FOCK, "e", 3, 2), IndexError),          # j beyond dim
-    (heisenberg_op, (FOCK, "e", 0, 2), IndexError),
-    (heisenberg_op, (SCHRODINGER, "g", 1, 1), ValueError),   # unknown generator
+    (heisenberg_op, ("fock", "e", 3, 2), IndexError),         # j beyond dim
+    (heisenberg_op, ("fock", "e", 0, 2), IndexError),
+    (heisenberg_op, ("schrodinger", "g", 1, 1), ValueError),  # unknown generator
     (heisenberg_op, (fock_model(1), "e", 1, 1), ValueError),  # not a scalar model
     (ladder_op, ("Aplus", 2, 1), IndexError),
     (ladder_op, ("B", 1, 1), ValueError),
@@ -288,7 +288,7 @@ def test_an_invalid_request_is_refused_on_every_call(fresh_operators, fn, args, 
     # the valid neighbours are cached first (j = 1, z_3 at dimension 3, the
     # same rows or partitions at a signature that admits them), so a cache
     # keyed on less than the request, or read before the check, would answer
-    heisenberg_op(FOCK, "e", 1, 2)
+    heisenberg_op("fock", "e", 1, 2)
     ladder_op("Aplus", 1, 1)
     intertwine(Polynomial.variable(Zvar(3)), 3)
     minor_x([1, 2], Signature(3, 2, 3))
@@ -314,7 +314,7 @@ def test_fresh_operators_empties_every_new_cache(fresh_operators):
     forms.gk_curvature(GKCochain(Form.zero(), fock_model(1), sig))
     forms.k_invariance_residual(build_psi_cup(sig))
     forms.gk_differential(build_psi_cup(sig))
-    heisenberg_op(FOCK, "e", 1, 1)
+    heisenberg_op("fock", "e", 1, 1)
     ladder_op("H", 1, 1)
     minor_x([1], sig)
     kv_highest_weight(Partition((1,)), EMPTY_PARTITION, sig)   # the same X minor

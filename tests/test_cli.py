@@ -1,12 +1,18 @@
+import copy
 import hashlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from functools import cache
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from theta_forms import cli, forms, models, suites
 from theta_forms.cli import main
@@ -15,7 +21,9 @@ from theta_forms.forms import (FactorizationError, build_km_explicit, build_km_n
 from theta_forms.models import ORTHOGONAL, UNITARY, CalibrationError, Signature
 from theta_forms.serialize import cochain_from_json, cochain_to_json, cochain_to_latex
 from theta_forms.suites import run_suite
-from theta_forms.theta import e8_gram, gram_to_json
+from theta_forms.theta import GramMatrix, e8_gram, gram_to_json
+
+from test_serialize import _slots
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -569,7 +577,9 @@ def test_export_rejects_rationals_outside_the_grammar(tmp_path, capsys, value):
 @pytest.mark.parametrize("field, value", [
     ("var", "X: 1:1_0"), ("var", "Y:١:9"), ("var", "X:01:1"),
     ("gen", "xi:+1:01"), ("gen", "xibar: 1:1"),
-    ("model", "fock: 2"), ("model", "fock:00")])
+    ("model", "fock: 2"), ("model", "fock:00"),
+    # the scalar Schrodinger model has no columns, so no tag names it
+    ("model", "schrodinger:0")])
 def test_export_rejects_indices_outside_the_grammar(tmp_path, capsys, field, value):
     data = _psi_q_dict()
     term = data["terms"][0]
@@ -607,7 +617,7 @@ def _outside(doc, field, value):
     ("psi-cup", "wedge", "xi:9:9"), ("psi-cup", "wedge", "xibar:1:2"),
     ("psi-cup", "var", "X:7:1"), ("psi-cup", "var", "Y:1:5"), ("psi-cup", "var", "Z:1:1"),
     ("psi-cup", "var", "Ybar:2:1"),
-    ("psi-cup", "model", "mixed:99"), ("psi-cup", "model", "schrodinger:0"),
+    ("psi-cup", "model", "mixed:99"),
     ("psi-cup", "family", ORTHOGONAL), ("psi-cup", "p", 0),
     ("psi-orth", "var", "Xbar:1:1"), ("psi-orth", "var", "X:1:2"),
     ("psi-orth", "wedge", "xibar:1:1"), ("psi-orth", "model", "fock:2"), ("psi-orth", "p", 0),
@@ -656,3 +666,109 @@ def test_every_documented_environment_variable_is_read():
     documented = set(re.findall(r"THETA_FORMS_[A-Z0-9_]+", (ROOT / "README.md").read_text()))
     source = "".join(f.read_text() for f in (ROOT / "src").rglob("*.py"))
     assert {name for name in documented if name not in source} == set()
+
+
+# ---------------------------------------------------------------------------
+# A fuzz of the two commands that read a document: export and theta --gram
+# ---------------------------------------------------------------------------
+
+@cache
+def _cli_fuzz_sources() -> dict:
+    return {
+        "export": tuple(cochain_to_json(c) for c in (
+            build_psi_q(Signature(2, 1, 1, 0)), build_mixed(Signature(2, 1, 1, 1)),
+            build_psi_orth(Signature(2, 1, 1, 0, ORTHOGONAL)))),
+        "theta": tuple(gram_to_json(L) for L in (
+            e8_gram(), GramMatrix([[2, 1], [1, 2]]),
+            GramMatrix([["3/2", "1/2"], ["1/2", "1"]]))),
+    }
+
+
+def _retypes(value) -> list:
+    """value in another JSON type: wrapped in a list, as its JSON text or as
+    null; a string of digits as an int; an int as a float and as a bool; a
+    dict as the list of its values."""
+    out = [[value], json.dumps(value), None]
+    if isinstance(value, str) and re.fullmatch(r"-?[0-9]+", value):
+        out.append(int(value))
+    if type(value) is int:
+        out += [float(value), value != 0]
+    if isinstance(value, dict):
+        out.append(list(value.values()))
+    return out
+
+
+def _dumps(node, twice) -> str:
+    """json.dumps(node), except that the dict twice[0] writes its key
+    twice[1] once more at its end, holding twice[2] (json.loads keeps the
+    last)."""
+    if isinstance(node, dict):
+        pairs = [*node.items(), *([twice[1:]] if twice and twice[0] is node else [])]
+        return "{" + ", ".join(f"{json.dumps(k)}: {_dumps(v, twice)}" for k, v in pairs) + "}"
+    if isinstance(node, list):
+        return "[" + ", ".join(_dumps(v, twice) for v in node) + "]"
+    return json.dumps(node)
+
+
+@st.composite
+def cli_documents(draw):
+    """(command, text): a build or Gram document with one or two mutations,
+    each dropping, duplicating or retyping a key or list item, or swapping
+    two leaf values."""
+    command = draw(st.sampled_from(("export", "theta")))
+    doc = json.loads(draw(st.sampled_from(_cli_fuzz_sources()[command])))
+    twice = None
+    for _ in range(draw(st.integers(1, 2))):
+        slots = [(n, k) for n, k, _ in _slots(doc, [])]
+        leaves = [(n, k) for n, k in slots if not isinstance(n[k], (dict, list))]
+        node, key = draw(st.sampled_from(slots))
+        how = draw(st.sampled_from(("drop", "duplicate", "retype", "swap")))
+        if how == "drop":
+            del node[key]
+        elif how == "duplicate" and isinstance(node, list):
+            node.insert(key, copy.deepcopy(node[key]))
+        elif how == "duplicate":
+            n, k = draw(st.sampled_from(leaves))
+            twice = (node, key, n[k])
+        elif how == "retype":
+            node[key] = draw(st.sampled_from(_retypes(node[key])))
+        else:
+            (n1, k1), (n2, k2) = draw(st.sampled_from(leaves)), draw(st.sampled_from(leaves))
+            n1[k1], n2[k2] = n2[k2], n1[k1]
+    return command, _dumps(doc, twice)
+
+
+def _run(argv) -> tuple:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = main(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("cli-fuzz") / "doc.json"
+
+
+@settings(max_examples=120, deadline=None)
+@given(cli_documents())
+def test_cli_fuzz_exits_with_one_error_line_or_a_document(fuzz_path, case):
+    """A mutated document given to export or theta exits 0, 1 or 2; an
+    error writes nothing to stdout and one JSON line to stderr; an accepted
+    cochain exports to a document that imports equal and exports to itself."""
+    command, text = case
+    fuzz_path.write_text(text, encoding="utf-8")
+    argv = (["export", "--in", str(fuzz_path), "--format", "json"] if command == "export"
+            else ["theta", "--gram", str(fuzz_path), "--nmax", "2"])
+    rc, out, err = _run(argv)
+    assert rc in (0, 1, 2)
+    if rc:
+        assert out == "" and err.count("\n") == 1 and "error" in json.loads(err)
+        return
+    assert err == ""
+    if command == "theta":
+        assert [row["n"] for row in json.loads(out)["rows"]] == [0, 1, 2]
+        return
+    assert cochain_from_json(out) == cochain_from_json(text)
+    fuzz_path.write_text(out, encoding="utf-8")
+    assert _run(argv) == (0, out, "")

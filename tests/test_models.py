@@ -7,7 +7,7 @@ from theta_forms import models
 from theta_forms.exterior import Form, xi, xibar
 from theta_forms.forms import (GKCochain, build_mixed, build_psi_cup, gk_curvature,
                                gk_differential, k_invariance_residual)
-from theta_forms.models import (C_MINUS, C_PLUS, FOCK, ORTHOGONAL, SCHRODINGER, UNITARY,
+from theta_forms.models import (C_MINUS, C_PLUS, FOCK, ORTHOGONAL, UNITARY,
                                 CalibrationError, ModelTag, Signature, calibrate_structure, fock_model,
                                 heisenberg_op, inner_product_rel, intertwine,
                                 ladder_op, mixed_model, upq_op_model)
@@ -20,22 +20,22 @@ z1 = Polynomial.variable(Zvar(1))
 
 
 def test_heisenberg_fock_wpp_is_multiplication():
-    op = heisenberg_op(FOCK, "wpp", 1, 1)
+    op = heisenberg_op("fock", "wpp", 1, 1)
     assert op.apply(Polynomial.one()) == z1
 
 
 def test_heisenberg_schrodinger_f_is_scaled_coordinate():
-    op = heisenberg_op(SCHRODINGER, "f", 1, 1)
+    op = heisenberg_op("schrodinger", "f", 1, 1)
     assert op.apply(Polynomial.one()) == z1.scale(Scalar.of(0, -2, 1))
 
 
 def test_wp_annihilates_vacuum():
-    assert heisenberg_op(SCHRODINGER, "wp", 1, 1).apply(Polynomial.one()).is_zero()
+    assert heisenberg_op("schrodinger", "wp", 1, 1).apply(Polynomial.one()).is_zero()
 
 
 def test_index_out_of_range():
     with pytest.raises(IndexError):
-        heisenberg_op(FOCK, "e", 3, 2)
+        heisenberg_op("fock", "e", 3, 2)
     with pytest.raises(IndexError):
         ladder_op("Aplus", 0, 2)
 
@@ -70,9 +70,9 @@ def test_intertwine_rejects_foreign_variables():
 _4PI = Scalar.of(4, 0, 1)
 
 
-def ref_heisenberg_op(model, gen, j):
+def ref_heisenberg_op(which, gen, j):
     z, d = LinOp.mul_by(Polynomial.variable(Zvar(j))), LinOp.partial(Zvar(j))
-    if model.which == "fock":
+    if which == "fock":
         return {"wp": d.scale(Scalar.of(-4, 0, 1)), "wpp": z,
                 "e": (z - d.scale(_4PI)).scale(Fraction(1, 2)),
                 "f": (z + d.scale(_4PI)).scale(Scalar.of(0, Fraction(-1, 2)))}[gen]
@@ -107,9 +107,9 @@ def _z_monomials(dim, deg_max):
 def test_scalar_operators_match_the_hand_written_formulas():
     for dim in (1, 2, 3):
         for j in range(1, dim + 1):
-            for model in (FOCK, SCHRODINGER):
+            for which in ("fock", "schrodinger"):
                 for gen in ("e", "f", "wp", "wpp"):
-                    assert heisenberg_op(model, gen, j, dim) == ref_heisenberg_op(model, gen, j)
+                    assert heisenberg_op(which, gen, j, dim) == ref_heisenberg_op(which, gen, j)
             for kind in ("Aplus", "Aminus", "H"):
                 assert ladder_op(kind, j, dim) == ref_ladder_op(kind, j)
 
@@ -140,8 +140,8 @@ def test_scalar_ladder_builds_each_pair_once(fresh_operators):
     # the scalar operators then read every pair back
     for dim in (1, 2, 3):
         for j in range(1, dim + 1):
-            for model, gen in product((FOCK, SCHRODINGER), ("e", "f", "wp", "wpp")):
-                heisenberg_op(model, gen, j, dim)
+            for which, gen in product(("fock", "schrodinger"), ("e", "f", "wp", "wpp")):
+                heisenberg_op(which, gen, j, dim)
             for kind in ("Aplus", "Aminus", "H"):
                 ladder_op(kind, j, dim)
         for m in _z_monomials(dim, 2):
@@ -420,18 +420,26 @@ def test_model_tag_rejects_negative_split():
 
 
 def test_schrodinger_tag_has_no_split():
-    # the scalar model has no columns to split
-    for make in (lambda: ModelTag("schrodinger", 7), lambda: ModelTag.from_token("schrodinger:1")):
-        with pytest.raises(ValueError, match="schrodinger model has no columns"):
+    # the scalar Schrodinger model has no columns, so no tag names it
+    for make in (lambda: ModelTag("schrodinger", 0), lambda: ModelTag("schrodinger", 7),
+                 lambda: ModelTag.from_token("schrodinger:0"),
+                 lambda: ModelTag.from_token("schrodinger:1")):
+        with pytest.raises(ValueError, match="unknown model 'schrodinger'"):
             make()
-    assert ModelTag.from_token("schrodinger:0") == SCHRODINGER
 
 
 def test_heisenberg_op_takes_only_the_scalar_models():
-    for model in (ModelTag("fock", 3), fock_model(1), mixed_model(0), mixed_model(2)):
-        with pytest.raises(ValueError, match="scalar models fock:0 and schrodinger:0"):
-            heisenberg_op(model, "e", 1, 1)
-    assert heisenberg_op(fock_model(0), "wpp", 1, 1) == heisenberg_op(FOCK, "wpp", 1, 1)
+    # a model tag is a column layout, even fock:0; the scalar models are names
+    for which in (FOCK, ModelTag("fock", 3), fock_model(1), mixed_model(0), mixed_model(2),
+                  "mixed", "fock:0", "Fock", "nope"):
+        with pytest.raises(ValueError, match='scalar models "fock" and "schrodinger"'):
+            heisenberg_op(which, "e", 1, 1)
+    assert heisenberg_op("fock", "wpp", 1, 1) == LinOp.mul_by(z1)
+
+
+def test_column_kinds_without_columns_is_empty():
+    for model in (FOCK, fock_model(2), mixed_model(0), mixed_model(1)):
+        assert models.column_kinds(Signature(2, 1, 0, 0), model) == []
 
 
 def test_calibration_scale_consistency():

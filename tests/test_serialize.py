@@ -17,7 +17,7 @@ from theta_forms.poly import Polynomial, X, Xbar, Y, Ybar, monomial
 from theta_forms.scalars import Scalar
 from theta_forms.serialize import (cochain_from_dict, cochain_from_json, cochain_to_json,
                                    cochain_to_latex)
-from theta_forms.theta import e8_gram, gram_from_json, gram_to_json
+from theta_forms.theta import e8_gram, gram_from_dict, gram_from_json, gram_to_json
 
 
 def test_round_trip_identity():
@@ -555,6 +555,40 @@ def test_reader_fuzz_accepts_or_raises_value_error(doc):
             return
         assert cochain_from_json(cochain_to_json(c)) == c
         cochain_to_latex(c)
+
+
+TOO_BIG = [1 << 127, -(1 << 127) - 1, 10 ** 5000, -(10 ** 5000)]
+
+
+@pytest.mark.parametrize("value", TOO_BIG, ids=["2^127", "-2^127-1", "10^5000", "-10^5000"])
+@pytest.mark.parametrize("field", ["p", "exponent", "piExp"])
+def test_reader_refuses_ints_the_writers_cannot_print(field, value):
+    """An int outside the signed 128-bit range is refused on import, by a
+    message that gives its size, not its digits: a 5000-digit one would
+    otherwise read and make both writers raise."""
+    doc = json.loads(cochain_to_json(build_psi_q(Signature(1, 1, 1, 0))))
+    entry = next(e for t in doc["terms"] for e in t["poly"] if e["mono"])
+    if field == "exponent":
+        entry["mono"][0][1] = value
+    elif field == "piExp":
+        entry["coeff"]["piExp"] = value
+    else:
+        doc["signature"][field] = value
+    with pytest.raises(ValueError, match="bits outside the signed 128-bit range"):
+        cochain_from_dict(doc)
+
+
+@pytest.mark.parametrize("value", TOO_BIG, ids=["2^127", "-2^127-1", "10^5000", "-10^5000"])
+def test_gram_reader_refuses_ints_the_writer_cannot_print(value):
+    with pytest.raises(ValueError, match="bits outside the signed 128-bit range"):
+        gram_from_dict({"dim": 2, "gram": [[2, value], [value, 2]]})
+    # both ends of the range pass the int check: the top reads and writes
+    # back, the bottom is refused only as no positive-definite entry
+    top = (1 << 127) - 1
+    assert json.loads(gram_to_json(gram_from_dict({"dim": 1, "gram": [[top]]}))) == {
+        "dim": 1, "gram": [[str(top)]]}
+    with pytest.raises(ValueError, match="not positive definite"):
+        gram_from_dict({"dim": 1, "gram": [[-(1 << 127)]]})
 
 
 @pytest.mark.parametrize("field", ["p", "q", "r", "s", "exponent", "piExp"])

@@ -18,7 +18,7 @@ from theta_forms.theta import WhittakerPoint
 
 PUBLIC = [
     "BetaMatrix", "FOCK", "Form", "GKCochain", "GramMatrix", "LinOp", "ModelTag",
-    "ORTHOGONAL", "Partition", "Polynomial", "SCHRODINGER", "Scalar", "Signature",
+    "ORTHOGONAL", "Partition", "Polynomial", "Scalar", "Signature",
     "SplitSpec", "Tableau", "UNITARY", "VariableId", "WedgeGen", "WhittakerPoint",
     "X", "Xbar", "Y", "Ybar", "Zvar", "build_km_explicit", "build_km_nabla",
     "build_mixed", "build_psi_cup", "build_psi_orth", "build_psi_q",
@@ -42,6 +42,9 @@ REMOVED = [
     (theta, "enumerate_vectors"), (schur, "laplacian"), (WedgeGen, "sort_key"),
     # the Gram file format lives in theta, so the theta command loads no serialize
     (serialize, "gram_to_json"), (serialize, "gram_from_dict"), (serialize, "gram_from_json"),
+    # a model tag is a column layout; the scalar models are the names "fock"
+    # and "schrodinger" that heisenberg_op takes
+    (models, "SCHRODINGER"),
 ]
 
 
