@@ -4,9 +4,8 @@ explicit antisymmetrized expansion, the value at the origin, and the
 restriction that peels off a positive-definite row.
 """
 
-from theta_forms import (Signature, SplitSpec, build_km_explicit,
-                         build_km_nabla, euler_chern_form, evaluate_at_zero,
-                         restrict_form)
+from theta_forms import (Signature, build_km_explicit, build_km_nabla,
+                         euler_chern_form, evaluate_at_zero, restrict_form)
 from theta_forms.forms import forms_proportional
 from theta_forms.serialize import cochain_to_latex
 
@@ -23,7 +22,7 @@ print("\nvalue at the origin is proportional to the Chern form, ratio:", ratio)
 
 sig2 = Signature(2, 1, 1, 1)
 big = build_km_nabla(sig2)
-down = restrict_form(big, SplitSpec(1))
+down = restrict_form(big, 1)
 small = build_km_nabla(Signature(1, 1, 1, 1))
 print("\nrestriction (2,1) -> (1,1) reproduces the smaller form:",
       down.form == small.form)

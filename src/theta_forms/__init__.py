@@ -23,7 +23,7 @@ _HOME = {name: module for module, names in {
               "upq_op_model",
     "schur": "Partition Tableau delta_T enumerate_ssyt hook_content_dim is_harmonic "
              "kv_highest_weight schur_span_dim",
-    "forms": "GKCochain SplitSpec build_km_explicit build_km_nabla build_mixed build_psi_cup "
+    "forms": "GKCochain build_km_explicit build_km_nabla build_mixed build_psi_cup "
              "build_psi_orth build_psi_q euler_chern_form evaluate_at_zero gk_curvature "
              "gk_differential k_invariance_residual restrict_form strongly_primitive_monomial",
     "theta": "BetaMatrix GramMatrix WhittakerPoint e8_gram eisenstein_check enumerate_with_norms "

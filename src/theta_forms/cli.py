@@ -19,10 +19,13 @@ import json
 import sys
 
 # The parser's choices as plain strings, so that building it imports no library
-# layer: form names, suites.SUITES in order, models.UNITARY and ORTHOGONAL.
+# layer: form names, suites.SUITES in order, models.UNITARY and ORTHOGONAL; and
+# the suites that take a seed (suites.suite_takes_seed), so that verify
+# rejects a stray --seed before it loads one.
 FORM_NAMES = ("psi-q", "psi-cup", "psi-orth", "km-nabla", "km-explicit", "mixed", "chern")
 SUITE_NAMES = ("oscillator-relations", "intertwiner", "harmonic", "schur-dim", "closedness",
                "cup", "km-equality", "restriction", "k-invariance", "eisenstein", "calibration")
+SEEDED_SUITES = ("closedness",)
 FAMILIES = ("unitary", "orthogonal")
 
 
@@ -75,8 +78,7 @@ def _error(message: str, code: int) -> int:
 def _verify_flag_error(args) -> str | None:
     """Why the seed or signature flags given to verify would be ignored, if
     they would."""
-    from .suites import suite_takes_seed
-    if args.seed is not None and args.suite != "all" and not suite_takes_seed(args.suite):
+    if args.seed is not None and args.suite not in ("all", *SEEDED_SUITES):
         return f"--seed does not apply to --suite {args.suite}, which draws no random cochains"
     given = [f"--{f}" for f in "pqrs" if getattr(args, f) is not None]
     if not given:
@@ -91,10 +93,10 @@ def _verify_flag_error(args) -> str | None:
 
 
 def _cmd_verify(args) -> int:
-    from .suites import run_all, run_suite
     problem = _verify_flag_error(args)
     if problem:
         return _error(problem, 2)
+    from .suites import run_all, run_suite
     seed = 0 if args.seed is None else args.seed
     kwargs = {"seed": seed}
     if args.p is not None:

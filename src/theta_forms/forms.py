@@ -43,17 +43,6 @@ class GKCochain:
     sig: Signature
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    """Peel the first l rows (a positive-definite subspace of dimension l)."""
-
-    l: int
-
-    def __post_init__(self):
-        if self.l < 0:
-            raise ValueError("peeled dimension must be non-negative")
-
-
 class FactorizationError(RuntimeError):
     """Restriction found surviving coefficients that depend on peeled rows;
     the positive-gaussian factorization failed, which signals a bug."""
@@ -509,35 +498,27 @@ def forms_proportional(f: Form, g: Form):
 # Restriction and coefficient probes
 # ---------------------------------------------------------------------------
 
-def restrict_form(c: GKCochain, split: SplitSpec) -> GKCochain:
-    """Restrict along the peeling of the first l positive rows: wedge
-    generators and variables on rows <= l die, surviving coefficients must
+def restrict_form(c: GKCochain, l: int) -> GKCochain:
+    """Restrict along the peeling of the first l positive rows, 0 <= l <= p:
+    wedges with a generator on a row <= l die, surviving coefficients must
     not depend on the peeled rows (the positive gaussian factor carries no
-    polynomial part), and the remainder re-indexes to signature (p-l, q)."""
-    l = split.l
+    polynomial part, so FactorizationError otherwise), and the remainder
+    re-indexes to signature (p-l, q)."""
     sig = c.sig
-    if l > sig.p:
-        raise ValueError("cannot peel more rows than p")
-    if l == 0:
-        return c
-    new_sig = Signature(sig.p - l, sig.q, sig.r, sig.s, sig.family)
+    if not 0 <= l <= sig.p:
+        raise ValueError(f"peeled dimension {l} outside 0..{sig.p}")
 
-    def row_dead_var(v: VariableId) -> bool:
-        return v.kind in ("X", "Xbar") and v.row <= l
+    def shift(v: VariableId) -> VariableId:
+        if v.kind not in ("X", "Xbar"):
+            return v
+        if v.row <= l:
+            raise FactorizationError(
+                f"surviving coefficient depends on peeled variable {v.token()}")
+        return v._replace(row=v.row - l)
 
-    out = {}
-    for w, p in c.form.terms.items():
-        if any(g.row <= l for g in w):
-            continue
-        for v in p.variables():
-            if row_dead_var(v):
-                raise FactorizationError(
-                    f"surviving coefficient depends on peeled variable {v.token()}")
-        ww = tuple(g._replace(row=g.row - l) for g in w)
-        pp = p.map_variables(
-            lambda v: v._replace(row=v.row - l) if v.kind in ("X", "Xbar") else v)
-        out[ww] = pp
-    return GKCochain(Form(out), c.model, new_sig)
+    return GKCochain(Form({tuple(g._replace(row=g.row - l) for g in w): p.map_variables(shift)
+                           for w, p in c.form.terms.items() if all(g.row > l for g in w)}),
+                     c.model, Signature(sig.p - l, sig.q, sig.r, sig.s, sig.family))
 
 
 def strongly_primitive_monomial(sig: Signature):

@@ -239,17 +239,19 @@ class Polynomial(TermMap):
         return Polynomial(out)
 
     def map_variables(self, fn) -> "Polynomial":
-        """Apply an injective relabeling VariableId -> VariableId."""
-        out: dict[Monomial, Scalar] = {}
-        for m, c in self.terms.items():
-            mm = monomial([(fn(v), e) for v, e in m])
-            out[mm] = out.get(mm, Scalar.zero()) + c
-        return Polynomial(out)
+        """Relabel each variable by fn (VariableId -> VariableId), keeping each
+        coefficient object.  Keys are renamed, never summed: a relabeling
+        under which two monomials meet raises ValueError."""
+        out = {monomial([(fn(v), e) for v, e in m]): c for m, c in self.terms.items()}
+        if len(out) < len(self.terms):
+            raise ValueError("relabeling is not injective: two monomials meet")
+        return _poly(out)
 
     def conjugate(self) -> "Polynomial":
-        """Complex conjugation: swap X<->Xbar, Y<->Ybar, conjugate Scalars."""
-        swapped = self.map_variables(VariableId.conjugate)
-        return Polynomial({m: c.conjugate() for m, c in swapped.terms.items()})
+        """Complex conjugation: swap X<->Xbar, Y<->Ybar, conjugate Scalars.
+        Swapping kinds permutes the monomials, so no two meet."""
+        return _poly({monomial([(v.conjugate(), e) for v, e in m]): c.conjugate()
+                      for m, c in self.terms.items()})
 
     def __repr__(self):
         if not self.terms:

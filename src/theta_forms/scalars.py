@@ -59,10 +59,10 @@ def _list(x) -> list:
 
 
 def _rational(x) -> tuple[int, int]:
-    """(numerator, denominator) of a rational string in the strict grammar.
-    A JSON float would import as its inexact binary expansion, and
-    Fraction's own grammar takes exponents, so "1e1000000000" would ask
-    for a billion-digit integer."""
+    """(numerator, denominator) of a rational string in the strict grammar,
+    each in the signed 128-bit range of _int.  A JSON float would import as
+    its inexact binary expansion, and Fraction's own grammar takes
+    exponents, so "1e1000000000" would ask for a billion-digit integer."""
     # re caches the compiled pattern on first use, not at import
     m = re.fullmatch(r"(-?[0-9]+)(?:/([0-9]+))?", x) if type(x) is str else None
     if m is None:
@@ -71,7 +71,7 @@ def _rational(x) -> tuple[int, int]:
     den = int(den) if den else 1
     if den == 0:
         raise ValueError(f"zero denominator in {x!r}")
-    return int(num), den
+    return _int(int(num)), _int(den)
 
 
 def _loads(text: str, what: str):

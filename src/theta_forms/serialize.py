@@ -26,8 +26,10 @@ A coefficient's "re"/"im" must follow on import the strict rational
 grammar of ``scalars._rational``, which the Gram reader in theta shares:
 ASCII ``-?[0-9]+(/[0-9]+)?`` with a nonzero denominator, such as "3",
 "-1/2" or "2/4"; exponents, decimal points, spaces, underscores and JSON
-floats are rejected.  Every JSON integer must lie in the signed 128-bit
-range (``scalars._int``).  Every index must fit the signature, as in a built
+floats are rejected.  Every JSON integer, every numerator and denominator
+of a rational string, and the re, im and den of every summed and reduced
+coefficient must lie in the signed 128-bit range (``scalars._int``), which
+the writers can print.  Every index must fit the signature, as in a built
 cochain: generator rows <= p and columns <= q, X/Xbar rows <= p, Y/Ybar rows
 <= q, columns <= max(r, s), no Z, no conjugates in the orthogonal family,
 and a fock or mixed model with split <= r.  Each variable must also fit
@@ -46,7 +48,7 @@ from .exterior import Form, WedgeGen, wedge_monomial
 from .forms import GKCochain
 from .models import UNITARY, ModelTag, Signature, column_kind
 from .poly import Monomial, VariableId, _poly, monomial
-from .scalars import Scalar, _int, _list, _loads, _mac_ratios, _rational, _reduce
+from .scalars import Scalar, _int, _list, _loads, _mac_ratios, _rational, _reduce, _rows
 
 # Each string is the text between two values of the json.dumps layout at
 # the depth where it sits: a term at depth 2, its poly entries at depth 4,
@@ -159,9 +161,17 @@ def _form_from_terms(terms, sig: Signature, model: ModelTag) -> Form:
         # a repeated generator gives 0, but the entries are still checked
         if sign:
             _mac_ratios(sums.setdefault(w, {}), rows, sign)
-    monos = list(index)
-    return Form({w: _poly({monos[i]: s for i, s in _reduce(acc).items()})
-                 for w, acc in sums.items()})
+    monos, out = list(index), {}
+    for w, acc in sums.items():
+        coeffs = _reduce(acc)
+        # entries in range can sum to a coefficient the writers cannot print;
+        # a part past 127 bits is rare, so _int decides only then
+        for _, _, re, im, den in _rows(coeffs.items()):
+            if (abs(re) | abs(im) | den) >> 127:
+                for x in (re, im, den):
+                    _int(x)
+        out[w] = _poly({monos[i]: s for i, s in coeffs.items()})
+    return Form(out)
 
 
 def cochain_from_dict(data: dict) -> GKCochain:

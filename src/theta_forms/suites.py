@@ -22,7 +22,7 @@ from itertools import product as iproduct
 from time import perf_counter
 
 from .exterior import Form, wedge_monomial, xi, xibar
-from .forms import (GKCochain, SplitSpec, build_km_explicit, build_km_nabla,
+from .forms import (GKCochain, build_km_explicit, build_km_nabla,
                     build_mixed, build_psi_cup, build_psi_orth, build_psi_q,
                     cup_product, cup_sign, euler_chern_form,
                     evaluate_at_zero, forms_proportional, gk_curvature,
@@ -369,19 +369,19 @@ def suite_km_equality() -> SuiteReport:
 def suite_restriction() -> SuiteReport:
     rep = SuiteReport("restriction")
     c21 = build_psi_q(Signature(2, 1, 1, 0))
-    rep.check(restrict_form(c21, SplitSpec(0)).form == c21.form, "l = 0 is the identity")
-    rep.check(restrict_form(c21, SplitSpec(1)).form == build_psi_q(Signature(1, 1, 1, 0)).form,
+    rep.check(restrict_form(c21, 0).form == c21.form, "l = 0 is the identity")
+    rep.check(restrict_form(c21, 1).form == build_psi_q(Signature(1, 1, 1, 0)).form,
               "psi restricts along (2,1) -> (1,1), l = 1, exactly")
     cup = build_psi_cup(Signature(2, 1, 2, 0))
-    rep.check(restrict_form(cup, SplitSpec(1)).form == build_psi_cup(Signature(1, 1, 2, 0)).form,
+    rep.check(restrict_form(cup, 1).form == build_psi_cup(Signature(1, 1, 2, 0)).form,
               "cup product restricts compatibly at (2,1) -> (1,1)")
     km = build_km_nabla(Signature(2, 1, 1, 1))
-    rep.check(restrict_form(km, SplitSpec(1)).form == build_km_nabla(Signature(1, 1, 1, 1)).form,
+    rep.check(restrict_form(km, 1).form == build_km_nabla(Signature(1, 1, 1, 1)).form,
               "Kudla-Millson form restricts to the smaller Kudla-Millson form")
-    rep.check(restrict_form(build_psi_cup(Signature(2, 1, 1, 0)), SplitSpec(2)).form.is_zero(),
+    rep.check(restrict_form(build_psi_cup(Signature(2, 1, 1, 0)), 2).form.is_zero(),
               "peeling all rows (l = p) kills the form")
     orth = build_psi_orth(Signature(2, 1, 1, 0, ORTHOGONAL))
-    rep.check(restrict_form(orth, SplitSpec(1)).form == build_psi_orth(Signature(1, 1, 1, 0, ORTHOGONAL)).form,
+    rep.check(restrict_form(orth, 1).form == build_psi_orth(Signature(1, 1, 1, 0, ORTHOGONAL)).form,
               "orthogonal form restricts compatibly")
     return rep
 

@@ -111,7 +111,7 @@ def _invert(rows) -> list[list[Fraction]]:
 
 # Gram files: {"dim": n, "gram": [["2", "-1", ...], ...]}, each entry a JSON
 # integer in the signed 128-bit range of scalars._int or a rational string in
-# the strict grammar of scalars._rational.
+# the strict grammar of scalars._rational, whose two parts lie in that range.
 def gram_to_json(L: GramMatrix) -> str:
     data = {"dim": L.dim,
             "gram": [[str(x) for x in row] for row in L.entries]}

@@ -434,6 +434,24 @@ def test_verify_rejects_ignored_flags(capsys, argv):
     assert captured.err.count("\n") == 1 and "error" in json.loads(captured.err)
 
 
+def test_seeded_suites_are_the_suites_that_take_a_seed():
+    assert cli.SEEDED_SUITES == tuple(n for n in suites.SUITES if suites.suite_takes_seed(n))
+
+
+def test_a_stray_seed_is_rejected_before_any_layer_loads():
+    """verify rejects --seed for a suite that draws nothing from the plain
+    string table alone: exit 2 and one JSON line, with no suite or form
+    layer loaded."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _LOADED, "verify", "--suite", "eisenstein",
+                           "--seed", "5"], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.count("\n") == 1 and "--seed" in json.loads(proc.stderr)["error"]
+    loaded = set(json.loads(proc.stdout.splitlines()[-1]))
+    assert loaded & {"theta_forms.suites", "theta_forms.forms"} == set(), loaded
+
+
 def test_seed_reaches_only_the_suites_that_draw(monkeypatch, capsys):
     seeds = []
 
@@ -710,11 +728,34 @@ def _dumps(node, twice) -> str:
     return json.dumps(node)
 
 
+# two coprime 120-bit denominators: 1/a + 1/b has one of 241 bits
+_GROWTH = ((1 << 120) + 1, (1 << 120) + 3)
+
+
+def _grow(draw, doc) -> None:
+    """Rational growth: a poly entry's "re" becomes 1/a and a copy of the
+    entry beside it 1/b, so the reader sums the two (in range when a = b,
+    out of it otherwise); a Gram entry becomes 1/a or 1/(a b)."""
+    a, b = draw(st.sampled_from(_GROWTH)), draw(st.sampled_from(_GROWTH))
+    slots = _slots(doc, [])
+    entries = [(n, k) for n, k, role in slots if role[-1:] == ("poly",) and type(n) is list
+               and isinstance(n[k], dict) and isinstance(n[k].get("coeff"), dict)]
+    cells = [(n, k) for n, k, role in slots if role == ("gram",) and type(n[k]) is str]
+    if entries:
+        n, k = draw(st.sampled_from(entries))
+        n[k]["coeff"]["re"] = f"1/{a}"
+        n.insert(k + 1, copy.deepcopy(n[k]))
+        n[k + 1]["coeff"]["re"] = f"1/{b}"
+    elif cells:
+        n, k = draw(st.sampled_from(cells))
+        n[k] = draw(st.sampled_from((f"1/{a}", f"1/{a * b}")))
+
+
 @st.composite
 def cli_documents(draw):
     """(command, text): a build or Gram document with one or two mutations,
-    each dropping, duplicating or retyping a key or list item, or swapping
-    two leaf values."""
+    each dropping, duplicating or retyping a key or list item, swapping two
+    leaf values, or growing a rational (_grow)."""
     command = draw(st.sampled_from(("export", "theta")))
     doc = json.loads(draw(st.sampled_from(_cli_fuzz_sources()[command])))
     twice = None
@@ -722,8 +763,10 @@ def cli_documents(draw):
         slots = [(n, k) for n, k, _ in _slots(doc, [])]
         leaves = [(n, k) for n, k in slots if not isinstance(n[k], (dict, list))]
         node, key = draw(st.sampled_from(slots))
-        how = draw(st.sampled_from(("drop", "duplicate", "retype", "swap")))
-        if how == "drop":
+        how = draw(st.sampled_from(("drop", "duplicate", "retype", "swap", "grow")))
+        if how == "grow":
+            _grow(draw, doc)
+        elif how == "drop":
             del node[key]
         elif how == "duplicate" and isinstance(node, list):
             node.insert(key, copy.deepcopy(node[key]))

@@ -7,10 +7,10 @@ from math import factorial
 import pytest
 
 from theta_forms.exterior import Form, perm_sign, wedge_all, wedge_monomial, xi, xibar
-from theta_forms.forms import (FactorizationError, GKCochain, SplitSpec,
+from theta_forms.forms import (FactorizationError, GKCochain,
                                build_km_explicit, build_km_nabla, build_mixed,
                                build_psi_cup, build_psi_orth, build_psi_q,
-                               cup_product, cup_sign,
+                               cup_embed, cup_product, cup_sign,
                                euler_chern_form, evaluate_at_zero,
                                forms_proportional, gk_curvature,
                                gk_differential, k_invariance_residual,
@@ -22,6 +22,8 @@ from theta_forms.operators import LinOp
 from theta_forms.poly import Polynomial, X, Xbar, Y, Ybar, monomial
 from theta_forms.scalars import Scalar
 from theta_forms.serialize import cochain_to_json
+
+from test_poly import ref_map_variables
 
 x = lambda i, j: Polynomial.variable(X(i, j))
 xb = lambda i, j: Polynomial.variable(Xbar(i, j))
@@ -440,22 +442,75 @@ def test_forms_proportional_divides_multi_term_coefficients():
 
 def test_restrict_identity_and_step():
     c = build_psi_q(Signature(2, 1, 1, 0))
-    assert restrict_form(c, SplitSpec(0)).form == c.form
-    down = restrict_form(c, SplitSpec(1))
+    assert restrict_form(c, 0).form == c.form
+    down = restrict_form(c, 1)
     assert down.sig.p == 1
     assert down.form == build_psi_q(Signature(1, 1, 1, 0)).form
 
 
 def test_restrict_to_zero_rows():
     c = build_psi_cup(Signature(2, 1, 1, 0))
-    assert restrict_form(c, SplitSpec(2)).form.is_zero()
+    assert restrict_form(c, 2).form.is_zero()
 
 
 def test_restrict_factorization_failure():
     sig = Signature(2, 1, 1, 0)
     bad = GKCochain(Form({(xibar(2, 1),): x(1, 1)}), fock_model(0), sig)
     with pytest.raises(FactorizationError):
-        restrict_form(bad, SplitSpec(1))
+        restrict_form(bad, 1)
+
+
+def ref_restrict_form(c: GKCochain, l: int) -> GKCochain:
+    """restrict_form in two passes: every surviving coefficient's variables
+    scanned for a peeled row, then relabelled by the summing reference."""
+    sig = c.sig
+    if l == 0:
+        return c
+    out = {}
+    for w, p in c.form.terms.items():
+        if any(g.row <= l for g in w):
+            continue
+        for v in p.variables():
+            if v.kind in ("X", "Xbar") and v.row <= l:
+                raise FactorizationError(f"surviving coefficient depends on {v.token()}")
+        out[tuple(g._replace(row=g.row - l) for g in w)] = ref_map_variables(
+            p, lambda v: v._replace(row=v.row - l) if v.kind in ("X", "Xbar") else v)
+    return GKCochain(Form(out), c.model, Signature(sig.p - l, sig.q, sig.r, sig.s, sig.family))
+
+
+_RESTRICTED = [(build, Signature(p, *rest)) for p in (1, 2, 3) for build, rest in (
+    (build_psi_q, (1, 1, 0)), (build_psi_q, (2, 1, 0)), (build_psi_cup, (1, 2, 1)),
+    (build_psi_cup, (2, 1, 1)), (build_km_nabla, (1, 1, 1)), (build_km_nabla, (2, 1, 1)),
+    (build_psi_orth, (2, 2, 0, ORTHOGONAL)), (build_psi_orth, (1, 1, 0, ORTHOGONAL)))]
+
+
+@pytest.mark.parametrize("build, sig", _RESTRICTED, ids=[
+    f"{b.__name__}-{s.p}{s.q}{s.r}{s.s}-{s.family}" for b, s in _RESTRICTED])
+def test_restrict_matches_the_two_pass_reference(build, sig):
+    c = build(sig)
+    for l in range(sig.p + 1):
+        assert restrict_form(c, l) == ref_restrict_form(c, l), l
+    for l in (-1, sig.p + 1):
+        with pytest.raises(ValueError, match="outside"):
+            restrict_form(c, l)
+
+
+def test_relabels_add_no_scalars(monkeypatch):
+    """map_variables, conjugate, cup_embed and restrict_form rename keys
+    and never call Scalar.__add__."""
+    cup, km = build_psi_cup(Signature(2, 2, 1, 1)), build_km_nabla(Signature(3, 1, 1, 1))
+    p = next(iter(km.form.terms.values()))
+    calls = []
+    add = Scalar.__add__
+    monkeypatch.setattr(Scalar, "__add__", lambda a, b: calls.append(1) or add(a, b))
+    # the spy sees a sum of two equal monomials
+    assert x(1, 1) + x(1, 1) == x(1, 1).scale(2) and calls == [1]
+    calls.clear()
+    p.map_variables(lambda v: v._replace(col=v.col + 1))
+    p.conjugate()
+    cup_embed(cup, 1, 2)
+    assert not restrict_form(km, 1).form.is_zero() and not restrict_form(cup, 1).form.is_zero()
+    assert calls == []
 
 
 # -- coefficient probes -----------------------------------------------------------

@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from theta_forms.poly import (KINDS, Polynomial, VariableId, X, Xbar, Y, monomial,
@@ -52,6 +53,64 @@ def test_map_variables_reindexes():
     p = x11 * y11
     shifted = p.map_variables(lambda v: VariableId.from_token(f"{v.kind}:{v.row}:{v.col + 2}"))
     assert shifted == Polynomial.variable(X(1, 3)) * Polynomial.variable(Y(1, 3))
+
+
+def test_map_variables_refuses_a_relabel_under_which_monomials_meet():
+    """A relabel renames keys and never sums: under X21 -> X11 the two
+    monomials of X11 +- X21 meet, which a summing relabel would turn into
+    2 X11 and 0."""
+    x21 = Polynomial.variable(X(2, 1))
+
+    def onto_x11(v):
+        return X(1, 1) if v == X(2, 1) else v
+
+    for p in (x11 + x21, x11 - x21):
+        with pytest.raises(ValueError, match="not injective"):
+            p.map_variables(onto_x11)
+    # within one monomial the exponents add: X11 X21 -> X11^2
+    assert (x11 * x21).map_variables(onto_x11) == x11 * x11
+
+
+def ref_map_variables(p, fn):
+    """map_variables as a sum: each relabelled term added to the total."""
+    out = {}
+    for m, c in p.terms.items():
+        mm = monomial([(fn(v), e) for v, e in m])
+        out[mm] = out.get(mm, Scalar.zero()) + c
+    return Polynomial(out)
+
+
+def ref_conjugate(p):
+    """Conjugation as a summing relabel, then a second pass over the
+    coefficients."""
+    swapped = ref_map_variables(p, VariableId.conjugate)
+    return Polynomial({m: c.conjugate() for m, c in swapped.terms.items()})
+
+
+_POOL = [VariableId(rank, col, row) for rank in range(5) for col in (1, 2) for row in (1, 2)]
+_pool_coeffs = st.builds(Scalar.of, st.fractions(min_value=-3, max_value=3, max_denominator=4),
+                         st.integers(-2, 2), st.integers(-1, 1))
+_pool_polys = st.builds(
+    lambda terms: Polynomial({monomial(mono): c for mono, c in terms}),
+    st.lists(st.tuples(st.lists(st.tuples(st.sampled_from(_POOL), st.integers(1, 3)), max_size=3),
+                       _pool_coeffs), max_size=6))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_pool_polys, st.permutations(_POOL))
+def test_map_variables_is_a_relabel(p, image):
+    """Under a permutation of the variables, map_variables equals the
+    summing reference, undoes under the inverse, and keeps each
+    coefficient object; conjugate equals its reference and is an
+    involution."""
+    fn, inverse = dict(zip(_POOL, image)).__getitem__, dict(zip(image, _POOL)).__getitem__
+    q = p.map_variables(fn)
+    assert q == ref_map_variables(p, fn)
+    assert q.map_variables(inverse) == p
+    for m, c in p.terms.items():
+        assert q.terms[monomial([(fn(v), e) for v, e in m])] is c
+    assert p.conjugate() == ref_conjugate(p)
+    assert p.conjugate().conjugate() == p
 
 
 _vars = st.sampled_from([X(1, 1), X(2, 1), Y(1, 1), Y(1, 2)])

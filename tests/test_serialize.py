@@ -591,6 +591,32 @@ def test_gram_reader_refuses_ints_the_writer_cannot_print(value):
         gram_from_dict({"dim": 1, "gram": [[-(1 << 127)]]})
 
 
+def test_reader_refuses_rationals_the_writers_cannot_print():
+    """A rational string with a numerator or denominator outside the signed
+    128-bit range is refused on import, and so are in-range entries whose
+    reduced sum leaves it: both writers would otherwise raise Python's
+    4300-digit error.  A sum that reduces back into range reads."""
+    a, b = (1 << 120) + 1, (1 << 120) + 3  # coprime
+    x11 = [["X:1:1", 1]]
+    too_big = [
+        # each of 2200 digits: their sum's denominator has about 4400
+        [(f"1/{10 ** 2200 + 1}", "0", 0, x11), (f"1/{10 ** 2200 + 3}", "0", 0, x11)],
+        [(str(1 << 127), "0", 0, [])],
+        # each in range, the sum's denominator of 241 bits not
+        [(f"1/{a}", "0", 0, x11), ("0", f"1/{b}", 0, []), (f"1/{b}", "0", 0, x11)],
+    ]
+    for entries in too_big:
+        with pytest.raises(ValueError, match="bits outside the signed 128-bit range"):
+            cochain_from_dict(_doc((["xi:1:1"], entries)))
+    form = _read((["xi:1:1"], [(f"1/{a}", "0", 0, x11), (f"{a - 1}/{a}", "1", 0, x11),
+                               (f"1/{b}", "0", 0, [])]))
+    assert form == XI.scale(X11.scale(Scalar.of(1, 1)) + Polynomial.constant(Fraction(1, b)))
+    # the gram reader shares the bound on a rational's two parts
+    entry = f"1/{(1 << 200) + 1}"
+    with pytest.raises(ValueError, match="bits outside the signed 128-bit range"):
+        gram_from_dict({"dim": 2, "gram": [["2", entry], [entry, "2"]]})
+
+
 @pytest.mark.parametrize("field", ["p", "q", "r", "s", "exponent", "piExp"])
 def test_reader_takes_huge_ints(field):
     """Huge ints read in O(1): a signature entry widens the signature, an

@@ -19,7 +19,7 @@ from theta_forms.theta import WhittakerPoint
 PUBLIC = [
     "BetaMatrix", "FOCK", "Form", "GKCochain", "GramMatrix", "LinOp", "ModelTag",
     "ORTHOGONAL", "Partition", "Polynomial", "Scalar", "Signature",
-    "SplitSpec", "Tableau", "UNITARY", "VariableId", "WedgeGen", "WhittakerPoint",
+    "Tableau", "UNITARY", "VariableId", "WedgeGen", "WhittakerPoint",
     "X", "Xbar", "Y", "Ybar", "Zvar", "build_km_explicit", "build_km_nabla",
     "build_mixed", "build_psi_cup", "build_psi_orth", "build_psi_q",
     "calibrate_structure", "clear_caches", "delta_T", "e8_gram", "eisenstein_check", "enumerate_ssyt",
@@ -45,6 +45,8 @@ REMOVED = [
     # a model tag is a column layout; the scalar models are the names "fock"
     # and "schrodinger" that heisenberg_op takes
     (models, "SCHRODINGER"),
+    # restrict_form takes the peeled dimension as a plain int
+    (forms, "SplitSpec"),
 ]
 
 
