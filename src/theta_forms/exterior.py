@@ -91,23 +91,16 @@ def perm_sign(perm) -> int:
 
 
 def merge_monomials(w1: WedgeMonomial, w2: WedgeMonomial):
-    """Merge two canonical monomials; (sign, merged) or (0, ()) on repeats."""
-    out, sign, i, j = [], 1, 0, 0
-    while i < len(w1) and j < len(w2):
-        a, b = w1[i], w2[j]
-        if a == b:
+    """Merge two canonical monomials; (sign, merged) or (0, ()) on repeats.
+    Each a of w1 is bisected into w2: a repeat if found, else the parity of
+    the positions' sum is the sign.  merged is one sort of the concatenation."""
+    moves = j = 0
+    for a in w1:
+        j = bisect_left(w2, a, j)
+        if j < len(w2) and w2[j] == a:
             return 0, ()
-        if a < b:
-            out.append(a)
-            i += 1
-        else:
-            out.append(b)
-            j += 1
-            if (len(w1) - i) % 2:
-                sign = -sign
-    out.extend(w1[i:])
-    out.extend(w2[j:])
-    return sign, tuple(out)
+        moves += j
+    return -1 if moves % 2 else 1, tuple(sorted(w1 + w2))
 
 
 def bidegree(w: WedgeMonomial) -> tuple[int, int]:

@@ -178,11 +178,13 @@ def _form_op_sum(groups, f: Form) -> Form:
     (scalars._rows), which serve every lead and wedge term the monomial
     occurs with, and the images of one operator are dropped before the next
     one starts.  Products go into one unreduced triple accumulator per
-    wedge, {(monomial, pi_exp): (re, im, den)}, with the sign of
-    merge_monomials(lead, w) folded in (scalars._mac); each entry is reduced
-    once at the end.  No Scalar is built per product."""
+    wedge, {(index, pi_exp): (re, im, den)}, where index is the small int an
+    image monomial gets for the call as it is flattened, with the sign of
+    merge_monomials(lead, w) folded in (scalars._mac); each entry is reduced,
+    and its index mapped back, once at the end.  No Scalar is built per product."""
     present = {v for p in f.terms.values() for m in p.terms for v, _ in m}
-    acc: dict = {}   # wedge -> {(monomial, pi_exp): (re, im, den)}
+    index: dict = {}  # image monomial -> its index
+    acc: dict = {}    # wedge -> {(index, pi_exp): (re, im, den)}
     for op, op_leads in groups:
         if not any(all(v in present for v, _ in D) for D in op.terms):
             continue
@@ -196,12 +198,15 @@ def _form_op_sum(groups, f: Form) -> Form:
                 for m, c in p.terms.items():
                     rows = images.get(m)
                     if rows is None:
-                        rows = images[m] = _rows(op.apply(_poly({m: _ONE})).terms.items())
+                        rows = images[m] = _rows((index.setdefault(m2, len(index)), s) for m2, s
+                                                 in op.apply(_poly({m: _ONE})).terms.items())
                     if rows:
                         _mac(inner, c, rows, sign)
     # pop each accumulator as its polynomial is built, so the two never
     # coexist in full
-    return Form({w: _poly(_reduce(acc.pop(w))) for w in list(acc)})
+    monos = list(index)
+    return Form({w: _poly({monos[i]: s for i, s in _reduce(acc.pop(w)).items()})
+                 for w in list(acc)})
 
 
 def _km_column(sig: Signature, k: int) -> Form:

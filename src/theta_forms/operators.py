@@ -120,7 +120,7 @@ class LinOp(TermMap):
         if len(acting) == 1:
             (mult, c, (n, dm)), = acting
             s = c * n if n != 1 else c
-            if s == _ONE:
+            if s is _ONE or s == _ONE:
                 return _poly({monomial_mul(m2, dm): c2 for m2, c2 in mult.terms.items()})
             return _poly({monomial_mul(m2, dm): c2 * s for m2, c2 in mult.terms.items()})
         acc: dict = {}   # (monomial, pi_exp) -> (re, im, den)

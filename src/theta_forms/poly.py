@@ -12,7 +12,9 @@ signs are reproducible bit for bit.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 from .scalars import _ONE, Scalar, _mac, _reduce, _rows
@@ -79,6 +81,7 @@ def Zvar(j: int) -> VariableId:
 # A monomial is a tuple of (VariableId, exponent>0) pairs sorted by the
 # global variable order.  The empty tuple is the constant monomial.
 Monomial = tuple
+_variable = itemgetter(0)   # a monomial pair's variable
 
 
 def monomial(pairs: Iterable[tuple[VariableId, int]]) -> Monomial:
@@ -92,20 +95,21 @@ def monomial(pairs: Iterable[tuple[VariableId, int]]) -> Monomial:
 
 
 def monomial_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    """Product of two canonical monomials: one merge of the sorted tuples."""
-    out, i, j = [], 0, 0
-    while i < len(m1) and j < len(m2):
-        (v1, e1), (v2, e2) = m1[i], m2[j]
-        if v1 == v2:
-            out.append((v1, e1 + e2))
-            i, j = i + 1, j + 1
-        elif v1 < v2:
-            out.append(m1[i])
-            i += 1
+    """Product of canonical monomials: each pair of the shorter is placed by
+    bisect_left on its variable in a copy of the longer; a match adds exponents."""
+    if len(m1) < len(m2):
+        m1, m2 = m2, m1
+    if not m2:
+        return m1
+    out, i = list(m1), 0
+    for pair in m2:   # reused, not rebuilt: cached forms hold these pairs
+        v = pair[0]
+        i = bisect_left(out, v, i, key=_variable)
+        if i < len(out) and out[i][0] == v:
+            out[i] = (v, out[i][1] + pair[1])
         else:
-            out.append(m2[j])
-            j += 1
-    return tuple(out) + m1[i:] + m2[j:]
+            out.insert(i, pair)
+    return tuple(out)
 
 
 def monomial_degree(m: Monomial) -> int:

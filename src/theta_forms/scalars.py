@@ -40,14 +40,15 @@ def _exact(x) -> Fraction:
 
 
 # Strict readers of JSON values, shared by the cochain and the Gram reader.
-def _int(x) -> int:
+def _int(x, where: str = "") -> int:
     """x if it is an int in the signed 128-bit range, which every writer can
-    print.  The message gives the size, not the value: repr of an int past
-    4300 digits raises."""
+    print; where prefixes the message, which gives the size, not the value:
+    repr of an int past 4300 digits raises."""
     if type(x) is not int:
         raise ValueError(f"expected an integer, got {x!r}")
     if not -(1 << 127) <= x < 1 << 127:
-        raise ValueError(f"integer of {x.bit_length()} bits outside the signed 128-bit range")
+        raise ValueError(f"{where}integer of {x.bit_length()} bits "
+                         "outside the signed 128-bit range")
     return x
 
 
@@ -179,11 +180,15 @@ class Scalar:
     # -- comparison / hashing ---------------------------------------------
 
     def __eq__(self, other) -> bool:
-        if type(other) is int or isinstance(other, Fraction):
+        """Equal term maps: a Scalar by exact type first, an int or Fraction converted."""
+        if type(other) is not Scalar and (type(other) is int or isinstance(other, Fraction)):
             other = Scalar.of(other)
         return isinstance(other, Scalar) and self._t == other._t
 
     def __hash__(self):
+        re, im, den = self._t.get(0, (0, 0, 1))
+        if not im and len(self._t) == (1 if re else 0):  # equal to an int or Fraction: hash as it
+            return hash(re) if den == 1 else hash(Fraction(re, den))
         return hash(frozenset(self._t.items()))
 
     def __repr__(self):

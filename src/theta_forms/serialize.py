@@ -27,9 +27,9 @@ grammar of ``scalars._rational``, which the Gram reader in theta shares:
 ASCII ``-?[0-9]+(/[0-9]+)?`` with a nonzero denominator, such as "3",
 "-1/2" or "2/4"; exponents, decimal points, spaces, underscores and JSON
 floats are rejected.  Every JSON integer, every numerator and denominator
-of a rational string, and the re, im and den of every summed and reduced
+of a rational string, and re/den and im/den in lowest terms of every summed
 coefficient must lie in the signed 128-bit range (``scalars._int``), which
-the writers can print.  Every index must fit the signature, as in a built
+the writers print.  Every index must fit the signature, as in a built
 cochain: generator rows <= p and columns <= q, X/Xbar rows <= p, Y/Ybar rows
 <= q, columns <= max(r, s), no Z, no conjugates in the orthogonal family,
 and a fock or mixed model with split <= r.  Each variable must also fit
@@ -43,6 +43,7 @@ sign, equal entries summed and cancelled terms dropped.
 from __future__ import annotations
 
 from functools import cache
+from math import gcd
 
 from .exterior import Form, WedgeGen, wedge_monomial
 from .forms import GKCochain
@@ -165,11 +166,13 @@ def _form_from_terms(terms, sig: Signature, model: ModelTag) -> Form:
     for w, acc in sums.items():
         coeffs = _reduce(acc)
         # entries in range can sum to a coefficient the writers cannot print;
-        # a part past 127 bits is rare, so _int decides only then
-        for _, _, re, im, den in _rows(coeffs.items()):
+        # past 127 bits (rare), _int checks re/den and im/den as they print
+        for i, k, re, im, den in _rows(coeffs.items()):
             if (abs(re) | abs(im) | den) >> 127:
-                for x in (re, im, den):
-                    _int(x)
+                term = (f"coefficient at wedge {[t.token() for t in w]}, mono "
+                        f"{[[v.token(), e] for v, e in monos[i]]}, piExp {k}: ")
+                for x, g in ((re, gcd(re, den)), (im, gcd(im, den))):
+                    _int(x // g, term), _int(den // g, term)
         out[w] = _poly({monos[i]: s for i, s in coeffs.items()})
     return Form(out)
 

@@ -1,4 +1,4 @@
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from theta_forms.exterior import (Form, WedgeGen, merge_monomials, perm_sign, wedge_monomial,
                                   xi, xibar)
@@ -136,8 +136,18 @@ _token_gen = st.builds(lambda kind, row, col: WedgeGen.from_token(f"{kind}:{row}
                        st.sampled_from(["xi", "xibar"]), st.integers(1, 12), st.integers(1, 12))
 
 
+_G = [xi(1, 1), xi(2, 1), xibar(1, 2)]
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_token_gen, min_size=1, max_size=8), st.lists(_token_gen, max_size=8))
+# an empty side; a repeated generator at either end of either side
+@example(_G, [])
+@example([], _G)
+@example(_G, [_G[0]])
+@example(_G, [_G[-1]])
+@example([_G[0]], _G)
+@example([_G[-1]], _G)
 def test_generator_order_is_the_reference_order(gs, hs):
     for a in gs + hs:
         for b in gs + hs:

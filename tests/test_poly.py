@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from theta_forms.poly import (KINDS, Polynomial, VariableId, X, Xbar, Y, monomial,
                               monomial_mul)
@@ -172,9 +172,18 @@ def ref_monomial_mul(m1, m2):
 _token_var = st.builds(_var, st.sampled_from(KINDS), st.integers(1, 12), st.integers(1, 12))
 
 
+_A, _B, _C = _var("X", 1, 1), _var("Y", 2, 1), _var("Xbar", 1, 3)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(_token_var, st.integers(1, 3)), min_size=1, max_size=8),
        st.lists(st.tuples(_token_var, st.integers(1, 3)), max_size=8))
+# the first monomial longer; an empty side; a shared variable at either end
+@example([(_A, 1), (_B, 2), (_C, 1)], [(_var("Z", 2, 1), 1)])
+@example([(_A, 1), (_B, 1)], [])
+@example([], [(_A, 1), (_B, 1)])
+@example([(_A, 1), (_B, 1), (_C, 1)], [(_A, 2)])
+@example([(_C, 3)], [(_A, 1), (_B, 1), (_C, 1)])
 def test_variable_order_is_the_reference_order(pairs1, pairs2):
     vs = [v for v, _ in pairs1 + pairs2]
     for a in vs:

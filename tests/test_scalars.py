@@ -114,6 +114,18 @@ def test_canonical_form_is_unique():
     assert (a + (-a)).is_zero() and (a + (-a)).terms == {}
 
 
+def test_hash_agrees_with_equality_to_numbers():
+    """A Scalar equal to an int or Fraction hashes as that number, so a set
+    holds them once; other types compare unequal without raising, a
+    Polynomial too, though it is neither a Scalar nor a number."""
+    assert len({Scalar.one(), 1}) == 1
+    assert len({Scalar.of(Fraction(1, 2)), Fraction(1, 2)}) == 1
+    assert len({Scalar.zero(), 0}) == 1
+    assert len({Scalar.of(1, 0, 1), 1}) == 2 and len({Scalar.i_unit(), 0}) == 2
+    for other in ("1", None, 1 + 0j, Polynomial.one()):
+        assert (Scalar.one() == other) is False and (Scalar.one() != other) is True
+
+
 # Reference arithmetic on {pi_exp: (re, im)} maps of Fractions: a second,
 # independent implementation that the integer kernel is checked against.
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from theta_forms.cli import main
 from theta_forms.exterior import Form, WedgeGen, perm_sign, wedge_monomial, xi, xibar
 from theta_forms.forms import (GKCochain, build_km_nabla, build_mixed, build_psi_cup,
                                build_psi_orth, build_psi_q)
@@ -615,6 +616,30 @@ def test_reader_refuses_rationals_the_writers_cannot_print():
     entry = f"1/{(1 << 200) + 1}"
     with pytest.raises(ValueError, match="bits outside the signed 128-bit range"):
         gram_from_dict({"dim": 2, "gram": [["2", entry], [entry, "2"]]})
+
+
+def test_reader_bounds_each_printed_part(tmp_path, capsys):
+    """The bound applies to re/den and im/den as the writers print them, each
+    in lowest terms, not to the shared denominator: 1/a + i/b with coprime
+    120-bit a, b has a 239-bit den, but each part prints, so it imports and
+    exports to bytes that re-import to the same bytes.  Two entries of one
+    monomial summing to 1/a + 1/b are refused, and the message names the term."""
+    a, b = (1 << 119) + 1, (1 << 119) + 3  # coprime
+    x11 = [["X:1:1", 1]]
+    form = _read((["xi:1:1"], [(f"1/{a}", f"1/{b}", 0, x11)]))
+    assert form == XI.scale(X11.scale(Scalar.of(Fraction(1, a), Fraction(1, b))))
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps(_doc((["xi:1:1"], [(f"1/{a}", f"1/{b}", 0, x11)]))))
+    assert main(["export", "--in", str(doc), "--format", "json"]) == 0
+    first = tmp_path / "first.json"
+    first.write_text(capsys.readouterr().out)
+    assert main(["export", "--in", str(first), "--format", "json"]) == 0
+    assert capsys.readouterr().out == first.read_text()
+    with pytest.raises(ValueError, match=r"^coefficient at wedge \['xi:1:1'\], mono "
+                                         r"\[\['X:1:1', 1\]\], piExp 3: integer of 239 bits"):
+        # the constant monomial comes first, so the message names the right one
+        _read((["xi:1:1"], [("1", "0", 3, []), (f"1/{a}", "0", 3, x11),
+                            (f"1/{b}", "0", 3, x11)]))
 
 
 @pytest.mark.parametrize("field", ["p", "q", "r", "s", "exponent", "piExp"])
