@@ -11,36 +11,19 @@ never from conventions chosen per call site.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
-from .poly import Polynomial, TermMap, _mac_poly, _mac_prod, _polys, parse_index
-
-_GEN_KINDS = ("xi", "xibar")
+from .poly import Polynomial, TermMap, _Label, _mac_poly, _mac_prod, _polys
 
 
-class WedgeGen(NamedTuple):
-    """A tangent generator, laid out (rank, col, row) with rank its index in
-    _GEN_KINDS: plain tuple comparison is the generator order."""
-    rank: int
-    col: int
-    row: int
-
-    @property
-    def kind(self) -> str:
-        return _GEN_KINDS[self.rank]
-
-    def conjugate(self) -> "WedgeGen":
-        return self._replace(rank=1 - self.rank)
-
-    def token(self) -> str:
-        return f"{self.kind}:{self.row}:{self.col}"
-
-    @classmethod
-    def from_token(cls, tok: str) -> "WedgeGen":
-        kind, row, col = tok.split(":")
-        if kind not in _GEN_KINDS:
-            raise ValueError(f"unknown wedge generator kind {kind!r}")
-        return cls(_GEN_KINDS.index(kind), parse_index(col), parse_index(row))
+class WedgeGen(_Label):
+    """A tangent generator: plain tuple comparison is the generator order,
+    every xi before every xibar."""
+    __slots__ = ()
+    _KINDS = ("xi", "xibar")
+    _CONJ = (1, 0)
+    _TEX = ("\\xi", "\\overline{\\xi}")
+    _NOUN = "wedge generator"
 
 
 def xi(i: int, j: int) -> WedgeGen:
@@ -189,7 +172,7 @@ class Form(TermMap):
             return "Form(0)"
         bits = []
         for w, p in self.sorted_terms():
-            ws = "^".join(f"{g.kind}{g.row}{g.col}" for g in w) or "1"
+            ws = "^".join(g.name() for g in w) or "1"
             bits.append(f"({p!r}) {ws}")
         return "Form(" + " + ".join(bits) + ")"
 

@@ -510,6 +510,8 @@ def restrict_form(c: GKCochain, l: int) -> GKCochain:
     polynomial part, so FactorizationError otherwise), and the remainder
     re-indexes to signature (p-l, q)."""
     sig = c.sig
+    if type(l) is not int:
+        raise TypeError(f"peeled dimension must be an int, got {l!r}")
     if not 0 <= l <= sig.p:
         raise ValueError(f"peeled dimension {l} outside 0..{sig.p}")
 

@@ -82,6 +82,8 @@ class Signature:
     def __post_init__(self):
         # Standing convention is p >= q; the p < q corner is tolerated so the
         # restriction map can peel all the way down to p = 0.
+        if not type(self.p) is type(self.q) is type(self.r) is type(self.s) is int:
+            raise TypeError(f"signature entries must be ints, got {self}")
         if self.p < 0 or self.q < 0 or self.r < 0 or self.s < 0:
             raise ValueError("signature entries must be non-negative")
         if self.family not in (UNITARY, ORTHOGONAL):
@@ -110,6 +112,8 @@ class ModelTag:
     def __post_init__(self):
         if self.which not in ("fock", "mixed"):
             raise ValueError(f"unknown model {self.which!r}")
+        if type(self.split) is not int:
+            raise TypeError(f"model split must be an int, got {self.split!r}")
         if self.split < 0:
             raise ValueError("model split must be non-negative")
 

@@ -150,7 +150,7 @@ class LinOp(TermMap):
             return "LinOp(0)"
         bits = []
         for D, m in self.terms.items():
-            ds = "".join(f"d/d{v.kind}{v.row}{v.col}" + (f"^{k}" if k > 1 else "")
+            ds = "".join(f"d/d{v.name()}" + (f"^{k}" if k > 1 else "")
                          for v, k in D) or "id"
             bits.append(f"[{m!r}]*{ds}")
         return "LinOp(" + " + ".join(bits) + ")"

@@ -22,30 +22,51 @@ from .scalars import _ONE, Scalar, _mac, _reduce, _rows
 KINDS = ("X", "Y", "Xbar", "Ybar", "Z")
 
 
-class VariableId(NamedTuple):
-    """A variable, laid out (rank, col, row) with rank its index in KINDS:
-    plain tuple comparison is the global variable order."""
+class _Label(NamedTuple):
+    """A matrix label laid out (rank, col, row), rank its kind's index in
+    _KINDS: plain tuple comparison is the label order.  A subclass is a kind
+    table (_KINDS, _CONJ conjugate ranks, _TEX LaTeX bases, _NOUN for token
+    errors), and these methods are the only spelling of its labels."""
     rank: int
     col: int
     row: int
 
     @property
     def kind(self) -> str:
-        return KINDS[self.rank]
+        return self._KINDS[self.rank]
 
-    def conjugate(self) -> "VariableId":
-        # X <-> Xbar and Y <-> Ybar are two ranks apart; Z is real
-        return self._replace(rank=self.rank ^ 2) if self.rank < 4 else self
+    def conjugate(self):
+        rank, col, row = self
+        return type(self)(self._CONJ[rank], col, row)
 
     def token(self) -> str:
+        """The kind:row:col spelling of the JSON schema."""
         return f"{self.kind}:{self.row}:{self.col}"
 
     @classmethod
-    def from_token(cls, tok: str) -> "VariableId":
+    def from_token(cls, tok: str):
         kind, row, col = tok.split(":")
-        if kind not in KINDS:
-            raise ValueError(f"unknown variable kind {kind!r}")
-        return cls(KINDS.index(kind), parse_index(col), parse_index(row))
+        if kind not in cls._KINDS:
+            raise ValueError(f"unknown {cls._NOUN} kind {kind!r}")
+        return cls(cls._KINDS.index(kind), parse_index(col), parse_index(row))
+
+    def name(self) -> str:
+        """The spelling the reprs print, such as X12 for X(1, 2)."""
+        return f"{self.kind}{self.row}{self.col}"
+
+    def latex(self) -> str:
+        """The symbol the LaTeX writer prints, such as \\overline{X}_{1,2}."""
+        return f"{self._TEX[self.rank]}_{{{self.row},{self.col}}}"
+
+
+class VariableId(_Label):
+    """A variable: plain tuple comparison is the global variable order.
+    X <-> Xbar and Y <-> Ybar conjugate; Z is real."""
+    __slots__ = ()
+    _KINDS = KINDS
+    _CONJ = (2, 3, 0, 1, 4)
+    _TEX = ("X", "Y", "\\overline{X}", "\\overline{Y}", "x")
+    _NOUN = "variable"
 
 
 def parse_index(text: str, least: int = 1) -> int:
@@ -221,26 +242,13 @@ class Polynomial(TermMap):
         """Total degree; -1 for the zero polynomial."""
         return max((monomial_degree(m) for m in self.terms), default=-1)
 
-    def variables(self) -> set[VariableId]:
-        return {v for m in self.terms for v, _ in m}
-
     def constant_term(self) -> Scalar:
         return self.terms.get((), Scalar.zero())
 
     def coefficient(self, m: Monomial) -> Scalar:
         return self.terms.get(m, Scalar.zero())
 
-    # -- calculus and substitution ------------------------------------------
-
-    def partial(self, v: VariableId) -> "Polynomial":
-        out: dict[Monomial, Scalar] = {}
-        for m, c in self.terms.items():
-            for idx, (var, e) in enumerate(m):
-                if var == v:
-                    # distinct monomials stay distinct after dividing by v
-                    out[m[:idx] + (((var, e - 1),) if e > 1 else ()) + m[idx + 1:]] = c * e
-                    break
-        return Polynomial(out)
+    # -- relabelling -------------------------------------------------------
 
     def map_variables(self, fn) -> "Polynomial":
         """Relabel each variable by fn (VariableId -> VariableId), keeping each
@@ -262,8 +270,7 @@ class Polynomial(TermMap):
             return "Poly(0)"
         bits = []
         for m, c in self.sorted_terms():
-            mono = "*".join(f"{v.kind}{v.row}{v.col}^{e}" if e > 1 else f"{v.kind}{v.row}{v.col}"
-                            for v, e in m) or "1"
+            mono = "*".join(f"{v.name()}^{e}" if e > 1 else v.name() for v, e in m) or "1"
             bits.append(f"({c!r})*{mono}")
         return "Poly(" + " + ".join(bits) + ")"
 

@@ -9,9 +9,10 @@ The JSON schema (stable, canonical ordering, byte-reproducible):
                           "mono": [["X:1:1", e], ...]}, ...]}, ...]}
 
 A Scalar with several pi-exponents expands into several poly entries sharing
-the same mono.  ``cochain_to_json`` writes this fixed schema directly, in
-exactly the layout of ``json.dumps(..., indent=2, sort_keys=True)`` plus a
-final newline.
+the same mono.  One label class, poly._Label, owns the kind, conjugation,
+kind:row:col token, repr name and LaTeX symbol of variables and generators.
+``cochain_to_json`` writes this fixed schema directly, in exactly the layout
+of ``json.dumps(..., indent=2, sort_keys=True)`` plus a final newline.
 
 Each call does per-value work once per distinct value, in tables that live
 only for that call: ``cochain_to_json`` renders each distinct monomial's
@@ -200,16 +201,12 @@ def cochain_from_json(text: str) -> GKCochain:
 # LaTeX
 # ---------------------------------------------------------------------------
 
-_VAR_TEX = {"X": "X", "Y": "Y", "Xbar": "\\overline{X}",
-            "Ybar": "\\overline{Y}", "Z": "x"}
-
-
 def _mono_tex(mono: Monomial) -> str:
     """A monomial's text after its coefficient: a space and the factors, or
     nothing for the constant monomial."""
     bits = []
     for v, e in mono:
-        base = f" {_VAR_TEX[v.kind]}_{{{v.row},{v.col}}}"
+        base = f" {v.latex()}"
         bits.append(base if e == 1 else f"{base}^{{{e}}}")
     return "".join(bits)
 
@@ -218,18 +215,13 @@ def _coeff_tex(s: Scalar) -> str:
     return f"\\left({s.latex()}\\right)"
 
 
-def _gen_tex(g: WedgeGen) -> str:
-    base = "\\xi" if g.kind == "xi" else "\\overline{\\xi}"
-    return f"{base}_{{{g.row},{g.col}}}"
-
-
 def cochain_to_latex(c: GKCochain) -> str:
     """The cochain as a LaTeX sum of [polynomial] wedge terms.  Each
     distinct monomial, coefficient and generator is rendered once per call,
     and the pieces are joined once."""
     if c.form.is_zero():
         return "0"
-    monos, coeffs, gens = cache(_mono_tex), cache(_coeff_tex), cache(_gen_tex)
+    monos, coeffs, gens = cache(_mono_tex), cache(_coeff_tex), cache(WedgeGen.latex)
     out = []
     for w, p in c.form.sorted_terms():
         out.append(" + \\left[" if out else "\\left[")

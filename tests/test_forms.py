@@ -160,7 +160,7 @@ def test_built_cochains_fit_their_column_layout():
     for c in _layout_grid():
         built += 1
         kinds = models.column_kinds(c.sig, c.model)
-        for v in {v for p in c.form.terms.values() for v in p.variables()}:
+        for v in {v for p in c.form.terms.values() for m in p.terms for v, _ in m}:
             kind = kinds[v.col - 1] if 1 <= v.col <= len(kinds) else None
             if kind is None or kind == ("conj" if v.kind in ("X", "Y") else "pure"):
                 violations += 1
@@ -453,6 +453,14 @@ def test_restrict_to_zero_rows():
     assert restrict_form(c, 2).form.is_zero()
 
 
+@pytest.mark.parametrize("l", [1.0, True, Fraction(1)], ids=repr)
+def test_restrict_peels_only_an_int(l):
+    # a float peel used to build a cochain with p = 1.0 and tokens X:1.0:1
+    # that the JSON reader refuses
+    with pytest.raises(TypeError, match="peeled dimension must be an int"):
+        restrict_form(build_psi_q(Signature(2, 1, 1, 0)), l)
+
+
 def test_restrict_factorization_failure():
     sig = Signature(2, 1, 1, 0)
     bad = GKCochain(Form({(xibar(2, 1),): x(1, 1)}), fock_model(0), sig)
@@ -470,7 +478,7 @@ def ref_restrict_form(c: GKCochain, l: int) -> GKCochain:
     for w, p in c.form.terms.items():
         if any(g.row <= l for g in w):
             continue
-        for v in p.variables():
+        for v in {v for m in p.terms for v, _ in m}:
             if v.kind in ("X", "Xbar") and v.row <= l:
                 raise FactorizationError(f"surviving coefficient depends on {v.token()}")
         out[tuple(g._replace(row=g.row - l) for g in w)] = ref_map_variables(

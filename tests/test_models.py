@@ -419,6 +419,20 @@ def test_model_tag_rejects_negative_split():
         ModelTag.from_token("mixed:-1")
 
 
+# a bool is an int subclass but is not a count; a float split would print a
+# token ("fock:1.0") that from_token refuses, and a float p used to reach
+# range() in a builder and fail there
+@pytest.mark.parametrize("value", [True, 2.0, Fraction(2)], ids=repr)
+def test_signature_entries_and_model_split_must_be_ints(value):
+    for k in range(4):
+        entries = [2, 1, 1, 1]
+        entries[k] = value
+        with pytest.raises(TypeError, match="signature entries must be ints"):
+            Signature(*entries)
+    with pytest.raises(TypeError, match="model split must be an int"):
+        ModelTag("fock", value)
+
+
 def test_schrodinger_tag_has_no_split():
     # the scalar Schrodinger model has no columns, so no tag names it
     for make in (lambda: ModelTag("schrodinger", 0), lambda: ModelTag("schrodinger", 7),

@@ -125,13 +125,23 @@ def _linops(draw, max_order=4):
     return LinOp(terms)
 
 
+def ref_partial(f: Polynomial, v) -> Polynomial:
+    """df/dv one monomial at a time: lower v's exponent, times the old one."""
+    out = Polynomial.zero()
+    for m, c in f.terms.items():
+        e = dict(m).get(v, 0)
+        if e:
+            out = out + Polynomial({monomial([(w, k - (w == v)) for w, k in m]): c * e})
+    return out
+
+
 def ref_partials_apply(op: LinOp, f: Polynomial) -> Polynomial:
     out = Polynomial.zero()
     for D, mult in op.terms.items():
         df = f
         for v, k in D:
             for _ in range(k):
-                df = df.partial(v)
+                df = ref_partial(df, v)
         out = out + mult * df
     return out
 

@@ -1,7 +1,9 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from theta_forms.poly import (KINDS, Polynomial, VariableId, X, Xbar, Y, monomial,
+from theta_forms.exterior import WedgeGen, xi, xibar
+from theta_forms.operators import LinOp
+from theta_forms.poly import (KINDS, Polynomial, VariableId, X, Xbar, Y, Ybar, monomial,
                               monomial_mul)
 from theta_forms.scalars import Scalar
 
@@ -24,8 +26,8 @@ def test_binomial_square():
 
 
 def test_partial_derivative():
-    assert (x11 ** 2).partial(X(1, 1)) == x11 * 2
-    assert x11.partial(Y(1, 1)).is_zero()
+    assert LinOp.partial(X(1, 1)).apply(x11 ** 2) == x11 * 2
+    assert LinOp.partial(Y(1, 1)).apply(x11).is_zero()
 
 
 def test_canonicalization_idempotent():
@@ -134,10 +136,8 @@ def test_ring_axioms(a, b, c):
 @settings(max_examples=40, deadline=None)
 @given(_polys, _polys)
 def test_leibniz_rule(a, b):
-    v = X(1, 1)
-    lhs = (a * b).partial(v)
-    rhs = a.partial(v) * b + a * b.partial(v)
-    assert lhs == rhs
+    d = LinOp.partial(X(1, 1)).apply
+    assert d(a * b) == d(a) * b + a * d(b)
 
 
 def ref_var_key(v):
@@ -199,3 +199,33 @@ def test_variable_order_is_the_reference_order(pairs1, pairs2):
         bar = v.conjugate()
         assert bar.conjugate() == v and (bar.row, bar.col) == (v.row, v.col)
         assert bar.kind == conj[v.kind]
+
+
+def test_a_label_spells_itself():
+    """Every kind of both label classes, on row 1 and column 2: the spellings
+    the reprs, the LaTeX writer and the JSON tokens print, conjugation, and
+    the error a foreign kind raises."""
+    spelled = {  # kind: (name, latex, conjugate kind)
+        "X": ("X12", "X_{1,2}", "Xbar"), "Y": ("Y12", "Y_{1,2}", "Ybar"),
+        "Xbar": ("Xbar12", r"\overline{X}_{1,2}", "X"),
+        "Ybar": ("Ybar12", r"\overline{Y}_{1,2}", "Y"), "Z": ("Z12", "x_{1,2}", "Z"),
+        "xi": ("xi12", r"\xi_{1,2}", "xibar"),
+        "xibar": ("xibar12", r"\overline{\xi}_{1,2}", "xi"),
+    }
+    labels = [X(1, 2), Y(1, 2), Xbar(1, 2), Ybar(1, 2), VariableId.from_token("Z:1:2"),
+              xi(1, 2), xibar(1, 2)]
+    assert [g.kind for g in labels] == list(spelled) == [*KINDS, "xi", "xibar"]
+    for g in labels:
+        # a subclass that forgets __slots__ = () gives each label a __dict__
+        assert not hasattr(g, "__dict__"), g
+        name, tex, conj = spelled[g.kind]
+        assert (g.name(), g.latex(), g.token()) == (name, tex, f"{g.kind}:1:2")
+        back = type(g).from_token(g.token())
+        assert type(back) is type(g) and back == g
+        bar = g.conjugate()
+        assert type(bar) is type(g) and (bar.kind, bar.row, bar.col) == (conj, 1, 2)
+        assert bar.conjugate() == g
+    with pytest.raises(ValueError, match=r"^unknown variable kind 'Q'$"):
+        VariableId.from_token("Q:1:1")
+    with pytest.raises(ValueError, match=r"^unknown wedge generator kind 'zeta'$"):
+        WedgeGen.from_token("zeta:1:1")

@@ -47,6 +47,9 @@ REMOVED = [
     (models, "SCHRODINGER"),
     # restrict_form takes the peeled dimension as a plain int
     (forms, "SplitSpec"),
+    # nothing in the library called them: LinOp.partial(v).apply, the
+    # derivative d runs, is the one derivative
+    (Polynomial, "partial"), (Polynomial, "variables"),
 ]
 
 
