@@ -13,7 +13,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Iterable
 
-from .poly import Polynomial, TermMap, _Label, _mac_poly, _mac_prod, _polys
+from .poly import Polynomial, TermMap, _Label, _label, _mac_poly, _mac_prod, _polys
 
 
 class WedgeGen(_Label):
@@ -27,11 +27,11 @@ class WedgeGen(_Label):
 
 
 def xi(i: int, j: int) -> WedgeGen:
-    return WedgeGen(0, j, i)
+    return _label(WedgeGen, 0, j, i)
 
 
 def xibar(i: int, j: int) -> WedgeGen:
-    return WedgeGen(1, j, i)
+    return _label(WedgeGen, 1, j, i)
 
 
 WedgeMonomial = tuple  # strictly increasing tuple of WedgeGen
@@ -127,9 +127,6 @@ class Form(TermMap):
     def bidegree_part(self, a: int, b: int) -> "Form":
         return Form({w: p for w, p in self.terms.items() if bidegree(w) == (a, b)})
 
-    def max_term_count(self) -> int:
-        return sum(len(p.terms) for p in self.terms.values())
-
     # -- coefficient-wise transforms ------------------------------------------
 
     def map_coefficients(self, fn) -> "Form":
@@ -162,9 +159,8 @@ class Form(TermMap):
         for w, p in self.terms.items():
             # conjugation permutes the wedge monomials, so no two terms meet
             sign, ww = wedge_monomial([g.conjugate() for g in w])
-            if sign:
-                q = p.conjugate()
-                out[ww] = q if sign > 0 else -q
+            q = p.conjugate()
+            out[ww] = q if sign > 0 else -q
         return Form(out)
 
     def __repr__(self):

@@ -457,14 +457,15 @@ def _k_ops(sig: Signature, model: ModelTag) -> tuple:
 
 
 def k_invariance_residual(c: GKCochain) -> Form:
-    """Largest residual (omega(kappa) + coadjoint(kappa)) c over the k-basis;
-    the zero form iff the cochain is K-invariant."""
-    worst = Form.zero()
+    """The residual (omega(kappa) + coadjoint(kappa)) c of the first k-basis
+    element kappa, in _k_basis order, that does not annihilate c; the sweep
+    stops there.  The zero form, after the whole basis, iff the cochain is
+    K-invariant."""
     for op, rule in _k_ops(c.sig, c.model):
         res = _form_op_sum(((op, ((),)),), c.form) + c.form.gen_derivation(rule)
-        if res.max_term_count() > worst.max_term_count():
-            worst = res
-    return worst
+        if not res.is_zero():
+            return res
+    return Form.zero()
 
 
 # ---------------------------------------------------------------------------

@@ -79,24 +79,33 @@ def parse_index(text: str, least: int = 1) -> int:
     return int(text)
 
 
+def _label(cls, rank: int, col: int, row: int):
+    """A label of cls from int indices.  A float or bool index would spell a
+    token (X:1:2.0) that import refuses, and key a cache entry that the equal
+    int request then hits."""
+    if not type(col) is type(row) is int:
+        raise TypeError(f"label indices must be ints, got row {row!r}, column {col!r}")
+    return cls(rank, col, row)
+
+
 def X(i: int, nu: int) -> VariableId:
-    return VariableId(0, nu, i)
+    return _label(VariableId, 0, nu, i)
 
 
 def Y(j: int, nu: int) -> VariableId:
-    return VariableId(1, nu, j)
+    return _label(VariableId, 1, nu, j)
 
 
 def Xbar(i: int, nu: int) -> VariableId:
-    return VariableId(2, nu, i)
+    return _label(VariableId, 2, nu, i)
 
 
 def Ybar(j: int, nu: int) -> VariableId:
-    return VariableId(3, nu, j)
+    return _label(VariableId, 3, nu, j)
 
 
 def Zvar(j: int) -> VariableId:
-    return VariableId(4, 1, j)
+    return _label(VariableId, 4, 1, j)
 
 
 # A monomial is a tuple of (VariableId, exponent>0) pairs sorted by the

@@ -219,13 +219,12 @@ CLOSEDNESS_SIGNATURES = ((1, 1), (2, 1), (2, 2), (3, 1))
 RS_PAIRS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
 
 
-def _random_one_term_cochain(rng: random.Random, sig: Signature) -> GKCochain | None:
+def _random_one_term_cochain(rng: random.Random, sig: Signature) -> GKCochain:
     gens = [xi(i, j) for i in range(1, sig.p + 1) for j in range(1, sig.q + 1)]
     gens += [xibar(i, j) for i in range(1, sig.p + 1) for j in range(1, sig.q + 1)]
     k = rng.randrange(0, min(4, len(gens)) + 1)
-    sign, w = wedge_monomial(rng.sample(gens, k))
-    if sign == 0:
-        return None
+    # rng.sample draws distinct generators, so the sign is never 0
+    _, w = wedge_monomial(rng.sample(gens, k))
     pool = []
     for col in range(1, sig.r + 1):
         pool += [X(i, col) for i in range(1, sig.p + 1)]
@@ -238,6 +237,9 @@ def _random_one_term_cochain(rng: random.Random, sig: Signature) -> GKCochain | 
 
 
 def suite_closedness(seed: int = 0, signatures=None, rs_pairs=None, dd_samples: int = 20) -> SuiteReport:
+    """d(psi) = 0 on a sweep of psi_cup and one-column forms; d(d(c)) equals the
+    k-curvature, with zero pure parts, on dd_samples seeded one-term cochains
+    per (p, q); d(d(unit)) != 0 as the control; d(d(psi)) = 0 on the sweep."""
     rep = SuiteReport("closedness")
     sigs = signatures or CLOSEDNESS_SIGNATURES
     pairs = rs_pairs or RS_PAIRS
@@ -249,7 +251,6 @@ def suite_closedness(seed: int = 0, signatures=None, rs_pairs=None, dd_samples: 
             d = gk_differential(c)
             swept.append(d)
             ok &= d.form.is_zero()
-            ok &= d.form.bidegree_part(1, 0).is_zero() and d.form.bidegree_part(0, 1).is_zero()
         rep.check(ok, f"d psi = 0 for every (r, s) with r+s <= 2 at (p, q) = ({p}, {q})")
         if q >= 1:
             sig_col = Signature(p, q, 1, 0)
@@ -265,12 +266,8 @@ def suite_closedness(seed: int = 0, signatures=None, rs_pairs=None, dd_samples: 
     for (p, q) in sigs:
         sig = Signature(p, q, 2, 0)
         ok = True
-        produced = 0
-        while produced < dd_samples:
+        for _ in range(dd_samples):
             c = _random_one_term_cochain(rng, sig)
-            if c is None:
-                continue
-            produced += 1
             dd = gk_differential(gk_differential(c))
             ok &= dd.form == gk_curvature(c).form
             (a0, b0), = c.form.bidegree_support()

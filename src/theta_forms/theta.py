@@ -295,14 +295,9 @@ def naive_rep_numbers(L: GramMatrix, n_max: int) -> dict[int, int]:
     is the integer n."""
     if _n_max(n_max) < 0:
         raise ValueError("n_max must be non-negative")
-    inv_diag = L.inverse_diagonal()
-    bounds = []
-    for idx in range(L.dim):
-        b2 = 2 * n_max * inv_diag[idx]
-        k = isqrt(b2.numerator // b2.denominator) + 1
-        while k * k * b2.denominator > b2.numerator:
-            k -= 1
-        bounds.append(k)
+    # |x_i| <= sqrt(2 n_max (L^-1)_ii); isqrt of the floor is the floor of the root
+    bounds = [isqrt(b2.numerator // b2.denominator)
+              for b2 in (2 * n_max * inv for inv in L.inverse_diagonal())]
     D = lcm(*(x.denominator for row in L.entries for x in row))
     M = [[int(x * D) for x in row] for row in L.entries]
     counts = {n: 0 for n in range(n_max + 1)}

@@ -207,14 +207,42 @@ def test_each_coadjoint_rule_is_memoised_in_its_table(fresh_operators, sig, mode
     assert all(rule.cache_info().currsize == 0 for _, rule in forms._k_ops(sig, model))
 
 
+def _sign_flipped(c: GKCochain) -> GKCochain:
+    """suite_k_invariance's negative control: c with its first term negated."""
+    w, poly = next(iter(c.form.terms.items()))
+    return GKCochain(Form({**c.form.terms, w: -poly}), c.model, c.sig)
+
+
+def _first_failing(c: GKCochain) -> int:
+    """The _k_basis index of the first element that does not annihilate c,
+    by the plain coadjoint rules, so no memo of the K-residual's table is read."""
+    return next(k for k, kappa in enumerate(forms._k_basis(c.sig))
+                if not (c.form.map_coefficients(forms._k_module_op(c.sig, c.model, kappa).apply)
+                        + c.form.gen_derivation(forms._coadjoint_rule(c.sig, kappa))).is_zero())
+
+
 def test_the_k_negative_control_fails_with_the_rules_warm(fresh_operators):
     c = build_psi_cup(Signature(2, 1, 1, 0))
     assert forms.k_invariance_residual(c).is_zero()
-    w, poly = next(iter(c.form.terms.items()))
-    bad = GKCochain(Form({**c.form.terms, w: -poly}), c.model, c.sig)
+    bad = _sign_flipped(c)
     for _ in range(2):
         assert not forms.k_invariance_residual(bad).is_zero()
-    assert all(rule.cache_info().hits for _, rule in forms._k_ops(c.sig, c.model))
+    # the control's sweep reaches its first failing element and no further
+    reached = _first_failing(bad) + 1
+    assert [bool(rule.cache_info().hits) for _, rule in forms._k_ops(c.sig, c.model)] == [
+        k < reached for k in range(len(forms._k_basis(c.sig)))]
+
+
+def test_the_k_residual_stops_at_its_first_failing_element(fresh_operators):
+    bad = _sign_flipped(build_psi_cup(Signature(2, 1, 1, 0)))
+    res = forms.k_invariance_residual(bad)
+    table = forms._k_ops(bad.sig, bad.model)
+    called = [rule.cache_info().misses > 0 for _, rule in table]
+    first = _first_failing(bad)
+    assert 0 < first < len(table) - 1   # elements pass before it and remain after it
+    assert called == [k <= first for k in range(len(table))]
+    op, rule = table[first]
+    assert res == bad.form.map_coefficients(op.apply) + bad.form.gen_derivation(rule)
 
 
 # -- the scalar operators, intertwiner images, minors and highest weights --------
@@ -304,6 +332,25 @@ def test_an_invalid_request_is_refused_on_every_call(fresh_operators, fn, args, 
         with pytest.raises(error):
             fn(*args)
     assert [c.cache_info().currsize for c in caches] == sizes
+
+
+# a float or bool index equal to an int one: each once spelled a label (X:1:2.0,
+# Z:True:1) and cached the result under a key the equal int request then hit
+NON_INT_REQUESTS = [
+    (build_psi_q, (Signature(2, 1, 2, 0), 2.0)),
+    (models.upq_op_model, (Signature(2, 1, 1), fock_model(0), "pminus", 1.0, 1)),
+    (ladder_op, ("Aplus", 1.0, 2)),
+    (heisenberg_op, ("fock", "e", True, 2)),
+]
+
+
+@pytest.mark.parametrize("fn,args", NON_INT_REQUESTS,
+                         ids=[fn.__name__ for fn, _ in NON_INT_REQUESTS])
+def test_a_non_int_index_is_refused_and_cached_nowhere(fresh_operators, fn, args):
+    caches = clear_caches()
+    with pytest.raises(TypeError, match="label indices must be ints"):
+        fn(*args)
+    assert [c.cache_info().currsize for c in caches] == [0] * len(caches)
 
 
 def test_fresh_operators_empties_every_new_cache(fresh_operators):

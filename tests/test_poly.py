@@ -1,9 +1,11 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from theta_forms.exterior import WedgeGen, xi, xibar
 from theta_forms.operators import LinOp
-from theta_forms.poly import (KINDS, Polynomial, VariableId, X, Xbar, Y, Ybar, monomial,
+from theta_forms.poly import (KINDS, Polynomial, VariableId, X, Xbar, Y, Ybar, Zvar, monomial,
                               monomial_mul)
 from theta_forms.scalars import Scalar
 
@@ -229,3 +231,13 @@ def test_a_label_spells_itself():
         VariableId.from_token("Q:1:1")
     with pytest.raises(ValueError, match=r"^unknown wedge generator kind 'zeta'$"):
         WedgeGen.from_token("zeta:1:1")
+
+
+def test_the_label_factories_take_only_ints():
+    for factory in (X, Y, Xbar, Ybar, xi, xibar):
+        for i, j in ((1.0, 1), (1, 2.0), (True, 1), (1, False), (Fraction(1), 1)):
+            with pytest.raises(TypeError, match="^label indices must be ints"):
+                factory(i, j)
+    for j in (1.0, True, Fraction(1)):
+        with pytest.raises(TypeError, match="^label indices must be ints"):
+            Zvar(j)
