@@ -15,7 +15,10 @@ operator tables of d, the curvature and the K-residual (_pair_ops,
 _curvature_ops, _k_ops) are cached the same way, per (signature, model): a
 table holds immutable LinOps and closures over immutable labels, and is
 grouped by operator once, when it is built (_group), so the kernel hashes no
-operator during a call.
+operator during a call.  The kernel (_form_op_sum) merges a lead into a
+wedge as bitmasks over one generator layout per (p, q) (_layout, cached the
+same way), with the sign from a popcount, and finds each operator image by
+the position its coefficient monomial gets once per call.
 """
 
 from __future__ import annotations
@@ -164,49 +167,115 @@ def _group(pairs) -> tuple:
     return tuple((op, tuple(op_leads)) for op, op_leads in leads.items())
 
 
-def _form_op_sum(groups, f: Form) -> Form:
+@cache
+def _layout(p: int, q: int) -> dict:
+    """{WedgeGen: bit} over the generators of (p, q), one bit each in
+    generator order, so a canonical wedge is the sum of its bits and the
+    bits below a generator's are those of the generators before it.
+    Cached, so a kernel call derives no layout."""
+    return _bits([kind(i, j) for kind in (xi, xibar)
+                  for i in range(1, p + 1) for j in range(1, q + 1)])
+
+
+def _bits(gens) -> dict:
+    """{WedgeGen: bit} for distinct generators, bits in generator order."""
+    return {g: 1 << n for n, g in enumerate(sorted(gens))}
+
+
+def _laid_out(f: Form, bits: dict) -> tuple:
+    """(present, bits, terms, monos) for _op_sum: f's variables, and per
+    wedge term (mask, wedge, positions, {monomial: coefficient}), each
+    position the index in monos of a distinct coefficient monomial.  Few
+    containers per term, as they live through the call and bring the next
+    collection nearer.  A cochain is not validated against its signature:
+    a wedge generator outside bits lays f out over both, for this call."""
+    present = {v for p in f.terms.values() for m in p.terms for v, _ in m}
+    get, pos = bits.__getitem__, {}
+    try:
+        terms = [(sum(map(get, w)), w, tuple([pos.setdefault(m, len(pos)) for m in p.terms]),
+                  p.terms) for w, p in f.terms.items()]
+    except KeyError:
+        return _laid_out(f, _bits(bits.keys() | {g for w in f.terms for g in w}))
+    return present, bits, terms, list(pos)
+
+
+def _form_op_sum(groups, f: Form, bits: dict) -> Form:
     """sum over (op, leads) groups of lead ^ op(f), for each of op's leads: a
-    lead is a canonical wedge monomial (possibly empty), op a LinOp acting on
-    the coefficients.  The groups come from _group or hold distinct
-    operators, so the kernel itself never hashes an operator.
+    lead is a canonical wedge monomial (possibly empty) over the layout
+    bits (_layout of the signature's (p, q)), op a LinOp acting on the
+    coefficients.  The groups come from _group or hold distinct operators,
+    so the kernel itself never hashes an operator.
 
     An operator that cannot act on f is skipped: every one of its terms
     differentiates a variable that occurs in no coefficient monomial of f,
     so its image of each monomial is zero (a term with D = () always acts).
     Each other operator is applied (through LinOp.apply) once per
-    coefficient monomial; the image is flattened once into rows
+    coefficient monomial it meets; the image is flattened once into rows
     (scalars._rows), which serve every lead and wedge term the monomial
     occurs with, and the images of one operator are dropped before the next
-    one starts.  Products go into one unreduced triple accumulator per
-    wedge, {(index, pi_exp): (re, im, den)}, where index is the small int an
-    image monomial gets for the call as it is flattened, with the sign of
-    merge_monomials(lead, w) folded in (scalars._mac); each entry is reduced,
-    and its index mapped back, once at the end.  No Scalar is built per product."""
-    present = {v for p in f.terms.values() for m in p.terms for v, _ in m}
-    index: dict = {}  # image monomial -> its index
-    acc: dict = {}    # wedge -> {(index, pi_exp): (re, im, den)}
-    for op, op_leads in groups:
-        if not any(all(v in present for v, _ in D) for D in op.terms):
+    one starts."""
+    return _op_sum(groups, _laid_out(f, bits))
+
+
+def _op_sum(groups, laid) -> Form:
+    """_form_op_sum over a laid-out form (the K-residual lays its cochain
+    out once per sweep).  A merge is bitmask arithmetic (Dorst, Fontijne &
+    Mann, Geometric Algebra for Computer Science, ch. 19): a lead meets a
+    wedge iff their masks are disjoint, the merged wedge is their union,
+    and with low the xor of (bit - 1) over the lead's bits,
+    j = popcount(wmask & low) has the parity of the moves that merge the
+    lead in, so (-1)^j is the sign; for a lead of at most one generator j
+    is also its place.  The merged tuple is built once per output mask, and
+    images sit in a list by monomial position, so no monomial is hashed per
+    occurrence.  Products go into one unreduced triple accumulator per
+    output mask, {(index, pi_exp): (re, im, den)}, where index is the small
+    int an image monomial gets for the call as it is flattened, with the
+    sign folded in (scalars._mac); each entry is reduced, and its index
+    mapped back, once at the end.  No Scalar is built per product."""
+    present, bits, terms, monos = laid
+    get = bits.__getitem__
+    index: dict = {}   # image monomial -> its index
+    acc: dict = {}     # output mask -> {(index, pi_exp): (re, im, den)}
+    wedges: list = []  # the wedge of each output mask, in acc's order
+    for op, leads in groups:
+        for D in op.terms:
+            for v, _ in D:
+                if v not in present:
+                    break
+            else:   # D differentiates only variables of f, so op acts
+                break
+        else:
             continue
-        images: dict = {}   # monomial -> rows of op(monomial)
-        for lead in op_leads:
-            for w, p in f.terms.items():
-                sign, ww = merge_monomials(lead, w)
-                if not sign:
+        images = [None] * len(monos)   # position -> rows of op(monomial)
+        for lead in leads:
+            lm = low = 0
+            for g in lead:
+                b = get(g)
+                lm |= b
+                low ^= b - 1
+            for wm, w, at, cs in terms:
+                if wm & lm:
                     continue
-                inner = acc.setdefault(ww, {})
-                for m, c in p.terms.items():
-                    rows = images.get(m)
+                j = (wm & low).bit_count()
+                sign = -1 if j & 1 else 1
+                om = wm | lm
+                inner = acc.get(om)
+                if inner is None:
+                    inner = acc[om] = {}
+                    wedges.append(w[:j] + lead + w[j:] if len(lead) < 2
+                                  else tuple(sorted(lead + w)))
+                for i, c in zip(at, cs.values()):
+                    rows = images[i]
                     if rows is None:
-                        rows = images[m] = _rows((index.setdefault(m2, len(index)), s) for m2, s
-                                                 in op.apply(_poly({m: _ONE})).terms.items())
+                        rows = images[i] = _rows((index.setdefault(m2, len(index)), s) for m2, s
+                                                 in op.apply(_poly({monos[i]: _ONE})).terms.items())
                     if rows:
                         _mac(inner, c, rows, sign)
     # pop each accumulator as its polynomial is built, so the two never
     # coexist in full
     monos = list(index)
-    return Form({w: _poly({monos[i]: s for i, s in _reduce(acc.pop(w)).items()})
-                 for w in list(acc)})
+    return Form({w: _poly({monos[i]: s for i, s in _reduce(acc.pop(om)).items()})
+                 for om, w in zip(list(acc), wedges)})
 
 
 def _km_column(sig: Signature, k: int) -> Form:
@@ -216,12 +285,12 @@ def _km_column(sig: Signature, k: int) -> Form:
     The p operators of one factor act on distinct variables, so each is its
     own (op, leads) group."""
     halves = (True, False) if sig.family == UNITARY else (False,)
-    f = Form.unit()
+    bits, f = _layout(sig.p, sig.q), Form.unit()
     for j in range(sig.q, 0, -1):
         for conjugate in halves:
             gen, var = _gen_kind(sig, conjugate), (Xbar if conjugate else X)
             f = _form_op_sum([(_m_op(var(l, k), sig.family), ((gen(l, j),),))
-                              for l in range(1, sig.p + 1)], f)
+                              for l in range(1, sig.p + 1)], f, bits)
     return f
 
 
@@ -359,15 +428,18 @@ def gk_differential(c: GKCochain) -> GKCochain:
     identity is certified in the verification suites.
 
     d, gk_curvature and the operator half of k_invariance_residual share one
-    kernel, _form_op_sum, which applies each operator once per coefficient
-    monomial and skips an operator that cannot act on the cochain: on a
+    kernel, _form_op_sum, which merges leads and wedges as bitmasks over
+    _layout(p, q), applies each operator once per coefficient monomial and
+    skips an operator that cannot act on the cochain: on a
     cochain without Y variables (psi and its cup products at split 0, say)
     every pure d/dX d/dY operator is skipped.  LinOp.apply builds an image
     with one acting term without its accumulator.  The kernel reads tables
     that are built once per (signature, model) and grouped by operator when
     they are built (_pair_ops here, _curvature_ops, _k_ops), so a call
     rebuilds no operator and hashes none."""
-    return GKCochain(_form_op_sum(_pair_ops(c.sig, c.model), c.form), c.model, c.sig)
+    sig = c.sig
+    return GKCochain(_form_op_sum(_pair_ops(sig, c.model), c.form, _layout(sig.p, sig.q)),
+                     c.model, sig)
 
 
 @cache
@@ -401,7 +473,8 @@ def gk_curvature(c: GKCochain) -> GKCochain:
     if sig.p == 0 or sig.q == 0 or sig.r == 0:
         return GKCochain(Form.zero(), model, sig)
     calibrate_structure(sig, model)
-    return GKCochain(_form_op_sum(_curvature_ops(sig, model), c.form), model, sig)
+    return GKCochain(_form_op_sum(_curvature_ops(sig, model), c.form, _layout(sig.p, sig.q)),
+                     model, sig)
 
 
 # ---------------------------------------------------------------------------
@@ -461,8 +534,9 @@ def k_invariance_residual(c: GKCochain) -> Form:
     element kappa, in _k_basis order, that does not annihilate c; the sweep
     stops there.  The zero form, after the whole basis, iff the cochain is
     K-invariant."""
+    laid = _laid_out(c.form, _layout(c.sig.p, c.sig.q))
     for op, rule in _k_ops(c.sig, c.model):
-        res = _form_op_sum(((op, ((),)),), c.form) + c.form.gen_derivation(rule)
+        res = _op_sum(((op, ((),)),), laid) + c.form.gen_derivation(rule)
         if not res.is_zero():
             return res
     return Form.zero()

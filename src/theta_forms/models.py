@@ -48,13 +48,16 @@ Conventions fixed here and used everywhere downstream:
   counts the builds (misses) and reuses (hits).  Sharing is safe because a
   LinOp, a Polynomial and a report are immutable values; an invalid request
   raises before anything is stored, so it raises on every call.
+  heisenberg_op and ladder_op key on the argument types as well
+  (lru_cache typed), so a float or bool index or dimension never meets the
+  entry of the equal int request: it reaches the type check and raises.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from math import prod
 
 from .operators import LinOp, op_sum
@@ -156,15 +159,31 @@ def _scalar_ladder(which: str, j: int) -> tuple[LinOp, LinOp]:
     return mul.scale(_4PI) - d, d
 
 
-@cache
+def _check_dim(dim: int) -> None:
+    """A float or bool dimension would pass every range test."""
+    if type(dim) is not int:
+        raise TypeError(f"dimension must be an int, got {dim!r}")
+
+
+def _check_index(noun: str, j: int, dim: int) -> None:
+    """1 <= j <= dim, both ints (j labels the coordinate Zvar(j), so it is
+    refused as poly._label refuses it), checked before _scalar_ladder is
+    asked for the pair of j."""
+    _check_dim(dim)
+    if type(j) is not int:
+        raise TypeError(f"label indices must be ints, got {noun} index {j!r}")
+    if not 1 <= j <= dim:
+        raise IndexError(f"{noun} index {j} out of range 1..{dim}")
+
+
+@lru_cache(maxsize=None, typed=True)
 def heisenberg_op(which: str, gen: str, j: int, dim: int) -> LinOp:
     """Heisenberg generators e_j, f_j, w'_j, w''_j in the scalar model `which`
     ("fock" or "schrodinger"), from its ladder pair (c, a):
     rho(e_j) = (c - a)/2, rho(f_j) = -i (c + a)/2, rho(w'_j) = -a,
     rho(w''_j) = c.  In Schrodinger (on the polynomial factor) that is
     rho(e_j) = 2pi x_j - d_j and rho(f_j) = -2 i pi x_j."""
-    if not (1 <= j <= dim):
-        raise IndexError(f"generator index {j} out of range 1..{dim}")
+    _check_index("generator", j, dim)
     if which not in ("fock", "schrodinger"):
         raise ValueError('heisenberg_op is defined for the scalar models "fock" and "schrodinger"')
     c, a = _scalar_ladder(which, j)
@@ -179,12 +198,11 @@ def heisenberg_op(which: str, gen: str, j: int, dim: int) -> LinOp:
     raise ValueError(f"unknown generator {gen!r}")
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)
 def ladder_op(kind: str, j: int, dim: int) -> LinOp:
     """Gaussian-conjugated ladder operators on polynomial factors, from the
     Schrodinger pair (c, a): A+_j = a, A-_j = -c, H_j = A+_j A-_j + A-_j A+_j."""
-    if not (1 <= j <= dim):
-        raise IndexError(f"ladder index {j} out of range 1..{dim}")
+    _check_index("ladder", j, dim)
     c, a = _scalar_ladder("schrodinger", j)
     if kind == "Aplus":
         return a
@@ -217,6 +235,7 @@ def intertwine(fock_elem: Polynomial, dim: int) -> Polynomial:
     """Polynomial factor of the image of a Fock polynomial in z_1..z_N under
     the unique intertwiner sending 1 to the vacuum; z^m goes to c^m applied
     to the vacuum (_fock_image), c_j the Schrodinger creation operator."""
+    _check_dim(dim)
     acc: dict = {None: {}}
     for mono, c in fock_elem.terms.items():
         _mac_poly(acc, None, _fock_image(mono, dim), c)

@@ -115,8 +115,14 @@ _variable = itemgetter(0)   # a monomial pair's variable
 
 
 def monomial(pairs: Iterable[tuple[VariableId, int]]) -> Monomial:
+    """The canonical monomial of (variable, exponent) pairs.  Only a
+    VariableId is a variable: a WedgeGen compares and hashes like the
+    VariableId with the same fields (xi(1, 1) == X(1, 1)), so it would pass
+    for one."""
     acc: dict[VariableId, int] = {}
     for v, e in pairs:
+        if type(v) is not VariableId:
+            raise TypeError(f"a monomial's variables are VariableIds, got {v!r}")
         acc[v] = acc.get(v, 0) + e
     items = [(v, e) for v, e in acc.items() if e != 0]
     if any(e < 0 for _, e in items):

@@ -353,6 +353,39 @@ def test_a_non_int_index_is_refused_and_cached_nowhere(fresh_operators, fn, args
     assert [c.cache_info().currsize for c in caches] == [0] * len(caches)
 
 
+# a float or bool dimension or index beside int ones: a dimension was only
+# range-checked, so heisenberg_op("fock", "e", 1, 2.5) returned an operator and
+# cached it, and an index equal to a cached int one hit that entry
+NON_INT_DIMENSIONS = [
+    (heisenberg_op, ("fock", "e", 1, 2.5)),
+    (heisenberg_op, ("schrodinger", "f", 1, True)),
+    (heisenberg_op, ("fock", "wp", True, 2)),
+    (ladder_op, ("H", 1, True)),
+    (ladder_op, ("Aminus", 1, 2.0)),
+    (ladder_op, ("Aplus", 1.0, 2)),
+    (intertwine, (Polynomial.variable(Zvar(1)), 1.5)),
+    (intertwine, (Polynomial.variable(Zvar(1)), True)),
+]
+
+
+def _as_ints(args):
+    return tuple(int(a) if type(a) in (bool, float) else a for a in args)
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "after-the-int-request"])
+@pytest.mark.parametrize("fn,args", NON_INT_DIMENSIONS,
+                         ids=[f"{fn.__name__}-{i}" for i, (fn, _) in enumerate(NON_INT_DIMENSIONS)])
+def test_a_non_int_dimension_is_refused_whatever_the_caches_hold(fresh_operators, fn, args,
+                                                                  warm):
+    caches = clear_caches()
+    if warm:
+        fn(*_as_ints(args))
+    sizes = [c.cache_info().currsize for c in caches]
+    with pytest.raises(TypeError, match="must be (an int|ints)"):
+        fn(*args)
+    assert [c.cache_info().currsize for c in caches] == sizes
+
+
 def test_fresh_operators_empties_every_new_cache(fresh_operators):
     new = (forms._pair_ops, forms._curvature_ops, forms._k_ops, heisenberg_op, ladder_op,
            models._fock_image, schur._minor, schur._x_factor, schur._y_factor)

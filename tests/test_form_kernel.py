@@ -158,8 +158,103 @@ def test_kernel_matches_plain_loop(c):
 def test_cancelling_contributions_give_the_zero_form(c, data):
     groups = forms._pair_ops(c.sig, c.model)
     op, (lead,) = data.draw(st.sampled_from(groups))
-    out = forms._form_op_sum([(op, (lead,)), (-op, (lead,))], c.form)
+    out = forms._form_op_sum([(op, (lead,)), (-op, (lead,))], c.form,
+                             forms._layout(c.sig.p, c.sig.q))
     assert out == Form.zero() and out.terms == {}
+
+
+# -- the bitmask merge -----------------------------------------------------------
+# _form_op_sum lays wedges out as bitmasks over forms._layout(p, q); a cochain is
+# not validated against its signature, so wedges may hold generators outside it
+
+def ref_op_sum(groups, f: Form) -> Form:
+    out = Form.zero()
+    for op, leads in groups:
+        image = f.map_coefficients(op.apply)
+        for lead in leads:
+            out = out + Form({lead: ONE}).wedge(image)
+    return out
+
+
+@st.composite
+def outside_cochains(draw, kind):
+    """A cochain of cochains(kind) with up to three more wedge terms, each
+    holding a generator past the signature's p rows or q columns."""
+    c = draw(cochains(kind))
+    p, q = c.sig.p, c.sig.q
+    kinds = (xi,) if c.sig.family == ORTHOGONAL else (xi, xibar)
+    pool = [k(i, j) for k in kinds for i in range(1, p + 3) for j in range(1, q + 2)]
+    outside = [g for g in pool if g.row > p or g.col > q]
+    coefficients = list(c.form.terms.values()) or [ONE]
+    terms = dict(c.form.terms)
+    for _ in range(draw(st.integers(1, 3))):
+        gens = draw(st.lists(st.sampled_from(pool), max_size=2, unique=True))
+        sign, w = wedge_monomial(gens + [draw(st.sampled_from([g for g in outside
+                                                             if g not in gens]))])
+        terms[w] = draw(st.sampled_from(coefficients)).scale(sign) + terms.get(w, Polynomial.zero())
+    return GKCochain(Form(terms), c.model, c.sig)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(KINDS).flatmap(outside_cochains))
+@example(GKCochain(Form({(xi(1, 1), xi(3, 2)): Polynomial.variable(X(1, 1)),
+                         (xi(2, 1), xibar(1, 1)): Polynomial.variable(Xbar(2, 1))}),
+                   fock_model(1), Signature(2, 1, 1, 1)))
+def test_generators_outside_the_signature_give_the_plain_loop(c):
+    assert any(g.row > c.sig.p or g.col > c.sig.q for w in c.form.terms for g in w)
+    d = gk_differential(c).form
+    assert d == ref_differential(c)
+    assert_canonical(d)
+    assert k_invariance_residual(c) == ref_k_residual(c)
+    if c.sig.family == UNITARY:
+        assert gk_curvature(c).form == ref_curvature(c)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(KINDS).flatmap(cochains), st.data())
+def test_leads_of_every_length_give_the_plain_loop(c, data):
+    """Leads of zero to three generators (d's tables hold one, the
+    curvature's two and the K-residual's none) on operators of the tables."""
+    sig = c.sig
+    kinds = (xi,) if sig.family == ORTHOGONAL else (xi, xibar)
+    gens = [k(i, j) for k in kinds for i in range(1, sig.p + 1) for j in range(1, sig.q + 1)]
+    ops = [op for op, _ in forms._pair_ops(sig, c.model)] + [op for op, _ in forms._k_ops(sig, c.model)]
+    if sig.family == UNITARY:
+        ops += [op for op, _ in forms._curvature_ops(sig, c.model)]
+    picked = data.draw(st.lists(st.integers(0, len(ops) - 1), min_size=1, max_size=4, unique=True))
+    leads = st.lists(st.sampled_from(gens), max_size=3, unique=True).map(lambda g: wedge_monomial(g)[1])
+    groups = [(ops[i], tuple(data.draw(st.lists(leads, min_size=1, max_size=3)))) for i in picked]
+    out = forms._form_op_sum(groups, c.form, forms._layout(sig.p, sig.q))
+    assert out == ref_op_sum(groups, c.form)
+    assert_canonical(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_the_mask_sign_is_the_merge_sign(data):
+    """On the layout of (p, q): disjoint masks iff merge_monomials merges, and
+    then (-1)^popcount(wmask & low), low the xor of (bit - 1) over the
+    lead's bits, is its sign, and for a lead of at most one generator that
+    popcount is the lead's place in the wedge."""
+    p, q = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    gens = [k(i, j) for k in (xi, xibar) for i in range(1, p + 1) for j in range(1, q + 1)]
+    bits = forms._layout(p, q)
+    assert list(bits) == sorted(gens)
+    assert list(bits.values()) == [1 << n for n in range(len(gens))]
+    w, lead = (wedge_monomial(data.draw(st.lists(st.sampled_from(gens), max_size=n, unique=True)))[1]
+               for n in (6, 3))
+    wm, lm = sum(bits[g] for g in w), sum(bits[g] for g in lead)
+    low = 0
+    for g in lead:
+        low ^= bits[g] - 1
+    sign, merged = merge_monomials(lead, w)
+    assert (wm & lm == 0) == (sign != 0)
+    if sign:
+        j = (wm & low).bit_count()
+        assert (-1) ** j == sign
+        assert sum(bits[g] for g in merged) == wm | lm
+        if len(lead) < 2:
+            assert w[:j] + lead + w[j:] == merged
 
 
 def test_a_warm_kernel_call_hashes_no_operator(monkeypatch):

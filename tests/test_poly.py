@@ -241,3 +241,17 @@ def test_the_label_factories_take_only_ints():
     for j in (1.0, True, Fraction(1)):
         with pytest.raises(TypeError, match="^label indices must be ints"):
             Zvar(j)
+
+
+def test_a_wedge_generator_is_not_a_variable():
+    """xi(1, 1) == X(1, 1) as tuples, so a monomial checks the type: neither
+    a polynomial variable nor a derivative takes a wedge generator."""
+    assert xi(1, 1) == X(1, 1) and hash(xi(1, 1)) == hash(X(1, 1))
+    for g in (xi(1, 1), xibar(2, 1)):
+        for build in (Polynomial.variable, LinOp.partial, lambda v: monomial([(v, 1)])):
+            with pytest.raises(TypeError, match="variables are VariableIds"):
+                build(g)
+    with pytest.raises(TypeError, match="variables are VariableIds"):
+        monomial([(X(1, 1), 1), ((0, 1, 1), 2)])
+    with pytest.raises(TypeError, match="variables are VariableIds"):
+        Polynomial.variable(X(1, 1)).map_variables(lambda v: xi(v.row, v.col))
