@@ -40,13 +40,19 @@ WedgeMonomial = tuple  # strictly increasing tuple of WedgeGen
 def wedge_monomial(gens: Iterable[WedgeGen]):
     """Sort generators into canonical order.
 
-    Returns (sign, monomial) or (0, ()) when a generator repeats.  One sort
+    Returns (sign, monomial) or (0, ()) when a generator repeats.  Only a
+    WedgeGen is a generator: a VariableId compares and hashes like the
+    WedgeGen with the same fields (X(1, 1) == xi(1, 1)), so it would pass
+    for one; anything else raises TypeError.  One sort
     of the positions by the generators, which compare in field order, so a
     long imported wedge costs O(n log n): repeats are equal neighbours, and
     the sign is the parity of the sorting permutation, (-1)^(n - number of
     cycles).
     """
     gens = list(gens)
+    for g in gens:
+        if type(g) is not WedgeGen:
+            raise TypeError(f"a wedge's generators are WedgeGens, got {g!r}")
     order = sorted(range(len(gens)), key=gens.__getitem__)
     out = tuple(gens[i] for i in order)
     for a, b in zip(out, out[1:]):
@@ -103,13 +109,7 @@ class Form(TermMap):
     # -- exterior product ----------------------------------------------------
 
     def wedge(self, other: "Form") -> "Form":
-        acc: dict = {}
-        for w1, p1 in self.terms.items():
-            for w2, p2 in other.terms.items():
-                sign, w = merge_monomials(w1, w2)
-                if sign:
-                    _mac_prod(acc, w, p1, p2, sign)
-        return Form(_polys(acc))
+        return Form(_polys(_wedge_acc(self, other)))
 
     # -- queries -------------------------------------------------------------
 
@@ -171,6 +171,18 @@ class Form(TermMap):
             ws = "^".join(g.name() for g in w) or "1"
             bits.append(f"({p!r}) {ws}")
         return "Form(" + " + ".join(bits) + ")"
+
+
+def _wedge_acc(f1: Form, f2: Form) -> dict:
+    """The accumulator of f1 ^ f2, summed over every pair of terms: _polys
+    reduces it, or poly._kept_polys for a product that is kept."""
+    acc: dict = {}
+    for w1, p1 in f1.terms.items():
+        for w2, p2 in f2.terms.items():
+            sign, w = merge_monomials(w1, w2)
+            if sign:
+                _mac_prod(acc, w, p1, p2, sign)
+    return acc
 
 
 def wedge_all(forms: Iterable[Form]) -> Form:

@@ -8,7 +8,12 @@ a model tag, and every Fock, Schwartz and mixed builder wedges those factors
 (_column_cochain), so d's operators and the built cochain read one table.
 
 The six build_* functions are functools.cache functions: sharing a built
-GKCochain is safe because it is an immutable value.  The helpers behind them
+GKCochain is safe because it is an immutable value.  A built form is made
+by _kept, whose last wedge product runs through tables that live for that
+call, so each distinct coefficient value and each distinct monomial of the
+form is one object (hash-consing): the caches hold a handful of Scalars and
+one tuple per distinct monomial, not one of each per term.  Equality stays
+structural, and nothing is shared across builds.  The helpers behind them
 (_psi_factor, _km_column, _km_explicit_column, _lambda_sum) stay uncached, so
 a test that patches one sees its patch on each builder-cache miss.  The
 operator tables of d, the curvature and the K-residual (_pair_ops,
@@ -29,13 +34,13 @@ from functools import cache
 from itertools import combinations, permutations, product
 from math import factorial
 
-from .exterior import (Form, WedgeGen, merge_monomials, perm_sign, wedge_all,
-                       xi, xibar)
+from .exterior import (Form, WedgeGen, _wedge_acc, merge_monomials, perm_sign,
+                       wedge_all, xi, xibar)
 from .models import (ModelTag, ORTHOGONAL, Signature, UNITARY, _abstract_image,
                      _bracket_image, _m_op, calibrate_structure, column_kinds,
                      fock_model, mixed_model)
 from .operators import LinOp
-from .poly import Polynomial, VariableId, X, Xbar, _mac_poly, _poly, _polys
+from .poly import Polynomial, VariableId, X, Xbar, _kept_polys, _mac_poly, _poly, _polys
 from .scalars import _ONE, Scalar, _mac, _quotient, _reduce, _rows
 
 
@@ -84,7 +89,18 @@ def build_psi_q(sig: Signature, column: int = 1) -> GKCochain:
         raise ValueError(f"column {column} out of range for r={sig.r}")
     if sig.q < 1:
         raise ValueError("build_psi_q needs q >= 1")
-    return GKCochain(_psi_factor(sig, column), fock_model(0), sig)
+    # _psi_factor(sig, column), its last product kept: no product with the unit
+    omegas = [_omega_form(sig, column, j) for j in range(1, sig.q + 1)]
+    return GKCochain(_kept(omegas), fock_model(0), sig)
+
+
+def _kept(blocks) -> Form:
+    """The wedge of blocks, its last product reduced through tables that
+    live for this call (poly._kept_polys), so the form a builder cache keeps
+    holds one object per distinct coefficient value and per distinct
+    monomial.  The products before it stay unshared: they are dropped."""
+    *head, last = blocks or [Form.unit()]
+    return Form(_kept_polys(_wedge_acc(wedge_all(head), last)))
 
 
 def _column_cochain(sig: Signature, model: ModelTag, schwartz=None) -> GKCochain:
@@ -97,7 +113,7 @@ def _column_cochain(sig: Signature, model: ModelTag, schwartz=None) -> GKCochain
               for k, kind in kinds if kind != "conj"]
     blocks += [_psi_factor(sig, k, conjugate=True)
                for k, kind in kinds if kind in ("doubled", "conj")]
-    return GKCochain(wedge_all(blocks), model, sig)
+    return GKCochain(_kept(blocks), model, sig)
 
 
 @cache

@@ -320,3 +320,12 @@ def _polys(acc: dict) -> dict:
     """{key: Polynomial} of an accumulator; a key whose sum cancelled maps to
     the zero polynomial."""
     return {key: _poly(_reduce(inner)) for key, inner in acc.items()}
+
+
+def _kept_polys(acc: dict) -> dict:
+    """_polys for a result that is kept, as a build is: every key's sum is
+    reduced through two tables that live for this call (scalars._reduce's
+    values and keys), so across every key each distinct Scalar value and
+    each distinct monomial is one object."""
+    values, monos = {}, {}
+    return {key: _poly(_reduce(inner, values, monos)) for key, inner in acc.items()}

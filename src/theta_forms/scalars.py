@@ -7,6 +7,12 @@ k to (re + im*i) / den, held as ints with den > 0, gcd(re, im, den) == 1 and
 equality is structural.  Each operation restores the invariant with one gcd per
 term.  ``terms`` is a read-only view {k: (re, im)} of lowest-terms Fractions;
 repr, LaTeX and JSON format straight from the integer triples.
+
+One canonical form per value is not one object per value: arithmetic builds
+a new Scalar each time.  Only a result that is kept (a built or imported
+form) is reduced through a table that lives for that call (_reduce's
+values), so there each value is one shared object.  No table is
+module-level, so none grows across calls.
 """
 
 from __future__ import annotations
@@ -294,9 +300,14 @@ def _mac_ratios(acc: dict, rows: list, n: int) -> None:
     _mac(acc, _ONE, [(m, k, n * a * d, n * c * b, b * d) for m, k, (a, b), (c, d) in rows])
 
 
-def _reduce(acc: dict) -> dict:
+def _reduce(acc: dict, values: dict | None = None, keys: dict | None = None) -> dict:
     """{key: Scalar} of a _mac accumulator: each triple reduced once to the
-    invariant; keys whose every term is zero are absent."""
+    invariant; keys whose every term is zero are absent.  values, a table
+    that lives as long as its caller's call, makes equal Scalars one object
+    (hash-consing, for a result that is kept): it maps each term map, by
+    its one (pi_exp, triple) item or its items sorted by pi-exponent, to
+    the first Scalar built for it.  keys, a second such table, does the
+    same for the accumulator's keys, such as monomials."""
     out: dict = {}
     for (m, k), (re, im, den) in acc.items():
         c = _canon(re, im, den)
@@ -306,7 +317,19 @@ def _reduce(acc: dict) -> dict:
                 out[m] = {k: c}
             else:
                 t[k] = c
-    return {m: _raw(t) for m, t in out.items()}
+    if values is None:
+        return {m: _raw(t) for m, t in out.items()}
+    get, res = values.get, {}
+    for m, t in out.items():
+        if len(t) == 1:   # an item (int, triple) never equals a tuple of items
+            key, = t.items()
+        else:
+            key = tuple(sorted(t.items()))
+        s = get(key)
+        if s is None:
+            s = values[key] = _raw(t)
+        res[m if keys is None else keys.setdefault(m, m)] = s
+    return res
 
 
 def _sum(c: Scalar, rows: list) -> Scalar:

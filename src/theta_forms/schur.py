@@ -42,6 +42,10 @@ class Partition:
 
     def __post_init__(self):
         parts = tuple(self.parts)
+        # a bool part would share the cache entries of the equal int one, and
+        # a float one would fail deep inside a minor
+        if any(type(x) is not int for x in parts):
+            raise TypeError(f"partition parts must be ints, got {parts!r}")
         if any(x <= 0 for x in parts):
             raise ValueError("partition parts must be positive")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
@@ -74,6 +78,8 @@ class Tableau:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if any(type(v) is not int for r in self.rows for v in r):
+            raise TypeError(f"tableau entries must be ints, got {self.rows!r}")
         if tuple(len(r) for r in self.rows) != self.shape.parts:
             raise ValueError("tableau rows do not match the shape")
         for r in self.rows:

@@ -21,7 +21,10 @@ only for that call: ``cochain_to_json`` renders each distinct monomial's
 generator once; both join their pieces once.  The reader parses each
 spelling of a "mono" list once, gives each canonical monomial one small-int
 index (two spellings of one monomial share it), sums each wedge's entries
-under those indices and maps them back to monomials once per wedge.
+under those indices and maps them back to monomials once per wedge.  The
+form it returns is made to be kept, as a build is: its coefficients are
+reduced through a table of values that lives for the call, so each distinct
+coefficient value, like each distinct monomial, is one object.
 
 A coefficient's "re"/"im" must follow on import the strict rational
 grammar of ``scalars._rational``, which the Gram reader in theta shares:
@@ -120,7 +123,10 @@ def _form_from_terms(terms, sig: Signature, model: ModelTag) -> Form:
     exponent, exponent type) triples so that 1 is told from 1.0 and true, is
     parsed once to its canonical monomial, and each canonical monomial gets
     one small-int index: entries are summed per wedge as integer triples
-    under (index, pi-exponent) and mapped back to monomials at the end."""
+    under (index, pi-exponent) and mapped back to monomials at the end, and
+    each wedge's sums are reduced through one table of Scalar values
+    (scalars._reduce), so the form holds one object per distinct
+    coefficient value as well as per distinct monomial."""
     unitary = sig.family == UNITARY
     # largest row per variable kind: none for Z, nor for orthogonal conjugates
     max_row = {"X": sig.p, "Y": sig.q, **({"Xbar": sig.p, "Ybar": sig.q} if unitary else {})}
@@ -163,9 +169,9 @@ def _form_from_terms(terms, sig: Signature, model: ModelTag) -> Form:
         # a repeated generator gives 0, but the entries are still checked
         if sign:
             _mac_ratios(sums.setdefault(w, {}), rows, sign)
-    monos, out = list(index), {}
+    monos, values, out = list(index), {}, {}
     for w, acc in sums.items():
-        coeffs = _reduce(acc)
+        coeffs = _reduce(acc, values)
         # entries in range can sum to a coefficient the writers cannot print;
         # past 127 bits (rare), _int checks re/den and im/den as they print
         for i, k, re, im, den in _rows(coeffs.items()):

@@ -412,7 +412,9 @@ def test_clear_caches_frees_a_dropped_build():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        build_psi_cup(Signature(5, 3, 2, 0))
+        # builds hold one object per coefficient value and monomial, so
+        # this one, of 4,096 wedges, holds about 1.5 MiB
+        build_psi_cup(Signature(4, 3, 1, 1))
         gc.collect()
         held = tracemalloc.get_traced_memory()[0] - base
         clear_caches()

@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from theta_forms.exterior import (Form, WedgeGen, merge_monomials, perm_sign, wedge_monomial,
@@ -31,6 +32,20 @@ def test_generator_order_xi_before_xibar():
     sign, w = wedge_monomial([xibar(1, 1), xi(1, 1)])
     assert sign == -1
     assert [g.kind for g in w] == ["xi", "xibar"]
+
+
+def test_only_a_wedge_gen_is_a_generator():
+    """A VariableId compares and hashes like the WedgeGen with its fields
+    (Y(1, 1) == xibar(1, 1)), so it was read as that generator: a
+    coefficient lookup at [Y(1, 1)] returned the one at xibar(1, 1)."""
+    f = Form({(xibar(1, 1),): x11})
+    assert Y(1, 1) == xibar(1, 1) and hash(Y(1, 1)) == hash(xibar(1, 1))
+    for gens in ([Y(1, 1)], [X(1, 1), xi(2, 1)], [xi(1, 1), (0, 1, 2)]):
+        with pytest.raises(TypeError, match="generators are WedgeGens"):
+            wedge_monomial(gens)
+        with pytest.raises(TypeError, match="generators are WedgeGens"):
+            f.coefficient(gens)
+    assert f.coefficient([xibar(1, 1)]) == x11
 
 
 def test_merge_detects_repeats():

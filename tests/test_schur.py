@@ -31,6 +31,20 @@ def test_tableau_validation():
     assert T.column(1) == [1, 2]
 
 
+@pytest.mark.parametrize("parts", [(True,), (2.0,), (1.5,), (2, False), (2, 1.0)])
+def test_a_non_int_part_is_refused(parts):
+    """A bool part would share the cache entries of the equal int partition,
+    and a float one failed deep inside a minor."""
+    with pytest.raises(TypeError, match="partition parts must be ints"):
+        Partition(parts)
+
+
+@pytest.mark.parametrize("rows", [((1.5,),), ((1.0,),), ((True,),)])
+def test_a_non_int_tableau_entry_is_refused(rows):
+    with pytest.raises(TypeError, match="tableau entries must be ints"):
+        Tableau(Partition((1,)), rows)
+
+
 def test_ssyt_counts():
     assert len(enumerate_ssyt(Partition((1,)), 2)) == 2
     assert len(enumerate_ssyt(Partition((2, 1)), 3)) == 8
