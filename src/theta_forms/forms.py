@@ -243,11 +243,15 @@ def _op_sum(groups, laid) -> Form:
     lead in, so (-1)^j is the sign; for a lead of at most one generator j
     is also its place.  The merged tuple is built once per output mask, and
     images sit in a list by monomial position, so no monomial is hashed per
-    occurrence.  Products go into one unreduced triple accumulator per
-    output mask, {(index, pi_exp): (re, im, den)}, where index is the small
-    int an image monomial gets for the call as it is flattened, with the
-    sign folded in (scalars._mac); each entry is reduced, and its index
-    mapped back, once at the end.  No Scalar is built per product."""
+    occurrence.  An image is one LinOp.apply on its monomial with
+    coefficient 1, the first time an operator meets that position: apply
+    writes a one-term input's image in one pass, and sums only where two
+    of the operator's terms meet.  Products go into one unreduced triple
+    accumulator per output mask, {(index, pi_exp): (re, im, den)}, where
+    index is the small int an image monomial gets for the call as it is
+    flattened, one _mac call per (lead, wedge, monomial) with the sign
+    folded in; each entry is reduced, and its index mapped back, once at
+    the end.  No Scalar is built per product."""
     present, bits, terms, monos = laid
     get = bits.__getitem__
     index: dict = {}   # image monomial -> its index

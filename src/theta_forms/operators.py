@@ -106,26 +106,56 @@ class LinOp(TermMap):
     # -- action and algebra --------------------------------------------------
 
     def apply(self, f: Polynomial) -> Polynomial:
-        """sum over terms (D, m) of m * (D f), straight on the monomials: one
-        loop collects each term's derivative image of each monomial of f
-        (_deriv_mono) that is not zero.  When exactly one acts, distinct
-        multiplier monomials give distinct products, so nothing can merge:
-        the image is built directly, each multiplier coefficient times
-        n * c, and the multiplier's Scalars are reused when n * c = 1.
-        Otherwise every image is merged with every multiplier monomial and
-        the products go into one unreduced triple accumulator (scalars._mac),
-        reduced once at the end."""
-        acting = [(mult, c, r) for D, mult in self.terms.items() for m, c in f.terms.items()
-                  if (r := _deriv_mono(D, m)) is not None]
-        if len(acting) == 1:
-            (mult, c, (n, dm)), = acting
-            s = c * n if n != 1 else c
+        """sum over terms (D, m) of m * (D f), straight on the monomials.
+
+        A one-term f = c * m (d's kernel passes each coefficient monomial
+        with c = 1) takes one pass over the terms, with no accumulator: a
+        term with D = () takes m as it is and any other term its derivative
+        image (_deriv_mono), and each multiplier monomial merged with that
+        image goes straight into the output.  Within one term distinct
+        multiplier monomials give distinct products, so a product lands on
+        a monomial already written only when two terms' images meet
+        (X d/dX + 1 on X, say), and the output then counts fewer keys than
+        products written.  Each multiplier coefficient is reused when
+        n * c = 1 (n the term's falling factorial) and scaled once by n * c
+        otherwise; neither factor is zero, so neither is the product.  Any
+        other f, and a one-term f whose images meet, is summed (_summed)."""
+        if len(f.terms) != 1:
+            return self._summed(f)
+        (m, c), = f.terms.items()
+        out: dict = {}
+        written = 0
+        for D, mult in self.terms.items():
+            if D:
+                r = _deriv_mono(D, m)
+                if r is None:
+                    continue
+                n, dm = r
+                s = c * n if n != 1 else c
+            else:
+                dm, s = m, c
             if s is _ONE or s == _ONE:
-                return _poly({monomial_mul(m2, dm): c2 for m2, c2 in mult.terms.items()})
-            return _poly({monomial_mul(m2, dm): c2 * s for m2, c2 in mult.terms.items()})
+                for m2, c2 in mult.terms.items():
+                    out[monomial_mul(m2, dm)] = c2
+            else:
+                for m2, c2 in mult.terms.items():
+                    out[monomial_mul(m2, dm)] = c2 * s
+            written += len(mult.terms)
+            if len(out) < written:   # two terms' images meet
+                return self._summed(f)
+        return _poly(out)
+
+    def _summed(self, f: Polynomial) -> Polynomial:
+        """apply through one unreduced triple accumulator (scalars._mac):
+        every term's derivative image of every monomial of f merged with
+        every multiplier monomial, the products reduced once at the end."""
         acc: dict = {}   # (monomial, pi_exp) -> (re, im, den)
-        for mult, c, (n, dm) in acting:
-            _mac(acc, c, _rows((monomial_mul(m2, dm), c2) for m2, c2 in mult.terms.items()), n)
+        for D, mult in self.terms.items():
+            for m, c in f.terms.items():
+                r = _deriv_mono(D, m)
+                if r is not None:
+                    n, dm = r
+                    _mac(acc, c, _rows((monomial_mul(m2, dm), c2) for m2, c2 in mult.terms.items()), n)
         return _poly(_reduce(acc))
 
     def compose(self, other: "LinOp") -> "LinOp":

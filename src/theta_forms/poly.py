@@ -118,11 +118,14 @@ def monomial(pairs: Iterable[tuple[VariableId, int]]) -> Monomial:
     """The canonical monomial of (variable, exponent) pairs.  Only a
     VariableId is a variable: a WedgeGen compares and hashes like the
     VariableId with the same fields (xi(1, 1) == X(1, 1)), so it would pass
-    for one."""
+    for one.  Only an int is an exponent: 2.0 or True would equal 2 or 1
+    and print as itself, and 1.5 would write JSON that import refuses."""
     acc: dict[VariableId, int] = {}
     for v, e in pairs:
         if type(v) is not VariableId:
             raise TypeError(f"a monomial's variables are VariableIds, got {v!r}")
+        if type(e) is not int:
+            raise TypeError(f"a monomial's exponents are ints, got {e!r} on {v.name()}")
         acc[v] = acc.get(v, 0) + e
     items = [(v, e) for v, e in acc.items() if e != 0]
     if any(e < 0 for _, e in items):
@@ -165,6 +168,15 @@ class TermMap:
         self.terms = {k: c for k, c in (terms or {}).items() if not c.is_zero()}
 
     @classmethod
+    def _canonical(cls, terms: dict):
+        """cls of a map whose keys are canonical already and whose
+        coefficients have the right type, as arithmetic on values of cls
+        builds its result: zeros dropped, nothing checked."""
+        out = object.__new__(cls)
+        TermMap.__init__(out, terms)
+        return out
+
+    @classmethod
     def zero(cls):
         return cls()
 
@@ -172,13 +184,13 @@ class TermMap:
         out = dict(self.terms)
         for k, c in other.terms.items():
             out[k] = out[k] + c if k in out else c
-        return type(self)(out)
+        return self._canonical(out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return type(self)({k: -c for k, c in self.terms.items()})
+        return self._canonical({k: -c for k, c in self.terms.items()})
 
     def __eq__(self, other) -> bool:
         return type(other) is type(self) and self.terms == other.terms
@@ -196,20 +208,29 @@ class TermMap:
 
     def scale(self, c):
         """Every coefficient times c: a Scalar (an int or Fraction is taken
-        as one) or, for Form and LinOp coefficients, a Polynomial."""
+        as one) or, for Form and LinOp coefficients, a Polynomial.  A
+        Scalar coefficient times a Polynomial is a Polynomial, so a
+        Polynomial scaled by one is refused, not given Polynomial
+        coefficients."""
         if isinstance(c, (int, Fraction)):
             c = Scalar.of(c)
-        return type(self)({k: v * c for k, v in self.terms.items()})
+        elif isinstance(c, Polynomial) and isinstance(self, Polynomial):
+            raise TypeError("a Polynomial scales by a number; the product of "
+                            "two Polynomials is p * q")
+        return self._canonical({k: v * c for k, v in self.terms.items()})
 
 
 class Polynomial(TermMap):
-    """Immutable canonical polynomial: {Monomial: nonzero Scalar}."""
+    """Immutable canonical polynomial: {Monomial: nonzero Scalar}.  The
+    constructor takes only canonical monomial keys (_check_key) and takes
+    an int or Fraction coefficient as a Scalar."""
 
     __slots__ = ()
 
     def __init__(self, terms=None):
         clean = {}
         for m, c in (terms or {}).items():
+            _check_key(m)
             if not isinstance(c, Scalar):
                 c = Scalar.of(c)
             if not c.is_zero():
@@ -220,7 +241,7 @@ class Polynomial(TermMap):
 
     @classmethod
     def one(cls) -> "Polynomial":
-        return cls({(): Scalar.one()})
+        return _poly({(): Scalar.one()})
 
     @classmethod
     def constant(cls, c) -> "Polynomial":
@@ -228,7 +249,7 @@ class Polynomial(TermMap):
 
     @classmethod
     def variable(cls, v: VariableId) -> "Polynomial":
-        return cls({monomial([(v, 1)]): Scalar.one()})
+        return _poly({monomial([(v, 1)]): Scalar.one()})
 
     # -- ring operations ---------------------------------------------------
 
@@ -288,6 +309,26 @@ class Polynomial(TermMap):
             mono = "*".join(f"{v.name()}^{e}" if e > 1 else v.name() for v, e in m) or "1"
             bits.append(f"({c!r})*{mono}")
         return "Poly(" + " + ".join(bits) + ")"
+
+
+def _check_key(m) -> None:
+    """Raise unless m is a canonical monomial, naming it: TypeError for a
+    key that is not a tuple of (VariableId, int) pairs, ValueError for an
+    exponent below 1 or a variable out of order or repeated.  A key in
+    another order would be a second spelling of one monomial, unequal to
+    the first and printed beside it in a sum."""
+    if type(m) is not tuple:
+        raise TypeError(f"a monomial key is a tuple of (VariableId, int) pairs, got {m!r}")
+    last = None
+    for pair in m:
+        if not (type(pair) is tuple and len(pair) == 2
+                and type(pair[0]) is VariableId and type(pair[1]) is int):
+            raise TypeError(f"a monomial key is a tuple of (VariableId, int) pairs, got {m!r}")
+        v, e = pair
+        if e < 1 or (last is not None and v <= last):
+            raise ValueError(f"monomial key {m!r} is not canonical: its variables "
+                             "must be sorted and distinct, each exponent at least 1")
+        last = v
 
 
 def _poly(terms: dict) -> Polynomial:

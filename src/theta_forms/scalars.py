@@ -145,7 +145,7 @@ class Scalar:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "Scalar") -> "Scalar":
-        return _sum(_ONE, _rows(((None, self), (None, other))))
+        return _sum(_ONE, self, other)
 
     def __neg__(self) -> "Scalar":
         return _raw({k: (-a, -b, d) for k, (a, b, d) in self._t.items()})
@@ -160,7 +160,7 @@ class Scalar:
             (k1, (a, b, d)), = s.items()
             (k2, (e, f, g)), = o.items()
             return _raw({k1 + k2: _canon(a * e - b * f, a * f + b * e, d * g)})
-        return _sum(self, _rows(((None, other),)))
+        return _sum(self, other)
 
     __rmul__ = __mul__
 
@@ -332,9 +332,33 @@ def _reduce(acc: dict, values: dict | None = None, keys: dict | None = None) -> 
     return res
 
 
-def _sum(c: Scalar, rows: list) -> Scalar:
-    """The Scalar sum over rows (None, k2, re, im, den) of c times each:
-    one _mac accumulator, reduced once."""
+def _sum(c: Scalar, *terms: Scalar) -> Scalar:
+    """c times the sum of terms, the one adder of Scalars.  The two-row sum
+    1 * (s + t) merges t's term map into a copy of s's: a pi-exponent of
+    one of them keeps its triple, which is canonical already, and a shared
+    one adds the two numerators over a common denominator (one gcd when
+    the denominators differ) and is reduced once, or dropped when it
+    cancels.  Any other sum runs through one _mac accumulator, reduced
+    once."""
+    if c is _ONE and len(terms) == 2:
+        s, t = terms
+        out = dict(s._t)
+        for k, r in t._t.items():
+            u = out.get(k)
+            if u is None:
+                out[k] = r
+                continue
+            (x, y, z), (e, f, g) = u, r
+            if z != g:
+                h = gcd(z, g)
+                p, q = g // h, z // h
+                x, y, z, e, f = x * p, y * p, z * p, e * q, f * q
+            r = _canon(x + e, y + f, z)
+            if r is None:
+                del out[k]
+            else:
+                out[k] = r
+        return _raw(out)
     acc: dict = {}
-    _mac(acc, c, rows)
+    _mac(acc, c, [(None, k, a, b, d) for s in terms for k, (a, b, d) in s._t.items()])
     return _reduce(acc).get(None) or _raw({})

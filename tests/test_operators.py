@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from theta_forms.models import ladder_op
 from theta_forms.operators import LinOp, _deriv_mono
 from theta_forms.poly import Polynomial, X, Xbar, Y, Zvar, _poly, monomial, monomial_mul
-from theta_forms.scalars import Scalar, _mac, _reduce, _rows
+from theta_forms.scalars import _ONE, Scalar, _mac, _reduce, _rows
 
 x = Polynomial.variable(X(1, 1))
 dx = LinOp.partial(X(1, 1))
@@ -222,6 +222,98 @@ def test_apply_with_one_acting_term_and_with_colliding_terms():
     assert euler.apply(f).terms == {} and ref_apply(euler, f).is_zero()
     euler = LinOp({monomial([(X(1, 1), 1)]): x, monomial([(Y(1, 2), 1)]): y})
     assert euler.apply(f) == ref_apply(euler, f) == f * 4
+
+
+# A one-term input c * m takes apply's direct path, which writes each product
+# straight into the output unless two terms' images meet; these tests hold
+# it to both references on the operators most likely to make images meet.
+@st.composite
+def _multiplications(draw):
+    """Multiplication-only operators: one D = () term."""
+    return LinOp({(): Polynomial({draw(_few_monomials): draw(_scalars())
+                                  for _ in range(draw(st.integers(1, 3)))})})
+
+
+@st.composite
+def _derivatives(draw):
+    """Derivative-only operators: constant multipliers on nonzero D."""
+    return LinOp({draw(_few_monomials.filter(bool)): Polynomial.constant(draw(_scalars()))
+                  for _ in range(draw(st.integers(1, 3)))})
+
+
+@st.composite
+def _meeting(draw):
+    """(op, m) with two or three terms whose images of m meet: each term D
+    divides m and takes the multiplier monomial extra * D, so each sends m
+    to a multiple of extra * m, beside other multiplier monomials."""
+    m = draw(_few_monomials.filter(bool))
+    extra = draw(_few_monomials)
+    divisors = [monomial(pairs) for pairs in product(*[[(v, k) for k in range(e + 1)]
+                                                        for v, e in m])]
+    terms = {}
+    for D in draw(st.lists(st.sampled_from(divisors), min_size=2, max_size=3, unique=True)):
+        mult = {draw(_few_monomials): draw(_scalars()) for _ in range(draw(st.integers(0, 1)))}
+        mult[monomial_mul(extra, D)] = draw(_scalars())
+        terms[D] = Polynomial(mult)
+    return LinOp(terms), m
+
+
+# the kernel's coefficient is scalars._ONE; an equal fresh one must act alike
+_coefficients = st.one_of(st.just(_ONE), st.builds(Scalar.one),
+                          st.builds(Scalar.of, st.integers(-3, 3).filter(bool)), _scalars())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.tuples(st.one_of(_colliding_linops(), _multiplications(), _derivatives()),
+                           _few_monomials),
+                 _meeting()),
+       _coefficients)
+def test_one_monomial_images_match_both_references(op_and_monomial, c):
+    op, m = op_and_monomial
+    f = Polynomial({m: c})
+    out = op.apply(f)
+    assert out == ref_apply(op, f) == ref_partials_apply(op, f)
+    assert all(isinstance(s, Scalar) and not s.is_zero() for s in out.terms.values())
+
+
+def test_one_monomial_images_that_meet_are_summed():
+    one = Polynomial.one()
+    # X d/dX + 1 on X: both terms give X, so the image is 2X, not X
+    for c in (_ONE, Scalar.one(), Scalar.of(Fraction(-2, 3), 1, 2)):
+        f = Polynomial({monomial([(X(1, 1), 1)]): c})
+        op = LinOp({(): one, monomial([(X(1, 1), 1)]): x})
+        assert op.apply(f) == ref_apply(op, f) == f * 2
+        # X d/dX - 1 on X: the images meet and cancel
+        op = LinOp({(): -one, monomial([(X(1, 1), 1)]): x})
+        assert op.apply(f).terms == {} and ref_apply(op, f).is_zero()
+    # a meeting after a first term whose image is written: X^2 d/dX + X on X
+    f = Polynomial({monomial([(X(1, 1), 1)]): _ONE})
+    op = LinOp({(): x + one, monomial([(X(1, 1), 1)]): x ** 2})
+    assert op.apply(f) == ref_apply(op, f) == x * x * 2 + x
+
+
+def test_one_monomial_image_with_a_falling_factorial():
+    y = Polynomial.variable(Y(1, 2))
+    mult = x * Scalar.of(Fraction(1, 2), 1) + y * Scalar.of(3, 0, 1)
+    cube = monomial([(X(1, 1), 3)])
+    d2 = LinOp({monomial([(X(1, 1), 2)]): mult})
+    # d^2/dX^2 X^3 = 6 X: each multiplier coefficient scaled once by 6
+    for c in (_ONE, Scalar.one()):
+        f = Polynomial({cube: c})
+        assert d2.apply(f) == ref_partials_apply(d2, f) == mult * x * 6
+    # n * c = 6 * (1/6) = 1: the multiplier's Scalars come back as they are
+    d3 = LinOp({monomial([(X(1, 1), 3)]): mult})
+    out = d3.apply(Polynomial({cube: Scalar.of(Fraction(1, 6))}))
+    assert out == mult
+    assert all(out.terms[m] is s for m, s in mult.terms.items())
+
+
+def test_one_monomial_sent_to_zero():
+    f = Polynomial({monomial([(X(1, 1), 2)]): _ONE})
+    for op in (LinOp.partial(Y(1, 2)), LinOp.partial(X(1, 1), 3),
+               LinOp({monomial([(X(1, 1), 3)]): x, monomial([(Xbar(1, 1), 1)]): x})):
+        assert op.apply(f).terms == {} and ref_apply(op, f).is_zero()
+    assert LinOp.zero().apply(f).terms == {}
 
 
 @settings(max_examples=80, deadline=None)

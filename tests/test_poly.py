@@ -255,3 +255,40 @@ def test_a_wedge_generator_is_not_a_variable():
         monomial([(X(1, 1), 1), ((0, 1, 1), 2)])
     with pytest.raises(TypeError, match="variables are VariableIds"):
         Polynomial.variable(X(1, 1)).map_variables(lambda v: xi(v.row, v.col))
+
+
+def test_a_monomial_exponent_is_an_int():
+    """2.0 and True equal ints but print as themselves, and 1.5 would write
+    JSON that import refuses."""
+    for e in (1.5, 2.0, True, Fraction(2)):
+        with pytest.raises(TypeError, match="exponents are ints"):
+            monomial([(X(1, 1), e)])
+        with pytest.raises(TypeError, match="exponents are ints"):
+            LinOp.partial(X(1, 1), e)
+    assert monomial([(X(1, 1), 2)]) == ((X(1, 1), 2),)
+
+
+def test_the_constructor_takes_only_canonical_keys():
+    x, y = X(1, 1), Y(1, 1)
+    for key in (((y, 1), (x, 1)),     # unsorted
+                ((x, 1), (x, 2)),     # repeated
+                ((x, 0),), ((x, -1),)):
+        with pytest.raises(ValueError, match="is not canonical") as exc:
+            Polynomial({key: 1})
+        assert repr(key) in str(exc.value)
+    for key in (((xi(1, 1), 1),), ((x, 1.5),), ((x, True),), ((x, 2.0),),
+                "X:1:1", (x, 1), ((x, 1, 2),), frozenset()):
+        with pytest.raises(TypeError, match="tuple of \\(VariableId, int\\) pairs") as exc:
+            Polynomial({key: 1})
+        assert repr(key) in str(exc.value)
+    p = Polynomial({((x, 1), (y, 1)): 1})
+    assert p == x11 * y11 and repr(p + x11 * y11) == "Poly((Scalar(2))*X11*Y11)"
+    assert Polynomial({(): Fraction(1, 2)}) == Polynomial.constant(Fraction(1, 2))
+    # arithmetic on canonical values builds its results unchecked, unchanged
+    assert (p + x11).terms == {((x, 1), (y, 1)): Scalar.one(), ((x, 1),): Scalar.one()}
+    assert (-p).terms == {((x, 1), (y, 1)): Scalar.of(-1)}
+    assert p.scale(3).terms == {((x, 1), (y, 1)): Scalar.of(3)}
+    assert (p - p).terms == {} and p.scale(0).terms == {}
+    for c in (p, 1.5, "1/2"):
+        with pytest.raises(TypeError):
+            p.scale(c)
