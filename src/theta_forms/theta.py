@@ -1,5 +1,5 @@
 """Numeric companion: exact lattice enumeration, representation numbers,
-Whittaker factors, Fourier-coefficient assembly, and the one-class
+rank-one Whittaker factors, Fourier-coefficient assembly, and the one-class
 Siegel-Weil sanity check (E8 theta against the divisor-sum Eisenstein
 coefficients), and the Gram-matrix file format.
 
@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import isqrt, lcm
+from math import isfinite, isqrt, lcm
 from typing import Callable, Sequence
 
 from .scalars import _exact, _int, _list, _loads, _rational
@@ -226,11 +226,12 @@ def enumerate_with_norms(L: GramMatrix, max_norm) -> list[tuple[tuple[int, ...],
     return out
 
 
-def _n_max(n_max) -> int:
-    """n_max if it is an int; a bool, float, Fraction or str raises TypeError."""
-    if type(n_max) is bool or not isinstance(n_max, int):
-        raise TypeError(f"n_max must be an int, got {n_max!r}")
-    return n_max
+def _count(x, name: str = "n_max") -> int:
+    """x if it is an int; a bool, float, Fraction or str raises TypeError
+    naming the parameter."""
+    if type(x) is bool or not isinstance(x, int):
+        raise TypeError(f"{name} must be an int, got {x!r}")
+    return x
 
 
 def rep_numbers(L: GramMatrix, n_max: int) -> dict[int, int]:
@@ -245,7 +246,7 @@ def rep_numbers(L: GramMatrix, n_max: int) -> dict[int, int]:
     by cent[l'] -= q w[l'][l].  That is the substitution y_l -> y_l + q, a
     bijection of Z that leaves u_l and every later u unchanged, so nodes
     with one key have equal histograms."""
-    if _n_max(n_max) < 0:
+    if _count(n_max) < 0:
         raise ValueError("n_max must be non-negative")
     rd, rem0, cap, m, w = _fincke_pohst(L, Fraction(n_max))
     memo: dict[tuple[int, tuple[int, ...]], dict[int, int]] = {}
@@ -293,7 +294,7 @@ def naive_rep_numbers(L: GramMatrix, n_max: int) -> dict[int, int]:
     The Gram matrix is scaled once by the lcm D of its denominators, so each
     point is an int x^T (D L) x, which is 2 n D exactly when the half-norm
     is the integer n."""
-    if _n_max(n_max) < 0:
+    if _count(n_max) < 0:
         raise ValueError("n_max must be non-negative")
     # |x_i| <= sqrt(2 n_max (L^-1)_ii); isqrt of the floor is the floor of the root
     bounds = [isqrt(b2.numerator // b2.denominator)
@@ -311,81 +312,49 @@ def naive_rep_numbers(L: GramMatrix, n_max: int) -> dict[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Whittaker functions and Fourier assembly
+# Rank-one Whittaker factors and Fourier assembly
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class BetaMatrix:
-    """Exact hermitian matrix: entries[(i, j)] = (re, im) fractions."""
+    """The rank-one beta of a Whittaker factor: one exact Fraction."""
 
-    entries: tuple[tuple[tuple[Fraction, Fraction], ...], ...]
-
-    @classmethod
-    def from_real(cls, rows: Sequence[Sequence]) -> "BetaMatrix":
-        return cls(tuple(tuple((_exact(x), Fraction(0)) for x in row) for row in rows))
+    value: Fraction
 
     @classmethod
     def scalar(cls, value) -> "BetaMatrix":
-        return cls.from_real([[value]])
-
-    @property
-    def dim(self) -> int:
-        return len(self.entries)
+        return cls(_exact(value))
 
     def __post_init__(self):
-        n = len(self.entries)
-        for row in self.entries:
-            if len(row) != n:
-                raise ValueError("beta matrix must be square")
-        for i in range(n):
-            for j in range(n):
-                re1, im1 = self.entries[i][j]
-                re2, im2 = self.entries[j][i]
-                if re1 != re2 or im1 != -im2:
-                    raise ValueError("beta matrix must be hermitian")
+        if not isinstance(self.value, Fraction):
+            raise TypeError(f"beta must be an exact Fraction, got {self.value!r}")
 
 
 @dataclass(frozen=True)
 class WhittakerPoint:
-    """Iwasawa data g' = n'(b) m'(a): a real invertible, b real symmetric."""
+    """Rank-one Iwasawa data g' = n'(b) m'(a): a and b real, a nonzero."""
 
-    a: tuple[tuple[float, ...], ...]
-    b: tuple[tuple[float, ...], ...]
+    a: float
+    b: float
 
     @classmethod
     def standard(cls, r: int) -> "WhittakerPoint":
-        eye = tuple(tuple(1.0 if i == j else 0.0 for j in range(r)) for i in range(r))
-        zero = tuple(tuple(0.0 for _ in range(r)) for _ in range(r))
-        return cls(eye, zero)
+        if type(r) is not int or r != 1:
+            raise ValueError(f"Whittaker data are rank one, got r = {r!r}")
+        return cls(1.0, 0.0)
 
-    @property
-    def dim(self) -> int:
-        return len(self.a)
+    def __post_init__(self):
+        for name, x in (("a", self.a), ("b", self.b)):
+            if type(x) is bool or not isinstance(x, (int, float)):
+                raise TypeError(f"{name} must be an int or float, got {x!r}")
+            if not isfinite(x):
+                raise ValueError(f"{name} must be finite, got {x!r}")
+        if not self.a:
+            raise ValueError("singular a block")
 
-    def tau(self) -> list[list[complex]]:
-        """tau = u + i v with u = b and v = a a^T (Siegel upper half space)."""
-        r = self.dim
-        v = [[sum(self.a[i][k] * self.a[j][k] for k in range(r)) for j in range(r)]
-             for i in range(r)]
-        return [[complex(self.b[i][j], v[i][j]) for j in range(r)] for i in range(r)]
-
-    def det_a(self) -> float:
-        m = [list(row) for row in self.a]
-        n = self.dim
-        det = 1.0
-        for col in range(n):
-            piv = max(range(col, n), key=lambda r_: abs(m[r_][col]))
-            if abs(m[piv][col]) == 0.0:
-                raise ValueError("singular a block")
-            if piv != col:
-                m[col], m[piv] = m[piv], m[col]
-                det = -det
-            det *= m[col][col]
-            for r_ in range(col + 1, n):
-                f = m[r_][col] / m[col][col]
-                for c_ in range(col, n):
-                    m[r_][c_] -= f * m[col][c_]
-        return det
+    def tau(self) -> complex:
+        """tau = b + i a^2 in the upper half plane."""
+        return complex(self.b, self.a * self.a)
 
 
 LITERAL = "literal"
@@ -394,25 +363,21 @@ CLASSICAL = "classical"
 
 def whittaker(beta: BetaMatrix, g: WhittakerPoint, weight_dim: int,
               convention: str = LITERAL) -> complex:
-    """W_beta(g') = |det a|^((p+q)/2) * exp(tr beta tau).
+    """W_beta(g') = |a|^((p+q)/2) * exp(beta tau) with weight_dim = p + q,
+    the rank-one case of |det a|^((p+q)/2) * exp(tr beta tau).
 
     convention="literal" evaluates the displayed formula as printed;
     "classical" inserts the usual 2 pi i in the exponent.  The discrepancy is
     exposed, not silently resolved.
     """
-    if beta.dim != g.dim:
-        raise ValueError("beta and g must share the matrix size")
-    tau = g.tau()
-    tr = 0j
-    for i in range(beta.dim):
-        for j in range(beta.dim):
-            re, im = beta.entries[i][j]
-            tr += complex(re, im) * tau[j][i]
+    if _count(weight_dim, "weight_dim") < 0:
+        raise ValueError("weight_dim must be non-negative")
+    tr = complex(beta.value) * g.tau()
     if convention == CLASSICAL:
         tr = 2j * cmath.pi * tr
     elif convention != LITERAL:
         raise ValueError(f"unknown Whittaker convention {convention!r}")
-    return abs(g.det_a()) ** (weight_dim / 2) * cmath.exp(tr)
+    return abs(g.a) ** (weight_dim / 2) * cmath.exp(tr)
 
 
 def fourier_assemble(L: GramMatrix, weight: Callable, g: WhittakerPoint,
@@ -425,7 +390,7 @@ def fourier_assemble(L: GramMatrix, weight: Callable, g: WhittakerPoint,
     # per vector would cost more than the enumeration.
     sums: dict[tuple[int, int], int] = {}
     get = sums.get
-    for x, h in enumerate_with_norms(L, _n_max(n_max)):
+    for x, h in enumerate_with_norms(L, _count(n_max)):
         if h.denominator == 1:
             v = weight(x)
             if type(v) is not int and type(v) is not Fraction:
@@ -489,7 +454,7 @@ def eisenstein_check(n_max: int, L: GramMatrix | None = None) -> EisensteinRepor
     """One-class genus instance of Siegel-Weil: the theta coefficients of the
     lattice (E8 by default) against the Eisenstein side 240 sigma_3(n).
     Both sides exact integers; a non-E8 lattice reports its mismatches."""
-    if not 1 <= _n_max(n_max) <= NMAX_CEILING:
+    if not 1 <= _count(n_max) <= NMAX_CEILING:
         raise ValueError(f"desk-scale check: 1 <= n_max <= {NMAX_CEILING}")
     counts = rep_numbers(L if L is not None else e8_gram(), n_max)
     rows = tuple((n, counts[n], 240 * sigma3(n)) for n in range(1, n_max + 1))

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from functools import cache
+from math import cos, sin
 from pathlib import Path
 
 import pytest
@@ -120,6 +121,19 @@ def test_theta_table(tmp_path):
     assert rc == 0
     payload = json.loads(out.read_text())
     assert payload["rows"][1]["count"] == 2
+
+
+def test_theta_table_of_e8_is_count_times_a_unit_phase(tmp_path, capsys):
+    """At g' = standard(1) the literal factor of shell n is exp(i n), so each
+    row prints count * (cos n, sin n)."""
+    gram = tmp_path / "e8.json"
+    gram.write_text(gram_to_json(e8_gram()))
+    assert main(["theta", "--gram", str(gram), "--nmax", "3"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [row["count"] for row in rows] == [1, 240, 2160, 6720]
+    for n, row in enumerate(rows):
+        want = [row["count"] * cos(n), row["count"] * sin(n)]
+        assert row["coefficient"] == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_theta_table_of_the_zero_lattice(tmp_path, capsys):

@@ -14,7 +14,7 @@ from theta_forms.exterior import Form, WedgeGen
 from theta_forms.forms import GKCochain
 from theta_forms.poly import Polynomial
 from theta_forms.scalars import Scalar
-from theta_forms.theta import WhittakerPoint
+from theta_forms.theta import BetaMatrix, WhittakerPoint
 
 PUBLIC = [
     "BetaMatrix", "FOCK", "Form", "GKCochain", "GramMatrix", "LinOp", "ModelTag",
@@ -52,6 +52,8 @@ REMOVED = [
     (Polynomial, "partial"), (Polynomial, "variables"),
     # the K-residual returns its first failing element, so nothing ranks residuals
     (Form, "max_term_count"),
+    # Whittaker data are rank one: beta is one Fraction, g' the reals a and b
+    (BetaMatrix, "from_real"), (WhittakerPoint, "det_a"), (WhittakerPoint, "dim"),
 ]
 
 

@@ -2,13 +2,13 @@ import cmath
 import gc
 from fractions import Fraction
 from itertools import product
-from math import ceil, isqrt
+from math import ceil, cos, exp, inf, isqrt, nan, pi, sin
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from theta_forms.theta import (BetaMatrix, GramMatrix, WhittakerPoint, e8_gram,
-                               eisenstein_check, enumerate_with_norms,
+from theta_forms.theta import (E8_GRAM_ENTRIES, BetaMatrix, GramMatrix, WhittakerPoint,
+                               e8_gram, eisenstein_check, enumerate_with_norms,
                                fourier_assemble,
                                naive_rep_numbers, rep_numbers, sigma3,
                                whittaker)
@@ -114,8 +114,35 @@ def test_sigma3():
     assert [sigma3(n) for n in range(1, 7)] == [1, 9, 28, 73, 126, 252]
 
 
+def _d16_gram(glue: bool) -> GramMatrix:
+    """D16 on the basis e_i - e_(i+1) (i <= 15) and e_15 + e_16, or D16+ with
+    e_1 - e_2 replaced by the glue vector (1/2)^16."""
+    def e(i):
+        return [Fraction(int(k == i)) for k in range(16)]
+    basis = [[x - y for x, y in zip(e(i), e(i + 1))] for i in range(15)] + [
+        [x + y for x, y in zip(e(14), e(15))]]
+    if glue:
+        basis[0] = [Fraction(1, 2)] * 16
+    return GramMatrix([[sum(x * y for x, y in zip(u, v)) for v in basis] for u in basis])
+
+
+def test_rank_sixteen_isospectral_pair():
+    """E8+E8 and D16+ (Milnor's pair) both have theta = E8 = 1 + 480 sum
+    sigma_7(n) q^n; D16 itself, of determinant 4, is the control."""
+    e8e8 = GramMatrix([list(row) + [0] * 8 for row in E8_GRAM_ENTRIES]
+                      + [[0] * 8 + list(row) for row in E8_GRAM_ENTRIES])
+    d16_plus, d16 = _d16_gram(True), _d16_gram(False)
+    assert (e8e8.determinant(), d16_plus.determinant(), d16.determinant()) == (1, 1, 4)
+    assert all(L.entries[i][i] % 2 == 0 for L in (e8e8, d16_plus) for i in range(16))
+    oracle = {n: 480 * sum(k ** 7 for k in range(1, n + 1) if n % k == 0) if n else 1
+              for n in range(7)}
+    assert rep_numbers(e8e8, 6) == rep_numbers(d16_plus, 6) == oracle
+    control = rep_numbers(d16, 6)
+    assert [n for n in oracle if control[n] != oracle[n]] == [2, 3, 4, 5, 6]
+
+
 def test_whittaker_beta_zero():
-    g = WhittakerPoint(((2.0,),), ((0.0,),))
+    g = WhittakerPoint(2.0, 0.0)
     assert whittaker(BetaMatrix.scalar(0), g, 3) == 2.0 ** 1.5
 
 
@@ -134,19 +161,78 @@ def test_whittaker_classical_convention():
 
 
 def test_whittaker_scaling_homogeneity():
-    r = 2
-    g1 = WhittakerPoint.standard(r)
-    t = 3.0
-    g2 = WhittakerPoint(((t, 0.0), (0.0, t)), ((0.0, 0.0), (0.0, 0.0)))
-    beta0 = BetaMatrix.from_real([[0, 0], [0, 0]])
-    pq = 4
-    ratio = whittaker(beta0, g2, pq) / whittaker(beta0, g1, pq)
-    assert abs(ratio - t ** (r * pq / 2)) < 1e-12
+    # W(t a) / W(a) = t^(d/2) at beta = 0
+    beta0 = BetaMatrix.scalar(0)
+    for a, t, d in ((1.0, 3.0, 4), (-0.5, 2.0, 3), (2.0, 0.25, 8)):
+        ratio = (whittaker(beta0, WhittakerPoint(t * a, 1.5), d)
+                 / whittaker(beta0, WhittakerPoint(a, 1.5), d))
+        assert abs(ratio - t ** (d / 2)) < 1e-12 * t ** (d / 2)
+
+
+WHITTAKER_GRID = list(product((1, 2, -0.5, 3), (0, 7.5, -1.25, -0.0),
+                              (Fraction(0), Fraction(1), Fraction(-3, 2), Fraction(5)),
+                              (1, 3, 8)))
+
+
+@pytest.mark.parametrize("convention", ["literal", "classical"])
+def test_whittaker_matches_its_closed_form(convention):
+    """W = |a|^(d/2) e^(beta b) (cos beta a^2 + i sin beta a^2) literally; the
+    classical exponent 2 pi i beta (b + i a^2) gives e^(-2 pi beta a^2) and
+    the phase 2 pi beta b."""
+    for a, b, beta, d in WHITTAKER_GRID:
+        x = float(beta)
+        if convention == "literal":
+            modulus, phase = abs(a) ** (d / 2) * exp(x * b), x * a * a
+        else:
+            modulus, phase = abs(a) ** (d / 2) * exp(-2 * pi * x * a * a), 2 * pi * x * b
+        want = complex(modulus * cos(phase), modulus * sin(phase))
+        got = whittaker(BetaMatrix(beta), WhittakerPoint(a, b), d, convention)
+        assert abs(got - want) <= 1e-12 * abs(want), (a, b, beta, d)
+
+
+@pytest.mark.parametrize("value", [True, 2.5, "3", Fraction(3)], ids=repr)
+def test_whittaker_weight_dim_must_be_an_int(value):
+    with pytest.raises(TypeError, match="weight_dim must be an int"):
+        whittaker(BetaMatrix.scalar(1), WhittakerPoint.standard(1), value)
+
+
+def test_whittaker_weight_dim_must_be_non_negative():
+    with pytest.raises(ValueError, match="weight_dim must be non-negative"):
+        whittaker(BetaMatrix.scalar(1), WhittakerPoint.standard(1), -3)
+    assert whittaker(BetaMatrix.scalar(0), WhittakerPoint(2.0, 0.0), 0) == 1
+
+
+# nested tuples of r x r data, a bool, a complex and a string
+@pytest.mark.parametrize("value", [((1.0, 2.0),), ((1.0,),), True, 1 + 0j, "1"], ids=repr)
+def test_whittaker_point_takes_only_real_numbers(value):
+    with pytest.raises(TypeError, match="a must be an int or float"):
+        WhittakerPoint(value, 0.0)
+    with pytest.raises(TypeError, match="b must be an int or float"):
+        WhittakerPoint(1.0, value)
+
+
+@pytest.mark.parametrize("value", [nan, inf, -inf], ids=repr)
+def test_whittaker_point_takes_only_finite_values(value):
+    with pytest.raises(ValueError, match="a must be finite"):
+        WhittakerPoint(value, 0.0)
+    with pytest.raises(ValueError, match="b must be finite"):
+        WhittakerPoint(1.0, value)
+
+
+def test_whittaker_point_is_rank_one_with_a_nonzero():
+    for a in (0, 0.0, -0.0):
+        with pytest.raises(ValueError, match="singular a block"):
+            WhittakerPoint(a, 1.0)
+    assert WhittakerPoint.standard(1) == WhittakerPoint(1.0, 0.0)
+    assert WhittakerPoint(-2, 3).tau() == complex(3, 4)
+    for r in (0, 2, 3, True, 1.0):
+        with pytest.raises(ValueError, match="rank one"):
+            WhittakerPoint.standard(r)
 
 
 def test_whittaker_b_independence_at_beta_zero():
     g1 = WhittakerPoint.standard(1)
-    g2 = WhittakerPoint(((1.0,),), ((7.5,),))
+    g2 = WhittakerPoint(1.0, 7.5)
     beta0 = BetaMatrix.scalar(0)
     assert whittaker(beta0, g1, 2) == whittaker(beta0, g2, 2)
 
@@ -203,11 +289,9 @@ INEXACT = [0.1, 1.0000000000000002, 2.0, 2 + 0j, True]
 @pytest.mark.parametrize("value", INEXACT, ids=repr)
 def test_theta_inputs_reject_inexact_values(value):
     with pytest.raises(TypeError, match="exact rational"):
-        BetaMatrix.from_real([[value]])
-    with pytest.raises(TypeError, match="exact rational"):
-        BetaMatrix.from_real([[1, value], [value, 1]])
-    with pytest.raises(TypeError, match="exact rational"):
         BetaMatrix.scalar(value)
+    with pytest.raises(TypeError, match="exact Fraction"):
+        BetaMatrix(value)
     with pytest.raises(TypeError, match="exact rational"):
         enumerate_with_norms(GramMatrix([[2]]), value)
 
@@ -237,8 +321,8 @@ def test_fourier_assemble_sums_ints_fractions_strings_and_int_subclasses():
                                          ("1/10", Fraction(1, 10)), ("7", Fraction(7))],
                          ids=repr)
 def test_theta_inputs_take_exact_values(value, exact):
-    assert BetaMatrix.from_real([[value]]).entries == (((exact, Fraction(0)),),)
-    assert BetaMatrix.scalar(value) == BetaMatrix.from_real([[exact]])
+    assert BetaMatrix.scalar(value).value == exact
+    assert BetaMatrix.scalar(value) == BetaMatrix(exact)
     L, g = GramMatrix([[2]]), WhittakerPoint.standard(1)
     assert enumerate_with_norms(L, value) == enumerate_with_norms(L, exact)
     assert fourier_assemble(L, lambda x: value, g, 3) == fourier_assemble(L, lambda x: exact, g, 3)
@@ -253,10 +337,13 @@ def test_naive_rep_numbers_rejects_a_negative_n_max():
 
 
 def test_beta_matrix():
-    with pytest.raises(ValueError):
-        BetaMatrix(((
-            (Fraction(1), Fraction(0)), (Fraction(1), Fraction(1))),
-            ((Fraction(1), Fraction(1)), (Fraction(1), Fraction(0)))))
+    # the constructor takes one Fraction: not an int, a float or a nested
+    # tuple of (re, im) pairs
+    for value in (1, 0.5, (((0.5, 0.0),),), (((Fraction(1), Fraction(0)),),)):
+        with pytest.raises(TypeError, match="exact Fraction"):
+            BetaMatrix(value)
+    assert BetaMatrix.scalar(3) == BetaMatrix(Fraction(3))
+    assert type(BetaMatrix.scalar("1/2").value) is Fraction
 
 
 @st.composite
